@@ -80,9 +80,6 @@ class FaceBasis:
     def dim(self) -> int:
         return int(self.col_offsets[-1])
 
-    def face_cols(self, face: int) -> np.ndarray:
-        return np.arange(self.col_offsets[face], self.col_offsets[face + 1])
-
 
 def _assemble_basis(space: TraceSpace, label: str, blocks: list[np.ndarray]) -> FaceBasis:
     nfs = space.part.faces_per_coarse
@@ -128,26 +125,61 @@ def pi_basis(space: TraceSpace, spectra: list[FaceSpectrum]) -> FaceBasis:
 
 @dataclass
 class PatchProblem:
-    """Factorized Galerkin problem on the faces of one layer neighborhood."""
+    """Factorized Galerkin problem on the faces of one layer neighborhood.
+
+    ``slots`` places the patch unknowns in the projector's padded per-face
+    coefficient array.  ``response`` is the patch solution for each unit
+    input on the seed's own rows (see :meth:`PatchProjector.patch_problem`),
+    so applying the patch to seed data is one small product.
+    """
 
     seed: tuple[str, int]
-    j: int
+    j: int | None
     active_faces: np.ndarray
     dof_indices: np.ndarray
     factor: object = field(repr=False)
+    slots: np.ndarray | None = field(repr=False, default=None)
+    response: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
         return self.dof_indices.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.dim == 0:
+            return np.zeros(rhs.shape)
         if isinstance(self.factor, tuple):
             return scipy.linalg.cho_solve(self.factor, rhs)
         return self.factor.solve(rhs)
 
 
+def _dense_columns(mat: sp.csc_matrix, cols: np.ndarray) -> np.ndarray:
+    """``mat[:, cols]`` as a dense array, read straight from the CSC arrays."""
+    starts = mat.indptr[cols]
+    lens = mat.indptr[cols + 1] - starts
+    entries = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    out = np.zeros((mat.shape[0], cols.size))
+    out[mat.indices[entries], np.repeat(np.arange(cols.size), lens)] = mat.data[entries]
+    return out
+
+
+def _factorize(gram: np.ndarray, what: str):
+    try:
+        if gram.shape[0] <= DENSE_PATCH_LIMIT:
+            return scipy.linalg.cho_factor(gram)
+        return spla.splu(sp.csc_matrix(gram))
+    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+        raise AssertionError(f"{what} is not SPD: {exc}") from exc
+
+
 class PatchProjector:
-    """Flux-energy Galerkin solver over a face basis, global and localized."""
+    """Flux-energy Galerkin solver over a face basis, global and localized.
+
+    Every solve runs through one kernel: a :class:`PatchProblem` (the global
+    problem is the patch of all faces) yields coefficients that are placed
+    in a padded ``(NF, m_max)`` per-face coefficient array and lifted to the
+    fine faces by one batched product with the padded basis blocks.
+    """
 
     def __init__(
         self,
@@ -162,35 +194,76 @@ class PatchProjector:
         self.basis = basis
         self.gram = (basis.matrix.T @ (energy @ basis.matrix)).toarray()
         self.gram = 0.5 * (self.gram + self.gram.T)
-        self._reduce = (basis.matrix.T @ energy).tocsc()   # maps stored lambda -> W^T S lambda
-        self._global_factor = None
-        self._patch_cache: dict[tuple[int, ...], object] = {}
-        self._layer_cache: dict[tuple[str, int, int], np.ndarray] = {}
+        # Seed right-hand sides: W^T S for flux data on a face, W^T for
+        # element load functionals.
+        self._flux_rhs = (basis.matrix.T @ energy).tocsc()
+        self._load_rhs = basis.matrix.T.tocsc()
+        self._flux_rhs.sum_duplicates()
+        self._load_rhs.sum_duplicates()
+
+        mesh = space.mesh
+        nfs = space.part.faces_per_coarse
+        widths = np.diff(basis.col_offsets)
+        self._m_max = int(widths.max(initial=0))
+        self._nonempty = widths > 0
+        self._col_face = np.repeat(np.arange(mesh.n_faces), widths)
+        self._slots = self._col_face * self._m_max + (
+            np.arange(basis.dim) - basis.col_offsets[self._col_face]
+        )
+        self._pad_rows = mesh.n_faces * self._m_max
+        self._padded = np.zeros((mesh.n_faces, nfs, self._m_max))
+        for f, blk in enumerate(basis.blocks):
+            self._padded[f, :, : blk.shape[1]] = blk
+        self._element_rows = (
+            mesh.element_faces[:, :, None] * nfs + np.arange(nfs)
+        ).reshape(mesh.n_elements, 3 * nfs)
+
+        self._global: PatchProblem | None = None
+        self._problems: dict[tuple[str, int, int], PatchProblem] = {}
+        self._patch_cache: dict[bytes, object] = {}
+
+    # -- the kernel -----------------------------------------------------------------
+
+    def _lift(self, pad: np.ndarray) -> np.ndarray:
+        """Stored values of padded per-face coefficients: (NF * m_max, k) -> (n_fine, k)."""
+        k = pad.shape[1]
+        coeffs = pad.reshape(self.space.n_coarse_faces, self._m_max, k)
+        return np.matmul(self._padded, coeffs).reshape(self.space.n_fine, k)
+
+    def _solve_lift(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> np.ndarray:
+        """Solve ``problem`` for reduced right-hand sides (M, k); stored values (n_fine, k)."""
+        pad = np.zeros((self._pad_rows, rhs_reduced.shape[1]))
+        pad[problem.slots] = problem.solve(rhs_reduced[problem.dof_indices])
+        return self._lift(pad)
+
+    def _seed_sum(self, kind: str, data, j: int, k: int) -> np.ndarray:
+        """Sum of the seeds' patch solutions, stored values (n_fine, k).
+
+        ``data[s]`` is seed s's input on its rows, shape (rows, k), or
+        ``None``.  Seeds without data are skipped, so no patch is set up
+        for them; the others add their response to the padded coefficients
+        in seed order.
+        """
+        pad = np.zeros((self._pad_rows, k))
+        for s, d in enumerate(data):
+            if d is None or not d.any():
+                continue
+            problem = self.patch_problem((kind, s), j)
+            pad[problem.slots] += problem.response @ d
+        return self._lift(pad)
 
     # -- global (reference) solves ------------------------------------------------
 
-    def _factorize_global(self):
-        if self._global_factor is None:
-            if self.basis.dim == 0:
-                self._global_factor = ()
-            elif self.basis.dim <= DENSE_PATCH_LIMIT:
-                try:
-                    self._global_factor = scipy.linalg.cho_factor(self.gram)
-                except scipy.linalg.LinAlgError as exc:
-                    raise AssertionError(
-                        f"global {self.basis.label} energy Gram matrix is not SPD: {exc}"
-                    ) from exc
-            else:
-                self._global_factor = spla.splu(sp.csc_matrix(self.gram))
-        return self._global_factor
-
-    def _solve_global(self, rhs: np.ndarray) -> np.ndarray:
-        factor = self._factorize_global()
-        if self.basis.dim == 0:
-            return np.zeros(0)
-        if isinstance(factor, tuple):
-            return scipy.linalg.cho_solve(factor, rhs)
-        return factor.solve(rhs)
+    def _global_problem(self) -> PatchProblem:
+        if self._global is None:
+            dim = self.basis.dim
+            what = f"global {self.basis.label} energy Gram matrix"
+            factor = _factorize(self.gram, what) if dim else ()
+            faces = np.nonzero(self._nonempty)[0]
+            self._global = PatchProblem(
+                ("global", 0), None, faces, np.arange(dim), factor, self._slots
+            )
+        return self._global
 
     def reduce_functional(self, r: np.ndarray) -> np.ndarray:
         """Test the stored functional vector against every basis column."""
@@ -198,8 +271,7 @@ class PatchProjector:
 
     def project_functional(self, r: np.ndarray) -> TraceVector:
         """Global solve: subspace element whose flux energy matches ``r``."""
-        x = self._solve_global(self.reduce_functional(r))
-        return self.space.vector(self.basis.matrix @ x)
+        return self.solve_patch(self._global_problem(), self.reduce_functional(r))
 
     def project_flux(self, lam: TraceVector) -> TraceVector:
         """Global projection applied to the potential of a multiplier."""
@@ -208,58 +280,49 @@ class PatchProjector:
     # -- patch problems -------------------------------------------------------------
 
     def active_faces(self, elems: frozenset[int]) -> np.ndarray:
-        """Faces all of whose incident elements lie inside the patch."""
+        """Faces with basis columns all of whose incident elements lie inside the patch."""
         mesh = self.space.mesh
-        out = []
-        for f in range(mesh.n_faces):
-            if self.basis.blocks[f].shape[1] == 0:
-                continue
-            left = int(mesh.face_left[f])
-            if left not in elems:
-                continue
-            right = int(mesh.face_right[f])
-            if right >= 0 and right not in elems:
-                continue
-            out.append(f)
-        return np.array(out, dtype=int)
+        inside = np.zeros(mesh.n_elements + 1, dtype=bool)
+        inside[np.fromiter(elems, dtype=int, count=len(elems))] = True
+        inside[-1] = True   # face_right is -1 on the domain boundary
+        return np.nonzero(self._nonempty & inside[mesh.face_left] & inside[mesh.face_right])[0]
 
-    def _layer_faces(self, seed: tuple[str, int], j: int) -> np.ndarray:
-        key = (seed[0], seed[1], j)
-        faces = self._layer_cache.get(key)
-        if faces is None:
-            layer = element_layers(self.space.mesh, seed, j)
-            faces = self.active_faces(layer.indices)
-            self._layer_cache[key] = faces
-        return faces
+    def _seed_rows(self, seed: tuple[str, int]) -> np.ndarray:
+        """Stored rows a seed's input lives on: its face, or its element's three faces."""
+        kind, idx = seed
+        if kind == "face":
+            nfs = self.space.part.faces_per_coarse
+            return np.arange(idx * nfs, (idx + 1) * nfs)
+        return self._element_rows[idx]
 
     def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
-        """Build (or fetch) the factorized patch problem for a seed."""
+        """Build (or fetch) the factorized patch problem for a seed.
+
+        Problems are kept per ``(seed, j)``; factorizations are shared by
+        every seed with the same active face set.  The response block is
+        the patch solution for the seed's right-hand-side block
+        (``W^T S`` on a face seed's rows, ``W^T`` on an element's).
+        """
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
-        faces = self._layer_faces(seed, j)
-        key = tuple(faces.tolist())
-        factor = self._patch_cache.get(key)
-        dofs = (
-            np.concatenate([self.basis.face_cols(f) for f in faces])
-            if faces.size
-            else np.array([], dtype=int)
-        )
+        key = (seed[0], int(seed[1]), j)
+        problem = self._problems.get(key)
+        if problem is not None:
+            return problem
+        faces = self.active_faces(element_layers(self.space.mesh, seed, j).indices)
+        in_patch = np.zeros(self.space.n_coarse_faces, dtype=bool)
+        in_patch[faces] = True
+        dofs = np.nonzero(in_patch[self._col_face])[0]
+        factor = self._patch_cache.get(faces.tobytes())
         if factor is None:
-            if dofs.size == 0:
-                factor = ()
-            else:
-                sub = self.gram[np.ix_(dofs, dofs)]
-                try:
-                    if dofs.size <= DENSE_PATCH_LIMIT:
-                        factor = scipy.linalg.cho_factor(sub)
-                    else:
-                        factor = spla.splu(sp.csc_matrix(sub))
-                except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-                    raise AssertionError(
-                        f"patch Gram matrix not SPD for seed {seed}, j={j}: {exc}"
-                    ) from exc
-            self._patch_cache[key] = factor
-        return PatchProblem(seed, j, faces, dofs, factor)
+            what = f"patch Gram matrix for seed {seed}, j={j}"
+            factor = _factorize(self.gram[np.ix_(dofs, dofs)], what) if dofs.size else ()
+            self._patch_cache[faces.tobytes()] = factor
+        problem = PatchProblem(seed, j, faces, dofs, factor, self._slots[dofs])
+        rhs = self._flux_rhs if seed[0] == "face" else self._load_rhs
+        problem.response = problem.solve(_dense_columns(rhs, self._seed_rows(seed))[dofs])
+        self._problems[key] = problem
+        return problem
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
         """Galerkin solve on the patch subspace.
@@ -268,17 +331,7 @@ class PatchProjector:
         only its active entries participate.  The output vanishes outside
         the patch faces by construction.
         """
-        out = np.zeros(self.space.n_fine)
-        if problem.dim:
-            x = problem.solve(rhs_reduced[problem.dof_indices])
-            nfs = self.space.part.faces_per_coarse
-            pos = 0
-            for f in problem.active_faces:
-                blk = self.basis.blocks[f]
-                m = blk.shape[1]
-                out[f * nfs : (f + 1) * nfs] += blk @ x[pos : pos + m]
-                pos += m
-        return self.space.vector(out)
+        return self.space.vector(self._solve_lift(problem, rhs_reduced[:, None])[:, 0])
 
     # -- localized operator applications --------------------------------------------
 
@@ -294,45 +347,21 @@ class PatchProjector:
     def apply_PjT_columns(self, columns: np.ndarray, j: int | None) -> np.ndarray:
         """Vectorized :meth:`apply_PjT` over the columns of a matrix.
 
-        All columns share each face's patch factorization, so a face costs
-        one multi-rhs solve instead of one solve per column.
+        All columns share each face's patch response, so a face costs one
+        small product for every column at once.
         """
         if j is None:
-            rhs = self.basis.matrix.T @ (self.energy @ columns)
-            if self.basis.dim == 0:
-                return np.zeros_like(columns)
-            factor = self._factorize_global()
-            if isinstance(factor, tuple):
-                x = scipy.linalg.cho_solve(factor, rhs)
-            else:
-                x = np.column_stack([factor.solve(rhs[:, k]) for k in range(rhs.shape[1])])
-            return self.basis.matrix @ x
+            return self._solve_lift(self._global_problem(), self._flux_rhs @ columns)
         nfs = self.space.part.faces_per_coarse
-        out = np.zeros_like(columns)
-        for f in range(self.space.n_coarse_faces):
-            sl = slice(f * nfs, (f + 1) * nfs)
-            vals = columns[sl, :]
-            live = np.nonzero(np.any(vals != 0.0, axis=0))[0]
-            if live.size == 0:
-                continue
-            rhs = np.asarray(self._reduce[:, sl] @ vals[:, live])
-            problem = self.patch_problem(("face", f), j)
-            if problem.dim == 0:
-                continue
-            x = problem.solve(rhs[problem.dof_indices, :])
-            pos = 0
-            for fa in problem.active_faces:
-                blk = self.basis.blocks[fa]
-                m = blk.shape[1]
-                out[fa * nfs : (fa + 1) * nfs][:, live] += blk @ x[pos : pos + m, :]
-                pos += m
-        return out
+        per_face = columns.reshape(self.space.n_coarse_faces, nfs, columns.shape[1])
+        return self._seed_sum("face", per_face, j, columns.shape[1])
 
     def apply_Pj(self, functionals: list[np.ndarray | None], j: int | None) -> TraceVector:
         """Element-seeded localization of a broken function.
 
         ``functionals[k]`` is the stored boundary functional of the
-        function restricted to element k (``None`` to skip).  Used to
+        function restricted to element k (``None`` to skip); the patch
+        solves read only its entries on element k's faces.  Used to
         localize the load potential; ``j=None`` is the global reference.
         """
         if j is None:
@@ -341,14 +370,9 @@ class PatchProjector:
                 if r is not None:
                     total += r
             return self.project_functional(total)
-        out = np.zeros(self.space.n_fine)
-        for k, r in enumerate(functionals):
-            if r is None:
-                continue
-            rhs = self.reduce_functional(r)
-            problem = self.patch_problem(("element", k), j)
-            out += self.solve_patch(problem, rhs).values
-        return self.space.vector(out)
+        rows = self._element_rows
+        data = [None if r is None else r[rows[k], None] for k, r in enumerate(functionals)]
+        return self.space.vector(self._seed_sum("element", data, j, 1)[:, 0])
 
 
 # ---------------------------------------------------------------------------

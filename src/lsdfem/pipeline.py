@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -102,6 +103,14 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.number))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass
 class SolverConfig:
     """Everything a run needs; serializable and hashable for reports."""
@@ -130,8 +139,14 @@ class SolverConfig:
     equilibrium_tol: float = EQUILIBRIUM_TOL
 
     def validate(self) -> None:
-        if self.j < 1:
-            raise ValueError("j must be >= 1")
+        # j, alpha_stab, h_target and c_j key cached stage products, so each
+        # must be a real value that equals itself.
+        if isinstance(self.j, bool) or not isinstance(self.j, (int, np.integer)) or self.j < 1:
+            raise ValueError(f"j must be an integer >= 1, got {self.j!r}")
+        for name in ("alpha_stab", "c_j", "h_target"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) or (name == "h_target" and value is None)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.alpha_stab < 1.0:
             raise ValueError("alpha_stab must be >= 1")
         if self.h_target is not None and self.h_target <= 0.0:
@@ -178,6 +193,11 @@ class Solution:
     diagnostics: dict
 
 
+def _variant_key(variant: str, alpha_stab: float) -> tuple[str, float]:
+    """Cache key of a variant: ``alpha_stab`` only matters for ``delta``."""
+    return (variant, alpha_stab if variant == "delta" else 0.0)
+
+
 class Assembly:
     """Stage products shared between solves on one discretization."""
 
@@ -205,6 +225,8 @@ class Assembly:
         self._face_spectra: dict[float, list[FaceSpectrum]] = {}
         self._projectors: dict[tuple[str, float], PatchProjector] = {}
         self._element_spectra: dict[tuple[float, float], list[ElementSpectrum]] = {}
+        self._coarse_bases: dict[tuple[str, float], np.ndarray] = {}
+        self._upscaled: dict[tuple[str, float, int | None], UpscaledOperator] = {}
         self._union: UnionMesh | None = None
 
     def face_spectra(self, alpha_stab: float) -> list[FaceSpectrum]:
@@ -215,7 +237,7 @@ class Assembly:
         return spectra
 
     def projector(self, variant: str, alpha_stab: float) -> PatchProjector:
-        key = (variant, alpha_stab if variant == "delta" else 0.0)
+        key = _variant_key(variant, alpha_stab)
         proj = self._projectors.get(key)
         if proj is None:
             if variant == "plain":
@@ -236,13 +258,38 @@ class Assembly:
 
     def coarse_basis(self, variant: str, alpha_stab: float) -> np.ndarray:
         """Stored basis of the upscaled block: face constants plus retained modes."""
-        tilde0 = self.space.tilde0_stored_basis()
-        if variant == "plain":
-            return tilde0
-        pi = pi_basis(self.space, self.face_spectra(alpha_stab))
-        if pi.dim == 0:
-            return tilde0
-        return np.hstack([tilde0, pi.matrix.toarray()])
+        key = _variant_key(variant, alpha_stab)
+        basis = self._coarse_bases.get(key)
+        if basis is None:
+            basis = self.space.tilde0_stored_basis()
+            if variant != "plain":
+                pi = pi_basis(self.space, self.face_spectra(alpha_stab))
+                if pi.dim:
+                    basis = np.hstack([basis, pi.matrix.toarray()])
+            basis.flags.writeable = False
+            self._coarse_bases[key] = basis
+        return basis
+
+    def upscaled_operator(
+        self, variant: str, alpha_stab: float, j: int | None
+    ) -> "UpscaledOperator":
+        """Load-independent upscaled operator, built by the first solve that needs it.
+
+        Kept per ``(variant, alpha_stab, j)`` for the life of the assembly:
+        the multiscale basis costs ``n_fine x M`` doubles, and every later
+        solve with the same key pays only its per-load patch passes.
+        """
+        key = (*_variant_key(variant, alpha_stab), j)
+        operator = self._upscaled.get(key)
+        if operator is None:
+            operator = UpscaledOperator.build(
+                self.energy,
+                self.projector(variant, alpha_stab),
+                self.coarse_basis(variant, alpha_stab),
+                j,
+            )
+            self._upscaled[key] = operator
+        return operator
 
     def union_mesh(self) -> "UnionMesh":
         if self._union is None:
@@ -325,14 +372,59 @@ def compute_ttilde(
 
 
 @dataclass
-class UpscaledSystem:
-    """Assembled coarse system over the face-constant + retained block."""
+class UpscaledOperator:
+    """Load-independent part of the upscaled problem for one basis and j."""
 
     basis: np.ndarray          # (n_fine, M) stored basis columns
-    multiscale: np.ndarray     # (n_fine, M) columns after removing the localized part
-    gram: np.ndarray           # (M, M)
+    multiscale: np.ndarray     # (n_fine, M) psi = basis - P_j^T basis
+    gram: np.ndarray           # (M, M) psi^T S psi
+    factor: tuple | None       # Cholesky factor of the Gram (None when M = 0)
+
+    @classmethod
+    def build(
+        cls, energy: sp.csr_matrix, projector: PatchProjector, basis: np.ndarray, j: int | None
+    ) -> "UpscaledOperator":
+        """Multiscale basis by patch solves, then its Gram from the energy matrix."""
+        psi = basis - projector.apply_PjT_columns(basis, j)
+        psi.flags.writeable = False
+        gram = psi.T @ (energy @ psi)
+        gram = 0.5 * (gram + gram.T)
+        factor = None
+        if basis.shape[1]:
+            try:
+                factor = scipy.linalg.cho_factor(gram)
+            except scipy.linalg.LinAlgError as exc:
+                raise AssertionError(
+                    f"upscaled system is not SPD ({exc}); patch/spectral data inconsistent"
+                ) from exc
+        return cls(basis, psi, gram, factor)
+
+
+@dataclass
+class UpscaledSystem:
+    """Coarse system of one load over the face-constant + retained block.
+
+    Besides the right-hand side it keeps the load's two patch passes,
+    which :func:`recover_delta` reuses.
+    """
+
+    operator: UpscaledOperator
     rhs: np.ndarray            # (M,)
+    flux0_localized: np.ndarray    # P_j^T lam0, stored values
+    load_localized: np.ndarray     # P_j of the load potential, stored values
     coefficients: np.ndarray | None = None
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.operator.basis
+
+    @property
+    def multiscale(self) -> np.ndarray:
+        return self.operator.multiscale
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.operator.gram
 
 
 def assemble_upscaled(
@@ -343,39 +435,35 @@ def assemble_upscaled(
     ttg: list[np.ndarray],
     ttg_functionals: list[np.ndarray],
     j: int | None,
+    operator: UpscaledOperator | None = None,
 ) -> UpscaledSystem:
     """Build the coarse Galerkin system for the face-constant + retained part.
 
     Each basis column is turned into its multiscale version (identity
     minus localized projection applied to its potential) by patch solves;
     the Gram entries and both load terms then come from the cached energy
-    matrix, never from interior re-solves.
+    matrix, never from interior re-solves.  ``operator`` is the cached
+    load-independent part for ``basis`` and ``j``
+    (:meth:`Assembly.upscaled_operator`); without it, it is built here.
+    The load costs one element-seeded and one face-seeded patch pass.
     """
-    space = assembly.space
+    if operator is None:
+        operator = UpscaledOperator.build(assembly.energy, projector, basis, j)
     s_mat = assembly.energy
-    psi = basis - projector.apply_PjT_columns(basis, j)
-    gram = psi.T @ (s_mat @ psi)
-    gram = 0.5 * (gram + gram.T)
-
-    r_ttg = np.add.reduce(ttg_functionals) if ttg_functionals else np.zeros(space.n_fine)
-    q = projector.apply_Pj(ttg_functionals, j)
-    phi = lam0.values - projector.apply_PjT(lam0, j).values
-    work = r_ttg - s_mat @ q.values + s_mat @ phi
-    rhs = -(psi.T @ work)
-    return UpscaledSystem(basis, psi, gram, rhs)
+    n_fine = assembly.space.n_fine
+    r_ttg = np.add.reduce(ttg_functionals) if ttg_functionals else np.zeros(n_fine)
+    q = projector.apply_Pj(ttg_functionals, j).values
+    flux0 = projector.apply_PjT(lam0, j).values
+    work = r_ttg - s_mat @ q + s_mat @ (lam0.values - flux0)
+    rhs = -(operator.multiscale.T @ work)
+    return UpscaledSystem(operator, rhs, flux0, q)
 
 
 def solve_upscaled(system: UpscaledSystem, space: TraceSpace) -> TraceVector:
     if system.basis.shape[1] == 0:
         system.coefficients = np.zeros(0)
         return space.zeros()
-    try:
-        factor = scipy.linalg.cho_factor(system.gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssertionError(
-            f"upscaled system is not SPD ({exc}); patch/spectral data inconsistent"
-        ) from exc
-    x = scipy.linalg.cho_solve(factor, system.rhs)
+    x = scipy.linalg.cho_solve(system.operator.factor, system.rhs)
     system.coefficients = x
     return space.vector(system.basis @ x)
 
@@ -387,11 +475,23 @@ def recover_delta(
     lam_coarse: TraceVector,
     ttg_functionals: list[np.ndarray],
     j: int | None,
+    system: UpscaledSystem | None = None,
 ) -> TraceVector:
-    """Localizable component from patch projections of the known parts."""
-    flux_part = projector.apply_PjT(lam0 + lam_coarse, j)
-    load_part = projector.apply_Pj(ttg_functionals, j)
-    return -(flux_part + load_part)
+    """Localizable component from patch projections of the known parts.
+
+    ``system`` is the solved upscaled system ``lam_coarse`` came from.  It
+    supplies the load's patch passes, and ``P_j^T lam_coarse`` follows by
+    linearity as ``lam_coarse - psi x``, so no patch pass runs here.
+    Without ``system`` both passes run here, for any ``lam_coarse``.
+    """
+    if system is None:
+        flux_part = projector.apply_PjT(lam0 + lam_coarse, j).values
+        load_part = projector.apply_Pj(ttg_functionals, j).values
+    else:
+        coarse_part = lam_coarse.values - system.multiscale @ system.coefficients
+        flux_part = system.flux0_localized + coarse_part
+        load_part = system.load_localized
+    return assembly.space.vector(-(flux_part + load_part))
 
 
 def solve_u0(
@@ -505,12 +605,16 @@ def solve_lsd(
     r_ttg = np.add.reduce(ttg_functionals) if ttg_functionals else np.zeros(assembly.space.n_fine)
 
     projector = assembly.projector(variant, alpha_stab)
-    basis = assembly.coarse_basis(variant, alpha_stab)
+    operator = assembly.upscaled_operator(variant, alpha_stab, j)
 
     lam0 = solve_lambda0(assembly, g_used)
-    system = assemble_upscaled(assembly, projector, basis, lam0, ttg, ttg_functionals, j)
+    system = assemble_upscaled(
+        assembly, projector, operator.basis, lam0, ttg, ttg_functionals, j, operator
+    )
     lam_coarse = solve_upscaled(system, assembly.space)
-    lam_delta = recover_delta(assembly, projector, lam0, lam_coarse, ttg_functionals, j)
+    lam_delta = recover_delta(
+        assembly, projector, lam0, lam_coarse, ttg_functionals, j, system
+    )
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
@@ -518,7 +622,7 @@ def solve_lsd(
     )
     solution.diagnostics["variant"] = variant
     solution.diagnostics["j"] = j
-    solution.diagnostics["coarse_dim"] = int(basis.shape[1])
+    solution.diagnostics["coarse_dim"] = int(operator.basis.shape[1])
     solution.diagnostics["load_norm"] = load_norm(assembly.caches, g_used)
     if rhs_reduction:
         solution.diagnostics["rhs_reduction"] = reduction_info

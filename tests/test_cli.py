@@ -40,6 +40,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_non_integer_layer_count_exits_2(tmp_path, capsys):
+    path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], "j": "2"}})
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "j must be an integer" in capsys.readouterr().err
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_spec(tmp_path, BASE)

@@ -140,6 +140,17 @@ def test_invariance_on_fine_block(asm_mixed, variant):
         out = proj.apply_PjT(lam, j)
         err = np.abs(out.values - lam.values).max()
         assert err <= 1e-10 * np.abs(lam.values).max()
+    # Many columns at once equal the columns one at a time; a zero column
+    # gives exact zeros.
+    columns = np.column_stack(
+        [rng.standard_normal(asm_mixed.space.n_fine), np.zeros(asm_mixed.space.n_fine), lam.values]
+    )
+    for j in (1, 2, None):
+        out = proj.apply_PjT_columns(columns, j)
+        assert np.all(out[:, 1] == 0.0)
+        for k in (0, 2):
+            one = proj.apply_PjT(asm_mixed.space.vector(columns[:, k]), j).values
+            assert np.abs(out[:, k] - one).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_localization_error_nonincreasing_in_j(asm_mixed):

@@ -37,6 +37,21 @@ def test_config_validation_and_digest():
         SolverConfig(j=0).validate()
     with pytest.raises(ValueError):
         SolverConfig(alpha_stab=0.5).validate()
+    # The fields that key cached operators must be exact, finite values.
+    with pytest.raises(ValueError):
+        SolverConfig.from_dict({"j": "2"})
+    for bad in (
+        {"j": 2.5},
+        {"j": True},
+        {"alpha_stab": float("nan")},
+        {"alpha_stab": float("inf")},
+        {"c_j": float("nan")},
+        {"h_target": float("inf")},
+        {"h_target": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad).validate()
+    SolverConfig(j=np.int64(3), h_target=0.25).validate()
     with pytest.raises(ValueError):
         SolverConfig.from_dict({"no_such_key": 1})
     round_trip = SolverConfig.from_dict(cfg.to_dict())
@@ -174,6 +189,36 @@ def test_four_step_reproduces_monolithic(asm_mixed):
         t = cache.elem
         mean = (cache.mean_vector @ u_ref[t]) / cache.mean_vector.sum()
         assert sol.u0.values[t] == pytest.approx(mean, rel=1e-8, abs=1e-10)
+
+
+def test_upscaled_operator_reused_across_loads():
+    # One assembly solving loads A, B, A gives the solutions of fresh
+    # assemblies, and keeps one upscaled operator per (variant, alpha_stab, j).
+    params = {"contrast": 1e3, "cells": 3}
+    asm = make_assembly(3, 3, 2, "checkerboard", params)
+    loads = {"A": smooth_g, "B": lambda p: np.exp(p[:, 0]) * (1.0 + p[:, 1] ** 2)}
+    refs = {}
+    for variant in ("plain", "delta"):
+        for j in (1, 2, None):
+            for name in ("A", "B", "A"):
+                sol = solve_lsd(asm, sample_load(asm.part, loads[name]), j, variant, 4.0)
+                assert sol.diagnostics["equilibrium_ok"]
+                if (variant, j, name) not in refs:
+                    fresh = make_assembly(3, 3, 2, "checkerboard", params)
+                    g = sample_load(fresh.part, loads[name])
+                    refs[variant, j, name] = solve_lsd(fresh, g, j, variant, 4.0)
+                ref = refs[variant, j, name]
+                pairs = [
+                    (sol.lam_total.values, ref.lam_total.values),
+                    (np.concatenate(sol.u_broken), np.concatenate(ref.u_broken)),
+                ]
+                for got, want in pairs:
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Retained modes make the delta operator differ from the plain one.
+    assert sum(s.n_pi for s in asm.face_spectra(4.0)) > 0
+    assert set(asm._upscaled) == {
+        (v, a, j) for v, a in (("plain", 0.0), ("delta", 4.0)) for j in (1, 2, None)
+    }
 
 
 def test_localization_error_monotone(asm_mixed):
