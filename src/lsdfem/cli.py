@@ -1,10 +1,9 @@
 """Batch front end: run solves and parameter studies, emit CSV/JSON.
 
 One experiment per invocation.  All output is plot-ready CSV plus a JSON
-summary; there is no plotting dependency.  Sequential runs are bitwise
-reproducible for a fixed (spec, seed); ``--threads`` only parallelizes
-per-element and per-face work inside the modules, which is deterministic
-by contract.
+summary; there is no plotting dependency.  Runs are bitwise reproducible
+for a fixed (spec, seed).  Exit codes: 0 on success, 2 for a bad flag,
+environment variable or config, 3 when a numerical check fails.
 """
 
 from __future__ import annotations
@@ -328,41 +327,46 @@ RUNNERS = {
 }
 
 
+def _env(name: str) -> str | None:
+    return os.environ.get(ENV_PREFIX + name)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI flags; each defaults to its ``LSDFEM_<FLAG>`` environment variable."""
     parser = argparse.ArgumentParser(
         prog="lsdfem",
         description="Multiscale hybrid solver batch runner (CSV/JSON output).",
         epilog=(
             "Flags can also be set through the environment with the "
-            f"{ENV_PREFIX} prefix (e.g. {ENV_PREFIX}THREADS, {ENV_PREFIX}OUT)."
+            f"{ENV_PREFIX} prefix (e.g. {ENV_PREFIX}SEED, {ENV_PREFIX}OUT)."
         ),
     )
-    parser.add_argument("--config", required=False, help="experiment JSON file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (1 = deterministic reference)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized test vectors")
-    parser.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
+    parser.add_argument("--config", default=_env("CONFIG"), help="experiment JSON file")
+    parser.add_argument("--out", default=_env("OUT"), help="output directory")
+    # argparse converts a string default with ``type``, so a bad LSDFEM_SEED exits 2.
+    parser.add_argument("--seed", type=int, default=_env("SEED"), help="seed for randomized test vectors")
+    parser.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=_env("EXPERIMENT"))
     parser.add_argument("--list-presets", action="store_true", help="print bundled scenarios and exit")
     return parser
-
-
-def _env_override(name: str, current):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    return raw if raw is not None and current is None else current
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse checks ``choices`` only on the command line, not on a default.
+    if args.experiment is not None and args.experiment not in EXPERIMENT_KINDS:
+        parser.error(
+            f"{ENV_PREFIX}EXPERIMENT: invalid choice {args.experiment!r} "
+            f"(choose from {', '.join(EXPERIMENT_KINDS)})"
+        )
     if args.list_presets:
         json.dump(presets.describe(), sys.stdout, indent=1)
         print()
         return 0
-    config_path = _env_override("config", args.config)
-    if config_path is None:
+    if args.config is None:
         parser.error("--config is required (or set " + ENV_PREFIX + "CONFIG)")
     try:
-        spec = ExperimentSpec.from_file(config_path)
+        spec = ExperimentSpec.from_file(args.config)
     except json.JSONDecodeError as exc:
         print(f"config parse error at line {exc.lineno}, col {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
@@ -370,17 +374,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.experiment or _env_override("experiment", args.experiment):
-        spec.kind = args.experiment or os.environ[ENV_PREFIX + "EXPERIMENT"]
-    out = args.out or os.environ.get(ENV_PREFIX + "OUT")
-    if out:
-        spec.out_dir = out
-    seed = args.seed if args.seed is not None else os.environ.get(ENV_PREFIX + "SEED")
-    if seed is not None:
-        spec.seed = int(seed)
-    threads = args.threads if args.threads is not None else os.environ.get(ENV_PREFIX + "THREADS")
-    if threads is not None:
-        spec.config.threads = int(threads)
+    if args.experiment:
+        spec.kind = args.experiment
+    if args.out:
+        spec.out_dir = args.out
+    if args.seed is not None:
+        spec.seed = args.seed
 
     os.makedirs(spec.out_dir, exist_ok=True)
     try:

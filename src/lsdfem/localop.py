@@ -13,7 +13,6 @@ interiors.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .traces import TraceSpace
 
 __all__ = [
     "ElementCache",
-    "LocalFunction",
     "FaceBlocks",
     "LocalAssemblyError",
     "assemble_element",
@@ -33,25 +31,12 @@ __all__ = [
     "apply_T",
     "apply_Ttilde",
     "face_blocks",
-    "spill_cache",
-    "load_spilled_cache",
     "broken_energy",
-    "broken_energy_product",
-    "weighted_mass_norm",
 ]
 
 
 class LocalAssemblyError(RuntimeError):
     """Element-level assembly or factorization failure."""
-
-
-@dataclass
-class LocalFunction:
-    """P1 nodal values on one element's interior triangulation."""
-
-    elem: int
-    values: np.ndarray
-    zero_average: bool = True
 
 
 @dataclass
@@ -111,10 +96,6 @@ class ElementCache:
     def boundary_pairing(self, side: np.ndarray, values: np.ndarray) -> float:
         """(mu, v) over this element boundary, mu in element-side values."""
         return float(side @ (self.geom.trace_matrix @ values))
-
-    def load_vector(self, g: np.ndarray) -> np.ndarray:
-        """(rho g, phi_i) for a P1 nodal load g."""
-        return self.mass @ g
 
     def flux_side_energy(self, side: np.ndarray) -> float:
         """(mu, T mu) for element-side flux values."""
@@ -225,21 +206,13 @@ def assemble_element(
 
 
 def assemble_all(
-    field_a: CoefficientField,
-    weight: WeightField,
-    part: FinePartition,
-    threads: int = 1,
+    field_a: CoefficientField, weight: WeightField, part: FinePartition
 ) -> list[ElementCache]:
-    """Assemble every element cache; elements are independent, so the
-    parallel map is deterministic by construction."""
-    ne = part.mesh.n_elements
-    if threads <= 1:
-        return [assemble_element(t, field_a, weight, part) for t in range(ne)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: assemble_element(t, field_a, weight, part), range(ne)))
+    """Assemble every element cache, in element order."""
+    return [assemble_element(t, field_a, weight, part) for t in range(part.mesh.n_elements)]
 
 
-def apply_T(cache: ElementCache, side: np.ndarray) -> LocalFunction:
+def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
     """Local flux-to-potential solve.
 
     ``side`` holds the element-side flux value on each fine face of the
@@ -247,13 +220,12 @@ def apply_T(cache: ElementCache, side: np.ndarray) -> LocalFunction:
     the A-weighted variational identity against all constrained test
     functions.
     """
-    rhs = cache.geom.trace_matrix.T @ side
-    return LocalFunction(cache.elem, cache.solve_constrained(rhs))
+    return cache.solve_constrained(cache.geom.trace_matrix.T @ side)
 
 
-def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> LocalFunction:
+def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
     """Local load-to-potential solve for a P1 nodal load g."""
-    return LocalFunction(cache.elem, cache.solve_constrained(cache.mass @ g))
+    return cache.solve_constrained(cache.mass @ g)
 
 
 @dataclass
@@ -320,65 +292,7 @@ def face_blocks(cache: ElementCache, space: TraceSpace, face: int) -> FaceBlocks
     return FaceBlocks(face, t_ff, t_ffc, t_fcf, t_fcfc, t_hat)
 
 
-def spill_cache(cache: ElementCache, directory: str, config_key: str) -> str:
-    """Write the assembled matrices to a per-element blob for reuse.
-
-    The blob is keyed by element id and a caller-supplied configuration
-    key; factorizations are rebuilt on load, everything else is verbatim.
-    """
-    import os
-
-    path = os.path.join(directory, f"element_{cache.elem}_{config_key}.npz")
-    np.savez(
-        path,
-        tensors=cache.tensors,
-        rho=cache.rho,
-        stiffness=cache.stiffness,
-        mass=cache.mass,
-        mean_vector=cache.mean_vector,
-        flux_energy=cache.flux_energy,
-        bounds=np.array([cache.a_min, cache.a_max]),
-    )
-    return path
-
-
-def load_spilled_cache(part: FinePartition, elem: int, directory: str, config_key: str) -> ElementCache:
-    """Rehydrate a spilled cache; the saddle system is re-factorized."""
-    import os
-
-    path = os.path.join(directory, f"element_{elem}_{config_key}.npz")
-    data = np.load(path)
-    geom = part.geometry[elem]
-    saddle, lu = _factor_saddle(elem, data["stiffness"], data["mean_vector"])
-    cache = ElementCache(
-        elem=elem,
-        geom=geom,
-        tensors=data["tensors"],
-        rho=data["rho"],
-        stiffness=data["stiffness"],
-        mass=data["mass"],
-        mean_vector=data["mean_vector"],
-        flux_energy=data["flux_energy"],
-        a_min=float(data["bounds"][0]),
-        a_max=float(data["bounds"][1]),
-    )
-    cache._saddle = saddle
-    cache._saddle_lu = lu
-    return cache
-
-
 def broken_energy(caches: list[ElementCache], values: list[np.ndarray]) -> float:
     """Squared A-weighted broken seminorm of a broken nodal field."""
     return sum(c.energy(v) for c, v in zip(caches, values))
 
-
-def broken_energy_product(
-    caches: list[ElementCache], u: list[np.ndarray], v: list[np.ndarray]
-) -> float:
-    """A-weighted broken inner product of two broken nodal fields."""
-    return sum(float(a @ (c.stiffness @ b)) for c, a, b in zip(caches, u, v))
-
-
-def weighted_mass_norm(caches: list[ElementCache], values: list[np.ndarray]) -> float:
-    """Squared weighted L2 norm of a broken nodal field."""
-    return sum(float(v @ (c.mass @ v)) for c, v in zip(caches, values))

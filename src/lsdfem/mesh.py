@@ -113,9 +113,6 @@ class ElementSet:
     seed: tuple[str, int]
     j: int
 
-    def as_array(self) -> np.ndarray:
-        return np.array(sorted(self.indices), dtype=int)
-
     def __contains__(self, elem: int) -> bool:
         return elem in self.indices
 

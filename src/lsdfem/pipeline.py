@@ -28,6 +28,7 @@ from . import presets
 from .coeff import (
     CoefficientField,
     ContrastStats,
+    WEIGHT_CHOICES,
     WeightField,
     local_bounds,
     make_weight,
@@ -103,6 +104,10 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
     return (
         isinstance(value, (int, float, np.number))
@@ -135,14 +140,21 @@ class SolverConfig:
     rhs_reduction: bool = False
     compare_exact: bool = False
     compare_conforming: bool = False
-    threads: int = 1
     equilibrium_tol: float = EQUILIBRIUM_TOL
 
     def validate(self) -> None:
         # j, alpha_stab, h_target and c_j key cached stage products, so each
         # must be a real value that equals itself.
-        if isinstance(self.j, bool) or not isinstance(self.j, (int, np.integer)) or self.j < 1:
-            raise ValueError(f"j must be an integer >= 1, got {self.j!r}")
+        for name, low in (("nx", 1), ("ny", 1), ("face_level", 0), ("j", 1)):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.interior_level is not None and not (
+            _is_integer(self.interior_level) and self.interior_level > self.face_level
+        ):
+            raise ValueError(
+                f"interior_level must be None or an integer > face_level, got {self.interior_level!r}"
+            )
         for name in ("alpha_stab", "c_j", "h_target"):
             value = getattr(self, name)
             if not (_is_finite_number(value) or (name == "h_target" and value is None)):
@@ -153,8 +165,13 @@ class SolverConfig:
             raise ValueError("h_target must be positive")
         if self.variant not in ("plain", "delta"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.face_level < 0:
-            raise ValueError("face_level must be >= 0")
+        if self.rho == "custom":
+            raise ValueError(
+                "rho 'custom' needs a raster or callable, which only the library's "
+                "make_weight accepts; a config cannot supply one"
+            )
+        if self.rho not in WEIGHT_CHOICES:
+            raise ValueError(f"unknown rho {self.rho!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -211,7 +228,6 @@ class Assembly:
         space: TraceSpace,
         energy: sp.csr_matrix,
         stats: ContrastStats,
-        threads: int = 1,
     ):
         self.mesh = mesh
         self.part = part
@@ -221,7 +237,6 @@ class Assembly:
         self.space = space
         self.energy = energy
         self.stats = stats
-        self.threads = threads
         self._face_spectra: dict[float, list[FaceSpectrum]] = {}
         self._projectors: dict[tuple[str, float], PatchProjector] = {}
         self._element_spectra: dict[tuple[float, float], list[ElementSpectrum]] = {}
@@ -232,7 +247,7 @@ class Assembly:
     def face_spectra(self, alpha_stab: float) -> list[FaceSpectrum]:
         spectra = self._face_spectra.get(alpha_stab)
         if spectra is None:
-            spectra = all_face_spectra(self.space, self.caches, alpha_stab, self.threads)
+            spectra = all_face_spectra(self.space, self.caches, alpha_stab)
             self._face_spectra[alpha_stab] = spectra
         return spectra
 
@@ -252,7 +267,7 @@ class Assembly:
         key = (h_target, c_j)
         spectra = self._element_spectra.get(key)
         if spectra is None:
-            spectra = all_element_spectra(self.caches, h_target, c_j, self.threads)
+            spectra = all_element_spectra(self.caches, h_target, c_j)
             self._element_spectra[key] = spectra
         return spectra
 
@@ -317,7 +332,7 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
     except Exception as exc:
         raise PipelineError("coefficients", exc) from exc
     try:
-        caches = assemble_all(field_a, weight, part, cfg.threads)
+        caches = assemble_all(field_a, weight, part)
     except Exception as exc:
         raise PipelineError("element_caches", exc) from exc
     try:
@@ -325,7 +340,7 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
         energy = build_flux_energy(space, caches)
     except Exception as exc:
         raise PipelineError("trace_space", exc) from exc
-    return Assembly(mesh, part, field_a, weight, caches, space, energy, stats, cfg.threads)
+    return Assembly(mesh, part, field_a, weight, caches, space, energy, stats)
 
 
 def sample_load(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
@@ -364,7 +379,7 @@ def compute_ttilde(
 ) -> list[np.ndarray]:
     """Load potential per element; spectral shortcut when spectra are given."""
     if spectra is None:
-        return [apply_Ttilde(c, g_t).values for c, g_t in zip(assembly.caches, g)]
+        return [apply_Ttilde(c, g_t) for c, g_t in zip(assembly.caches, g)]
     return [
         ttilde_from_spectrum(spec, cache, g_t)
         for spec, cache, g_t in zip(spectra, assembly.caches, g)
@@ -430,28 +445,21 @@ class UpscaledSystem:
 def assemble_upscaled(
     assembly: Assembly,
     projector: PatchProjector,
-    basis: np.ndarray,
+    operator: UpscaledOperator,
     lam0: TraceVector,
-    ttg: list[np.ndarray],
-    ttg_functionals: list[np.ndarray],
+    ttg_functionals: list[np.ndarray | None],
+    r_ttg: np.ndarray,
     j: int | None,
-    operator: UpscaledOperator | None = None,
 ) -> UpscaledSystem:
     """Build the coarse Galerkin system for the face-constant + retained part.
 
-    Each basis column is turned into its multiscale version (identity
-    minus localized projection applied to its potential) by patch solves;
-    the Gram entries and both load terms then come from the cached energy
-    matrix, never from interior re-solves.  ``operator`` is the cached
-    load-independent part for ``basis`` and ``j``
-    (:meth:`Assembly.upscaled_operator`); without it, it is built here.
-    The load costs one element-seeded and one face-seeded patch pass.
+    ``operator`` is the load-independent part for ``projector`` and ``j``
+    (:meth:`Assembly.upscaled_operator`): the multiscale basis and its
+    Gram.  ``r_ttg`` is the sum of ``ttg_functionals``.  The load costs
+    one element-seeded and one face-seeded patch pass; both load terms
+    then come from the cached energy matrix, never from interior re-solves.
     """
-    if operator is None:
-        operator = UpscaledOperator.build(assembly.energy, projector, basis, j)
     s_mat = assembly.energy
-    n_fine = assembly.space.n_fine
-    r_ttg = np.add.reduce(ttg_functionals) if ttg_functionals else np.zeros(n_fine)
     q = projector.apply_Pj(ttg_functionals, j).values
     flux0 = projector.apply_PjT(lam0, j).values
     work = r_ttg - s_mat @ q + s_mat @ (lam0.values - flux0)
@@ -469,29 +477,17 @@ def solve_upscaled(system: UpscaledSystem, space: TraceSpace) -> TraceVector:
 
 
 def recover_delta(
-    assembly: Assembly,
-    projector: PatchProjector,
-    lam0: TraceVector,
-    lam_coarse: TraceVector,
-    ttg_functionals: list[np.ndarray],
-    j: int | None,
-    system: UpscaledSystem | None = None,
+    assembly: Assembly, lam_coarse: TraceVector, system: UpscaledSystem
 ) -> TraceVector:
     """Localizable component from patch projections of the known parts.
 
     ``system`` is the solved upscaled system ``lam_coarse`` came from.  It
     supplies the load's patch passes, and ``P_j^T lam_coarse`` follows by
     linearity as ``lam_coarse - psi x``, so no patch pass runs here.
-    Without ``system`` both passes run here, for any ``lam_coarse``.
     """
-    if system is None:
-        flux_part = projector.apply_PjT(lam0 + lam_coarse, j).values
-        load_part = projector.apply_Pj(ttg_functionals, j).values
-    else:
-        coarse_part = lam_coarse.values - system.multiscale @ system.coefficients
-        flux_part = system.flux0_localized + coarse_part
-        load_part = system.load_localized
-    return assembly.space.vector(-(flux_part + load_part))
+    coarse_part = lam_coarse.values - system.multiscale @ system.coefficients
+    flux_part = system.flux0_localized + coarse_part
+    return assembly.space.vector(-(flux_part + system.load_localized))
 
 
 def solve_u0(
@@ -528,7 +524,7 @@ def reconstruct(
     for cache in assembly.caches:
         t = cache.elem
         side = lam_total.side_values(t)
-        tilde = apply_T(cache, side).values + ttg[t]
+        tilde = apply_T(cache, side) + ttg[t]
         u_broken.append(u0.values[t] + tilde)
         grad = np.einsum("ck,cki->ci", tilde[cache.geom.cells], cache.geom.grads)
         sigma.append(np.einsum("cij,cj->ci", cache.tensors, grad))
@@ -608,13 +604,9 @@ def solve_lsd(
     operator = assembly.upscaled_operator(variant, alpha_stab, j)
 
     lam0 = solve_lambda0(assembly, g_used)
-    system = assemble_upscaled(
-        assembly, projector, operator.basis, lam0, ttg, ttg_functionals, j, operator
-    )
+    system = assemble_upscaled(assembly, projector, operator, lam0, ttg_functionals, r_ttg, j)
     lam_coarse = solve_upscaled(system, assembly.space)
-    lam_delta = recover_delta(
-        assembly, projector, lam0, lam_coarse, ttg_functionals, j, system
-    )
+    lam_delta = recover_delta(assembly, lam_coarse, system)
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(

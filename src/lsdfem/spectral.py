@@ -16,7 +16,6 @@ targets, and robustness beats scalability there.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +146,9 @@ def face_spectrum(
 
 
 def all_face_spectra(
-    space: TraceSpace,
-    caches: list[ElementCache],
-    alpha_stab: float,
-    threads: int = 1,
+    space: TraceSpace, caches: list[ElementCache], alpha_stab: float
 ) -> list[FaceSpectrum]:
-    faces = range(space.n_coarse_faces)
-    if threads <= 1:
-        return [face_spectrum(space, caches, f, alpha_stab) for f in faces]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda f: face_spectrum(space, caches, f, alpha_stab), faces))
+    return [face_spectrum(space, caches, f, alpha_stab) for f in range(space.n_coarse_faces)]
 
 
 @dataclass
@@ -192,12 +184,9 @@ def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> 
 
 
 def all_element_spectra(
-    caches: list[ElementCache], h_target: float, c_j: float = 1.0, threads: int = 1
+    caches: list[ElementCache], h_target: float, c_j: float = 1.0
 ) -> list[ElementSpectrum]:
-    if threads <= 1:
-        return [element_spectrum(c, h_target, c_j) for c in caches]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda c: element_spectrum(c, h_target, c_j), caches))
+    return [element_spectrum(c, h_target, c_j) for c in caches]
 
 
 def project_rhs(

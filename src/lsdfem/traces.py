@@ -54,9 +54,6 @@ class TraceVector:
         geom = self.space.part.geometry[elem]
         return geom.boundary_signs * self.values[geom.boundary_face_ids]
 
-    def face_values(self, face: int) -> np.ndarray:
-        return self.values[self.space.part.face_slice(face)]
-
     def restricted_to_face(self, face: int) -> "TraceVector":
         """Copy that keeps only the values on one coarse face."""
         out = np.zeros_like(self.values)
@@ -77,9 +74,6 @@ class TraceVector:
 
     def __neg__(self) -> "TraceVector":
         return TraceVector(self.space, -self.values)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def to_csv(self, path: str) -> None:
         """Rows ``fine_face_index,value`` ordered by global fine-face index."""

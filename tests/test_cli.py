@@ -111,6 +111,17 @@ def test_env_override(tmp_path, monkeypatch):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, value", [("EXPERIMENT", "bogus"), ("SEED", "abc")])
+def test_bad_env_variable_exits_2(tmp_path, monkeypatch, capsys, name, value):
+    path = write_spec(tmp_path, BASE)
+    monkeypatch.setenv("LSDFEM_" + name, value)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--config", path, "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_list_presets(capsys):
     assert cli.main(["--list-presets"]) == 0
     payload = json.loads(capsys.readouterr().out)

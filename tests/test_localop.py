@@ -7,7 +7,6 @@ from lsdfem.coeff import CoefficientField, make_weight
 from lsdfem.localop import (
     apply_T,
     apply_Ttilde,
-    assemble_all,
     assemble_element,
     face_blocks,
 )
@@ -53,12 +52,12 @@ def test_flux_energy_against_energy_form_oracle(asm_mixed):
 def test_apply_T_zero_and_zero_average(asm_mixed):
     cache = asm_mixed.caches[0]
     out = apply_T(cache, np.zeros(cache.geom.n_boundary_faces))
-    assert np.abs(out.values).max() == 0.0
+    assert np.abs(out).max() == 0.0
     rng = np.random.default_rng(1)
     side = rng.standard_normal(cache.geom.n_boundary_faces)
     sol = apply_T(cache, side)
-    avg = cache.mean_vector @ sol.values
-    assert abs(avg) < 1e-12 * max(np.abs(sol.values).max(), 1.0)
+    avg = cache.mean_vector @ sol
+    assert abs(avg) < 1e-12 * max(np.abs(sol).max(), 1.0)
 
 
 def test_apply_T_scaling_in_coefficient():
@@ -70,8 +69,8 @@ def test_apply_T_scaling_in_coefficient():
     c7 = assemble_element(0, scaled, make_weight("one", scaled), part)
     rng = np.random.default_rng(4)
     side = rng.standard_normal(c1.geom.n_boundary_faces)
-    u1 = apply_T(c1, side).values
-    u7 = apply_T(c7, side).values
+    u1 = apply_T(c1, side)
+    u7 = apply_T(c7, side)
     assert np.allclose(u7, u1 / 7.0, rtol=1e-12, atol=1e-14)
 
 
@@ -81,8 +80,8 @@ def test_apply_T_energy_identity(asm_mixed):
         rng = np.random.default_rng(cache.elem)
         side = rng.standard_normal(cache.geom.n_boundary_faces)
         sol = apply_T(cache, side)
-        boundary = cache.boundary_pairing(side, sol.values)
-        interior = cache.energy(sol.values)
+        boundary = cache.boundary_pairing(side, sol)
+        interior = cache.energy(sol)
         assert boundary == pytest.approx(interior, rel=1e-11)
 
 
@@ -90,7 +89,7 @@ def test_apply_Ttilde_constant_is_zero(asm_mixed):
     cache = asm_mixed.caches[2]
     out = apply_Ttilde(cache, np.full(cache.geom.n_nodes, 3.25))
     scale = np.abs(cache.mass).max()
-    assert np.abs(out.values).max() < 1e-12 / scale
+    assert np.abs(out).max() < 1e-12 / scale
 
 
 def test_apply_Ttilde_eigenfunction_identity(asm_mixed):
@@ -101,7 +100,7 @@ def test_apply_Ttilde_eigenfunction_identity(asm_mixed):
     for i in (1, 2, 5):
         v = spec.vectors[:, i]
         out = apply_Ttilde(cache, v)
-        assert np.allclose(out.values, v / spec.sigma[i], rtol=1e-9, atol=1e-11)
+        assert np.allclose(out, v / spec.sigma[i], rtol=1e-9, atol=1e-11)
 
 
 def test_adjoint_identity(asm_mixed):
@@ -110,8 +109,8 @@ def test_adjoint_identity(asm_mixed):
         rng = np.random.default_rng(100 + cache.elem)
         side = rng.standard_normal(cache.geom.n_boundary_faces)
         g = rng.standard_normal(cache.geom.n_nodes)
-        left = cache.boundary_pairing(side, apply_Ttilde(cache, g).values)
-        right = g @ (cache.mass @ apply_T(cache, side).values)
+        left = cache.boundary_pairing(side, apply_Ttilde(cache, g))
+        right = g @ (cache.mass @ apply_T(cache, side))
         assert left == pytest.approx(right, rel=1e-12, abs=1e-14)
 
 
@@ -195,29 +194,5 @@ def test_static_condensation_consistency(asm_mixed):
     mu = rng.standard_normal(cache.geom.n_boundary_faces)
     nu = rng.standard_normal(cache.geom.n_boundary_faces)
     via_cache = mu @ (cache.flux_energy @ nu)
-    via_solve = cache.boundary_pairing(mu, apply_T(cache, nu).values)
+    via_solve = cache.boundary_pairing(mu, apply_T(cache, nu))
     assert via_cache == pytest.approx(via_solve, rel=1e-11)
-
-
-def test_parallel_assembly_bitwise_deterministic():
-    part = refine_faces(build_structured_mesh(3, 3), 1)
-    field = CoefficientField.from_scalar_function(part, lambda p: 1.0 + p[:, 0])
-    weight = make_weight("one", field)
-    seq = assemble_all(field, weight, part, threads=1)
-    par = assemble_all(field, weight, part, threads=4)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.flux_energy, b.flux_energy)
-        assert np.array_equal(a.stiffness, b.stiffness)
-
-
-def test_cache_spill_roundtrip(tmp_path, asm_mixed):
-    from lsdfem.localop import load_spilled_cache, spill_cache
-
-    cache = asm_mixed.caches[4]
-    spill_cache(cache, str(tmp_path), "cfgkey")
-    back = load_spilled_cache(asm_mixed.part, 4, str(tmp_path), "cfgkey")
-    assert np.array_equal(back.flux_energy, cache.flux_energy)
-    assert np.array_equal(back.stiffness, cache.stiffness)
-    rng = np.random.default_rng(0)
-    side = rng.standard_normal(cache.geom.n_boundary_faces)
-    assert np.allclose(apply_T(back, side).values, apply_T(cache, side).values, atol=1e-14)

@@ -48,12 +48,25 @@ def test_config_validation_and_digest():
         {"c_j": float("nan")},
         {"h_target": float("inf")},
         {"h_target": float("nan")},
+        {"nx": 0},
+        {"ny": 2.0},
+        {"face_level": 1.5},
+        {"face_level": -1},
+        {"interior_level": 2.5},
+        {"interior_level": 1},
+        {"rho": "custom"},
+        {"rho": "bogus"},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()
+    with pytest.raises(ValueError, match="raster or callable"):
+        SolverConfig(rho="custom").validate()
     SolverConfig(j=np.int64(3), h_target=0.25).validate()
+    SolverConfig(nx=np.int64(2), interior_level=3, rho="a_plus").validate()
     with pytest.raises(ValueError):
         SolverConfig.from_dict({"no_such_key": 1})
+    with pytest.raises(ValueError):
+        SolverConfig.from_dict({"threads": 2})
     round_trip = SolverConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
 
@@ -91,10 +104,10 @@ def test_upscaled_zero_data(asm_const):
     g0 = [np.zeros(geo.n_nodes) for geo in asm_const.part.geometry]
     lam0 = solve_lambda0(asm_const, g0)
     proj = asm_const.projector("plain", 4.0)
-    basis = asm_const.coarse_basis("plain", 4.0)
+    operator = asm_const.upscaled_operator("plain", 4.0, 1)
     ttg = [np.zeros(geo.n_nodes) for geo in asm_const.part.geometry]
     funcs = [element_boundary_functional(space, t, v) for t, v in enumerate(ttg)]
-    system = assemble_upscaled(asm_const, proj, basis, lam0, ttg, funcs, 1)
+    system = assemble_upscaled(asm_const, proj, operator, lam0, funcs, sum(funcs), 1)
     assert np.abs(system.rhs).max() == 0.0
     lam_coarse = solve_upscaled(system, space)
     assert np.abs(lam_coarse.values).max() == 0.0
@@ -108,14 +121,16 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     g = sample_load(asm_mixed.part, smooth_g)
     lam0 = solve_lambda0(asm_mixed, g)
     proj = asm_mixed.projector("plain", 4.0)
-    basis = asm_mixed.coarse_basis("plain", 4.0)
     from lsdfem.pipeline import compute_ttilde
 
     ttg = compute_ttilde(asm_mixed, g)
     funcs = [element_boundary_functional(space, t, v) for t, v in enumerate(ttg)]
+    r_ttg = sum(funcs)
     jstar = saturation_radius(asm_mixed.mesh)
-    sys_loc = assemble_upscaled(asm_mixed, proj, basis, lam0, ttg, funcs, jstar)
-    sys_glob = assemble_upscaled(asm_mixed, proj, basis, lam0, ttg, funcs, None)
+    op_loc = asm_mixed.upscaled_operator("plain", 4.0, jstar)
+    op_glob = asm_mixed.upscaled_operator("plain", 4.0, None)
+    sys_loc = assemble_upscaled(asm_mixed, proj, op_loc, lam0, funcs, r_ttg, jstar)
+    sys_glob = assemble_upscaled(asm_mixed, proj, op_glob, lam0, funcs, r_ttg, None)
     scale = np.abs(sys_glob.gram).max()
     assert np.allclose(sys_loc.gram, sys_glob.gram, atol=1e-10 * scale)
     assert np.allclose(sys_loc.rhs, sys_glob.rhs, atol=1e-10 * max(np.abs(sys_glob.rhs).max(), 1e-30))
@@ -124,9 +139,11 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
 def test_recover_delta_zero_and_membership(asm_mixed):
     space = asm_mixed.space
     proj = asm_mixed.projector("delta", 4.0)
+    operator = asm_mixed.upscaled_operator("delta", 4.0, 1)
     zero = space.zeros()
     funcs = [None] * asm_mixed.mesh.n_elements
-    out = recover_delta(asm_mixed, proj, zero, zero, funcs, 1)
+    system = assemble_upscaled(asm_mixed, proj, operator, zero, funcs, np.zeros(space.n_fine), 1)
+    out = recover_delta(asm_mixed, solve_upscaled(system, space), system)
     assert np.abs(out.values).max() == 0.0
     # With data, the output lies in the span of the localizable block.
     g = sample_load(asm_mixed.part, smooth_g)
