@@ -14,7 +14,6 @@ from .localize import PatchProjector, RingProfile, build_flux_energy, ring_energ
 from .localop import ElementCache, apply_T, apply_Ttilde, assemble_all, assemble_element
 from .mesh import (
     CoarseMesh,
-    ElementSet,
     FinePartition,
     build_structured_mesh,
     element_layers,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoarseMesh",
     "FinePartition",
-    "ElementSet",
     "build_structured_mesh",
     "refine_faces",
     "element_layers",

@@ -386,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         RUNNERS[spec.kind](spec)
     except (AssertionError, PipelineError) as exc:
         stage = getattr(exc, "stage", "numerical-check")
+        # Unreadable or invalid mesh and coefficient inputs are config errors.
+        if stage in ("mesh", "coefficients") and isinstance(exc.cause, (OSError, ValueError)):
+            print(f"config error [{stage}]: {exc}", file=sys.stderr)
+            return 2
         print(f"numerical assertion failed [{stage}]: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .localop import ElementCache
-from .mesh import CoarseMesh, element_layers
+from .mesh import CoarseMesh, element_layers, layer_distances
 from .spectral import FaceSpectrum
 from .traces import TraceSpace, TraceVector
 
@@ -279,11 +279,11 @@ class PatchProjector:
 
     # -- patch problems -------------------------------------------------------------
 
-    def active_faces(self, elems: frozenset[int]) -> np.ndarray:
+    def active_faces(self, elems: np.ndarray) -> np.ndarray:
         """Faces with basis columns all of whose incident elements lie inside the patch."""
         mesh = self.space.mesh
         inside = np.zeros(mesh.n_elements + 1, dtype=bool)
-        inside[np.fromiter(elems, dtype=int, count=len(elems))] = True
+        inside[elems] = True
         inside[-1] = True   # face_right is -1 on the domain boundary
         return np.nonzero(self._nonempty & inside[mesh.face_left] & inside[mesh.face_right])[0]
 
@@ -309,7 +309,7 @@ class PatchProjector:
         problem = self._problems.get(key)
         if problem is not None:
             return problem
-        faces = self.active_faces(element_layers(self.space.mesh, seed, j).indices)
+        faces = self.active_faces(element_layers(self.space.mesh, seed, j))
         in_patch = np.zeros(self.space.n_coarse_faces, dtype=bool)
         in_patch[faces] = True
         dofs = np.nonzero(in_patch[self._col_face])[0]
@@ -453,16 +453,5 @@ def ring_energies(
     """Broken energy of the potential of ``mu`` split by layer rings."""
     per_element = np.array([c.flux_side_energy(mu.side_values(c.elem)) for c in caches])
     total = float(per_element.sum())
-    rings = []
-    covered: frozenset[int] = frozenset()
-    j = 1
-    while len(covered) < mesh.n_elements:
-        layer = element_layers(mesh, seed, j).indices
-        fresh = layer - covered
-        rings.append(float(per_element[sorted(fresh)].sum()) if fresh else 0.0)
-        covered = layer
-        j += 1
-        if j > mesh.n_elements + 1:
-            break
-    energies = np.array(rings)
+    energies = np.bincount(layer_distances(mesh, seed), weights=per_element)
     return RingProfile(seed, energies, _fit_ratio(energies, total), total)

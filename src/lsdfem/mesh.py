@@ -7,6 +7,10 @@ normal points out of is the face's *left* element.  All skeleton
 quantities (multipliers, trace integrals) are stored relative to that
 orientation, and per-element views apply the sign ``+1`` for the left
 element and ``-1`` for the right one.
+
+Layer neighborhoods, their saturation depths and the mesh's saturation
+radius all read one sparse closure-adjacency matrix: two elements are
+adjacent when their closures share a vertex.
 """
 
 from __future__ import annotations
@@ -15,17 +19,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 __all__ = [
     "CoarseMesh",
     "FinePartition",
     "ElementGeometry",
-    "ElementSet",
     "MeshError",
     "build_structured_mesh",
     "build_mesh",
     "refine_faces",
     "element_layers",
+    "layer_distances",
     "saturation_depth",
     "saturation_radius",
     "load_mesh",
@@ -58,7 +64,7 @@ class CoarseMesh:
     centroids: np.ndarray         # (ne, 2)
     face_measures: np.ndarray     # (nf,)
     diameters: np.ndarray         # (ne,) element diameters
-    vertex_elements: list[np.ndarray] = field(repr=False)  # vertex id -> incident elements
+    adjacency: sp.csr_matrix = field(repr=False)  # (ne, ne) closure adjacency, diagonal included
 
     @property
     def n_vertices(self) -> int:
@@ -94,33 +100,6 @@ class CoarseMesh:
     def boundary_measure(self, elem: int) -> float:
         """Total measure of the element boundary."""
         return float(self.face_measures[self.element_faces[elem]].sum())
-
-    def closure_neighbors(self, elem: int) -> np.ndarray:
-        """Elements whose closure intersects the closure of ``elem``.
-
-        Includes ``elem`` itself.  Closure intersection means sharing at
-        least a vertex, which is strictly larger than face adjacency.
-        """
-        parts = [self.vertex_elements[v] for v in self.elements[elem]]
-        return np.unique(np.concatenate(parts))
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """A layer neighborhood T_j(seed): a set of coarse element ids."""
-
-    indices: frozenset[int]
-    seed: tuple[str, int]
-    j: int
-
-    def __contains__(self, elem: int) -> bool:
-        return elem in self.indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self.indices.issubset(other.indices)
 
 
 def _triangle_quality(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
@@ -229,11 +208,13 @@ def build_mesh(
     )
     diameters = edge_l.max(axis=0)
 
-    vertex_elements: list[list[int]] = [[] for _ in range(len(vertices))]
-    for t in range(ne):
-        for v in elements[t]:
-            vertex_elements[v].append(t)
-    vertex_elements_np = [np.array(sorted(set(lst)), dtype=int) for lst in vertex_elements]
+    # Closure adjacency I I^T from the element-vertex incidence I.
+    incidence = sp.csr_matrix(
+        (np.ones(3 * ne), (np.repeat(np.arange(ne), 3), elements.ravel())),
+        shape=(ne, len(vertices)),
+    )
+    adjacency = (incidence @ incidence.T).tocsr()
+    adjacency.sort_indices()
 
     mesh = CoarseMesh(
         vertices=vertices,
@@ -249,7 +230,7 @@ def build_mesh(
         centroids=centroids,
         face_measures=face_measures,
         diameters=diameters,
-        vertex_elements=vertex_elements_np,
+        adjacency=adjacency,
     )
     _check_connected(mesh)
     return mesh
@@ -259,17 +240,12 @@ def _check_connected(mesh: CoarseMesh) -> None:
     """Face-connectivity check; disconnected meshes break the Lambda^0 solve."""
     if mesh.n_elements == 0:
         raise MeshError("empty mesh")
-    seen = np.zeros(mesh.n_elements, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        t = stack.pop()
-        for fid in mesh.element_faces[t]:
-            other = mesh.face_right[fid] if mesh.face_left[fid] == t else mesh.face_left[fid]
-            if other >= 0 and not seen[other]:
-                seen[other] = True
-                stack.append(int(other))
-    if not seen.all():
+    inner = ~mesh.face_boundary
+    faces = sp.coo_matrix(
+        (np.ones(inner.sum()), (mesh.face_left[inner], mesh.face_right[inner])),
+        shape=(mesh.n_elements, mesh.n_elements),
+    )
+    if csgraph.connected_components(faces, directed=False)[0] != 1:
         raise MeshError("mesh is not face-connected")
 
 
@@ -308,49 +284,58 @@ def build_structured_mesh(
     return build_mesh(vertices, np.array(elements, dtype=int))
 
 
-def element_layers(mesh: CoarseMesh, seed: tuple[str, int], j: int) -> ElementSet:
-    """Layer neighborhood T_j(seed) grown by closure adjacency.
+def _first_layer(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:
+    """T_1(seed) as a sorted array: the element, or the face's incident elements."""
+    kind, idx = seed
+    if kind == "element":
+        if not 0 <= idx < mesh.n_elements:
+            raise MeshError(f"unknown element seed {idx}")
+        return np.array([idx], dtype=int)
+    if kind == "face":
+        if not 0 <= idx < mesh.n_faces:
+            raise MeshError(f"unknown face seed {idx}")
+        return np.unique(mesh.face_elements(idx))
+    raise MeshError(f"unknown seed kind {kind!r}")
+
+
+def element_layers(mesh: CoarseMesh, seed: tuple[str, int], j: int) -> np.ndarray:
+    """Layer neighborhood T_j(seed) grown by closure adjacency, as sorted element ids.
 
     ``seed`` is ``("element", k)`` or ``("face", f)``.  T_0 is empty,
     T_1("element", K) = {K}, T_1("face", F) = the incident element(s), and
     T_{j+1} adds every element whose closure touches T_j (vertex
-    neighbors included).
+    neighbors included).  Each step gathers the adjacency rows of T_j, so
+    the cost grows with the patch, not the mesh.
     """
-    kind, idx = seed
     if j < 0:
         raise ValueError("layer count j must be >= 0")
-    if kind == "element":
-        if not 0 <= idx < mesh.n_elements:
-            raise MeshError(f"unknown element seed {idx}")
-        first = {int(idx)}
-    elif kind == "face":
-        if not 0 <= idx < mesh.n_faces:
-            raise MeshError(f"unknown face seed {idx}")
-        first = set(mesh.face_elements(idx))
-    else:
-        raise MeshError(f"unknown seed kind {kind!r}")
-
+    current = _first_layer(mesh, seed)
     if j == 0:
-        return ElementSet(frozenset(), seed, 0)
-    current = set(first)
+        return current[:0]
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
     for _ in range(j - 1):
-        if len(current) == mesh.n_elements:
+        if current.size == mesh.n_elements:
             break
-        grown = set(current)
-        for t in current:
-            grown.update(int(e) for e in mesh.closure_neighbors(t))
-        current = grown
-    return ElementSet(frozenset(current), seed, j)
+        starts = indptr[current]
+        lens = indptr[current + 1] - starts
+        entries = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        current = np.unique(indices[entries])
+    return current
+
+
+def layer_distances(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:
+    """Per element, the smallest j with the element in T_{j+1}(seed)."""
+    dist = csgraph.shortest_path(
+        mesh.adjacency, unweighted=True, indices=_first_layer(mesh, seed)
+    ).min(axis=0)
+    if not np.isfinite(dist).all():
+        raise MeshError("layer growth stalled; mesh not connected?")
+    return dist.astype(int)
 
 
 def saturation_depth(mesh: CoarseMesh, seed: tuple[str, int]) -> int:
     """Smallest j with T_j(seed) = the whole mesh."""
-    j = 1
-    while len(element_layers(mesh, seed, j)) < mesh.n_elements:
-        j += 1
-        if j > mesh.n_elements + 1:
-            raise MeshError("layer growth stalled; mesh not connected?")
-    return j
+    return 1 + int(layer_distances(mesh, seed).max())
 
 
 def saturation_radius(mesh: CoarseMesh) -> int:
@@ -358,23 +343,18 @@ def saturation_radius(mesh: CoarseMesh) -> int:
 
     Equals one plus the diameter of the closure-adjacency graph; face
     seeds saturate no later than their incident elements, so the maximum
-    over element seeds covers them.
+    over element seeds covers them.  The all-pairs distances are taken in
+    row chunks of at most about 32 MB.
     """
-    worst = 1
-    for start in range(mesh.n_elements):
-        dist = np.full(mesh.n_elements, -1, dtype=int)
-        dist[start] = 0
-        queue = [start]
-        while queue:
-            nxt: list[int] = []
-            for t in queue:
-                for e in mesh.closure_neighbors(t):
-                    if dist[e] < 0:
-                        dist[e] = dist[t] + 1
-                        nxt.append(int(e))
-            queue = nxt
-        worst = max(worst, 1 + int(dist.max()))
-    return worst
+    ne = mesh.n_elements
+    chunk = max(1, (32 << 20) // (8 * ne))
+    diameter = 0.0
+    for first in range(0, ne, chunk):
+        dist = csgraph.shortest_path(
+            mesh.adjacency, unweighted=True, indices=np.arange(first, min(first + chunk, ne))
+        )
+        diameter = max(diameter, float(dist.max()))
+    return 1 + int(diameter)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ class SolverConfig:
             )
         if self.rho not in WEIGHT_CHOICES:
             raise ValueError(f"unknown rho {self.rho!r}")
+        if self.rhs not in presets.LOAD_PRESETS:
+            raise ValueError(f"unknown rhs {self.rhs!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -46,6 +46,16 @@ def test_non_integer_layer_count_exits_2(tmp_path, capsys):
     assert "j must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,stage",
+    [({"mesh_file": "no-such-mesh.txt"}, "mesh"), ({"coefficient": "bogus"}, "coefficients")],
+)
+def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage):
+    path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], **config}})
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error [{stage}]" in capsys.readouterr().err
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_spec(tmp_path, BASE)

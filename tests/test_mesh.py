@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsdfem.mesh import (
     MeshError,
@@ -9,6 +11,7 @@ from lsdfem.mesh import (
     load_mesh,
     refine_faces,
     saturation_depth,
+    saturation_radius,
     save_mesh,
 )
 
@@ -70,30 +73,113 @@ def test_layers_match_bruteforce_oracle():
     corner = 0
     for j in range(0, 4):
         got = element_layers(mesh, ("element", corner), j)
-        assert set(got.indices) == layers_bruteforce(mesh, {corner}, j)
+        assert set(got.tolist()) == layers_bruteforce(mesh, {corner}, j)
     face = int(mesh.element_faces[10, 0])
     first = set(mesh.face_elements(face))
     for j in range(0, 3):
         got = element_layers(mesh, ("face", face), j)
-        assert set(got.indices) == layers_bruteforce(mesh, first, j)
+        assert set(got.tolist()) == layers_bruteforce(mesh, first, j)
 
 
 def test_layer_basics_and_nesting():
     mesh = build_structured_mesh(4, 4)
     assert len(element_layers(mesh, ("element", 3), 0)) == 0
-    assert set(element_layers(mesh, ("element", 3), 1).indices) == {3}
+    assert set(element_layers(mesh, ("element", 3), 1).tolist()) == {3}
     f_int = next(f for f in range(mesh.n_faces) if not mesh.face_boundary[f])
-    assert set(element_layers(mesh, ("face", f_int), 1).indices) == set(mesh.face_elements(f_int))
+    assert set(element_layers(mesh, ("face", f_int), 1).tolist()) == set(mesh.face_elements(f_int))
     prev = element_layers(mesh, ("element", 0), 1)
     for j in range(2, 8):
         cur = element_layers(mesh, ("element", 0), j)
-        assert prev.issubset(cur)
+        assert set(prev.tolist()) <= set(cur.tolist())
         prev = cur
     jstar = saturation_depth(mesh, ("element", 0))
     assert jstar <= mesh.n_elements
     assert len(element_layers(mesh, ("element", 0), jstar)) == mesh.n_elements
     with pytest.raises(MeshError):
         element_layers(mesh, ("element", 999), 1)
+
+
+def grid_mesh(nx, ny, rng=None, hole=False):
+    """Structured grid, interior vertices jittered by up to 0.15 h, cell (1, 1) optionally removed."""
+    base = build_structured_mesh(nx, ny)
+    verts = base.vertices.copy()
+    if rng is not None:
+        interior = ~(np.isclose(verts, 0.0) | np.isclose(verts, 1.0)).any(axis=1)
+        h = 1.0 / max(nx, ny)
+        verts[interior] += rng.uniform(-0.15 * h, 0.15 * h, (interior.sum(), 2))
+    keep = np.ones(base.n_elements, dtype=bool)
+    if hole:
+        keep[2 * (nx + 1) : 2 * (nx + 1) + 2] = False
+    return build_mesh(verts, base.elements[keep])
+
+
+@st.composite
+def meshes(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    hole = nx >= 3 and ny >= 3 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grid_mesh(nx, ny, rng, hole)
+
+
+def closure_neighbors(mesh):
+    """Definition-level closure adjacency: per element, the elements sharing a vertex."""
+    by_vertex = [[] for _ in range(mesh.n_vertices)]
+    for t, verts in enumerate(mesh.elements):
+        for v in verts:
+            by_vertex[v].append(t)
+    return [sorted({e for v in verts for e in by_vertex[v]}) for verts in mesh.elements]
+
+
+def bfs_depth(neighbors, starts):
+    """Reference breadth-first search: one plus the largest distance from ``starts``."""
+    dist = np.full(len(neighbors), -1, dtype=int)
+    dist[list(starts)] = 0
+    queue = list(starts)
+    while queue:
+        nxt = []
+        for t in queue:
+            for e in neighbors[t]:
+                if dist[e] < 0:
+                    dist[e] = dist[t] + 1
+                    nxt.append(e)
+        queue = nxt
+    return 1 + int(dist.max())
+
+
+def saturation_radius_reference(mesh):
+    """One BFS from every element over the closure adjacency."""
+    neighbors = closure_neighbors(mesh)
+    return max(bfs_depth(neighbors, [t]) for t in range(mesh.n_elements))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=meshes(), data=st.data())
+def test_layer_graph_matches_references(mesh, data):
+    elem = data.draw(st.integers(0, mesh.n_elements - 1))
+    face = data.draw(st.integers(0, mesh.n_faces - 1))
+    neighbors = closure_neighbors(mesh)
+    for seed, first in ((("element", elem), {elem}), (("face", face), set(mesh.face_elements(face)))):
+        for j in range(5):
+            got = element_layers(mesh, seed, j)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == sorted(layers_bruteforce(mesh, first, j))
+        assert saturation_depth(mesh, seed) == bfs_depth(neighbors, first)
+    assert saturation_radius(mesh) == saturation_radius_reference(mesh)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_structured_saturation_radius(n):
+    assert saturation_radius(build_structured_mesh(n, n)) == 2 * n
+
+
+def test_connectivity_is_through_faces():
+    # Two triangles sharing only a vertex are closure- but not face-connected.
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(MeshError, match="mesh is not face-connected"):
+        build_mesh(verts, np.array([[0, 1, 2], [0, 3, 4]]))
+    holed = grid_mesh(4, 4, hole=True)
+    assert holed.n_elements == 30
+    assert saturation_radius(holed) == saturation_radius_reference(holed)
 
 
 @pytest.mark.parametrize("level,expected", [(0, 1), (2, 4)])

@@ -56,6 +56,7 @@ def test_config_validation_and_digest():
         {"interior_level": 1},
         {"rho": "custom"},
         {"rho": "bogus"},
+        {"rhs": "bogus"},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()
