@@ -11,7 +11,7 @@ not degrade with the coefficient contrast.
 
 from .coeff import CoefficientField, ContrastStats, Raster, WeightField, local_bounds, make_weight
 from .localize import PatchProjector, RingProfile, build_flux_energy, ring_energies
-from .localop import ElementCache, apply_T, apply_Ttilde, assemble_all, assemble_element
+from .localop import ElementCache, apply_T, apply_Ttilde, assemble_all
 from .mesh import (
     CoarseMesh,
     FinePartition,
@@ -61,7 +61,6 @@ __all__ = [
     "build_trace_space",
     "decompose",
     "ElementCache",
-    "assemble_element",
     "assemble_all",
     "apply_T",
     "apply_Ttilde",

@@ -23,6 +23,8 @@ from .pipeline import (
     Assembly,
     PipelineError,
     SolverConfig,
+    _is_finite_number,
+    _is_integer,
     build_assembly,
     broken_energy,
     conforming_solve,
@@ -38,6 +40,10 @@ from .traces import element_boundary_functional
 
 EXPERIMENT_KINDS = ("solve", "decay", "j_sweep", "contrast_sweep", "h_convergence", "rhs_reduction")
 ENV_PREFIX = "LSDFEM_"
+_POSITIVE_INT = ("integers >= 1", lambda v: _is_integer(v) and v >= 1)
+_POSITIVE = ("finite and > 0", lambda v: _is_finite_number(v) and v > 0)
+# Sweep lists the runners read: key -> (requirement, check of one value).
+SWEEP_RULES = {"j": _POSITIVE_INT, "nx": _POSITIVE_INT, "contrasts": _POSITIVE, "h_target": _POSITIVE}
 
 
 @dataclass
@@ -58,10 +64,17 @@ class ExperimentSpec:
         if kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {kind!r}")
         cfg = SolverConfig.from_dict(data.get("config", {}))
+        sweep = data.get("sweep", {})
+        if not isinstance(sweep, dict):
+            raise ValueError(f"sweep must be an object, got {sweep!r}")
+        for key, (rule, ok) in SWEEP_RULES.items():
+            values = sweep.get(key, [])
+            if not isinstance(values, list) or not all(map(ok, values)):
+                raise ValueError(f"sweep.{key} must be a list of values {rule}, got {values!r}")
         return cls(
             kind=kind,
             config=cfg,
-            sweep=data.get("sweep", {}),
+            sweep=sweep,
             out_dir=data.get("out", "lsdfem-out"),
             seed=int(data.get("seed", 0)),
         )

@@ -81,6 +81,12 @@ class CoefficientField:
     def cell_eigen_bounds(self, elem: int) -> tuple[np.ndarray, np.ndarray]:
         return _sym_eig_bounds(self.tensors[elem])
 
+    def element_eigen_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest tensor eigenvalue on each element, for all elements at once."""
+        emin, emax = _sym_eig_bounds(np.concatenate(self.tensors))
+        ne = len(self.tensors)
+        return emin.reshape(ne, -1).min(axis=1), emax.reshape(ne, -1).max(axis=1)
+
     def scaled(self, s: float) -> "CoefficientField":
         if s <= 0:
             raise CoefficientError("scale factor must be positive")
@@ -240,13 +246,7 @@ def local_bounds(field: CoefficientField, mesh: CoarseMesh | None = None) -> Con
     part = field.part
     if mesh is not None and mesh is not part.mesh:
         raise CoefficientError("field was sampled on a different mesh")
-    ne = part.mesh.n_elements
-    lo = np.empty(ne)
-    hi = np.empty(ne)
-    for elem in range(ne):
-        emin, emax = field.cell_eigen_bounds(elem)
-        lo[elem] = emin.min()
-        hi[elem] = emax.max()
+    lo, hi = field.element_eigen_bounds()
     kappa_local = hi / lo
     big_h = part.mesh.coarse_size
     small_h = part.fine_size

@@ -49,19 +49,11 @@ def build_flux_energy(space: TraceSpace, caches: list[ElementCache]) -> sp.csr_m
     assembled by scattering each element's flux-energy block with its
     element-side signs.
     """
-    rows, cols, vals = [], [], []
-    for cache in caches:
-        geom = cache.geom
-        signed = (cache.flux_energy * geom.boundary_signs[None, :]) * geom.boundary_signs[:, None]
-        idx = geom.boundary_face_ids
-        rr, cc = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(signed.ravel())
-    n = space.n_fine
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    ids, signs = space.part.boundary_face_ids, space.part.boundary_signs
+    signed = (np.stack([c.flux_energy for c in caches]) * signs[:, None, :]) * signs[:, :, None]
+    rows = np.broadcast_to(ids[:, :, None], signed.shape).ravel()
+    cols = np.broadcast_to(ids[:, None, :], signed.shape).ravel()
+    mat = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(space.n_fine,) * 2)
     mat.sum_duplicates()
     return mat
 

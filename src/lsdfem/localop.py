@@ -6,9 +6,10 @@ enforced by a single scalar Lagrange multiplier.  That one factorization
 serves both local solution operators (boundary-flux data and interior
 loads).  The boundary flux-energy matrix ``B`` is the static condensation
 of the interior problem onto the fine-face flux basis: it is computed
-once per element (one back-solve per boundary fine face) and every
-downstream patch or face computation re-uses it instead of re-solving
-interiors.
+once per element and every downstream patch or face computation re-uses
+it instead of re-solving interiors.  All elements share one reference
+lattice, so the set-up runs as stacked kernels over every element at once
+and each ``ElementCache`` holds views into the stacks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .coeff import CoefficientField, WeightField
 from .mesh import ElementGeometry, FinePartition
@@ -26,10 +29,10 @@ __all__ = [
     "ElementCache",
     "FaceBlocks",
     "LocalAssemblyError",
-    "assemble_element",
     "assemble_all",
     "apply_T",
     "apply_Ttilde",
+    "edge_blocks",
     "face_blocks",
     "broken_energy",
 ]
@@ -84,9 +87,13 @@ class ElementCache:
     def identity_flux_energy(self) -> np.ndarray:
         """Flux-energy matrix of the A=I twin (harmonic extension energy)."""
         if self._identity_flux_energy is None:
-            k_id = _assemble_stiffness(self.geom, _identity_tensors(len(self.geom.cells)))
-            saddle, lu = _factor_saddle(self.elem, k_id, self.mean_vector)
-            self._identity_flux_energy = _condense_boundary(self.geom, saddle, lu)
+            geom = self.geom
+            identity = np.broadcast_to(np.eye(2), (1, len(geom.cells), 2, 2))
+            k_id = _assemble_stiffness(geom.grads[None], geom.cell_areas[None], identity, geom.cells)
+            saddle = self._saddle.copy()
+            saddle[: self.n_nodes, : self.n_nodes] = k_id[0]
+            _factor_saddle(self.elem, saddle)
+            self._identity_flux_energy = _condense_boundary(geom.trace_matrix[None], saddle[None])[0]
         return self._identity_flux_energy
 
     def energy(self, values: np.ndarray) -> float:
@@ -102,51 +109,43 @@ class ElementCache:
         return float(side @ (self.flux_energy @ side))
 
 
-def _identity_tensors(nc: int) -> np.ndarray:
-    out = np.zeros((nc, 2, 2))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
-    return out
+def _sym(mats: np.ndarray) -> np.ndarray:
+    return 0.5 * (mats + mats.swapaxes(-1, -2))
 
 
-def _assemble_stiffness(geom: ElementGeometry, tensors: np.ndarray) -> np.ndarray:
-    """Exact P1 stiffness for cellwise-constant tensors.
+def _scatter_cells(local: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Sum cell matrices (ne, nc, 3, 3) into element matrices (ne, nn, nn) by one 0/1 map."""
+    ne, nn = local.shape[0], int(cells.max()) + 1
+    dest = (cells[:, :, None] * nn + cells[:, None, :]).ravel()
+    scatter = sp.csr_matrix((np.ones(dest.size), (dest, np.arange(dest.size))), (nn * nn, dest.size))
+    return np.ascontiguousarray((scatter @ local.reshape(ne, -1).T).T).reshape(ne, nn, nn)
+
+
+def _assemble_stiffness(grads, cell_areas, tensors, cells) -> np.ndarray:
+    """Exact P1 stiffness of a stack of elements with cellwise-constant tensors.
 
     The diagonal is set to minus the off-diagonal row sum so constants lie
     in the kernel exactly; otherwise the roundoff kernel defect (of size
     norm(K) * eps) leaks into every constrained solve as a spurious
     constraint multiplier, which is visible at high contrast.
     """
-    nn = geom.n_nodes
-    k = np.zeros((nn, nn))
-    flux = np.einsum("cij,ckj->cki", tensors, geom.grads)   # (nc, 3, 2): A grad(phi_k)
-    local = np.einsum("cki,cli->ckl", flux, geom.grads) * geom.cell_areas[:, None, None]
-    for c, cell in enumerate(geom.cells):
-        k[np.ix_(cell, cell)] += local[c]
-    k[np.diag_indices(nn)] -= k.sum(axis=1)
+    flux = np.einsum("ecij,eckj->ecki", tensors, grads)   # (ne, nc, 3, 2): A grad(phi_k)
+    local = np.einsum("ecki,ecli->eckl", flux, grads) * cell_areas[:, :, None, None]
+    k = _scatter_cells(local, cells)
+    diag = np.arange(k.shape[1])
+    k[:, diag, diag] -= k.sum(axis=2)
     return k
 
 
 _MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def _assemble_mass(geom: ElementGeometry, rho: np.ndarray) -> np.ndarray:
-    """Exact rho-weighted P1 mass for cellwise-constant rho."""
-    nn = geom.n_nodes
-    m = np.zeros((nn, nn))
-    for c, cell in enumerate(geom.cells):
-        m[np.ix_(cell, cell)] += (rho[c] * geom.cell_areas[c]) * _MASS_REF
-    return m
+def _assemble_mass(cell_areas: np.ndarray, rho: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Exact rho-weighted P1 mass of a stack of elements with cellwise-constant rho."""
+    return _scatter_cells((rho * cell_areas)[:, :, None, None] * _MASS_REF, cells)
 
 
-def _factor_saddle(
-    elem: int, stiffness: np.ndarray, mean_vector: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    nn = stiffness.shape[0]
-    saddle = np.zeros((nn + 1, nn + 1))
-    saddle[:nn, :nn] = stiffness
-    saddle[:nn, nn] = mean_vector
-    saddle[nn, :nn] = mean_vector
+def _factor_saddle(elem: int, saddle: np.ndarray) -> tuple:
     try:
         lu = scipy.linalg.lu_factor(saddle)
     except scipy.linalg.LinAlgError as exc:
@@ -155,61 +154,49 @@ def _factor_saddle(
         raise LocalAssemblyError(
             f"element {elem}: constrained system is singular; coefficient not SPD?"
         )
-    return saddle, lu
+    return lu
 
 
-def _condense_boundary(geom: ElementGeometry, saddle: np.ndarray, lu: tuple) -> np.ndarray:
-    """Static condensation: B[a, b] = (mu_a, T mu_b) over fine-face fluxes."""
-    nn = geom.n_nodes
-    n_bf = geom.n_boundary_faces
-    rhs = np.zeros((nn + 1, n_bf))
-    rhs[:nn] = geom.trace_matrix.T
-    sols = scipy.linalg.lu_solve(lu, rhs)
-    sols += scipy.linalg.lu_solve(lu, rhs - saddle @ sols)
-    b = geom.trace_matrix @ sols[:nn]
-    return 0.5 * (b + b.T)
-
-
-def assemble_element(
-    elem: int,
-    field_a: CoefficientField,
-    weight: WeightField,
-    part: FinePartition,
-) -> ElementCache:
-    """Assemble matrices, saddle factorization, and flux-energy cache."""
-    geom = part.geometry[elem]
-    tensors = field_a.tensors[elem]
-    rho = weight.values[elem]
-    if len(tensors) != len(geom.cells) or len(rho) != len(geom.cells):
-        raise LocalAssemblyError(f"element {elem}: coefficient does not cover all cells")
-    stiffness = _assemble_stiffness(geom, tensors)
-    mass = _assemble_mass(geom, rho)
-    mean_vector = mass @ np.ones(geom.n_nodes)
-    saddle, lu = _factor_saddle(elem, stiffness, mean_vector)
-    flux_energy = _condense_boundary(geom, saddle, lu)
-    emin, emax = field_a.cell_eigen_bounds(elem)
-    cache = ElementCache(
-        elem=elem,
-        geom=geom,
-        tensors=tensors,
-        rho=rho,
-        stiffness=stiffness,
-        mass=mass,
-        mean_vector=mean_vector,
-        flux_energy=flux_energy,
-        a_min=float(emin.min()),
-        a_max=float(emax.max()),
-    )
-    cache._saddle = saddle
-    cache._saddle_lu = lu
-    return cache
+def _condense_boundary(trace: np.ndarray, saddle: np.ndarray) -> np.ndarray:
+    """Static condensation B[a, b] = (mu_a, T mu_b) of a stack of elements, refined once."""
+    ne, n_bf, nn = trace.shape
+    rhs = np.zeros((ne, nn + 1, n_bf))
+    rhs[:, :nn] = trace.swapaxes(1, 2)
+    sols = np.linalg.solve(saddle, rhs)
+    sols += np.linalg.solve(saddle, rhs - saddle @ sols)
+    return _sym(trace @ sols[:, :nn])
 
 
 def assemble_all(
     field_a: CoefficientField, weight: WeightField, part: FinePartition
 ) -> list[ElementCache]:
-    """Assemble every element cache, in element order."""
-    return [assemble_element(t, field_a, weight, part) for t in range(part.mesh.n_elements)]
+    """Assemble every element cache, in element order.
+
+    All elements are assembled and condensed as stacks; only the saddle LU,
+    which :meth:`ElementCache.solve_constrained` reuses per load, is per element.
+    """
+    ne, nc = part.mesh.n_elements, len(part.cells)
+    sizes = [np.fromiter(map(len, values), int, ne) for values in (field_a.tensors, weight.values)]
+    short = (sizes[0] != nc) | (sizes[1] != nc)
+    if short.any():
+        raise LocalAssemblyError(f"element {np.argmax(short)}: coefficient does not cover all cells")
+    tensors, rho = np.stack(field_a.tensors), np.stack(weight.values)
+    stiffness = _assemble_stiffness(part.grads, part.cell_areas, tensors, part.cells)
+    mass = _assemble_mass(part.cell_areas, rho, part.cells)
+    mean_vector = mass @ np.ones(mass.shape[1])
+    nn = mean_vector.shape[1]
+    saddles = np.zeros((ne, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
+    saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
+    lus = [_factor_saddle(t, saddles[t]) for t in range(ne)]
+    flux_energy = _condense_boundary(part.trace_matrices, saddles)
+    a_min, a_max = field_a.element_eigen_bounds()
+    return [
+        ElementCache(
+            t, part.geometry[t], field_a.tensors[t], weight.values[t], stiffness[t], mass[t],
+            mean_vector[t], flux_energy[t], float(a_min[t]), float(a_max[t]), saddles[t], lus[t],
+        )
+        for t in range(ne)
+    ]
 
 
 def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
@@ -249,47 +236,79 @@ class FaceBlocks:
         return self.t_ff.shape[0] == 0
 
 
+def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:
+    """Lower Cholesky factors of a stack ``(..., n, n)`` of symmetric matrices.
+
+    Returns ``(factors, -1, -1)``, or ``(None, item, pivot)`` for the first
+    matrix of the flattened stack that is not positive definite.
+    """
+    try:
+        return np.linalg.cholesky(mats), -1, -1
+    except np.linalg.LinAlgError:
+        for item, mat in enumerate(mats.reshape((-1,) + mats.shape[-2:])):
+            info = lapack.dpotrf(mat, lower=1)[1]
+            if info != 0:
+                return None, item, int(info) - 1
+        raise
+
+
+def solve_lower(chol: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve ``L X = B`` (``L^T X = B`` with ``trans``) for a stack of lower-triangular ``L``.
+
+    Substitution row by row, each step batched over the stack; the entries
+    of ``L`` above the diagonal must be zero.
+    """
+    tri = chol.swapaxes(-1, -2) if trans else chol
+    n = tri.shape[-1]
+    x = np.zeros(np.broadcast_shapes(tri.shape[:-1], rhs.shape[:-2] + (n,)) + rhs.shape[-1:])
+    for i in reversed(range(n)) if trans else range(n):
+        x[..., i, :] = (rhs[..., i, :] - (tri[..., i : i + 1, :] @ x)[..., 0, :]) / tri[..., i, i, None]
+    return x
+
+
+def edge_blocks(space: TraceSpace, flux_energy: np.ndarray, elems: np.ndarray) -> tuple:
+    """Face blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of every local edge of a stack of elements.
+
+    ``flux_energy`` is ``(n, 3 nfs, 3 nfs)`` for the elements ``elems``; local
+    edge ``e`` owns rows ``e nfs ... (e + 1) nfs - 1``.  The energy is
+    projected once into the zero-mean face bases, then ordered per local
+    edge as (edge, the other two in local order); each block has leading
+    axes (element, local edge), and ``t_hat`` is the Schur complement.
+    """
+    z = space.zero_mean
+    n, m = flux_energy.shape[0], z.shape[1]
+    zb = scipy.linalg.block_diag(z, z, z)
+    bz = (zb.T @ flux_energy @ zb).reshape(n, 3, m, 3, m)
+    perm = [bz[:, o][:, :, :, o].reshape(n, 3 * m, 3 * m) for o in ([0, 1, 2], [1, 0, 2], [2, 0, 1])]
+    blocks = np.stack(perm, axis=1)
+    t_ff, t_ffc, t_fcfc = blocks[..., :m, :m], blocks[..., :m, m:], blocks[..., m:, m:]
+    chol, item, pivot = batched_cholesky(t_fcfc)
+    if chol is None:
+        t, e = divmod(item, 3)
+        raise AssertionError(f"element {elems[t]}, face {space.mesh.element_faces[elems[t], e]}: "
+                             f"complementary block not SPD (Cholesky failed at pivot {pivot})")
+    w = solve_lower(chol, t_ffc.swapaxes(-1, -2))
+    return _sym(t_ff), t_ffc, t_fcfc, _sym(t_ff - w.swapaxes(-1, -2) @ w)
+
+
 def face_blocks(cache: ElementCache, space: TraceSpace, face: int) -> FaceBlocks:
     """Split the element flux-energy matrix by one coarse face.
 
     Degrees of freedom are restricted to zero average per face, so a face
     with a single fine sub-face contributes nothing and yields empty
     blocks.  Element-side signs cancel in every block because each basis
-    vector enters quadratically.
+    vector enters quadratically.  Runs :func:`edge_blocks` on a batch of
+    one element.
     """
     geom = cache.geom
     if face not in geom.face_rows:
         raise ValueError(f"face {face} is not a face of element {cache.elem}")
-    z = space.zero_mean
-    m = z.shape[1]
-    rows_f = geom.face_rows[face]
-    other_faces = [f for f in geom.face_rows if f != face]
-    rows_c = np.concatenate([geom.face_rows[f] for f in other_faces]) if other_faces else np.array([], dtype=int)
-
-    if m == 0:
+    if space.zero_mean.shape[1] == 0:
         zero = np.zeros((0, 0))
         return FaceBlocks(face, zero, zero.copy(), zero.copy(), zero.copy(), zero.copy())
-
-    b = cache.flux_energy
-    zc = scipy.linalg.block_diag(*([z] * len(other_faces))) if other_faces else np.zeros((0, 0))
-    t_ff = z.T @ b[np.ix_(rows_f, rows_f)] @ z
-    t_ffc = z.T @ b[np.ix_(rows_f, rows_c)] @ zc
-    t_fcf = t_ffc.T.copy()
-    t_fcfc = zc.T @ b[np.ix_(rows_c, rows_c)] @ zc
-
-    if t_fcfc.shape[0] == 0:
-        t_hat = t_ff.copy()
-    else:
-        try:
-            c = scipy.linalg.cho_factor(t_fcfc)
-        except scipy.linalg.LinAlgError as exc:
-            raise AssertionError(
-                f"element {cache.elem}, face {face}: complementary block not SPD ({exc})"
-            ) from exc
-        t_hat = t_ff - t_ffc @ scipy.linalg.cho_solve(c, t_fcf)
-    t_ff = 0.5 * (t_ff + t_ff.T)
-    t_hat = 0.5 * (t_hat + t_hat.T)
-    return FaceBlocks(face, t_ff, t_ffc, t_fcf, t_fcfc, t_hat)
+    e = list(geom.face_rows).index(face)
+    t_ff, t_ffc, t_fcfc, t_hat = edge_blocks(space, cache.flux_energy[None], np.array([cache.elem]))
+    return FaceBlocks(face, t_ff[0, e], t_ffc[0, e], t_ffc[0, e].T.copy(), t_fcfc[0, e], t_hat[0, e])
 
 
 def broken_energy(caches: list[ElementCache], values: list[np.ndarray]) -> float:

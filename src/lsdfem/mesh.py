@@ -30,6 +30,8 @@ __all__ = [
     "build_structured_mesh",
     "build_mesh",
     "refine_faces",
+    "UnionMesh",
+    "build_union_mesh",
     "element_layers",
     "layer_distances",
     "saturation_depth",
@@ -399,7 +401,12 @@ class ElementGeometry:
 
 @dataclass
 class FinePartition:
-    """Fine face partition F_h plus per-element interior triangulations."""
+    """Fine face partition F_h plus per-element interior triangulations.
+
+    Every interior triangulation is an affine image of one reference
+    lattice, so the per-element geometry is stored as stacks with a
+    leading element axis; each ``ElementGeometry`` holds views into them.
+    """
 
     mesh: CoarseMesh
     face_level: int
@@ -408,6 +415,12 @@ class FinePartition:
     fine_measures: np.ndarray     # (n_fine,)
     fine_midpoints: np.ndarray    # (n_fine, 2)
     fine_endpoints: np.ndarray    # (n_fine, 2, 2)
+    cells: np.ndarray             # (nc, 3) lattice connectivity shared by every element
+    cell_areas: np.ndarray        # (ne, nc)
+    grads: np.ndarray             # (ne, nc, 3, 2)
+    trace_matrices: np.ndarray    # (ne, n_bf, nn)
+    boundary_face_ids: np.ndarray   # (ne, n_bf)
+    boundary_signs: np.ndarray      # (ne, n_bf)
     geometry: list[ElementGeometry]
 
     @property
@@ -422,9 +435,6 @@ class FinePartition:
     def face_slice(self, face: int) -> slice:
         n = self.faces_per_coarse
         return slice(face * n, (face + 1) * n)
-
-    def coarse_face_of(self, fine_face: int) -> int:
-        return fine_face // self.faces_per_coarse
 
 
 def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,6 +471,24 @@ def _edge_lattice_nodes(index: np.ndarray, local_edge: int, n: int) -> np.ndarra
     return np.array([index[0, n - m] for m in range(n + 1)])  # v2 -> v0
 
 
+def _trace_patterns(index: np.ndarray, n: int, nfs: int) -> np.ndarray:
+    """Reference trace rows (3, 2, nfs, nn): local edge, aligned with its face?, sub-face, node.
+
+    Each boundary segment adds 1/2 to its two end nodes in the row of the
+    sub-face (counted along the stored face) holding its midpoint; scaled
+    by the segment length this integrates P1 traces exactly.
+    """
+    s_mid = (np.arange(n) + 0.5) / n
+    patterns = np.zeros((3, 2, nfs, int(index.max()) + 1))
+    for e in range(3):
+        edge_nodes = _edge_lattice_nodes(index, e, n)
+        for aligned, tpar in enumerate((1.0 - s_mid, s_mid)):
+            k_sub = np.minimum((tpar * nfs).astype(int), nfs - 1)
+            np.add.at(patterns[e, aligned], (k_sub, edge_nodes[:-1]), 0.5)
+            np.add.at(patterns[e, aligned], (k_sub, edge_nodes[1:]), 0.5)
+    return patterns
+
+
 def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None) -> FinePartition:
     """Split every coarse face into 2**level equal fine sub-faces.
 
@@ -476,84 +504,62 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         raise ValueError("interior_level must be at least face level + 1")
 
     nfs = 2 ** level
-    n_fine = mesh.n_faces * nfs
+    ne = mesh.n_elements
     fine_measures = np.repeat(mesh.face_measures / nfs, nfs)
-    endpoints = np.empty((n_fine, 2, 2))
-    for f in range(mesh.n_faces):
-        p = mesh.vertices[mesh.faces[f, 0]]
-        q = mesh.vertices[mesh.faces[f, 1]]
-        ts = np.linspace(0.0, 1.0, nfs + 1)
-        pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-        endpoints[f * nfs : (f + 1) * nfs, 0] = pts[:-1]
-        endpoints[f * nfs : (f + 1) * nfs, 1] = pts[1:]
+    p = mesh.vertices[mesh.faces[:, 0]][:, None, :]
+    q = mesh.vertices[mesh.faces[:, 1]][:, None, :]
+    pts = p + np.linspace(0.0, 1.0, nfs + 1)[None, :, None] * (q - p)
+    endpoints = np.stack((pts[:, :-1], pts[:, 1:]), axis=2).reshape(-1, 2, 2)
     fine_midpoints = endpoints.mean(axis=1)
 
     bary, cells, index = _lattice(interior_level)
     n = 2 ** interior_level
-    per_sub = n // nfs   # interior boundary edges per fine sub-face
 
-    geometry = []
-    for t in range(mesh.n_elements):
-        v = mesh.vertices[mesh.elements[t]]
-        nodes = v[0] + bary[:, 0:1] * (v[1] - v[0]) + bary[:, 1:2] * (v[2] - v[0])
-        p = nodes[cells]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        cell_areas = 0.5 * det
-        # P1 gradients: grad(phi_k) obtained from edge rotations / (2A).
-        grads = np.empty((len(cells), 3, 2))
-        for k in range(3):
-            a = p[:, (k + 1) % 3]
-            b = p[:, (k + 2) % 3]
-            grads[:, k, 0] = (a[:, 1] - b[:, 1]) / det
-            grads[:, k, 1] = (b[:, 0] - a[:, 0]) / det
+    # Stacked affine images of the lattice: nodes (ne, nn, 2), cell corners (ne, nc, 3, 2).
+    v = mesh.vertices[mesh.elements][:, :, None, :]
+    nodes = v[:, 0] + bary[:, 0:1] * (v[:, 1] - v[:, 0]) + bary[:, 1:2] * (v[:, 2] - v[:, 0])
+    p = nodes[:, cells]
+    d1 = p[:, :, 1] - p[:, :, 0]
+    d2 = p[:, :, 2] - p[:, :, 0]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    cell_areas = 0.5 * det
+    # P1 gradients: grad(phi_k) obtained from edge rotations / (2A).
+    grads = np.empty(p.shape[:2] + (3, 2))
+    for k in range(3):
+        a = p[:, :, (k + 1) % 3]
+        b = p[:, :, (k + 2) % 3]
+        grads[:, :, k, 0] = (a[..., 1] - b[..., 1]) / det
+        grads[:, :, k, 1] = (b[..., 0] - a[..., 0]) / det
+    cell_centroids = p.mean(axis=2)
 
-        n_bf = 3 * nfs
-        trace = np.zeros((n_bf, nodes.shape[0]))
-        b_ids = np.empty(n_bf, dtype=int)
-        b_signs = np.empty(n_bf, dtype=int)
-        face_rows: dict[int, np.ndarray] = {}
-        boundary_mask = np.zeros(nodes.shape[0], dtype=bool)
-        elem_verts = mesh.elements[t]
-        for e in range(3):
-            fid = int(mesh.element_faces[t, e])
-            sign = int(mesh.element_face_signs[t, e])
-            ga, gb = int(elem_verts[e]), int(elem_verts[(e + 1) % 3])
-            aligned = (ga, gb) == (int(mesh.faces[fid, 0]), int(mesh.faces[fid, 1]))
-            edge_nodes = _edge_lattice_nodes(index, e, n)
-            boundary_mask[edge_nodes] = True
-            seg_len = mesh.face_measures[fid] / n
-            rows = np.empty(nfs, dtype=int)
-            for m in range(n):
-                s_mid = (m + 0.5) / n
-                tpar = s_mid if aligned else 1.0 - s_mid
-                k_sub = min(int(tpar * nfs), nfs - 1)
-                row = e * nfs + k_sub
-                na, nb = edge_nodes[m], edge_nodes[m + 1]
-                trace[row, na] += 0.5 * seg_len
-                trace[row, nb] += 0.5 * seg_len
-            for k_sub in range(nfs):
-                row = e * nfs + k_sub
-                rows[k_sub] = row
-                b_ids[row] = fid * nfs + k_sub
-                b_signs[row] = sign
-            face_rows[fid] = rows
-        geometry.append(
-            ElementGeometry(
-                elem=t,
-                nodes=nodes,
-                cells=cells,
-                cell_areas=cell_areas,
-                cell_centroids=p.mean(axis=1),
-                grads=grads,
-                boundary_face_ids=b_ids,
-                boundary_signs=b_signs,
-                trace_matrix=trace,
-                face_rows=face_rows,
-                boundary_node_mask=boundary_mask,
-            )
+    # Trace rows: local edge e of element t is aligned with its coarse face
+    # when it starts at the face's first stored vertex.
+    patterns = _trace_patterns(index, n, nfs)
+    ef = mesh.element_faces
+    aligned = mesh.elements == mesh.faces[ef, 0]
+    trace = patterns[np.arange(3), aligned.astype(int)] * (mesh.face_measures[ef] / n)[:, :, None, None]
+    trace = trace.reshape(ne, 3 * nfs, -1)
+    b_ids = (ef[:, :, None] * nfs + np.arange(nfs)).reshape(ne, 3 * nfs)
+    b_signs = np.repeat(mesh.element_face_signs, nfs, axis=1)
+    rows = np.arange(3 * nfs).reshape(3, nfs)
+    boundary_mask = patterns.any(axis=(0, 1, 2))
+
+    geometry = [
+        ElementGeometry(
+            elem=t,
+            nodes=nodes[t],
+            cells=cells,
+            cell_areas=cell_areas[t],
+            cell_centroids=cell_centroids[t],
+            grads=grads[t],
+            boundary_face_ids=b_ids[t],
+            boundary_signs=b_signs[t],
+            trace_matrix=trace[t],
+            face_rows=dict(zip(ef[t].tolist(), rows)),
+            boundary_node_mask=boundary_mask,
         )
+        for t in range(ne)
+    ]
 
     part = FinePartition(
         mesh=mesh,
@@ -563,6 +569,12 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         fine_measures=fine_measures,
         fine_midpoints=fine_midpoints,
         fine_endpoints=endpoints,
+        cells=cells,
+        cell_areas=cell_areas,
+        grads=grads,
+        trace_matrices=trace,
+        boundary_face_ids=b_ids,
+        boundary_signs=b_signs,
         geometry=geometry,
     )
     _check_partition(part)
@@ -576,14 +588,49 @@ def _check_partition(part: FinePartition) -> None:
     sums = part.fine_measures.reshape(mesh.n_faces, nfs).sum(axis=1)
     if not np.allclose(sums, mesh.face_measures, rtol=1e-12, atol=0.0):
         raise MeshError("fine sub-face measures do not sum to coarse face measures")
-    for geom in part.geometry:
-        # Each trace row integrates the constant 1 to the sub-face measure,
-        # which also certifies that interior boundary edges tile the
-        # sub-faces exactly.
-        row_sums = geom.trace_matrix.sum(axis=1)
-        expected = part.fine_measures[geom.boundary_face_ids]
-        if not np.allclose(row_sums, expected, rtol=1e-12, atol=1e-15):
-            raise MeshError(f"boundary triangulation of element {geom.elem} misaligned")
+    # Each trace row integrates the constant 1 to the sub-face measure,
+    # which also certifies that interior boundary edges tile the
+    # sub-faces exactly.
+    expected = part.fine_measures[part.boundary_face_ids]
+    bad = ~np.isclose(part.trace_matrices.sum(axis=2), expected, rtol=1e-12, atol=1e-15).all(axis=1)
+    if bad.any():
+        raise MeshError(f"boundary triangulation of element {int(np.argmax(bad))} misaligned")
+
+
+@dataclass
+class UnionMesh:
+    """Conforming view of the per-element interior triangulations."""
+
+    nodes: np.ndarray
+    node_maps: np.ndarray          # (ne, nn): local node id -> union node id
+    boundary: np.ndarray           # union node ids on the domain boundary
+
+
+def build_union_mesh(part: FinePartition) -> UnionMesh:
+    """Number the lattice nodes so that copies on a shared vertex or face get one id.
+
+    Each (element, local node) gets a code: its coarse vertex, its face and
+    position along the stored face orientation, or an interior code of its own.
+    """
+    mesh = part.mesh
+    n = 2 ** part.interior_level
+    nv, nf, ne = mesh.n_vertices, mesh.n_faces, mesh.n_elements
+    _, _, index = _lattice(part.interior_level)
+    nodes = np.stack([geom.nodes for geom in part.geometry])
+    m = np.arange(1, n)   # positions of the lattice nodes inside a face
+    codes = nv + nf * (n - 1) + np.arange(nodes.shape[0] * nodes.shape[1]).reshape(nodes.shape[:2])
+    codes[:, index[[0, n, 0], [0, 0, n]]] = mesh.elements
+    for e in range(3):
+        fid = mesh.element_faces[:, e, None]
+        pos = np.where(mesh.elements[:, e, None] == mesh.faces[fid, 0], m, n - m)
+        codes[:, _edge_lattice_nodes(index, e, n)[1:-1]] = nv + fid * (n - 1) + pos - 1
+    keys, node_maps = np.unique(codes, return_inverse=True)
+    node_maps = node_maps.reshape(codes.shape)
+    coords = np.empty((keys.size, 2))
+    coords[node_maps] = nodes
+    fb = np.flatnonzero(mesh.face_boundary)
+    on_boundary = np.concatenate([mesh.faces[fb].ravel(), (nv + fb[:, None] * (n - 1) + m - 1).ravel()])
+    return UnionMesh(coords, node_maps, np.searchsorted(keys, np.unique(on_boundary)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ from .localop import (
 from .mesh import (
     CoarseMesh,
     FinePartition,
+    UnionMesh,
     build_structured_mesh,
+    build_union_mesh,
     load_mesh,
     refine_faces,
     saturation_radius,
@@ -637,94 +639,30 @@ def exact_hybrid_solve(
     localization-error reference; it is exact up to the direct solver.
     """
     part = assembly.part
-    space = assembly.space
-    offsets = np.zeros(len(part.geometry) + 1, dtype=int)
-    for geom in part.geometry:
-        offsets[geom.elem + 1] = offsets[geom.elem] + geom.n_nodes
-    nu = int(offsets[-1])
-    nl = space.n_fine
-
-    blocks_r, blocks_c, blocks_v = [], [], []
-    rhs = np.zeros(nu + nl)
-    for cache in assembly.caches:
-        geom = cache.geom
-        base = offsets[geom.elem]
-        nn = geom.n_nodes
-        rr, cc = np.meshgrid(np.arange(nn) + base, np.arange(nn) + base, indexing="ij")
-        blocks_r.append(rr.ravel())
-        blocks_c.append(cc.ravel())
-        blocks_v.append(cache.stiffness.ravel())
-        # Constraint block: -(mu, u) rows and the symmetric -(lambda, v) columns.
-        signed_trace = geom.boundary_signs[:, None] * geom.trace_matrix
-        fr = np.repeat(geom.boundary_face_ids + nu, nn)
-        fc = np.tile(np.arange(nn) + base, geom.n_boundary_faces)
-        blocks_r.extend([fr, fc])
-        blocks_c.extend([fc, fr])
-        blocks_v.extend([-signed_trace.ravel(), -signed_trace.ravel()])
-        rhs[base : base + nn] = cache.mass @ g[cache.elem]
-    mat = sp.csc_matrix(
-        (np.concatenate(blocks_v), (np.concatenate(blocks_r), np.concatenate(blocks_c))),
-        shape=(nu + nl, nu + nl),
-    )
+    stiffness = np.stack([c.stiffness for c in assembly.caches])
+    ne, nn = stiffness.shape[:2]
+    nu, nl = ne * nn, assembly.space.n_fine
+    nodes = np.arange(nu).reshape(ne, 1, nn)
+    k_mat = sp.csr_matrix((stiffness.ravel(), _block_indices(nodes[:, 0])), shape=(nu, nu))
+    # Constraint block: -(mu, u) rows and the symmetric -(lambda, v) columns.
+    signed = -(part.boundary_signs[:, :, None] * part.trace_matrices)
+    rows = np.broadcast_to(part.boundary_face_ids[:, :, None], signed.shape).ravel()
+    cols = np.broadcast_to(nodes, signed.shape).ravel()
+    cons = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(nl, nu))
+    mat = sp.bmat([[k_mat, cons.T], [cons, None]], format="csc")
+    rhs = np.concatenate([c.mass @ g_t for c, g_t in zip(assembly.caches, g)] + [np.zeros(nl)])
     try:
         lu = spla.splu(mat)
     except RuntimeError as exc:
         raise AssertionError(f"hybrid saddle system is singular: {exc}") from exc
     sol = lu.solve(rhs)
-    u_broken = [sol[offsets[t] : offsets[t + 1]] for t in range(len(part.geometry))]
-    lam = space.vector(sol[nu:])
-    return u_broken, lam
+    return list(sol[:nu].reshape(ne, nn)), assembly.space.vector(sol[nu:])
 
 
-@dataclass
-class UnionMesh:
-    """Conforming view of the per-element interior triangulations."""
-
-    nodes: np.ndarray
-    node_maps: list[np.ndarray]    # per element: local node id -> union node id
-    boundary: np.ndarray           # union node ids on the domain boundary
-
-
-def build_union_mesh(part: FinePartition) -> UnionMesh:
-    scale = max(
-        float(np.ptp(part.mesh.vertices[:, 0])), float(np.ptp(part.mesh.vertices[:, 1])), 1.0
-    )
-    delta = 1e-9 * scale
-    buckets: dict[tuple[int, int], int] = {}
-    coords: list[np.ndarray] = []
-    node_maps = []
-    for geom in part.geometry:
-        local = np.empty(geom.n_nodes, dtype=int)
-        for i, p in enumerate(geom.nodes):
-            kx, ky = int(round(p[0] / delta)), int(round(p[1] / delta))
-            gid = None
-            for dx in (0, -1, 1):
-                for dy in (0, -1, 1):
-                    cand = buckets.get((kx + dx, ky + dy))
-                    if cand is not None and np.hypot(*(coords[cand] - p)) <= 10 * delta:
-                        gid = cand
-                        break
-                if gid is not None:
-                    break
-            if gid is None:
-                gid = len(coords)
-                coords.append(p.copy())
-                buckets[(kx, ky)] = gid
-            local[i] = gid
-        node_maps.append(local)
-
-    boundary_ids: set[int] = set()
-    mesh = part.mesh
-    for f in range(mesh.n_faces):
-        if not mesh.face_boundary[f]:
-            continue
-        elem = int(mesh.face_left[f])
-        geom = part.geometry[elem]
-        rows = geom.face_rows[f]
-        # Nodes supporting the trace rows of a boundary face lie on it.
-        on_face = np.nonzero(np.abs(geom.trace_matrix[rows]).sum(axis=0) > 0.0)[0]
-        boundary_ids.update(int(node_maps[elem][i]) for i in on_face)
-    return UnionMesh(np.array(coords), node_maps, np.array(sorted(boundary_ids), dtype=int))
+def _block_indices(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of element blocks (ne, nn, nn) scattered by ``maps`` (ne, nn)."""
+    nn = maps.shape[1]
+    return np.repeat(maps, nn, axis=1).ravel(), np.tile(maps, nn).ravel()
 
 
 def poincare_estimate(assembly: Assembly) -> float:
@@ -739,18 +677,9 @@ def poincare_estimate(assembly: Assembly) -> float:
 
     union = assembly.union_mesh()
     ng = union.nodes.shape[0]
-    rows, cols, kvals, mvals = [], [], [], []
-    for cache in assembly.caches:
-        gmap = union.node_maps[cache.elem]
-        rr, cc = np.meshgrid(gmap, gmap, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        kvals.append(cache.stiffness.ravel())
-        mvals.append(cache.mass.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    k_gl = sp.csr_matrix((np.concatenate(kvals), (rows, cols)), shape=(ng, ng))
-    m_gl = sp.csr_matrix((np.concatenate(mvals), (rows, cols)), shape=(ng, ng))
+    idx = _block_indices(union.node_maps)
+    k_gl = sp.csr_matrix((np.stack([c.stiffness for c in assembly.caches]).ravel(), idx), (ng, ng))
+    m_gl = sp.csr_matrix((np.stack([c.mass for c in assembly.caches]).ravel(), idx), (ng, ng))
     free = np.setdiff1d(np.arange(ng), union.boundary)
     k_ff = k_gl[np.ix_(free, free)].tocsc()
     m_ff = m_gl[np.ix_(free, free)].tocsc()
@@ -787,18 +716,11 @@ def conforming_solve(
     """
     union = assembly.union_mesh()
     ng = union.nodes.shape[0]
-    rows, cols, vals = [], [], []
     rhs = np.zeros(ng)
-    for cache in assembly.caches:
-        gmap = union.node_maps[cache.elem]
-        rr, cc = np.meshgrid(gmap, gmap, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(cache.stiffness.ravel())
-        np.add.at(rhs, gmap, cache.mass @ g[cache.elem])
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(ng, ng)
-    ).tolil()
+    loads = np.concatenate([c.mass @ g_t for c, g_t in zip(assembly.caches, g)])
+    np.add.at(rhs, union.node_maps.ravel(), loads)
+    stiffness = np.stack([c.stiffness for c in assembly.caches]).ravel()
+    mat = sp.csr_matrix((stiffness, _block_indices(union.node_maps)), shape=(ng, ng)).tolil()
     for b in union.boundary:
         mat.rows[b] = [b]
         mat.data[b] = [1.0]

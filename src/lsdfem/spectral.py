@@ -10,7 +10,8 @@ Two families share one dense symmetric-definite kernel:
 
 Everything is dense by design: face problems have at most a few dozen
 unknowns and element problems a few hundred at the scales this library
-targets, and robustness beats scalability there.
+targets, and robustness beats scalability there.  All faces (and all
+elements) share one pencil size, so each family is solved as one stack.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
-from .localop import ElementCache, face_blocks
+from .localop import ElementCache, batched_cholesky, edge_blocks, solve_lower
 from .traces import TraceSpace
 
 __all__ = [
@@ -41,10 +40,14 @@ __all__ = [
 
 
 class NotSPDError(ValueError):
-    """The mass-side matrix of an eigenproblem is not positive definite."""
+    """The mass-side matrix of an eigenproblem is not positive definite.
 
-    def __init__(self, pivot: int, context: str = ""):
+    ``item`` is the failing matrix's index in a stacked call.
+    """
+
+    def __init__(self, pivot: int, context: str = "", item: int | None = None):
         self.pivot = pivot
+        self.item = item
         msg = f"matrix is not SPD: Cholesky failed at pivot {pivot}"
         if context:
             msg += f" ({context})"
@@ -52,26 +55,26 @@ class NotSPDError(ValueError):
 
 
 def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of the symmetric-definite pencil (a, b).
+    """Full spectra of the symmetric-definite pencils (a, b).
 
-    Reduces to a standard symmetric problem through the Cholesky factor of
-    ``b``.  Eigenvalues come back ascending and the eigenvectors are
+    ``a`` and ``b`` are ``(n, n)`` or stacks ``(..., n, n)``.  Each pencil
+    is reduced to a standard symmetric problem through the Cholesky factor
+    of ``b``.  Eigenvalues come back ascending and the eigenvectors are
     b-orthonormal.  Raises :class:`NotSPDError` with the failing pivot
-    index when ``b`` is not positive definite.
+    index (and, for a stack, the first failing item of the flattened
+    stack) when ``b`` is not positive definite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    c, info = lapack.dpotrf(b, lower=1)
-    if info != 0:
-        raise NotSPDError(int(info) - 1)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape)
+    c, item, pivot = batched_cholesky(b)
+    if c is None:
+        raise NotSPDError(pivot, "" if b.ndim == 2 else f"item {item}", item)
     # C = L^{-1} A L^{-T}
-    tmp = scipy.linalg.solve_triangular(c, a, lower=True)
-    reduced = scipy.linalg.solve_triangular(c, tmp.T, lower=True).T
-    w, y = scipy.linalg.eigh(0.5 * (reduced + reduced.T))
-    v = scipy.linalg.solve_triangular(c, y, lower=True, trans="T")
+    reduced = solve_lower(c, solve_lower(c, a).swapaxes(-1, -2))
+    w, y = np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
+    v = solve_lower(c, y, trans=True)
     return w, v
 
 
@@ -125,30 +128,39 @@ def face_spectrum(
     use the single incident element.  A face with a single fine sub-face
     has no zero-average modes and yields an empty spectrum.
     """
-    if alpha_stab < 1.0:
-        raise ValueError("alpha_stab must be >= 1")
-    m = space.zero_mean.shape[1]
-    if m == 0:
-        return FaceSpectrum(face, np.zeros(0), np.zeros((0, 0)), alpha_stab, 0)
-    elems = space.mesh.face_elements(face)
-    t_sum = np.zeros((m, m))
-    that_sum = np.zeros((m, m))
-    for e in elems:
-        blocks = face_blocks(caches[e], space, face)
-        t_sum += blocks.t_ff
-        that_sum += blocks.t_hat
-    try:
-        alphas, vectors = gensym_eig(t_sum, that_sum)
-    except NotSPDError as exc:
-        raise NotSPDError(exc.pivot, f"soft-extension energy of face {face}") from exc
-    n_delta = int(np.searchsorted(alphas, alpha_stab, side="left"))
-    return FaceSpectrum(face, alphas, vectors, alpha_stab, n_delta)
+    return _face_spectra(space, caches, np.array([face]), alpha_stab)[0]
 
 
 def all_face_spectra(
     space: TraceSpace, caches: list[ElementCache], alpha_stab: float
 ) -> list[FaceSpectrum]:
-    return [face_spectrum(space, caches, f, alpha_stab) for f in range(space.n_coarse_faces)]
+    return _face_spectra(space, caches, np.arange(space.n_coarse_faces), alpha_stab)
+
+
+def _face_spectra(
+    space: TraceSpace, caches: list[ElementCache], faces: np.ndarray, alpha_stab: float
+) -> list[FaceSpectrum]:
+    """Pencils of ``faces``: the edge blocks of all incident elements as one
+    stack, summed per face, then one stacked :func:`gensym_eig`."""
+    if alpha_stab < 1.0:
+        raise ValueError("alpha_stab must be >= 1")
+    mesh = space.mesh
+    m = space.zero_mean.shape[1]
+    if m == 0:
+        return [FaceSpectrum(int(f), np.zeros(0), np.zeros((0, 0)), alpha_stab, 0) for f in faces]
+    elems = np.setdiff1d(np.concatenate((mesh.face_left[faces], mesh.face_right[faces])), -1)
+    t_ff, _, _, t_hat = edge_blocks(space, np.stack([caches[e].flux_energy for e in elems]), elems)
+    sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
+    np.add.at(sums, mesh.element_faces[elems], np.stack((t_ff, t_hat), axis=2))
+    try:
+        alphas, vectors = gensym_eig(sums[faces, 0], sums[faces, 1])
+    except NotSPDError as exc:
+        raise NotSPDError(exc.pivot, f"soft-extension energy of face {faces[exc.item]}") from exc
+    n_delta = (alphas < alpha_stab).sum(axis=1)
+    return [
+        FaceSpectrum(int(f), alphas[i], vectors[i], alpha_stab, int(n_delta[i]))
+        for i, f in enumerate(faces)
+    ]
 
 
 @dataclass
@@ -170,23 +182,27 @@ class ElementSpectrum:
 
 
 def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
-    if h_target <= 0.0 or c_j <= 0.0:
-        raise ValueError("h_target and c_j must be positive")
-    try:
-        sigma, vectors = gensym_eig(cache.stiffness, cache.mass)
-    except NotSPDError as exc:
-        raise NotSPDError(exc.pivot, f"weighted mass of element {cache.elem}") from exc
-    sigma = np.maximum(sigma, 0.0)
-    threshold = 1.0 / (c_j * h_target**2)
-    above = np.nonzero(sigma[1:] >= threshold)[0]
-    j_count = int(above[0]) + 1 if above.size else sigma.shape[0]
-    return ElementSpectrum(cache.elem, sigma, vectors, j_count, h_target, c_j)
+    return all_element_spectra([cache], h_target, c_j)[0]
 
 
 def all_element_spectra(
     caches: list[ElementCache], h_target: float, c_j: float = 1.0
 ) -> list[ElementSpectrum]:
-    return [element_spectrum(c, h_target, c_j) for c in caches]
+    """Neumann pencils of all elements, solved as one stack."""
+    if h_target <= 0.0 or c_j <= 0.0:
+        raise ValueError("h_target and c_j must be positive")
+    stiffness, mass = np.stack([c.stiffness for c in caches]), np.stack([c.mass for c in caches])
+    try:
+        sigma, vectors = gensym_eig(stiffness, mass)
+    except NotSPDError as exc:
+        raise NotSPDError(exc.pivot, f"weighted mass of element {caches[exc.item].elem}") from exc
+    sigma = np.maximum(sigma, 0.0)
+    above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
+    j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, sigma.shape[1])
+    return [
+        ElementSpectrum(c.elem, sigma[i], vectors[i], int(j_count[i]), h_target, c_j)
+        for i, c in enumerate(caches)
+    ]
 
 
 def project_rhs(
@@ -197,16 +213,18 @@ def project_rhs(
     """Elementwise weighted-L2 projection of the load onto the kept modes.
 
     Returns the projected nodal load per element and the weighted-L2 norm
-    of the dropped remainder per element.
+    of the dropped remainder per element.  The remainder norm is taken of
+    the difference itself, not as ``|g|^2 - |kept|^2``, which cancels to
+    rounding noise when little is dropped.
     """
     projected = []
     remainders = np.empty(len(spectra))
     for spec, cache, g_tau in zip(spectra, caches, g):
         coeffs = spec.vectors.T @ (cache.mass @ g_tau)
-        keep = coeffs[: spec.j_count]
-        projected.append(spec.vectors[:, : spec.j_count] @ keep)
-        total = float(g_tau @ (cache.mass @ g_tau))
-        remainders[spec.elem] = max(total - float(keep @ keep), 0.0) ** 0.5
+        kept = spec.vectors[:, : spec.j_count] @ coeffs[: spec.j_count]
+        projected.append(kept)
+        dropped = g_tau - kept
+        remainders[spec.elem] = max(float(dropped @ (cache.mass @ dropped)), 0.0) ** 0.5
     return projected, remainders
 
 

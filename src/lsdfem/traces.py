@@ -220,19 +220,10 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     nfs = part.faces_per_coarse
     n_fine = part.n_fine_faces
 
-    rows, cols, vals = [], [], []
-    for geom in part.geometry:
-        rows.extend([geom.elem] * geom.n_boundary_faces)
-        cols.extend(geom.boundary_face_ids.tolist())
-        vals.extend((geom.boundary_signs * part.fine_measures[geom.boundary_face_ids]).tolist())
-    pair_v0 = sp.csr_matrix((vals, (rows, cols)), shape=(n, n_fine))
-
-    jrows, jcols, jvals = [], [], []
-    for geom in part.geometry:
-        jrows.extend(geom.boundary_face_ids.tolist())
-        jcols.extend([geom.elem] * geom.n_boundary_faces)
-        jvals.extend(geom.boundary_signs.tolist())
-    jump_basis = sp.csr_matrix((jvals, (jrows, jcols)), shape=(n_fine, n))
+    elems = np.repeat(np.arange(n), 3 * nfs)
+    ids, signs = part.boundary_face_ids.ravel(), part.boundary_signs.ravel()
+    pair_v0 = sp.csr_matrix((signs * part.fine_measures[ids], (elems, ids)), shape=(n, n_fine))
+    jump_basis = sp.csr_matrix((signs, (ids, elems)), shape=(n_fine, n))
 
     pairing_matrix = (pair_v0 @ jump_basis).toarray().T  # [i, j] = (lambda0_i, 1_tau_j)
 
@@ -241,10 +232,8 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     # Face-constant block: coefficients c with sum_F sign(tau,F) c_F |F| = 0
     # for every element.  Null space via column-pivoted QR of the constraint.
     constraint = np.zeros((n, nf))
-    for t in range(n):
-        for e in range(3):
-            fid = mesh.element_faces[t, e]
-            constraint[t, fid] += mesh.element_face_signs[t, e] * mesh.face_measures[fid]
+    signed = mesh.element_face_signs * mesh.face_measures[mesh.element_faces]
+    np.add.at(constraint, (np.repeat(np.arange(n), 3), mesh.element_faces.ravel()), signed.ravel())
     q, r, _ = scipy.linalg.qr(constraint.T, pivoting=True)
     diag = np.abs(np.diag(r)) if r.size else np.array([])
     tol = (diag.max() if diag.size else 0.0) * max(n, nf) * np.finfo(float).eps

@@ -59,3 +59,14 @@ def test_hooks_read_live_attributes(tracer, asm_const):
     for name, (args, result) in calls.items():
         attrs = tracer._HOOKS[name](recorder, args, result)
         assert attrs and all(np.isfinite(float(v)) for v in attrs.values()), name
+
+
+def test_cache_bytes_scale_with_one_element(tracer, asm_const):
+    # Each ElementCache holds per-element views into the stacked arrays; a
+    # field holding a whole stack would count its bytes once per element.
+    caches = asm_const.caches
+    cache_mb = tracer._HOOKS["localop.assemble_all"](tracer.Tracer(), (), caches)["cache_mb"]
+    assert cache_mb == pytest.approx(len(caches) * tracer._array_mb(caches[0]), rel=1e-12)
+    first, second = caches[0], caches[1]
+    for name in ("stiffness", "mass", "mean_vector", "flux_energy", "_saddle"):
+        assert getattr(second, name).base is getattr(first, name).base is not None, name

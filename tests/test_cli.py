@@ -56,6 +56,17 @@ def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage):
     assert f"config error [{stage}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,sweep",
+    [("j_sweep", {"j": [0]}), ("h_convergence", {"nx": [0]})],
+)
+def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
+    path = write_spec(tmp_path, {**BASE, "experiment": kind, "sweep": sweep})
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"sweep.{next(iter(sweep))}" in err
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_spec(tmp_path, BASE)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_assembly
-from lsdfem.coeff import CoefficientField, make_weight
+from lsdfem.coeff import CoefficientField, Raster, make_weight
 from lsdfem.localop import (
+    LocalAssemblyError,
     apply_T,
     apply_Ttilde,
-    assemble_element,
+    assemble_all,
     face_blocks,
 )
-from lsdfem.mesh import build_structured_mesh, refine_faces
+from lsdfem.mesh import _edge_lattice_nodes, _lattice, build_structured_mesh, refine_faces
+from lsdfem.spectral import all_element_spectra, all_face_spectra
+from lsdfem.traces import build_trace_space
+from test_mesh import meshes
 
 
 def test_stiffness_kernel_is_constants(asm_const):
@@ -65,8 +71,8 @@ def test_apply_T_scaling_in_coefficient():
     ident = CoefficientField.identity(part)
     scaled = ident.scaled(7.0)
     w1 = make_weight("one", ident)
-    c1 = assemble_element(0, ident, w1, part)
-    c7 = assemble_element(0, scaled, make_weight("one", scaled), part)
+    c1 = assemble_all(ident, w1, part)[0]
+    c7 = assemble_all(scaled, make_weight("one", scaled), part)[0]
     rng = np.random.default_rng(4)
     side = rng.standard_normal(c1.geom.n_boundary_faces)
     u1 = apply_T(c1, side)
@@ -196,3 +202,154 @@ def test_static_condensation_consistency(asm_mixed):
     via_cache = mu @ (cache.flux_energy @ nu)
     via_solve = cache.boundary_pairing(mu, apply_T(cache, nu))
     assert via_cache == pytest.approx(via_solve, rel=1e-11)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_zero_tensor_names_its_element():
+    # A field built directly (no _finalize check) with a zero tensor on one
+    # element: its constrained system is singular, and the error names it.
+    part = refine_faces(build_structured_mesh(2, 2), 1)
+    ident = CoefficientField.identity(part)
+    tensors = [t.copy() for t in ident.tensors]
+    tensors[5][:] = 0.0
+    broken = CoefficientField(part, tensors, ident.a_min, ident.a_max)
+    with pytest.raises(LocalAssemblyError, match=r"element 5: "):
+        assemble_all(broken, make_weight("one", ident), part)
+
+
+# -- batched kernels against the per-element reference --------------------------
+#
+# The references below are the per-element and per-face loops the stacked
+# kernels replaced: one cell at a time into the element matrices, one
+# boundary fine face at a time through the saddle LU, one face at a time
+# through the Schur complement and the generalized eigensolver.
+
+
+def reference_trace(part, t):
+    """Per-segment trace integration of element ``t``'s boundary."""
+    mesh = part.mesh
+    nfs = part.faces_per_coarse
+    n = 2 ** part.interior_level
+    _, _, index = _lattice(part.interior_level)
+    trace = np.zeros((3 * nfs, index.max() + 1))
+    verts = mesh.elements[t]
+    for e in range(3):
+        fid = int(mesh.element_faces[t, e])
+        aligned = (verts[e], verts[(e + 1) % 3]) == tuple(mesh.faces[fid])
+        nodes = _edge_lattice_nodes(index, e, n)
+        seg = mesh.face_measures[fid] / n
+        for m in range(n):
+            s_mid = (m + 0.5) / n
+            k_sub = min(int((s_mid if aligned else 1.0 - s_mid) * nfs), nfs - 1)
+            trace[e * nfs + k_sub, nodes[m]] += 0.5 * seg
+            trace[e * nfs + k_sub, nodes[m + 1]] += 0.5 * seg
+    return trace
+
+
+def reference_stiffness(geom, tensors):
+    nn = geom.n_nodes
+    k = np.zeros((nn, nn))
+    flux = np.einsum("cij,ckj->cki", tensors, geom.grads)
+    local = np.einsum("cki,cli->ckl", flux, geom.grads) * geom.cell_areas[:, None, None]
+    for c, cell in enumerate(geom.cells):
+        k[np.ix_(cell, cell)] += local[c]
+    k[np.diag_indices(nn)] -= k.sum(axis=1)
+    return k
+
+
+def reference_mass(geom, rho):
+    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    m = np.zeros((geom.n_nodes, geom.n_nodes))
+    for c, cell in enumerate(geom.cells):
+        m[np.ix_(cell, cell)] += (rho[c] * geom.cell_areas[c]) * ref
+    return m
+
+
+def reference_flux_energy(geom, stiffness, mass):
+    nn = geom.n_nodes
+    mean = mass @ np.ones(nn)
+    saddle = np.zeros((nn + 1, nn + 1))
+    saddle[:nn, :nn] = stiffness
+    saddle[:nn, nn] = mean
+    saddle[nn, :nn] = mean
+    lu = scipy.linalg.lu_factor(saddle)
+    rhs = np.zeros((nn + 1, geom.n_boundary_faces))
+    rhs[:nn] = geom.trace_matrix.T
+    sols = scipy.linalg.lu_solve(lu, rhs)
+    sols += scipy.linalg.lu_solve(lu, rhs - saddle @ sols)
+    b = geom.trace_matrix @ sols[:nn]
+    return 0.5 * (b + b.T)
+
+
+def reference_face_alphas(space, flux_energies, face):
+    """Face pencil from per-element blocks, one face at a time."""
+    z = space.zero_mean
+    m = z.shape[1]
+    t_sum = np.zeros((m, m))
+    that_sum = np.zeros((m, m))
+    for e in space.mesh.face_elements(face):
+        geom = space.part.geometry[e]
+        rows_f = geom.face_rows[face]
+        rows_c = np.concatenate([r for f, r in geom.face_rows.items() if f != face])
+        zc = scipy.linalg.block_diag(z, z)
+        b = flux_energies[e]
+        t_ff = z.T @ b[np.ix_(rows_f, rows_f)] @ z
+        t_ffc = z.T @ b[np.ix_(rows_f, rows_c)] @ zc
+        t_fcfc = zc.T @ b[np.ix_(rows_c, rows_c)] @ zc
+        t_hat = t_ff - t_ffc @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(t_fcfc), t_ffc.T)
+        t_sum += 0.5 * (t_ff + t_ff.T)
+        that_sum += 0.5 * (t_hat + t_hat.T)
+    return scipy.linalg.eigh(t_sum, that_sum, eigvals_only=True)
+
+
+@st.composite
+def raster_fields(draw):
+    """Random cellwise raster coefficient, contrast up to 1e6, and a weight choice."""
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_contrast = draw(st.floats(0.0, 6.0))
+    values = 10.0 ** rng.uniform(0.0, log_contrast, (ny, nx))
+    rho = draw(st.sampled_from(["one", "amin", "a_minus", "a_plus", "amax"]))
+    return Raster(nx, ny, values), rho
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=meshes(), face_level=st.integers(0, 2), field=raster_fields())
+def test_batched_kernels_match_reference(mesh, face_level, field):
+    raster, rho_choice = field
+    part = refine_faces(mesh, face_level)
+    coeff = CoefficientField.from_raster(part, raster)
+    weight = make_weight(rho_choice, coeff)
+    caches = assemble_all(coeff, weight, part)
+    space = build_trace_space(part)
+    for t, cache in enumerate(caches):
+        geom = cache.geom
+        assert np.array_equal(geom.trace_matrix, reference_trace(part, t))
+        k = reference_stiffness(geom, coeff.tensors[t])
+        m = reference_mass(geom, weight.values[t])
+        b = reference_flux_energy(geom, k, m)
+        assert np.abs(cache.stiffness - k).max() <= 1e-12 * np.abs(k).max()
+        assert np.abs(cache.mass - m).max() <= 1e-12 * np.abs(m).max()
+        # Two backward-stable solves of one saddle agree to about eps * cond
+        # relative, which exceeds 1e-11 on elongated elements at high
+        # contrast (up to 1.5e-10 seen at contrast 2e5).
+        b_tol = max(1e-11, np.finfo(float).eps * np.linalg.cond(cache._saddle))
+        assert np.abs(cache.flux_energy - b).max() <= b_tol * np.abs(b).max()
+        assert cache.a_min == coeff.cell_eigen_bounds(t)[0].min()
+        assert cache.a_max == coeff.cell_eigen_bounds(t)[1].max()
+
+    spectra = all_face_spectra(space, caches, alpha_stab=2.0)
+    for s in spectra:
+        assert s.alphas.shape == (space.zero_mean.shape[1],)
+        if s.empty:
+            continue
+        # Eigenvalue floor: the full energy dominates the soft-extension energy.
+        assert s.alphas.min() >= 1.0 - 1e-10
+        ref = reference_face_alphas(space, [c.flux_energy for c in caches], s.face)
+        assert np.allclose(s.alphas, ref, rtol=1e-10, atol=0.0)
+        assert s.n_delta == int(np.sum(ref < 2.0))
+
+    for cache, spec in zip(caches, all_element_spectra(caches, h_target=mesh.coarse_size)):
+        v = spec.vectors
+        assert np.abs(v.T @ cache.mass @ v - np.eye(len(v))).max() < 1e-9
+        assert spec.sigma[0] <= 1e-10 * spec.sigma[-1]

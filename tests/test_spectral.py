@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_assembly
 from lsdfem.localop import face_blocks
@@ -54,6 +57,66 @@ def test_gensym_eig_not_spd_reports_pivot():
     with pytest.raises(NotSPDError) as err:
         gensym_eig(a, b)
     assert err.value.pivot == 1
+
+
+def test_gensym_eig_stack_matches_items_and_names_failing_item():
+    rng = np.random.default_rng(5)
+    a = np.stack([random_spd(rng, 6) for _ in range(4)])
+    b = np.stack([random_spd(rng, 6) for _ in range(4)])
+    w, v = gensym_eig(a, b)
+    for i in range(4):
+        wi, vi = gensym_eig(a[i], b[i])
+        assert np.allclose(w[i], wi, rtol=1e-12)
+        assert np.allclose(np.abs(vi.T @ b[i] @ v[i]), np.eye(6), atol=1e-10)
+    b[2] = np.diag([1.0, 2.0, -1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NotSPDError) as err:
+        gensym_eig(a, b)
+    assert err.value.pivot == 2 and err.value.item == 2
+    assert "item 2" in str(err.value)
+
+
+def test_face_pencil_not_spd_names_face(asm_mixed):
+    # Lower one element's flux energy along a zero-mean direction u that
+    # has a component on each of its three faces, by an amount between
+    # what makes the whole zero-mean energy indefinite and what would
+    # make the energy on any two of its faces indefinite.  Every
+    # complementary block stays SPD, but the Schur (soft-extension)
+    # energy of each face is indefinite, so a boundary face's pencil fails.
+    space, mesh = asm_mixed.space, asm_mixed.mesh
+    face = int(np.flatnonzero(mesh.face_boundary)[0])
+    elem = int(mesh.face_left[face])
+    cache = asm_mixed.caches[elem]
+    z = space.zero_mean
+    zb = scipy.linalg.block_diag(z, z, z)
+    bz = zb.T @ cache.flux_energy @ zb
+    m = z.shape[1]
+    u = np.random.default_rng(3).uniform(0.5, 1.0, 3 * m)
+    q_full = u @ np.linalg.solve(bz, u)
+    q_pairs = []
+    for e in range(3):
+        keep = np.concatenate([np.arange(x * m, (x + 1) * m) for x in range(3) if x != e])
+        q_pairs.append(u[keep] @ np.linalg.solve(bz[np.ix_(keep, keep)], u[keep]))
+    assert max(q_pairs) < q_full
+    s = 0.5 * (1.0 / q_full + 1.0 / max(q_pairs))
+    w = zb @ u
+    caches = list(asm_mixed.caches)
+    caches[elem] = dataclasses.replace(cache, flux_energy=cache.flux_energy - s * np.outer(w, w))
+    with pytest.raises(NotSPDError, match=rf"soft-extension energy of face {face}\)"):
+        face_spectrum(space, caches, face, alpha_stab=2.0)
+    with pytest.raises(NotSPDError, match="soft-extension energy of face") as err:
+        all_face_spectra(space, caches, alpha_stab=2.0)
+    named = int(str(err.value).rsplit("face ", 1)[1].rstrip(")"))
+    assert named in mesh.element_faces[elem]
+
+
+def test_complementary_block_not_spd_names_element_and_face(asm_mixed):
+    mesh = asm_mixed.mesh
+    elem = 9
+    face = int(mesh.element_faces[elem, 0])
+    caches = list(asm_mixed.caches)
+    caches[elem] = dataclasses.replace(caches[elem], flux_energy=-caches[elem].flux_energy)
+    with pytest.raises(AssertionError, match=rf"element {elem}, face {face}: complementary block not SPD"):
+        face_spectrum(asm_mixed.space, caches, face, alpha_stab=2.0)
 
 
 @pytest.fixture(scope="module")
