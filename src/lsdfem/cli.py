@@ -36,7 +36,7 @@ from .pipeline import (
     solve_lsd,
 )
 from .spectral import project_rhs
-from .traces import element_boundary_functional
+from .traces import boundary_functional
 
 EXPERIMENT_KINDS = ("solve", "decay", "j_sweep", "contrast_sweep", "h_convergence", "rhs_reduction")
 ENV_PREFIX = "LSDFEM_"
@@ -44,6 +44,10 @@ _POSITIVE_INT = ("integers >= 1", lambda v: _is_integer(v) and v >= 1)
 _POSITIVE = ("finite and > 0", lambda v: _is_finite_number(v) and v > 0)
 # Sweep lists the runners read: key -> (requirement, check of one value).
 SWEEP_RULES = {"j": _POSITIVE_INT, "nx": _POSITIVE_INT, "contrasts": _POSITIVE, "h_target": _POSITIVE}
+
+
+class SpecError(ValueError):
+    """An experiment spec value that can only be checked once the mesh is built."""
 
 
 @dataclass
@@ -60,6 +64,8 @@ class ExperimentSpec:
     def from_file(cls, path: str) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment spec must be a JSON object, got {data!r}")
         kind = data.get("experiment", "solve")
         if kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {kind!r}")
@@ -71,13 +77,10 @@ class ExperimentSpec:
             values = sweep.get(key, [])
             if not isinstance(values, list) or not all(map(ok, values)):
                 raise ValueError(f"sweep.{key} must be a list of values {rule}, got {values!r}")
-        return cls(
-            kind=kind,
-            config=cfg,
-            sweep=sweep,
-            out_dir=data.get("out", "lsdfem-out"),
-            seed=int(data.get("seed", 0)),
-        )
+        seed = data.get("seed", 0)
+        if not _is_integer(seed) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        return cls(kind=kind, config=cfg, sweep=sweep, out_dir=data.get("out", "lsdfem-out"), seed=seed)
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -103,14 +106,24 @@ def _center_element(assembly: Assembly) -> int:
     return int(np.argmin(np.linalg.norm(mesh.centroids - center, axis=1)))
 
 
+def _seed_element(spec: ExperimentSpec, assembly: Assembly, default: int) -> int:
+    """``sweep.seed_element`` checked against the built mesh, or ``default``."""
+    elem = spec.sweep.get("seed_element", default)
+    n = assembly.mesh.n_elements
+    if not _is_integer(elem) or not 0 <= elem < n:
+        raise SpecError(f"sweep.seed_element must be an integer in [0, {n}), got {elem!r}")
+    return int(elem)
+
+
 def _seed_profile(assembly: Assembly, variant: str, alpha_stab: float, elem: int, rng):
     """Ring profile of the projected potential of a one-element source."""
-    geom = assembly.part.geometry[elem]
+    nodes = assembly.part.nodes
+    v = np.zeros(nodes.shape[:2])
     if rng is None:
-        v = geom.nodes[:, 0].copy()     # linear probe varies along every face
+        v[elem] = nodes[elem, :, 0]     # linear probe varies along every face
     else:
-        v = rng.standard_normal(geom.n_nodes)
-    r = element_boundary_functional(assembly.space, elem, v)
+        v[elem] = rng.standard_normal(v.shape[1])
+    r = boundary_functional(assembly.space, v)
     projector = assembly.projector(variant, alpha_stab)
     mu = projector.project_functional(r)
     return ring_energies(assembly.mesh, assembly.caches, mu, ("element", elem))
@@ -137,7 +150,7 @@ def run_solve(spec: ExperimentSpec) -> dict:
     nodal = [
         {"element": t, "node": i, "x": float(x), "y": float(y), "u": float(u)}
         for t, u_t in enumerate(solution.u_broken)
-        for i, ((x, y), u) in enumerate(zip(assembly.part.geometry[t].nodes, u_t))
+        for i, ((x, y), u) in enumerate(zip(assembly.part.nodes[t], u_t))
     ]
     _write_csv(os.path.join(out, "solution_nodal.csv"), nodal)
     flux = [
@@ -150,7 +163,7 @@ def run_solve(spec: ExperimentSpec) -> dict:
             "sigma_y": float(s[1]),
         }
         for t, sig in enumerate(solution.sigma)
-        for c, (s, (xc, yc)) in enumerate(zip(sig, assembly.part.geometry[t].cell_centroids))
+        for c, (s, (xc, yc)) in enumerate(zip(sig, assembly.part.cell_centroids[t]))
     ]
     _write_csv(os.path.join(out, "flux_cells.csv"), flux)
     return report
@@ -159,7 +172,7 @@ def run_solve(spec: ExperimentSpec) -> dict:
 def run_decay(spec: ExperimentSpec) -> dict:
     cfg = spec.config
     assembly = build_assembly(cfg)
-    elem = int(spec.sweep.get("seed_element", _center_element(assembly)))
+    elem = _seed_element(spec, assembly, _center_element(assembly))
     rng = np.random.default_rng(spec.seed) if spec.sweep.get("random_probe") else None
     rows = []
     summary = {}
@@ -229,7 +242,7 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
             }
         )
         assembly = build_assembly(sub)
-        elem = int(spec.sweep.get("seed_element", _channel_seed(assembly, sub)))
+        elem = _seed_element(spec, assembly, _channel_seed(assembly, sub))
         for variant in ("plain", "delta"):
             profile = _seed_profile(assembly, variant, cfg.alpha_stab, elem, None)
             rows.append(
@@ -372,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{ENV_PREFIX}EXPERIMENT: invalid choice {args.experiment!r} "
             f"(choose from {', '.join(EXPERIMENT_KINDS)})"
         )
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.list_presets:
         json.dump(presets.describe(), sys.stdout, indent=1)
         print()
@@ -397,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
         RUNNERS[spec.kind](spec)
+    except SpecError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, PipelineError) as exc:
         stage = getattr(exc, "stage", "numerical-check")
         # Unreadable or invalid mesh and coefficient inputs are config errors.

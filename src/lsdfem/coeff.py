@@ -36,10 +36,10 @@ class CoefficientError(ValueError):
 
 
 def _sym_eig_bounds(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest/largest eigenvalue of each symmetric 2x2 tensor, closed form."""
-    a = tensors[:, 0, 0]
-    b = tensors[:, 0, 1]
-    d = tensors[:, 1, 1]
+    """Smallest/largest eigenvalue of each symmetric 2x2 tensor ``(..., 2, 2)``, closed form."""
+    a = tensors[..., 0, 0]
+    b = tensors[..., 0, 1]
+    d = tensors[..., 1, 1]
     mean = 0.5 * (a + d)
     rad = np.sqrt((0.5 * (a - d)) ** 2 + b**2)
     return mean - rad, mean + rad
@@ -65,12 +65,29 @@ class Raster:
         return self.values[iy, ix]
 
 
+def _sample(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray], shape: tuple) -> np.ndarray:
+    """``fn`` called once on every interior cell centroid; ``(ne, nc) + shape``."""
+    points = part.cell_centroids.reshape(-1, 2)
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),) + shape:
+        raise CoefficientError(
+            f"cell function must return {len(points)} values of shape {shape}, got {values.shape}"
+        )
+    return values.reshape(part.cell_centroids.shape[:2] + shape)
+
+
+def _first(bad: np.ndarray) -> int:
+    """First element whose cells are flagged in ``bad`` (ne, nc), or -1."""
+    rows = bad.any(axis=1)
+    return int(np.argmax(rows)) if rows.any() else -1
+
+
 @dataclass
 class CoefficientField:
     """Symmetric positive definite 2x2 tensor per fine interior cell."""
 
     part: FinePartition
-    tensors: list[np.ndarray]          # per element: (nc, 2, 2)
+    tensors: np.ndarray                # (ne, nc, 2, 2)
     a_min: float
     a_max: float
 
@@ -79,33 +96,24 @@ class CoefficientField:
         return self.part.mesh
 
     def cell_eigen_bounds(self, elem: int) -> tuple[np.ndarray, np.ndarray]:
-        return _sym_eig_bounds(self.tensors[elem])
+        return _sym_eig_bounds(np.asarray(self.tensors[elem]))
 
     def element_eigen_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest tensor eigenvalue on each element, for all elements at once."""
-        emin, emax = _sym_eig_bounds(np.concatenate(self.tensors))
-        ne = len(self.tensors)
-        return emin.reshape(ne, -1).min(axis=1), emax.reshape(ne, -1).max(axis=1)
+        emin, emax = _sym_eig_bounds(np.asarray(self.tensors))
+        return emin.min(axis=1), emax.max(axis=1)
 
     def scaled(self, s: float) -> "CoefficientField":
         if s <= 0:
             raise CoefficientError("scale factor must be positive")
-        return CoefficientField(
-            self.part, [s * t for t in self.tensors], s * self.a_min, s * self.a_max
-        )
+        return CoefficientField(self.part, s * self.tensors, s * self.a_min, s * self.a_max)
 
     @classmethod
     def from_tensor_function(
         cls, part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]
     ) -> "CoefficientField":
         """Sample ``fn(points) -> (n, 2, 2)`` at interior cell centroids."""
-        tensors = []
-        for geom in part.geometry:
-            t = np.asarray(fn(geom.cell_centroids), dtype=float)
-            if t.shape != (len(geom.cell_centroids), 2, 2):
-                raise CoefficientError("tensor function must return (n, 2, 2)")
-            tensors.append(t)
-        return cls._finalize(part, tensors)
+        return cls._finalize(part, _sample(part, fn, (2, 2)))
 
     @classmethod
     def from_scalar_function(
@@ -147,22 +155,15 @@ class CoefficientField:
         return cls.constant(part, 1.0)
 
     @classmethod
-    def _finalize(cls, part: FinePartition, tensors: list[np.ndarray]) -> "CoefficientField":
-        if len(tensors) != len(part.geometry):
-            raise CoefficientError("field does not cover every element")
-        lo = math.inf
-        hi = -math.inf
-        for t, geom in zip(tensors, part.geometry):
-            if len(t) != len(geom.cells):
-                raise CoefficientError(f"element {geom.elem} not fully covered")
-            if not np.allclose(t[:, 0, 1], t[:, 1, 0], rtol=1e-12, atol=1e-14):
-                raise CoefficientError(f"non-symmetric tensor in element {geom.elem}")
-            emin, emax = _sym_eig_bounds(t)
-            if emin.min() <= 0.0:
-                raise CoefficientError(f"non-SPD tensor in element {geom.elem}")
-            lo = min(lo, float(emin.min()))
-            hi = max(hi, float(emax.max()))
-        return cls(part, tensors, lo, hi)
+    def _finalize(cls, part: FinePartition, tensors: np.ndarray) -> "CoefficientField":
+        elem = _first(~np.isclose(tensors[..., 0, 1], tensors[..., 1, 0], rtol=1e-12, atol=1e-14))
+        if elem >= 0:
+            raise CoefficientError(f"non-symmetric tensor in element {elem}")
+        emin, emax = _sym_eig_bounds(tensors)
+        elem = _first(~(emin > 0.0))
+        if elem >= 0:
+            raise CoefficientError(f"non-SPD tensor in element {elem}")
+        return cls(part, tensors, float(emin.min()), float(emax.max()))
 
 
 @dataclass
@@ -170,7 +171,7 @@ class WeightField:
     """User weight rho > 0, one value per fine interior cell."""
 
     part: FinePartition
-    values: list[np.ndarray]           # per element: (nc,)
+    values: np.ndarray                 # (ne, nc)
     choice: str
     rho_min: float
     rho_max: float
@@ -190,32 +191,24 @@ def make_weight(
     if choice not in WEIGHT_CHOICES:
         raise CoefficientError(f"unknown weight choice {choice!r}")
     part = field.part
-    values: list[np.ndarray] = []
-    for elem, geom in enumerate(part.geometry):
-        n = len(geom.cells)
-        if choice == "one":
-            v = np.ones(n)
-        elif choice == "amin":
-            v = np.full(n, field.a_min)
-        elif choice == "amax":
-            v = np.full(n, field.a_max)
-        elif choice == "a_minus":
-            v = field.cell_eigen_bounds(elem)[0]
-        elif choice == "a_plus":
-            v = field.cell_eigen_bounds(elem)[1]
-        else:
-            if custom is None:
-                raise CoefficientError("custom weight requires a raster or callable")
-            if isinstance(custom, Raster):
-                v = np.asarray(custom.lookup(geom.cell_centroids), dtype=float)
-            else:
-                v = np.asarray(custom(geom.cell_centroids), dtype=float)
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-            raise CoefficientError(f"nonpositive weight value in element {elem}")
-        values.append(v)
-    lo = min(float(v.min()) for v in values)
-    hi = max(float(v.max()) for v in values)
-    return WeightField(part, values, choice, lo, hi)
+    shape = part.cell_areas.shape
+    if choice == "one":
+        values = np.ones(shape)
+    elif choice == "amin":
+        values = np.full(shape, field.a_min)
+    elif choice == "amax":
+        values = np.full(shape, field.a_max)
+    elif choice in ("a_minus", "a_plus"):
+        lo, hi = _sym_eig_bounds(np.asarray(field.tensors))
+        values = lo if choice == "a_minus" else hi
+    elif custom is None:
+        raise CoefficientError("custom weight requires a raster or callable")
+    else:
+        values = _sample(part, custom.lookup if isinstance(custom, Raster) else custom, ())
+    bad = _first(~((values > 0.0) & np.isfinite(values)))
+    if bad >= 0:
+        raise CoefficientError(f"nonpositive weight value in element {bad}")
+    return WeightField(part, values, choice, float(values.min()), float(values.max()))
 
 
 @dataclass

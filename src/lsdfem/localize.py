@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .localop import ElementCache
+from .localop import ElementCache, quadratic_forms
 from .mesh import CoarseMesh, element_layers, layer_distances
 from .spectral import FaceSpectrum
 from .traces import TraceSpace, TraceVector
@@ -42,7 +42,7 @@ __all__ = [
 DENSE_PATCH_LIMIT = 4000
 
 
-def build_flux_energy(space: TraceSpace, caches: list[ElementCache]) -> sp.csr_matrix:
+def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
     """Global flux-energy matrix in stored coordinates.
 
     ``mu . (S nu)`` equals the energy pairing of the two trace vectors,
@@ -50,7 +50,7 @@ def build_flux_energy(space: TraceSpace, caches: list[ElementCache]) -> sp.csr_m
     element-side signs.
     """
     ids, signs = space.part.boundary_face_ids, space.part.boundary_signs
-    signed = (np.stack([c.flux_energy for c in caches]) * signs[:, None, :]) * signs[:, :, None]
+    signed = (caches.flux_energy * signs[:, None, :]) * signs[:, :, None]
     rows = np.broadcast_to(ids[:, :, None], signed.shape).ravel()
     cols = np.broadcast_to(ids[:, None, :], signed.shape).ravel()
     mat = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(space.n_fine,) * 2)
@@ -173,15 +173,8 @@ class PatchProjector:
     fine faces by one batched product with the padded basis blocks.
     """
 
-    def __init__(
-        self,
-        space: TraceSpace,
-        caches: list[ElementCache],
-        energy: sp.csr_matrix,
-        basis: FaceBasis,
-    ):
+    def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: FaceBasis):
         self.space = space
-        self.caches = caches
         self.energy = energy
         self.basis = basis
         self.gram = (basis.matrix.T @ (energy @ basis.matrix)).toarray()
@@ -206,9 +199,9 @@ class PatchProjector:
         self._padded = np.zeros((mesh.n_faces, nfs, self._m_max))
         for f, blk in enumerate(basis.blocks):
             self._padded[f, :, : blk.shape[1]] = blk
-        self._element_rows = (
-            mesh.element_faces[:, :, None] * nfs + np.arange(nfs)
-        ).reshape(mesh.n_elements, 3 * nfs)
+        # An element seed's rows are its boundary fine faces, in the order of
+        # the element functionals (traces.element_functionals).
+        self._element_rows = space.part.boundary_face_ids
 
         self._global: PatchProblem | None = None
         self._problems: dict[tuple[str, int, int], PatchProblem] = {}
@@ -228,17 +221,16 @@ class PatchProjector:
         pad[problem.slots] = problem.solve(rhs_reduced[problem.dof_indices])
         return self._lift(pad)
 
-    def _seed_sum(self, kind: str, data, j: int, k: int) -> np.ndarray:
+    def _seed_sum(self, kind: str, data: np.ndarray, j: int, k: int) -> np.ndarray:
         """Sum of the seeds' patch solutions, stored values (n_fine, k).
 
-        ``data[s]`` is seed s's input on its rows, shape (rows, k), or
-        ``None``.  Seeds without data are skipped, so no patch is set up
-        for them; the others add their response to the padded coefficients
-        in seed order.
+        ``data[s]`` is seed s's input on its rows, shape (rows, k).  Seeds
+        with zero input are skipped, so no patch is set up for them; the
+        others add their response to the padded coefficients in seed order.
         """
         pad = np.zeros((self._pad_rows, k))
         for s, d in enumerate(data):
-            if d is None or not d.any():
+            if not d.any():
                 continue
             problem = self.patch_problem((kind, s), j)
             pad[problem.slots] += problem.response @ d
@@ -348,22 +340,18 @@ class PatchProjector:
         per_face = columns.reshape(self.space.n_coarse_faces, nfs, columns.shape[1])
         return self._seed_sum("face", per_face, j, columns.shape[1])
 
-    def apply_Pj(self, functionals: list[np.ndarray | None], j: int | None) -> TraceVector:
+    def apply_Pj(self, functionals: np.ndarray, j: int | None) -> TraceVector:
         """Element-seeded localization of a broken function.
 
-        ``functionals[k]`` is the stored boundary functional of the
-        function restricted to element k (``None`` to skip); the patch
-        solves read only its entries on element k's faces.  Used to
-        localize the load potential; ``j=None`` is the global reference.
+        ``functionals[k]`` is the stored boundary functional of the function
+        restricted to element k on its boundary rows
+        (:func:`traces.element_functionals`, ``(ne, n_bf)``); elements whose
+        row is zero are skipped.  Used to localize the load potential;
+        ``j=None`` is the global reference.
         """
         if j is None:
-            total = np.zeros(self.space.n_fine)
-            for r in functionals:
-                if r is not None:
-                    total += r
-            return self.project_functional(total)
-        rows = self._element_rows
-        data = [None if r is None else r[rows[k], None] for k, r in enumerate(functionals)]
+            return self.project_functional(self.space.sum_element_rows(functionals))
+        data = functionals[:, :, None]
         return self.space.vector(self._seed_sum("element", data, j, 1)[:, 0])
 
 
@@ -438,12 +426,12 @@ def _fit_ratio(energies: np.ndarray, total: float, start: int = 1) -> float:
 
 def ring_energies(
     mesh: CoarseMesh,
-    caches: list[ElementCache],
+    caches: ElementCache,
     mu: TraceVector,
     seed: tuple[str, int],
 ) -> RingProfile:
     """Broken energy of the potential of ``mu`` split by layer rings."""
-    per_element = np.array([c.flux_side_energy(mu.side_values(c.elem)) for c in caches])
+    per_element = quadratic_forms(caches.flux_energy, mu.side_values())
     total = float(per_element.sum())
     energies = np.bincount(layer_distances(mesh, seed), weights=per_element)
     return RingProfile(seed, energies, _fit_ratio(energies, total), total)

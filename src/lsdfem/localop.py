@@ -1,20 +1,23 @@
 """Element-local fine FEM machinery.
 
-Each element carries one factorization of the constrained stiffness
-system: the P1 stiffness with the zero-weighted-average condition
-enforced by a single scalar Lagrange multiplier.  That one factorization
-serves both local solution operators (boundary-flux data and interior
-loads).  The boundary flux-energy matrix ``B`` is the static condensation
-of the interior problem onto the fine-face flux basis: it is computed
-once per element and every downstream patch or face computation re-uses
-it instead of re-solving interiors.  All elements share one reference
-lattice, so the set-up runs as stacked kernels over every element at once
-and each ``ElementCache`` holds views into the stacks.
+Every local problem of an element runs through one constrained stiffness
+system, the saddle: the P1 stiffness with the zero-weighted-average
+condition enforced by a single scalar Lagrange multiplier.  All elements
+are affine images of one reference lattice, so every element quantity is
+one stack with a leading element axis, held by one :class:`ElementCache`:
+the saddles and their inverses, and the boundary flux-energy matrix ``B``,
+the static condensation of the interior problem onto the fine-face flux
+basis, which every downstream patch or face computation re-uses instead
+of re-solving interiors.  Every local solve (the condensation, the
+flux-to-potential map ``T`` and the load-to-potential map ``T~``) is one
+stacked product with the stored inverses, refined once against the
+stored saddles (:func:`saddle_solve`).  The kernels take any leading
+axes, so they run the same code on one element's view ``caches[t]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +38,8 @@ __all__ = [
     "edge_blocks",
     "face_blocks",
     "broken_energy",
+    "quadratic_forms",
+    "saddle_solve",
 ]
 
 
@@ -44,69 +49,37 @@ class LocalAssemblyError(RuntimeError):
 
 @dataclass
 class ElementCache:
-    """Assembled matrices and factorizations for one coarse element."""
+    """Assembled matrices of every coarse element, stacked along a leading axis.
 
-    elem: int
-    geom: ElementGeometry
-    tensors: np.ndarray          # (nc, 2, 2)
-    rho: np.ndarray              # (nc,)
-    stiffness: np.ndarray        # (nn, nn) A-weighted P1 stiffness
-    mass: np.ndarray             # (nn, nn) rho-weighted P1 mass
-    mean_vector: np.ndarray      # (nn,) integral of rho * phi_i
-    flux_energy: np.ndarray      # (n_bf, n_bf) pairings (mu_a, T mu_b)
-    a_min: float
-    a_max: float
-    _saddle: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _saddle_lu: tuple = field(repr=False, default=None)  # type: ignore[assignment]
-    _identity_flux_energy: np.ndarray | None = field(repr=False, default=None)
+    ``caches[t]`` is element t's view: the same fields without the leading
+    axis, ``elem`` an int and ``geom`` its :class:`ElementGeometry`;
+    iteration yields the views in element order.  On the stack, ``geom``
+    is the :class:`FinePartition`, whose stacked fields carry the
+    ``ElementGeometry`` names.
+    """
 
-    @property
-    def n_nodes(self) -> int:
-        return self.geom.n_nodes
+    elem: np.ndarray | int                  # (ne,) element ids
+    geom: FinePartition | ElementGeometry
+    tensors: np.ndarray          # (ne, nc, 2, 2)
+    rho: np.ndarray              # (ne, nc)
+    stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
+    mass: np.ndarray             # (ne, nn, nn) rho-weighted P1 mass
+    mean_vector: np.ndarray      # (ne, nn) integral of rho * phi_i
+    flux_energy: np.ndarray      # (ne, n_bf, n_bf) pairings (mu_a, T mu_b)
+    a_min: np.ndarray            # (ne,) smallest tensor eigenvalue
+    a_max: np.ndarray            # (ne,) largest tensor eigenvalue
+    _saddle: np.ndarray = field(repr=False)   # (ne, nn + 1, nn + 1) constrained stiffness
+    _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) its inverse
 
-    def solve_constrained(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the zero-average-constrained stiffness system.
+    def __len__(self) -> int:
+        return len(self.elem)
 
-        ``rhs`` has one entry per node (plus optional trailing columns);
-        the returned nodal field(s) satisfy the zero-rho-average exactly.
-        One step of iterative refinement keeps the residual at working
-        precision even for high-contrast coefficients, where the raw
-        factorization residual grows with the condition number.
-        """
-        nn = self.n_nodes
-        if rhs.ndim == 1:
-            full = np.zeros(nn + 1)
-            full[:nn] = rhs
-        else:
-            full = np.zeros((nn + 1, rhs.shape[1]))
-            full[:nn] = rhs
-        sol = scipy.linalg.lu_solve(self._saddle_lu, full)
-        sol += scipy.linalg.lu_solve(self._saddle_lu, full - self._saddle @ sol)
-        return sol[:nn]
+    def __getitem__(self, t: int) -> "ElementCache":
+        view = {f.name: getattr(self, f.name)[t] for f in fields(self) if f.name != "geom"}
+        return ElementCache(**{**view, "elem": int(self.elem[t]), "geom": self.geom.geometry[t]})
 
-    def identity_flux_energy(self) -> np.ndarray:
-        """Flux-energy matrix of the A=I twin (harmonic extension energy)."""
-        if self._identity_flux_energy is None:
-            geom = self.geom
-            identity = np.broadcast_to(np.eye(2), (1, len(geom.cells), 2, 2))
-            k_id = _assemble_stiffness(geom.grads[None], geom.cell_areas[None], identity, geom.cells)
-            saddle = self._saddle.copy()
-            saddle[: self.n_nodes, : self.n_nodes] = k_id[0]
-            _factor_saddle(self.elem, saddle)
-            self._identity_flux_energy = _condense_boundary(geom.trace_matrix[None], saddle[None])[0]
-        return self._identity_flux_energy
-
-    def energy(self, values: np.ndarray) -> float:
-        """|v|^2 in the A-weighted broken seminorm on this element."""
-        return float(values @ (self.stiffness @ values))
-
-    def boundary_pairing(self, side: np.ndarray, values: np.ndarray) -> float:
-        """(mu, v) over this element boundary, mu in element-side values."""
-        return float(side @ (self.geom.trace_matrix @ values))
-
-    def flux_side_energy(self, side: np.ndarray) -> float:
-        """(mu, T mu) for element-side flux values."""
-        return float(side @ (self.flux_energy @ side))
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
 
 
 def _sym(mats: np.ndarray) -> np.ndarray:
@@ -145,74 +118,95 @@ def _assemble_mass(cell_areas: np.ndarray, rho: np.ndarray, cells: np.ndarray) -
     return _scatter_cells((rho * cell_areas)[:, :, None, None] * _MASS_REF, cells)
 
 
-def _factor_saddle(elem: int, saddle: np.ndarray) -> tuple:
-    try:
-        lu = scipy.linalg.lu_factor(saddle)
-    except scipy.linalg.LinAlgError as exc:
-        raise LocalAssemblyError(f"element {elem}: constrained system not factorizable ({exc})")
-    if not np.all(np.isfinite(lu[0])) or np.any(np.abs(np.diag(lu[0])) == 0.0):
-        raise LocalAssemblyError(
-            f"element {elem}: constrained system is singular; coefficient not SPD?"
-        )
-    return lu
+def _invert_saddles(saddles: np.ndarray) -> np.ndarray:
+    """One stacked inverse of the saddles; a failure names the first failing element.
 
-
-def _condense_boundary(trace: np.ndarray, saddle: np.ndarray) -> np.ndarray:
-    """Static condensation B[a, b] = (mu_a, T mu_b) of a stack of elements, refined once."""
-    ne, n_bf, nn = trace.shape
-    rhs = np.zeros((ne, nn + 1, n_bf))
-    rhs[:, :nn] = trace.swapaxes(1, 2)
-    sols = np.linalg.solve(saddle, rhs)
-    sols += np.linalg.solve(saddle, rhs - saddle @ sols)
-    return _sym(trace @ sols[:, :nn])
-
-
-def assemble_all(
-    field_a: CoefficientField, weight: WeightField, part: FinePartition
-) -> list[ElementCache]:
-    """Assemble every element cache, in element order.
-
-    All elements are assembled and condensed as stacks; only the saddle LU,
-    which :meth:`ElementCache.solve_constrained` reuses per load, is per element.
+    The inverse of a symmetric matrix is symmetric, so the computed one is
+    symmetrized: that drops the antisymmetric part of its rounding error
+    and keeps ``T`` and ``T~`` adjoint to each other to rounding.
     """
+    try:
+        inverse = _sym(np.linalg.inv(saddles))
+    except np.linalg.LinAlgError:
+        for t, saddle in enumerate(saddles):
+            try:
+                np.linalg.inv(saddle)
+            except np.linalg.LinAlgError:
+                raise LocalAssemblyError(
+                    f"element {t}: constrained system is singular; coefficient not SPD?"
+                ) from None
+        raise
+    finite = np.isfinite(inverse).all(axis=(1, 2))
+    if not finite.all():
+        raise LocalAssemblyError(
+            f"element {np.argmin(finite)}: constrained system not factorizable (non-finite inverse)"
+        )
+    return inverse
+
+
+def saddle_solve(saddle: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Zero-average-constrained solves for nodal right-hand sides ``(..., nn, k)``.
+
+    ``x = X b`` with the stored inverse ``X``, then one refinement step
+    ``x += X (b - S x)`` against the stored saddle ``S``, which keeps the
+    residual at working precision even for high-contrast coefficients,
+    where the residual of the plain product grows with the condition
+    number.  Returns the nodal part ``(..., nn, k)``; each solution has
+    zero weighted average.
+    """
+    nn = rhs.shape[-2]
+    b = np.zeros(rhs.shape[:-2] + (nn + 1, rhs.shape[-1]))
+    b[..., :nn, :] = rhs
+    x = inverse @ b
+    x += inverse @ (b - saddle @ x)
+    return x[..., :nn, :]
+
+
+def _condense_boundary(trace: np.ndarray, saddle: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Static condensation B[a, b] = (mu_a, T mu_b) of a stack of elements."""
+    return _sym(trace @ saddle_solve(saddle, inverse, trace.swapaxes(-1, -2)))
+
+
+def assemble_all(field_a: CoefficientField, weight: WeightField, part: FinePartition) -> ElementCache:
+    """Assemble, invert and condense every element as one stack."""
     ne, nc = part.mesh.n_elements, len(part.cells)
-    sizes = [np.fromiter(map(len, values), int, ne) for values in (field_a.tensors, weight.values)]
-    short = (sizes[0] != nc) | (sizes[1] != nc)
-    if short.any():
-        raise LocalAssemblyError(f"element {np.argmax(short)}: coefficient does not cover all cells")
-    tensors, rho = np.stack(field_a.tensors), np.stack(weight.values)
+    tensors = np.asarray(field_a.tensors, dtype=float)
+    rho = np.asarray(weight.values, dtype=float)
+    if tensors.shape != (ne, nc, 2, 2) or rho.shape != (ne, nc):
+        raise LocalAssemblyError(
+            f"coefficient {tensors.shape} or weight {rho.shape} does not cover the {ne} x {nc} cells"
+        )
     stiffness = _assemble_stiffness(part.grads, part.cell_areas, tensors, part.cells)
     mass = _assemble_mass(part.cell_areas, rho, part.cells)
     mean_vector = mass @ np.ones(mass.shape[1])
     nn = mean_vector.shape[1]
     saddles = np.zeros((ne, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
     saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
-    lus = [_factor_saddle(t, saddles[t]) for t in range(ne)]
-    flux_energy = _condense_boundary(part.trace_matrices, saddles)
+    inverse = _invert_saddles(saddles)
+    flux_energy = _condense_boundary(part.trace_matrix, saddles, inverse)
     a_min, a_max = field_a.element_eigen_bounds()
-    return [
-        ElementCache(
-            t, part.geometry[t], field_a.tensors[t], weight.values[t], stiffness[t], mass[t],
-            mean_vector[t], flux_energy[t], float(a_min[t]), float(a_max[t]), saddles[t], lus[t],
-        )
-        for t in range(ne)
-    ]
+    return ElementCache(
+        np.arange(ne), part, tensors, rho, stiffness, mass, mean_vector, flux_energy,
+        a_min, a_max, saddles, inverse,
+    )
 
 
 def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
-    """Local flux-to-potential solve.
+    """Local flux-to-potential solves.
 
     ``side`` holds the element-side flux value on each fine face of the
-    element boundary.  The result has zero weighted average and satisfies
-    the A-weighted variational identity against all constrained test
-    functions.
+    element boundary, ``(..., n_bf)``.  Each result has zero weighted
+    average and satisfies the A-weighted variational identity against all
+    constrained test functions.
     """
-    return cache.solve_constrained(cache.geom.trace_matrix.T @ side)
+    nodal = np.einsum("...bn,...b->...n", cache.geom.trace_matrix, side)
+    return saddle_solve(cache._saddle, cache._inverse, nodal[..., None])[..., 0]
 
 
 def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
-    """Local load-to-potential solve for a P1 nodal load g."""
-    return cache.solve_constrained(cache.mass @ g)
+    """Local load-to-potential solves for P1 nodal loads ``g`` ``(..., nn)``."""
+    load = cache.mass @ np.asarray(g, dtype=float)[..., None]
+    return saddle_solve(cache._saddle, cache._inverse, load)[..., 0]
 
 
 @dataclass
@@ -311,7 +305,12 @@ def face_blocks(cache: ElementCache, space: TraceSpace, face: int) -> FaceBlocks
     return FaceBlocks(face, t_ff[0, e], t_ffc[0, e], t_ffc[0, e].T.copy(), t_fcfc[0, e], t_hat[0, e])
 
 
-def broken_energy(caches: list[ElementCache], values: list[np.ndarray]) -> float:
-    """Squared A-weighted broken seminorm of a broken nodal field."""
-    return sum(c.energy(v) for c, v in zip(caches, values))
+def quadratic_forms(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``v^T A v`` of each matrix of a stack ``(..., n, n)`` with its vector ``(..., n)``."""
+    values = np.asarray(values, dtype=float)
+    return np.einsum("...i,...i->...", values, np.einsum("...ij,...j->...i", mats, values))
 
+
+def broken_energy(caches: ElementCache, values: np.ndarray) -> float:
+    """Squared A-weighted broken seminorm of a broken nodal field ``(ne, nn)``."""
+    return float(quadratic_forms(caches.stiffness, values).sum())

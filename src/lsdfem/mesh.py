@@ -405,7 +405,8 @@ class FinePartition:
 
     Every interior triangulation is an affine image of one reference
     lattice, so the per-element geometry is stored as stacks with a
-    leading element axis; each ``ElementGeometry`` holds views into them.
+    leading element axis, under the field names of ``ElementGeometry``;
+    each ``ElementGeometry`` holds views into them.
     """
 
     mesh: CoarseMesh
@@ -415,12 +416,15 @@ class FinePartition:
     fine_measures: np.ndarray     # (n_fine,)
     fine_midpoints: np.ndarray    # (n_fine, 2)
     fine_endpoints: np.ndarray    # (n_fine, 2, 2)
+    nodes: np.ndarray             # (ne, nn, 2)
     cells: np.ndarray             # (nc, 3) lattice connectivity shared by every element
     cell_areas: np.ndarray        # (ne, nc)
+    cell_centroids: np.ndarray    # (ne, nc, 2)
     grads: np.ndarray             # (ne, nc, 3, 2)
-    trace_matrices: np.ndarray    # (ne, n_bf, nn)
+    trace_matrix: np.ndarray      # (ne, n_bf, nn)
     boundary_face_ids: np.ndarray   # (ne, n_bf)
     boundary_signs: np.ndarray      # (ne, n_bf)
+    boundary_node_mask: np.ndarray  # (nn,) lattice nodes on the element boundary
     geometry: list[ElementGeometry]
 
     @property
@@ -569,12 +573,15 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         fine_measures=fine_measures,
         fine_midpoints=fine_midpoints,
         fine_endpoints=endpoints,
+        nodes=nodes,
         cells=cells,
         cell_areas=cell_areas,
+        cell_centroids=cell_centroids,
         grads=grads,
-        trace_matrices=trace,
+        trace_matrix=trace,
         boundary_face_ids=b_ids,
         boundary_signs=b_signs,
+        boundary_node_mask=boundary_mask,
         geometry=geometry,
     )
     _check_partition(part)
@@ -592,7 +599,7 @@ def _check_partition(part: FinePartition) -> None:
     # which also certifies that interior boundary edges tile the
     # sub-faces exactly.
     expected = part.fine_measures[part.boundary_face_ids]
-    bad = ~np.isclose(part.trace_matrices.sum(axis=2), expected, rtol=1e-12, atol=1e-15).all(axis=1)
+    bad = ~np.isclose(part.trace_matrix.sum(axis=2), expected, rtol=1e-12, atol=1e-15).all(axis=1)
     if bad.any():
         raise MeshError(f"boundary triangulation of element {int(np.argmax(bad))} misaligned")
 
@@ -616,7 +623,7 @@ def build_union_mesh(part: FinePartition) -> UnionMesh:
     n = 2 ** part.interior_level
     nv, nf, ne = mesh.n_vertices, mesh.n_faces, mesh.n_elements
     _, _, index = _lattice(part.interior_level)
-    nodes = np.stack([geom.nodes for geom in part.geometry])
+    nodes = part.nodes
     m = np.arange(1, n)   # positions of the lattice nodes inside a face
     codes = nv + nf * (n - 1) + np.arange(nodes.shape[0] * nodes.shape[1]).reshape(nodes.shape[:2])
     codes[:, index[[0, n, 0], [0, 0, n]]] = mesh.elements

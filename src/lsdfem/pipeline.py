@@ -46,6 +46,7 @@ from .localop import (
     apply_Ttilde,
     assemble_all,
     broken_energy,
+    quadratic_forms,
 )
 from .mesh import (
     CoarseMesh,
@@ -63,14 +64,13 @@ from .spectral import (
     all_element_spectra,
     all_face_spectra,
     project_rhs,
-    ttilde_from_spectrum,
 )
 from .traces import (
     PiecewiseConstant,
     TraceSpace,
     TraceVector,
     build_trace_space,
-    element_boundary_functional,
+    element_functionals,
     solve_V0_pairing,
 )
 
@@ -205,12 +205,12 @@ class Solution:
     """Reconstructed fields of one staged solve."""
 
     u0: PiecewiseConstant
-    u_broken: list[np.ndarray]
+    u_broken: np.ndarray           # (ne, nn) broken nodal field
     lam0: TraceVector
     lam_coarse: TraceVector        # face-constant + retained spectral part
     lam_delta: TraceVector
     lam_total: TraceVector
-    sigma: list[np.ndarray]        # per element: (nc, 2) cellwise flux
+    sigma: np.ndarray              # (ne, nc, 2) cellwise flux
     diagnostics: dict
 
 
@@ -228,7 +228,7 @@ class Assembly:
         part: FinePartition,
         field_a: CoefficientField,
         weight: WeightField,
-        caches: list[ElementCache],
+        caches: ElementCache,
         space: TraceSpace,
         energy: sp.csr_matrix,
         stats: ContrastStats,
@@ -263,7 +263,7 @@ class Assembly:
                 basis = plain_basis(self.space)
             else:
                 basis = delta_basis(self.space, self.face_spectra(alpha_stab))
-            proj = PatchProjector(self.space, self.caches, self.energy, basis)
+            proj = PatchProjector(self.space, self.energy, basis)
             self._projectors[key] = proj
         return proj
 
@@ -347,21 +347,23 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
     return Assembly(mesh, part, field_a, weight, caches, space, energy, stats)
 
 
-def sample_load(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
-    """Elementwise P1 interpolant of the load g."""
-    return [np.asarray(fn(geom.nodes), dtype=float) for geom in part.geometry]
+def sample_load(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Elementwise P1 interpolant of the load g, ``(ne, nn)``; ``fn`` runs once on every node."""
+    points = part.nodes.reshape(-1, 2)
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"load function must return {len(points)} values, got shape {values.shape}")
+    return values.reshape(part.nodes.shape[:2])
 
 
-def load_norm(caches: list[ElementCache], g: list[np.ndarray]) -> float:
+def load_norm(caches: ElementCache, g: np.ndarray) -> float:
     """Weighted L2 norm of the load."""
-    return sum(float(g_t @ (c.mass @ g_t)) for c, g_t in zip(caches, g)) ** 0.5
+    return float(quadratic_forms(caches.mass, g).sum()) ** 0.5
 
 
-def energy_error(caches: list[ElementCache], u: list[np.ndarray], v: list[np.ndarray]) -> float:
+def energy_error(caches: ElementCache, u: np.ndarray, v: np.ndarray) -> float:
     """Broken A-energy distance between two broken nodal fields."""
-    return sum(
-        float((a - b) @ (c.stiffness @ (a - b))) for c, a, b in zip(caches, u, v)
-    ) ** 0.5
+    return broken_energy(caches, np.asarray(u, dtype=float) - np.asarray(v, dtype=float)) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +371,16 @@ def energy_error(caches: list[ElementCache], u: list[np.ndarray], v: list[np.nda
 # ---------------------------------------------------------------------------
 
 
-def solve_lambda0(assembly: Assembly, g: list[np.ndarray]) -> TraceVector:
+def solve_lambda0(assembly: Assembly, g: np.ndarray) -> TraceVector:
     """Jump-basis coefficients from the constant pairing against the load."""
-    rhs = np.array([-float(c.mean_vector @ g_t) for c, g_t in zip(assembly.caches, g)])
+    rhs = -np.einsum("ei,ei->e", assembly.caches.mean_vector, np.asarray(g, dtype=float))
     coeffs = solve_V0_pairing(assembly.space, rhs, transpose=True)
     return assembly.space.vector(assembly.space.jump_basis @ coeffs)
 
 
-def compute_ttilde(
-    assembly: Assembly,
-    g: list[np.ndarray],
-    spectra: list[ElementSpectrum] | None = None,
-) -> list[np.ndarray]:
-    """Load potential per element; spectral shortcut when spectra are given."""
-    if spectra is None:
-        return [apply_Ttilde(c, g_t) for c, g_t in zip(assembly.caches, g)]
-    return [
-        ttilde_from_spectrum(spec, cache, g_t)
-        for spec, cache, g_t in zip(spectra, assembly.caches, g)
-    ]
+def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
+    """Load potential of every element, ``(ne, nn)``."""
+    return apply_Ttilde(assembly.caches, g)
 
 
 @dataclass
@@ -451,7 +444,7 @@ def assemble_upscaled(
     projector: PatchProjector,
     operator: UpscaledOperator,
     lam0: TraceVector,
-    ttg_functionals: list[np.ndarray | None],
+    ttg_functionals: np.ndarray,
     r_ttg: np.ndarray,
     j: int | None,
 ) -> UpscaledSystem:
@@ -459,7 +452,9 @@ def assemble_upscaled(
 
     ``operator`` is the load-independent part for ``projector`` and ``j``
     (:meth:`Assembly.upscaled_operator`): the multiscale basis and its
-    Gram.  ``r_ttg`` is the sum of ``ttg_functionals``.  The load costs
+    Gram.  ``ttg_functionals`` are the element functionals of the load
+    potential (:func:`traces.element_functionals`), ``(ne, n_bf)``, and
+    ``r_ttg`` is their sum over elements.  The load costs
     one element-seeded and one face-seeded patch pass; both load terms
     then come from the cached energy matrix, never from interior re-solves.
     """
@@ -510,8 +505,8 @@ def reconstruct(
     lam_coarse: TraceVector,
     lam_delta: TraceVector,
     u0: PiecewiseConstant,
-    g: list[np.ndarray],
-    ttg: list[np.ndarray],
+    g: np.ndarray,
+    ttg: np.ndarray,
     equilibrium_tol: float = EQUILIBRIUM_TOL,
 ) -> Solution:
     """Per-element displacement and flux, with equilibrium diagnostics.
@@ -521,35 +516,30 @@ def reconstruct(
     zero-average constraint, which vanishes because the recovered
     multiplier carries exactly the load average of each element.
     """
+    caches, part = assembly.caches, assembly.part
     lam_total = lam0 + lam_coarse + lam_delta
-    u_broken: list[np.ndarray] = []
-    sigma: list[np.ndarray] = []
-    eq_rel = np.zeros(len(assembly.caches))
-    for cache in assembly.caches:
-        t = cache.elem
-        side = lam_total.side_values(t)
-        tilde = apply_T(cache, side) + ttg[t]
-        u_broken.append(u0.values[t] + tilde)
-        grad = np.einsum("ck,cki->ci", tilde[cache.geom.cells], cache.geom.grads)
-        sigma.append(np.einsum("cij,cj->ci", cache.tensors, grad))
-        load = cache.mass @ g[t]
-        traction = cache.geom.trace_matrix.T @ side
-        residual = cache.stiffness @ tilde - load - traction
-        interior = cache.geom.interior_nodes
-        # Componentwise scale: the residual at a node is compared against
-        # the magnitudes of the flux and load terms that feed it, so the
-        # check stays meaningful at high contrast.
-        scale = np.abs(cache.stiffness) @ np.abs(tilde) + np.abs(load) + np.abs(traction)
-        scale = np.maximum(scale, scale.max() * 1e-8 + 1e-300)
-        if interior.size:
-            eq_rel[t] = (np.abs(residual[interior]) / scale[interior]).max()
+    side = lam_total.side_values()
+    tilde = apply_T(caches, side) + np.asarray(ttg, dtype=float)
+    u_broken = u0.values[:, None] + tilde
+    grad = np.einsum("eck,ecki->eci", tilde[:, part.cells], part.grads)
+    sigma = np.einsum("ecij,ecj->eci", caches.tensors, grad)
+    load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
+    traction = np.einsum("ebn,eb->en", part.trace_matrix, side)
+    residual = np.einsum("eij,ej->ei", caches.stiffness, tilde) - load - traction
+    # Componentwise scale: the residual at a node is compared against
+    # the magnitudes of the flux and load terms that feed it, so the
+    # check stays meaningful at high contrast.
+    scale = np.einsum("eij,ej->ei", np.abs(caches.stiffness), np.abs(tilde)) + np.abs(load) + np.abs(traction)
+    scale = np.maximum(scale, scale.max(axis=1, keepdims=True) * 1e-8 + 1e-300)
+    interior = ~part.boundary_node_mask
+    eq_rel = (np.abs(residual[:, interior]) / scale[:, interior]).max(axis=1, initial=0.0)
     flux_energy_sq = float(lam_total.values @ (assembly.energy @ lam_total.values))
     diagnostics = {
         "equilibrium_rel_max": float(eq_rel.max()) if len(eq_rel) else 0.0,
         "equilibrium_tol": equilibrium_tol,
         "equilibrium_ok": bool(eq_rel.max() <= equilibrium_tol) if len(eq_rel) else True,
         "flux_energy_sq": flux_energy_sq,
-        "solution_energy_sq": broken_energy(assembly.caches, u_broken),
+        "solution_energy_sq": broken_energy(caches, u_broken),
     }
     return Solution(
         u0=u0,
@@ -565,7 +555,7 @@ def reconstruct(
 
 def solve_lsd(
     assembly: Assembly,
-    g: list[np.ndarray],
+    g: np.ndarray,
     j: int | None,
     variant: str = "plain",
     alpha_stab: float = 4.0,
@@ -582,9 +572,8 @@ def solve_lsd(
     """
     if h_target is None:
         h_target = assembly.mesh.coarse_size
-    g_used = g
+    g_used = np.asarray(g, dtype=float)
     reduction_info: dict = {}
-    spectra_e: list[ElementSpectrum] | None = None
     if rhs_reduction:
         spectra_e = assembly.element_spectra(h_target, c_j)
         g_used, remainders = project_rhs(spectra_e, assembly.caches, g)
@@ -598,11 +587,9 @@ def solve_lsd(
             "dropped_norm": float(np.linalg.norm(remainders)),
         }
 
-    ttg = compute_ttilde(assembly, g_used, spectra_e)
-    ttg_functionals = [
-        element_boundary_functional(assembly.space, t, v) for t, v in enumerate(ttg)
-    ]
-    r_ttg = np.add.reduce(ttg_functionals) if ttg_functionals else np.zeros(assembly.space.n_fine)
+    ttg = compute_ttilde(assembly, g_used)
+    ttg_functionals = element_functionals(assembly.space, ttg)
+    r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
     projector = assembly.projector(variant, alpha_stab)
     operator = assembly.upscaled_operator(variant, alpha_stab, j)
@@ -630,33 +617,33 @@ def solve_lsd(
 # ---------------------------------------------------------------------------
 
 
-def exact_hybrid_solve(
-    assembly: Assembly, g: list[np.ndarray]
-) -> tuple[list[np.ndarray], TraceVector]:
+def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, TraceVector]:
     """Monolithic symmetric-indefinite solve of the full hybrid system.
 
-    Returns the broken solution and the multiplier.  This is the
+    Returns the broken solution ``(ne, nn)`` and the multiplier.  This is the
     localization-error reference; it is exact up to the direct solver.
     """
     part = assembly.part
-    stiffness = np.stack([c.stiffness for c in assembly.caches])
+    caches = assembly.caches
+    stiffness = caches.stiffness
     ne, nn = stiffness.shape[:2]
     nu, nl = ne * nn, assembly.space.n_fine
     nodes = np.arange(nu).reshape(ne, 1, nn)
     k_mat = sp.csr_matrix((stiffness.ravel(), _block_indices(nodes[:, 0])), shape=(nu, nu))
     # Constraint block: -(mu, u) rows and the symmetric -(lambda, v) columns.
-    signed = -(part.boundary_signs[:, :, None] * part.trace_matrices)
+    signed = -(part.boundary_signs[:, :, None] * part.trace_matrix)
     rows = np.broadcast_to(part.boundary_face_ids[:, :, None], signed.shape).ravel()
     cols = np.broadcast_to(nodes, signed.shape).ravel()
     cons = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(nl, nu))
     mat = sp.bmat([[k_mat, cons.T], [cons, None]], format="csc")
-    rhs = np.concatenate([c.mass @ g_t for c, g_t in zip(assembly.caches, g)] + [np.zeros(nl)])
+    load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
+    rhs = np.concatenate([load.ravel(), np.zeros(nl)])
     try:
         lu = spla.splu(mat)
     except RuntimeError as exc:
         raise AssertionError(f"hybrid saddle system is singular: {exc}") from exc
     sol = lu.solve(rhs)
-    return list(sol[:nu].reshape(ne, nn)), assembly.space.vector(sol[nu:])
+    return sol[:nu].reshape(ne, nn), assembly.space.vector(sol[nu:])
 
 
 def _block_indices(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,8 +665,8 @@ def poincare_estimate(assembly: Assembly) -> float:
     union = assembly.union_mesh()
     ng = union.nodes.shape[0]
     idx = _block_indices(union.node_maps)
-    k_gl = sp.csr_matrix((np.stack([c.stiffness for c in assembly.caches]).ravel(), idx), (ng, ng))
-    m_gl = sp.csr_matrix((np.stack([c.mass for c in assembly.caches]).ravel(), idx), (ng, ng))
+    k_gl = sp.csr_matrix((assembly.caches.stiffness.ravel(), idx), (ng, ng))
+    m_gl = sp.csr_matrix((assembly.caches.mass.ravel(), idx), (ng, ng))
     free = np.setdiff1d(np.arange(ng), union.boundary)
     k_ff = k_gl[np.ix_(free, free)].tocsc()
     m_ff = m_gl[np.ix_(free, free)].tocsc()
@@ -705,21 +692,19 @@ def j_guidance(alpha_effective: float, dim: int = 2) -> list[dict]:
     return out
 
 
-def conforming_solve(
-    assembly: Assembly, g: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conforming P1 solve on the union fine mesh with zero boundary values.
 
     Approximates the continuous solution; its discretization error is the
     one caveat when it serves as the reference for target-precision
-    calibration.  Returns union nodal values and the broken per-element view.
+    calibration.  Returns union nodal values and the broken view ``(ne, nn)``.
     """
     union = assembly.union_mesh()
     ng = union.nodes.shape[0]
     rhs = np.zeros(ng)
-    loads = np.concatenate([c.mass @ g_t for c, g_t in zip(assembly.caches, g)])
-    np.add.at(rhs, union.node_maps.ravel(), loads)
-    stiffness = np.stack([c.stiffness for c in assembly.caches]).ravel()
+    loads = np.einsum("eij,ej->ei", assembly.caches.mass, np.asarray(g, dtype=float))
+    np.add.at(rhs, union.node_maps.ravel(), loads.ravel())
+    stiffness = assembly.caches.stiffness.ravel()
     mat = sp.csr_matrix((stiffness, _block_indices(union.node_maps)), shape=(ng, ng)).tolil()
     for b in union.boundary:
         mat.rows[b] = [b]
@@ -728,8 +713,7 @@ def conforming_solve(
     # Keep symmetry irrelevant for splu; Dirichlet rows replaced, columns left.
     lu = spla.splu(mat.tocsc())
     u = lu.solve(rhs)
-    broken = [u[union.node_maps[t]] for t in range(len(assembly.caches))]
-    return u, broken
+    return u, u[union.node_maps]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localop import ElementCache, batched_cholesky, edge_blocks, solve_lower
+from .localop import ElementCache, batched_cholesky, edge_blocks, quadratic_forms, solve_lower
 from .traces import TraceSpace
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "element_spectrum",
     "all_element_spectra",
     "project_rhs",
-    "ttilde_from_spectrum",
     "spectrum_dump",
 ]
 
@@ -118,7 +117,7 @@ class FaceSpectrum:
 
 def face_spectrum(
     space: TraceSpace,
-    caches: list[ElementCache],
+    caches: ElementCache,
     face: int,
     alpha_stab: float,
 ) -> FaceSpectrum:
@@ -132,13 +131,13 @@ def face_spectrum(
 
 
 def all_face_spectra(
-    space: TraceSpace, caches: list[ElementCache], alpha_stab: float
+    space: TraceSpace, caches: ElementCache, alpha_stab: float
 ) -> list[FaceSpectrum]:
     return _face_spectra(space, caches, np.arange(space.n_coarse_faces), alpha_stab)
 
 
 def _face_spectra(
-    space: TraceSpace, caches: list[ElementCache], faces: np.ndarray, alpha_stab: float
+    space: TraceSpace, caches: ElementCache, faces: np.ndarray, alpha_stab: float
 ) -> list[FaceSpectrum]:
     """Pencils of ``faces``: the edge blocks of all incident elements as one
     stack, summed per face, then one stacked :func:`gensym_eig`."""
@@ -149,7 +148,7 @@ def _face_spectra(
     if m == 0:
         return [FaceSpectrum(int(f), np.zeros(0), np.zeros((0, 0)), alpha_stab, 0) for f in faces]
     elems = np.setdiff1d(np.concatenate((mesh.face_left[faces], mesh.face_right[faces])), -1)
-    t_ff, _, _, t_hat = edge_blocks(space, np.stack([caches[e].flux_energy for e in elems]), elems)
+    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy[elems], elems)
     sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
     np.add.at(sums, mesh.element_faces[elems], np.stack((t_ff, t_hat), axis=2))
     try:
@@ -182,63 +181,47 @@ class ElementSpectrum:
 
 
 def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
-    return all_element_spectra([cache], h_target, c_j)[0]
+    """Neumann pencil of one element's view ``caches[t]``."""
+    return all_element_spectra(cache, h_target, c_j)[0]
 
 
-def all_element_spectra(
-    caches: list[ElementCache], h_target: float, c_j: float = 1.0
-) -> list[ElementSpectrum]:
-    """Neumann pencils of all elements, solved as one stack."""
+def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> list[ElementSpectrum]:
+    """Neumann pencils of all elements (or of one element's view), solved as one stack."""
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
-    stiffness, mass = np.stack([c.stiffness for c in caches]), np.stack([c.mass for c in caches])
+    elems, nn = np.atleast_1d(caches.elem), caches.stiffness.shape[-1]
     try:
-        sigma, vectors = gensym_eig(stiffness, mass)
+        sigma, vectors = gensym_eig(caches.stiffness.reshape(-1, nn, nn), caches.mass.reshape(-1, nn, nn))
     except NotSPDError as exc:
-        raise NotSPDError(exc.pivot, f"weighted mass of element {caches[exc.item].elem}") from exc
+        raise NotSPDError(exc.pivot, f"weighted mass of element {elems[exc.item]}") from exc
     sigma = np.maximum(sigma, 0.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, sigma.shape[1])
     return [
-        ElementSpectrum(c.elem, sigma[i], vectors[i], int(j_count[i]), h_target, c_j)
-        for i, c in enumerate(caches)
+        ElementSpectrum(int(e), sigma[i], vectors[i], int(j_count[i]), h_target, c_j)
+        for i, e in enumerate(elems)
     ]
 
 
 def project_rhs(
     spectra: list[ElementSpectrum],
-    caches: list[ElementCache],
-    g: list[np.ndarray],
-) -> tuple[list[np.ndarray], np.ndarray]:
+    caches: ElementCache,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise weighted-L2 projection of the load onto the kept modes.
 
-    Returns the projected nodal load per element and the weighted-L2 norm
-    of the dropped remainder per element.  The remainder norm is taken of
-    the difference itself, not as ``|g|^2 - |kept|^2``, which cancels to
-    rounding noise when little is dropped.
+    ``g`` is the nodal load per element, ``(ne, nn)``.  Returns the
+    projected load and the weighted-L2 norm of the dropped remainder per
+    element.  The remainder norm is taken of the difference itself, not as
+    ``|g|^2 - |kept|^2``, which cancels to rounding noise when little is
+    dropped.
     """
-    projected = []
-    remainders = np.empty(len(spectra))
-    for spec, cache, g_tau in zip(spectra, caches, g):
-        coeffs = spec.vectors.T @ (cache.mass @ g_tau)
-        kept = spec.vectors[:, : spec.j_count] @ coeffs[: spec.j_count]
-        projected.append(kept)
-        dropped = g_tau - kept
-        remainders[spec.elem] = max(float(dropped @ (cache.mass @ dropped)), 0.0) ** 0.5
-    return projected, remainders
-
-
-def ttilde_from_spectrum(spec: ElementSpectrum, cache: ElementCache, g_tau: np.ndarray) -> np.ndarray:
-    """Load solve through the eigenbasis: each mode divides by its eigenvalue.
-
-    Valid for loads inside the spectral space (the constant mode maps to
-    zero); used as the pre-processing shortcut when the load has been
-    projected.
-    """
-    coeffs = spec.vectors.T @ (cache.mass @ g_tau)
-    inv = np.zeros_like(spec.sigma)
-    inv[1:] = 1.0 / spec.sigma[1:]
-    return spec.vectors @ (coeffs * inv)
+    g = np.asarray(g, dtype=float)
+    vectors = np.stack([s.vectors for s in spectra])
+    kept_modes = np.arange(vectors.shape[-1]) < np.array([s.j_count for s in spectra])[:, None]
+    coeffs = np.einsum("eij,ei->ej", vectors, np.einsum("eij,ej->ei", caches.mass, g)) * kept_modes
+    projected = np.einsum("eij,ej->ei", vectors, coeffs)
+    return projected, np.sqrt(np.maximum(quadratic_forms(caches.mass, g - projected), 0.0))
 
 
 def spectrum_dump(spectra: list[FaceSpectrum], path: str | None = None) -> dict:

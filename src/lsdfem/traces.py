@@ -16,8 +16,6 @@ The space splits into three complementary blocks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -32,6 +30,7 @@ __all__ = [
     "build_trace_space",
     "lambda0_basis",
     "pairing",
+    "element_functionals",
     "boundary_functional",
     "decompose",
     "solve_V0_pairing",
@@ -49,10 +48,13 @@ class TraceVector:
     def copy(self) -> "TraceVector":
         return TraceVector(self.space, self.values.copy())
 
-    def side_values(self, elem: int) -> np.ndarray:
-        """Element-side view: sign(elem, F) * stored value, per boundary row."""
-        geom = self.space.part.geometry[elem]
-        return geom.boundary_signs * self.values[geom.boundary_face_ids]
+    def side_values(self, elem: int | slice = slice(None)) -> np.ndarray:
+        """Element-side view: sign(elem, F) * stored value, per boundary row.
+
+        One element gives ``(n_bf,)``; the default gives every element, ``(ne, n_bf)``.
+        """
+        part = self.space.part
+        return part.boundary_signs[elem] * self.values[part.boundary_face_ids[elem]]
 
     def restricted_to_face(self, face: int) -> "TraceVector":
         """Copy that keeps only the values on one coarse face."""
@@ -185,6 +187,11 @@ class TraceSpace:
         scale = max(np.abs(mu.values).max(), 1.0)
         return bool(np.abs(r).max() <= tol * scale)
 
+    def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Stored values from per-element boundary-row values ``(ne, n_bf)``, summed per fine face."""
+        ids = self.part.boundary_face_ids
+        return np.bincount(ids.ravel(), weights=rows.ravel(), minlength=self.n_fine)
+
     def random_tilde_f(self, rng: np.random.Generator) -> TraceVector:
         """Deterministic-seed random member of the zero-face-average block."""
         nfs = self.part.faces_per_coarse
@@ -266,41 +273,38 @@ def lambda0_basis(space: TraceSpace) -> list[TraceVector]:
 def pairing(
     space: TraceSpace,
     mu: TraceVector,
-    v: PiecewiseConstant | Sequence[np.ndarray],
+    v: PiecewiseConstant | np.ndarray,
 ) -> float:
     """The broken duality pairing (mu, v) summed over element boundaries.
 
     ``v`` is either a piecewise constant or a broken function given by its
-    P1 nodal values on each element's interior triangulation.  Exact for
-    P1 traces (trapezoid rule per fine boundary edge).
+    P1 nodal values on each element's interior triangulation, ``(ne, nn)``.
+    Exact for P1 traces (trapezoid rule per fine boundary edge).
     """
     if isinstance(v, PiecewiseConstant):
         return float(v.values @ (space.pair_v0 @ mu.values))
-    total = 0.0
-    for geom, v_tau in zip(space.part.geometry, v):
-        side = geom.boundary_signs * mu.values[geom.boundary_face_ids]
-        total += float(side @ (geom.trace_matrix @ v_tau))
-    return total
+    return float(mu.values @ boundary_functional(space, v))
 
 
-def boundary_functional(space: TraceSpace, v: Sequence[np.ndarray]) -> np.ndarray:
+def element_functionals(space: TraceSpace, v: np.ndarray) -> np.ndarray:
+    """Stored-orientation boundary functional of each element's part of ``v``.
+
+    ``v`` is a broken nodal field ``(ne, nn)``.  Entry ``[t, b]`` is
+    sign(t, F) times the integral of ``v_t`` over the fine face
+    ``part.boundary_face_ids[t, b]``; the result is ``(ne, n_bf)``.
+    """
+    part = space.part
+    v = np.asarray(v, dtype=float)
+    return part.boundary_signs * np.einsum("ebn,en->eb", part.trace_matrix, v)
+
+
+def boundary_functional(space: TraceSpace, v: np.ndarray) -> np.ndarray:
     """Stored-orientation functional r with (mu, v) = mu . r for all mu.
 
     r accumulates sign(tau, F) * integral of v_tau over each fine face,
     summed over the incident elements.
     """
-    r = np.zeros(space.n_fine)
-    for geom, v_tau in zip(space.part.geometry, v):
-        r[geom.boundary_face_ids] += geom.boundary_signs * (geom.trace_matrix @ v_tau)
-    return r
-
-
-def element_boundary_functional(space: TraceSpace, elem: int, v_tau: np.ndarray) -> np.ndarray:
-    """Same as :func:`boundary_functional` for a function supported on one element."""
-    geom = space.part.geometry[elem]
-    r = np.zeros(space.n_fine)
-    r[geom.boundary_face_ids] += geom.boundary_signs * (geom.trace_matrix @ v_tau)
-    return r
+    return space.sum_element_rows(element_functionals(space, v))
 
 
 def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:

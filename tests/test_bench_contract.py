@@ -14,7 +14,7 @@ import pytest
 
 from lsdfem import localize
 from lsdfem.pipeline import assemble_upscaled, solve_lambda0
-from lsdfem.traces import element_boundary_functional
+from lsdfem.traces import element_functionals
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,8 +43,9 @@ def test_hooks_read_live_attributes(tracer, asm_const):
     proj = asm.projector("delta", 4.0)
     operator = asm.upscaled_operator("delta", 4.0, 1)
     g = [np.ones(geo.n_nodes) for geo in asm.part.geometry]
-    funcs = [element_boundary_functional(space, t, v) for t, v in enumerate(g)]
-    system = assemble_upscaled(asm, proj, operator, solve_lambda0(asm, g), funcs, sum(funcs), 1)
+    funcs = element_functionals(space, g)
+    r = space.sum_element_rows(funcs)
+    system = assemble_upscaled(asm, proj, operator, solve_lambda0(asm, g), funcs, r, 1)
     assert system.basis is operator.basis and system.multiscale is operator.multiscale
     calls = {
         "localop.assemble_all": ((), asm.caches),

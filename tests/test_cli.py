@@ -67,6 +67,24 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
     assert "config error" in err and f"sweep.{next(iter(sweep))}" in err
 
 
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        ({**BASE, "experiment": "decay", "sweep": {"seed_element": 999}}, "sweep.seed_element"),
+        ({**BASE, "experiment": "decay", "sweep": {"seed_element": -1}}, "sweep.seed_element"),
+        ({**BASE, "experiment": "contrast_sweep", "sweep": {"seed_element": "abc"}}, "sweep.seed_element"),
+        ({**BASE, "seed": "7"}, "seed"),
+        ([1], "JSON object"),
+    ],
+    ids=["decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object"],
+)
+def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
+    path = write_spec(tmp_path, spec)
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_spec(tmp_path, BASE)
@@ -132,7 +150,7 @@ def test_env_override(tmp_path, monkeypatch):
     assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("name, value", [("EXPERIMENT", "bogus"), ("SEED", "abc")])
+@pytest.mark.parametrize("name, value", [("EXPERIMENT", "bogus"), ("SEED", "abc"), ("SEED", "-1")])
 def test_bad_env_variable_exits_2(tmp_path, monkeypatch, capsys, name, value):
     path = write_spec(tmp_path, BASE)
     monkeypatch.setenv("LSDFEM_" + name, value)

@@ -4,7 +4,7 @@ import pytest
 from lsdfem.localize import delta_basis, pi_basis, plain_basis, ring_energies
 from lsdfem.localop import apply_T
 from lsdfem.mesh import element_layers, saturation_depth, saturation_radius
-from lsdfem.traces import element_boundary_functional
+from lsdfem.traces import boundary_functional, element_functionals
 
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
@@ -13,7 +13,7 @@ def test_energy_matrix_matches_elementwise_forms(asm_mixed):
     nu = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
     via_s = mu.values @ (asm_mixed.energy @ nu.values)
     direct = sum(
-        c.boundary_pairing(mu.side_values(c.elem), apply_T(c, nu.side_values(c.elem)))
+        mu.side_values(c.elem) @ (c.geom.trace_matrix @ apply_T(c, nu.side_values(c.elem)))
         for c in asm_mixed.caches
     )
     assert via_s == pytest.approx(direct, rel=1e-10)
@@ -171,11 +171,10 @@ def test_element_seeded_application(asm_mixed):
     # A function supported on one element needs exactly one patch solve,
     # and the saturated version matches the global projection.
     proj = asm_mixed.projector("plain", 4.0)
-    geom = asm_mixed.part.geometry[6]
-    v = geom.nodes[:, 0] * geom.nodes[:, 1]
-    r = element_boundary_functional(asm_mixed.space, 6, v)
-    functionals = [None] * asm_mixed.mesh.n_elements
-    functionals[6] = r
+    nodes = asm_mixed.part.nodes
+    v = np.zeros(nodes.shape[:2])
+    v[6] = nodes[6, :, 0] * nodes[6, :, 1]
+    functionals = element_functionals(asm_mixed.space, v)
     jstar = saturation_depth(asm_mixed.mesh, ("element", 6)) + 1
     loc = proj.apply_Pj(functionals, jstar)
     glob = proj.apply_Pj(functionals, None)
@@ -200,8 +199,9 @@ def test_ring_energies_basics(asm_smooth_4):
 def test_ring_decay_smooth_coefficient(asm_smooth_4):
     proj = asm_smooth_4.projector("plain", 4.0)
     center = 2 * (1 * 4 + 1)  # an interior-ish element on the 4x4 grid
-    geom = asm_smooth_4.part.geometry[center]
-    r = element_boundary_functional(asm_smooth_4.space, center, geom.nodes[:, 0].copy())
+    v = np.zeros(asm_smooth_4.part.nodes.shape[:2])
+    v[center] = asm_smooth_4.part.nodes[center, :, 0]
+    r = boundary_functional(asm_smooth_4.space, v)
     mu = proj.project_functional(r)
     prof = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, mu, ("element", center))
     assert 0 < prof.ratio < 1.0
@@ -226,10 +226,8 @@ def test_element_seeded_error_monotone_smooth(asm_smooth_4):
     # with the layer count on a smooth-coefficient test.
     proj = asm_smooth_4.projector("plain", 4.0)
     space = asm_smooth_4.space
-    functionals = []
-    for geom in asm_smooth_4.part.geometry:
-        v = np.sin(2 * np.pi * geom.nodes[:, 0]) * geom.nodes[:, 1]
-        functionals.append(element_boundary_functional(space, geom.elem, v))
+    nodes = asm_smooth_4.part.nodes
+    functionals = element_functionals(space, np.sin(2 * np.pi * nodes[..., 0]) * nodes[..., 1])
     glob = proj.apply_Pj(functionals, None)
     errs = []
     for j in (1, 2, 3, 4):

@@ -13,10 +13,20 @@ from lsdfem.localop import (
     assemble_all,
     face_blocks,
 )
+from lsdfem.coeff import local_bounds
+from lsdfem.localize import build_flux_energy
 from lsdfem.mesh import _edge_lattice_nodes, _lattice, build_structured_mesh, refine_faces
+from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.spectral import all_element_spectra, all_face_spectra
 from lsdfem.traces import build_trace_space
 from test_mesh import meshes
+
+
+def identity_flux_energy(cache):
+    """Flux-energy matrix of an element's A=I twin (harmonic extension energy)."""
+    geom = cache.geom
+    identity = np.broadcast_to(np.eye(2), (len(geom.cells), 2, 2))
+    return reference_flux_energy(geom, reference_stiffness(geom, identity), cache.mass)
 
 
 def test_stiffness_kernel_is_constants(asm_const):
@@ -82,12 +92,12 @@ def test_apply_T_scaling_in_coefficient():
 
 def test_apply_T_energy_identity(asm_mixed):
     # (mu, T mu) over the boundary equals the interior energy of T mu.
-    for cache in asm_mixed.caches[:4]:
+    for cache in list(asm_mixed.caches)[:4]:
         rng = np.random.default_rng(cache.elem)
         side = rng.standard_normal(cache.geom.n_boundary_faces)
         sol = apply_T(cache, side)
-        boundary = cache.boundary_pairing(side, sol)
-        interior = cache.energy(sol)
+        boundary = side @ (cache.geom.trace_matrix @ sol)
+        interior = sol @ (cache.stiffness @ sol)
         assert boundary == pytest.approx(interior, rel=1e-11)
 
 
@@ -111,11 +121,11 @@ def test_apply_Ttilde_eigenfunction_identity(asm_mixed):
 
 def test_adjoint_identity(asm_mixed):
     # (mu, Ttilde g) over the boundary = (rho g, T mu) over the element.
-    for cache in asm_mixed.caches[:6]:
+    for cache in list(asm_mixed.caches)[:6]:
         rng = np.random.default_rng(100 + cache.elem)
         side = rng.standard_normal(cache.geom.n_boundary_faces)
         g = rng.standard_normal(cache.geom.n_nodes)
-        left = cache.boundary_pairing(side, apply_Ttilde(cache, g))
+        left = side @ (cache.geom.trace_matrix @ apply_Ttilde(cache, g))
         right = g @ (cache.mass @ apply_T(cache, side))
         assert left == pytest.approx(right, rel=1e-12, abs=1e-14)
 
@@ -169,9 +179,9 @@ def test_face_blocks_schur_matches_min_oracle(asm_mixed):
 
 def test_energy_sandwich_with_identity_twin(asm_mixed):
     # 1/a_max^tau * identity energy <= energy <= 1/a_min^tau * identity energy.
-    for cache in asm_mixed.caches[:8]:
+    for cache in list(asm_mixed.caches)[:8]:
         b = cache.flux_energy
-        b_id = cache.identity_flux_energy()
+        b_id = identity_flux_energy(cache)
         rng = np.random.default_rng(cache.elem + 50)
         for _ in range(5):
             mu = rng.standard_normal(b.shape[0])
@@ -185,7 +195,7 @@ def test_energy_sandwich_with_identity_twin(asm_mixed):
 def test_flux_energy_positive_on_zero_average(asm_mixed):
     space = asm_mixed.space
     z = space.zero_mean
-    for cache in asm_mixed.caches[:4]:
+    for cache in list(asm_mixed.caches)[:4]:
         blk = scipy.linalg.block_diag(*([z] * 3))
         gram = blk.T @ (cache.flux_energy @ blk)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
@@ -200,7 +210,7 @@ def test_static_condensation_consistency(asm_mixed):
     mu = rng.standard_normal(cache.geom.n_boundary_faces)
     nu = rng.standard_normal(cache.geom.n_boundary_faces)
     via_cache = mu @ (cache.flux_energy @ nu)
-    via_solve = cache.boundary_pairing(mu, apply_T(cache, nu))
+    via_solve = mu @ (cache.geom.trace_matrix @ apply_T(cache, nu))
     assert via_cache == pytest.approx(via_solve, rel=1e-11)
 
 
@@ -221,7 +231,7 @@ def test_zero_tensor_names_its_element():
 #
 # The references below are the per-element and per-face loops the stacked
 # kernels replaced: one cell at a time into the element matrices, one
-# boundary fine face at a time through the saddle LU, one face at a time
+# element at a time through the saddle LU refined once, one face at a time
 # through the Schur complement and the generalized eigensolver.
 
 
@@ -265,19 +275,30 @@ def reference_mass(geom, rho):
     return m
 
 
-def reference_flux_energy(geom, stiffness, mass):
-    nn = geom.n_nodes
+def reference_saddle(stiffness, mass):
+    nn = stiffness.shape[0]
     mean = mass @ np.ones(nn)
     saddle = np.zeros((nn + 1, nn + 1))
     saddle[:nn, :nn] = stiffness
     saddle[:nn, nn] = mean
     saddle[nn, :nn] = mean
+    return saddle
+
+
+def reference_constrained_solve(saddle, rhs):
+    """Zero-average-constrained solve of nodal right-hand sides by LU, refined once."""
+    nn = saddle.shape[0] - 1
     lu = scipy.linalg.lu_factor(saddle)
-    rhs = np.zeros((nn + 1, geom.n_boundary_faces))
-    rhs[:nn] = geom.trace_matrix.T
-    sols = scipy.linalg.lu_solve(lu, rhs)
-    sols += scipy.linalg.lu_solve(lu, rhs - saddle @ sols)
-    b = geom.trace_matrix @ sols[:nn]
+    full = np.zeros((nn + 1,) + rhs.shape[1:])
+    full[:nn] = rhs
+    sol = scipy.linalg.lu_solve(lu, full)
+    sol += scipy.linalg.lu_solve(lu, full - saddle @ sol)
+    return sol[:nn]
+
+
+def reference_flux_energy(geom, stiffness, mass):
+    sols = reference_constrained_solve(reference_saddle(stiffness, mass), geom.trace_matrix.T)
+    b = geom.trace_matrix @ sols
     return 0.5 * (b + b.T)
 
 
@@ -322,6 +343,11 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
     weight = make_weight(rho_choice, coeff)
     caches = assemble_all(coeff, weight, part)
     space = build_trace_space(part)
+    # Random flux data and loads for every element, solved as one stack.
+    rng = np.random.default_rng(len(caches))
+    sides = rng.standard_normal(part.boundary_face_ids.shape)
+    loads = rng.standard_normal(part.nodes.shape[:2])
+    potentials, load_potentials = apply_T(caches, sides), apply_Ttilde(caches, loads)
     for t, cache in enumerate(caches):
         geom = cache.geom
         assert np.array_equal(geom.trace_matrix, reference_trace(part, t))
@@ -333,10 +359,28 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
         # Two backward-stable solves of one saddle agree to about eps * cond
         # relative, which exceeds 1e-11 on elongated elements at high
         # contrast (up to 1.5e-10 seen at contrast 2e5).
-        b_tol = max(1e-11, np.finfo(float).eps * np.linalg.cond(cache._saddle))
-        assert np.abs(cache.flux_energy - b).max() <= b_tol * np.abs(b).max()
+        tol = max(1e-11, np.finfo(float).eps * np.linalg.cond(cache._saddle))
+        assert np.abs(cache.flux_energy - b).max() <= tol * np.abs(b).max()
+        # The stacked solves and the same kernel on one element's view match
+        # the per-element LU reference.
+        saddle = reference_saddle(k, m)
+        ref_t = reference_constrained_solve(saddle, geom.trace_matrix.T @ sides[t])
+        ref_tt = reference_constrained_solve(saddle, m @ loads[t])
+        for got, ref in (
+            (potentials[t], ref_t),
+            (apply_T(cache, sides[t]), ref_t),
+            (load_potentials[t], ref_tt),
+            (apply_Ttilde(cache, loads[t]), ref_tt),
+        ):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
         assert cache.a_min == coeff.cell_eigen_bounds(t)[0].min()
         assert cache.a_max == coeff.cell_eigen_bounds(t)[1].max()
+
+    # One staged solve on the same mesh keeps every element in equilibrium.
+    asm = Assembly(mesh, part, coeff, weight, caches, space, build_flux_energy(space, caches),
+                   local_bounds(coeff))
+    g = sample_load(part, lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2)
+    assert solve_lsd(asm, g, 1).diagnostics["equilibrium_rel_max"] <= 1e-10
 
     spectra = all_face_spectra(space, caches, alpha_stab=2.0)
     for s in spectra:

@@ -21,7 +21,7 @@ from lsdfem.pipeline import (
     solve_lsd,
     solve_upscaled,
 )
-from lsdfem.traces import boundary_functional, element_boundary_functional
+from lsdfem.traces import boundary_functional, element_functionals
 
 
 def smooth_g(points):
@@ -107,8 +107,8 @@ def test_upscaled_zero_data(asm_const):
     proj = asm_const.projector("plain", 4.0)
     operator = asm_const.upscaled_operator("plain", 4.0, 1)
     ttg = [np.zeros(geo.n_nodes) for geo in asm_const.part.geometry]
-    funcs = [element_boundary_functional(space, t, v) for t, v in enumerate(ttg)]
-    system = assemble_upscaled(asm_const, proj, operator, lam0, funcs, sum(funcs), 1)
+    funcs = element_functionals(space, ttg)
+    system = assemble_upscaled(asm_const, proj, operator, lam0, funcs, space.sum_element_rows(funcs), 1)
     assert np.abs(system.rhs).max() == 0.0
     lam_coarse = solve_upscaled(system, space)
     assert np.abs(lam_coarse.values).max() == 0.0
@@ -125,8 +125,8 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     from lsdfem.pipeline import compute_ttilde
 
     ttg = compute_ttilde(asm_mixed, g)
-    funcs = [element_boundary_functional(space, t, v) for t, v in enumerate(ttg)]
-    r_ttg = sum(funcs)
+    funcs = element_functionals(space, ttg)
+    r_ttg = space.sum_element_rows(funcs)
     jstar = saturation_radius(asm_mixed.mesh)
     op_loc = asm_mixed.upscaled_operator("plain", 4.0, jstar)
     op_glob = asm_mixed.upscaled_operator("plain", 4.0, None)
@@ -142,7 +142,7 @@ def test_recover_delta_zero_and_membership(asm_mixed):
     proj = asm_mixed.projector("delta", 4.0)
     operator = asm_mixed.upscaled_operator("delta", 4.0, 1)
     zero = space.zeros()
-    funcs = [None] * asm_mixed.mesh.n_elements
+    funcs = np.zeros(asm_mixed.part.boundary_face_ids.shape)
     system = assemble_upscaled(asm_mixed, proj, operator, zero, funcs, np.zeros(space.n_fine), 1)
     out = recover_delta(asm_mixed, solve_upscaled(system, space), system)
     assert np.abs(out.values).max() == 0.0
@@ -168,10 +168,36 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
         assert abs(avg) < 1e-10 * max(np.abs(tilde).max(), 1.0)
     # Energy identity: the flux energy of the multiplier equals the summed
     # per-element pairings.
-    direct = sum(
-        c.flux_side_energy(sol.lam_total.side_values(c.elem)) for c in asm_mixed.caches
-    )
+    sides = [sol.lam_total.side_values(c.elem) for c in asm_mixed.caches]
+    direct = sum(side @ (c.flux_energy @ side) for c, side in zip(asm_mixed.caches, sides))
     assert sol.diagnostics["flux_energy_sq"] == pytest.approx(direct, rel=1e-11)
+
+
+def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
+    # Every per-load element solve is one stacked call of the saddle kernel,
+    # so a warm solve makes as many calls on 8 elements as on 32.
+    from lsdfem import localop
+
+    runs = []
+    for n in (2, 4):
+        asm = make_assembly(n, n, 1, "smooth")
+        g = sample_load(asm.part, smooth_g)
+        solve_lsd(asm, g, 1, "delta", 4.0, rhs_reduction=True)
+        runs.append((asm, g))
+    kernel, calls = localop.saddle_solve, []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(localop, "saddle_solve", counted)
+    counts = []
+    for asm, g in runs:
+        calls.clear()
+        solve_lsd(asm, g, 1, "delta", 4.0, rhs_reduction=True)
+        assert all(shape[0] == asm.mesh.n_elements for shape in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_equilibrium_at_small_j(asm_mixed):
