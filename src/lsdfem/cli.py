@@ -321,17 +321,14 @@ def run_rhs_reduction(spec: ExperimentSpec) -> dict:
         g_proj, dropped = project_rhs(spectra, assembly.caches, g)
         u_red, _ = exact_hybrid_solve(assembly, g_proj)
         err = energy_error(assembly.caches, u_full, u_red)
-        sig_next = np.array(
-            [s.sigma[s.j_count] if s.j_count < len(s.sigma) else np.inf for s in spectra]
-        )
-        bound = float(np.max(1.0 / np.sqrt(sig_next))) * load_norm(assembly.caches, g)
+        bound = float(np.max(1.0 / np.sqrt(spectra.sigma_next))) * load_norm(assembly.caches, g)
         rows.append(
             {
                 "h_target": h_target,
                 "energy_error": err,
                 "bound": bound,
                 "bound_satisfied": err <= bound * (1 + 1e-9),
-                "mean_modes_kept": float(np.mean([s.j_count for s in spectra])),
+                "mean_modes_kept": float(np.mean(spectra.j_count)),
                 "dropped_load_norm": float(np.linalg.norm(dropped)),
                 "oracle": "exact_hybrid",
                 "config_hash": cfg.digest(),

@@ -2,15 +2,16 @@
 
 All of these solve the same kind of problem: find a multiplier in a
 face-spanned subspace whose flux energy matches a given functional.  The
-subspace is described by per-face basis blocks (the full zero-average
-block, or the localizable part of the face spectrum), the energy matrix
-is assembled once from the cached element flux-energy blocks, and patch
-problems are plain principal submatrices of it.  No interior problem is
-ever re-solved here.
+subspace is spanned by the columns of a sparse face basis (per face, the
+full zero-average block or the localizable part of the face spectrum),
+the energy matrix is assembled once from the cached element flux-energy
+blocks, and patch problems are principal submatrices of the basis Gram.
+No interior problem is ever re-solved here.
 
-Patch factorizations are cached by their active face set, so saturated
-patches (and repeated seeds) share one factorization.  Accumulation of
-overlapping patch contributions runs in deterministic seed order.
+A localized projection is linear, and each seed's patch solution lives
+on the seed's patch, so it is stored as one sparse matrix of patch
+responses per seed kind and layer count: applying it is
+``basis @ (R @ data)``.
 """
 
 from __future__ import annotations
@@ -60,69 +61,48 @@ def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
 
 @dataclass
 class FaceBasis:
-    """Per-coarse-face basis blocks of a face-spanned multiplier subspace."""
+    """Basis of a face-spanned multiplier subspace, face by face.
 
-    space: TraceSpace
+    Face f's columns are ``col_offsets[f]:col_offsets[f + 1]``; they are
+    supported on the face's own fine faces.
+    """
+
     label: str
-    blocks: list[np.ndarray]        # per face: (nfs, m_F) in stored coordinates
     col_offsets: np.ndarray         # (NF + 1,)
-    matrix: sp.csc_matrix           # (n_fine, M) all blocks side by side
+    matrix: sp.csc_matrix           # (n_fine, M) stored values of the columns
 
     @property
     def dim(self) -> int:
         return int(self.col_offsets[-1])
 
 
-def _assemble_basis(space: TraceSpace, label: str, blocks: list[np.ndarray]) -> FaceBasis:
-    nfs = space.part.faces_per_coarse
-    offsets = np.zeros(space.n_coarse_faces + 1, dtype=int)
-    rows, cols, vals = [], [], []
-    for f, blk in enumerate(blocks):
-        offsets[f + 1] = offsets[f] + blk.shape[1]
-        if blk.shape[1] == 0:
-            continue
-        base_row = f * nfs
-        r = np.repeat(np.arange(base_row, base_row + nfs), blk.shape[1])
-        c = np.tile(np.arange(offsets[f], offsets[f + 1]), nfs)
-        rows.append(r)
-        cols.append(c)
-        vals.append(blk.ravel())
-    if rows:
-        matrix = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.n_fine, int(offsets[-1])),
-        )
-    else:
-        matrix = sp.csc_matrix((space.n_fine, 0))
-    return FaceBasis(space, label, blocks, offsets, matrix)
+def _assemble_basis(label: str, blocks: list[np.ndarray]) -> FaceBasis:
+    """Basis from per-face blocks ``(nfs, m_F)`` in stored coordinates."""
+    offsets = np.concatenate(([0], np.cumsum([blk.shape[1] for blk in blocks])))
+    return FaceBasis(label, offsets, sp.block_diag(blocks, format="csc"))
 
 
 def plain_basis(space: TraceSpace) -> FaceBasis:
     """Zero-average-per-face subspace (the full fine remainder block)."""
-    z = space.zero_mean
-    return _assemble_basis(space, "plain", [z] * space.n_coarse_faces)
+    return _assemble_basis("plain", [space.zero_mean] * space.n_coarse_faces)
 
 
 def delta_basis(space: TraceSpace, spectra: list[FaceSpectrum]) -> FaceBasis:
     """Localizable block of the face spectra, per face."""
-    blocks = [s.stored_delta(space) for s in spectra]
-    return _assemble_basis(space, "delta", blocks)
+    return _assemble_basis("delta", [s.stored_delta(space) for s in spectra])
 
 
 def pi_basis(space: TraceSpace, spectra: list[FaceSpectrum]) -> FaceBasis:
     """Retained block of the face spectra, per face."""
-    blocks = [s.stored_pi(space) for s in spectra]
-    return _assemble_basis(space, "pi", blocks)
+    return _assemble_basis("pi", [s.stored_pi(space) for s in spectra])
 
 
 @dataclass
 class PatchProblem:
     """Factorized Galerkin problem on the faces of one layer neighborhood.
 
-    ``slots`` places the patch unknowns in the projector's padded per-face
-    coefficient array.  ``response`` is the patch solution for each unit
-    input on the seed's own rows (see :meth:`PatchProjector.patch_problem`),
-    so applying the patch to seed data is one small product.
+    ``dof_indices`` are the basis columns of ``active_faces``; ``solve``
+    takes right-hand sides on them.
     """
 
     seed: tuple[str, int]
@@ -130,8 +110,6 @@ class PatchProblem:
     active_faces: np.ndarray
     dof_indices: np.ndarray
     factor: object = field(repr=False)
-    slots: np.ndarray | None = field(repr=False, default=None)
-    response: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -145,13 +123,12 @@ class PatchProblem:
         return self.factor.solve(rhs)
 
 
-def _dense_columns(mat: sp.csc_matrix, cols: np.ndarray) -> np.ndarray:
-    """``mat[:, cols]`` as a dense array, read straight from the CSC arrays."""
-    starts = mat.indptr[cols]
-    lens = mat.indptr[cols + 1] - starts
-    entries = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-    out = np.zeros((mat.shape[0], cols.size))
-    out[mat.indices[entries], np.repeat(np.arange(cols.size), lens)] = mat.data[entries]
+def _column_block(mat: sp.csc_matrix, start: int, stop: int) -> np.ndarray:
+    """Columns ``start:stop`` of a canonical CSC matrix as a dense array."""
+    lo, hi = mat.indptr[start], mat.indptr[stop]
+    cols = np.repeat(np.arange(stop - start), np.diff(mat.indptr[start : stop + 1]))
+    out = np.zeros((mat.shape[0], stop - start))
+    out[mat.indices[lo:hi], cols] = mat.data[lo:hi]
     return out
 
 
@@ -167,10 +144,11 @@ def _factorize(gram: np.ndarray, what: str):
 class PatchProjector:
     """Flux-energy Galerkin solver over a face basis, global and localized.
 
-    Every solve runs through one kernel: a :class:`PatchProblem` (the global
-    problem is the patch of all faces) yields coefficients that are placed
-    in a padded ``(NF, m_max)`` per-face coefficient array and lifted to the
-    fine faces by one batched product with the padded basis blocks.
+    The global problem is the patch of all faces.  A localized projection
+    with ``j`` layers is stored as two sparse response matrices
+    (:meth:`responses`), one per seed kind, built on first use by one pass
+    over all seeds.  Every application lifts basis coefficients to stored
+    values with ``basis.matrix``.
     """
 
     def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: FaceBasis):
@@ -179,62 +157,18 @@ class PatchProjector:
         self.basis = basis
         self.gram = (basis.matrix.T @ (energy @ basis.matrix)).toarray()
         self.gram = 0.5 * (self.gram + self.gram.T)
-        # Seed right-hand sides: W^T S for flux data on a face, W^T for
-        # element load functionals.
+        # Seed right-hand sides, one column block per seed: W^T S on a face's
+        # fine faces, W^T on an element's boundary rows in the order of the
+        # element functionals (traces.element_functionals).
         self._flux_rhs = (basis.matrix.T @ energy).tocsc()
-        self._load_rhs = basis.matrix.T.tocsc()
+        self._load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         self._flux_rhs.sum_duplicates()
         self._load_rhs.sum_duplicates()
-
-        mesh = space.mesh
-        nfs = space.part.faces_per_coarse
         widths = np.diff(basis.col_offsets)
-        self._m_max = int(widths.max(initial=0))
         self._nonempty = widths > 0
-        self._col_face = np.repeat(np.arange(mesh.n_faces), widths)
-        self._slots = self._col_face * self._m_max + (
-            np.arange(basis.dim) - basis.col_offsets[self._col_face]
-        )
-        self._pad_rows = mesh.n_faces * self._m_max
-        self._padded = np.zeros((mesh.n_faces, nfs, self._m_max))
-        for f, blk in enumerate(basis.blocks):
-            self._padded[f, :, : blk.shape[1]] = blk
-        # An element seed's rows are its boundary fine faces, in the order of
-        # the element functionals (traces.element_functionals).
-        self._element_rows = space.part.boundary_face_ids
-
+        self._col_face = np.repeat(np.arange(space.n_coarse_faces), widths)
         self._global: PatchProblem | None = None
-        self._problems: dict[tuple[str, int, int], PatchProblem] = {}
-        self._patch_cache: dict[bytes, object] = {}
-
-    # -- the kernel -----------------------------------------------------------------
-
-    def _lift(self, pad: np.ndarray) -> np.ndarray:
-        """Stored values of padded per-face coefficients: (NF * m_max, k) -> (n_fine, k)."""
-        k = pad.shape[1]
-        coeffs = pad.reshape(self.space.n_coarse_faces, self._m_max, k)
-        return np.matmul(self._padded, coeffs).reshape(self.space.n_fine, k)
-
-    def _solve_lift(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> np.ndarray:
-        """Solve ``problem`` for reduced right-hand sides (M, k); stored values (n_fine, k)."""
-        pad = np.zeros((self._pad_rows, rhs_reduced.shape[1]))
-        pad[problem.slots] = problem.solve(rhs_reduced[problem.dof_indices])
-        return self._lift(pad)
-
-    def _seed_sum(self, kind: str, data: np.ndarray, j: int, k: int) -> np.ndarray:
-        """Sum of the seeds' patch solutions, stored values (n_fine, k).
-
-        ``data[s]`` is seed s's input on its rows, shape (rows, k).  Seeds
-        with zero input are skipped, so no patch is set up for them; the
-        others add their response to the padded coefficients in seed order.
-        """
-        pad = np.zeros((self._pad_rows, k))
-        for s, d in enumerate(data):
-            if not d.any():
-                continue
-            problem = self.patch_problem((kind, s), j)
-            pad[problem.slots] += problem.response @ d
-        return self._lift(pad)
+        self._responses: dict[int, tuple[sp.csc_matrix, sp.csc_matrix]] = {}
 
     # -- global (reference) solves ------------------------------------------------
 
@@ -244,9 +178,7 @@ class PatchProjector:
             what = f"global {self.basis.label} energy Gram matrix"
             factor = _factorize(self.gram, what) if dim else ()
             faces = np.nonzero(self._nonempty)[0]
-            self._global = PatchProblem(
-                ("global", 0), None, faces, np.arange(dim), factor, self._slots
-            )
+            self._global = PatchProblem(("global", 0), None, faces, np.arange(dim), factor)
         return self._global
 
     def reduce_functional(self, r: np.ndarray) -> np.ndarray:
@@ -271,42 +203,26 @@ class PatchProjector:
         inside[-1] = True   # face_right is -1 on the domain boundary
         return np.nonzero(self._nonempty & inside[mesh.face_left] & inside[mesh.face_right])[0]
 
-    def _seed_rows(self, seed: tuple[str, int]) -> np.ndarray:
-        """Stored rows a seed's input lives on: its face, or its element's three faces."""
-        kind, idx = seed
-        if kind == "face":
-            nfs = self.space.part.faces_per_coarse
-            return np.arange(idx * nfs, (idx + 1) * nfs)
-        return self._element_rows[idx]
+    def patch_problem(
+        self, seed: tuple[str, int], j: int, factors: dict[bytes, object] | None = None
+    ) -> PatchProblem:
+        """Factorized patch problem of a seed's ``j``-layer neighborhood.
 
-    def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
-        """Build (or fetch) the factorized patch problem for a seed.
-
-        Problems are kept per ``(seed, j)``; factorizations are shared by
-        every seed with the same active face set.  The response block is
-        the patch solution for the seed's right-hand-side block
-        (``W^T S`` on a face seed's rows, ``W^T`` on an element's).
+        ``factors`` maps active face sets to factorizations, so seeds with
+        the same set share one; without it the problem is factored afresh.
         """
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
-        key = (seed[0], int(seed[1]), j)
-        problem = self._problems.get(key)
-        if problem is not None:
-            return problem
         faces = self.active_faces(element_layers(self.space.mesh, seed, j))
         in_patch = np.zeros(self.space.n_coarse_faces, dtype=bool)
         in_patch[faces] = True
         dofs = np.nonzero(in_patch[self._col_face])[0]
-        factor = self._patch_cache.get(faces.tobytes())
-        if factor is None:
+        factors = {} if factors is None else factors
+        key = faces.tobytes()
+        if key not in factors:
             what = f"patch Gram matrix for seed {seed}, j={j}"
-            factor = _factorize(self.gram[np.ix_(dofs, dofs)], what) if dofs.size else ()
-            self._patch_cache[faces.tobytes()] = factor
-        problem = PatchProblem(seed, j, faces, dofs, factor, self._slots[dofs])
-        rhs = self._flux_rhs if seed[0] == "face" else self._load_rhs
-        problem.response = problem.solve(_dense_columns(rhs, self._seed_rows(seed))[dofs])
-        self._problems[key] = problem
-        return problem
+            factors[key] = _factorize(self.gram[np.ix_(dofs, dofs)], what) if dofs.size else ()
+        return PatchProblem(seed, j, faces, dofs, factors[key])
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
         """Galerkin solve on the patch subspace.
@@ -315,44 +231,80 @@ class PatchProjector:
         only its active entries participate.  The output vanishes outside
         the patch faces by construction.
         """
-        return self.space.vector(self._solve_lift(problem, rhs_reduced[:, None])[:, 0])
+        coeffs = np.zeros(self.basis.dim)
+        coeffs[problem.dof_indices] = problem.solve(rhs_reduced[problem.dof_indices])
+        return self.space.vector(self.basis.matrix @ coeffs)
+
+    def responses(self, j: int) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+        """Face- and element-seed response matrices of the ``j``-layer projections.
+
+        The face matrix is ``(M, n_fine)`` and takes stored trace values;
+        the element matrix is ``(M, ne * n_bf)`` and takes the flattened
+        element functionals.  The column block of seed s holds its patch
+        solution, in basis coefficients, for each unit input on its rows;
+        CSC keeps each block as the pass computes it.  Both come from one
+        pass that calls :meth:`patch_problem` once per seed; factorizations
+        are shared within the pass and dropped after it.
+        """
+        out = self._responses.get(j)
+        if out is None:
+            factors: dict[bytes, object] = {}
+            out = (
+                self._response_matrix("face", self._flux_rhs, j, factors),
+                self._response_matrix("element", self._load_rhs, j, factors),
+            )
+            self._responses[j] = out
+        return out
+
+    def _response_matrix(
+        self, kind: str, rhs: sp.csc_matrix, j: int, factors: dict[bytes, object]
+    ) -> sp.csc_matrix:
+        """Response matrix of one seed kind; seed s's right-hand sides are a column block of ``rhs``."""
+        n_seeds = self.space.n_coarse_faces if kind == "face" else self.space.n_elements
+        width = rhs.shape[1] // n_seeds
+        dims, rows, data = [], [], []
+        for s in range(n_seeds):
+            problem = self.patch_problem((kind, s), j, factors)
+            block = _column_block(rhs, s * width, (s + 1) * width)[problem.dof_indices]
+            dims.append(problem.dim)
+            rows.append(np.tile(problem.dof_indices.astype(np.int32), width))
+            data.append(problem.solve(block).T.ravel())
+        indptr = np.concatenate(([0], np.cumsum(np.repeat(dims, width), dtype=np.int32)))
+        shape = (self.basis.dim, rhs.shape[1])
+        return sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), shape)
 
     # -- localized operator applications --------------------------------------------
 
     def apply_PjT(self, lam: TraceVector, j: int | None) -> TraceVector:
         """Face-seeded localization applied to the potential of ``lam``.
 
-        Splits the multiplier by coarse faces, solves one patch problem per
-        face carrying data, and sums.  ``j=None`` is the global reference.
+        The sum over coarse faces of the patch solutions for the
+        multiplier's restriction to each face.  ``j=None`` is the global
+        reference.
         """
         out = self.apply_PjT_columns(lam.values[:, None], j)
         return self.space.vector(out[:, 0])
 
     def apply_PjT_columns(self, columns: np.ndarray, j: int | None) -> np.ndarray:
-        """Vectorized :meth:`apply_PjT` over the columns of a matrix.
-
-        All columns share each face's patch response, so a face costs one
-        small product for every column at once.
-        """
+        """Vectorized :meth:`apply_PjT` over the columns of a matrix."""
         if j is None:
-            return self._solve_lift(self._global_problem(), self._flux_rhs @ columns)
-        nfs = self.space.part.faces_per_coarse
-        per_face = columns.reshape(self.space.n_coarse_faces, nfs, columns.shape[1])
-        return self._seed_sum("face", per_face, j, columns.shape[1])
+            coeffs = self._global_problem().solve(self._flux_rhs @ columns)
+        else:
+            coeffs = self.responses(j)[0] @ columns
+        return self.basis.matrix @ coeffs
 
     def apply_Pj(self, functionals: np.ndarray, j: int | None) -> TraceVector:
         """Element-seeded localization of a broken function.
 
         ``functionals[k]`` is the stored boundary functional of the function
         restricted to element k on its boundary rows
-        (:func:`traces.element_functionals`, ``(ne, n_bf)``); elements whose
-        row is zero are skipped.  Used to localize the load potential;
-        ``j=None`` is the global reference.
+        (:func:`traces.element_functionals`, ``(ne, n_bf)``).  Used to
+        localize the load potential; ``j=None`` is the global reference.
         """
         if j is None:
             return self.project_functional(self.space.sum_element_rows(functionals))
-        data = functionals[:, :, None]
-        return self.space.vector(self._seed_sum("element", data, j, 1)[:, 0])
+        coeffs = self.responses(j)[1] @ functionals.ravel()
+        return self.space.vector(self.basis.matrix @ coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ class Assembly:
         self.stats = stats
         self._face_spectra: dict[float, list[FaceSpectrum]] = {}
         self._projectors: dict[tuple[str, float], PatchProjector] = {}
-        self._element_spectra: dict[tuple[float, float], list[ElementSpectrum]] = {}
+        self._element_spectra: dict[tuple[float, float], ElementSpectrum] = {}
         self._coarse_bases: dict[tuple[str, float], np.ndarray] = {}
         self._upscaled: dict[tuple[str, float, int | None], UpscaledOperator] = {}
         self._union: UnionMesh | None = None
@@ -267,7 +267,7 @@ class Assembly:
             self._projectors[key] = proj
         return proj
 
-    def element_spectra(self, h_target: float, c_j: float) -> list[ElementSpectrum]:
+    def element_spectra(self, h_target: float, c_j: float) -> ElementSpectrum:
         key = (h_target, c_j)
         spectra = self._element_spectra.get(key)
         if spectra is None:
@@ -577,11 +577,9 @@ def solve_lsd(
     if rhs_reduction:
         spectra_e = assembly.element_spectra(h_target, c_j)
         g_used, remainders = project_rhs(spectra_e, assembly.caches, g)
-        sig_next = np.array(
-            [s.sigma[s.j_count] if s.j_count < len(s.sigma) else np.inf for s in spectra_e]
-        )
+        sig_next = spectra_e.sigma_next
         reduction_info = {
-            "j_counts": [s.j_count for s in spectra_e],
+            "j_counts": spectra_e.j_count.tolist(),
             "sigma_next_min": float(sig_next.min()),
             "reduction_bound": float(np.max(1.0 / np.sqrt(sig_next))),
             "dropped_norm": float(np.linalg.norm(remainders)),

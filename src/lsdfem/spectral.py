@@ -164,20 +164,41 @@ def _face_spectra(
 
 @dataclass
 class ElementSpectrum:
-    """Neumann pencil of one element and the load-space cut.
+    """Neumann pencils of every element and the load-space cut, stacked.
 
-    ``sigma[0]`` is zero with the constant eigenfunction; eigenvectors are
-    orthogonal in both the A-energy and the weighted mass.  ``j_count`` is
-    the smallest J (at least 1, so constants always survive) with
-    1/sigma_{J+1} <= c_j * h_target**2.
+    The fields carry a leading element axis; ``spectra[t]`` is element t's
+    view (``elem`` and ``j_count`` ints) and iteration yields the views in
+    element order.  ``sigma[..., 0]`` is zero with the constant
+    eigenfunction; eigenvectors are orthogonal in both the A-energy and
+    the weighted mass.  ``j_count`` is the smallest J (at least 1, so
+    constants always survive) with 1/sigma_{J+1} <= c_j * h_target**2.
     """
 
-    elem: int
-    sigma: np.ndarray
-    vectors: np.ndarray
-    j_count: int
+    elem: np.ndarray | int
+    sigma: np.ndarray            # (ne, nn) ascending
+    vectors: np.ndarray          # (ne, nn, nn) eigenvectors as columns
+    j_count: np.ndarray | int    # (ne,)
     h_target: float
     c_j: float
+
+    def __len__(self) -> int:
+        return len(self.elem)
+
+    def __getitem__(self, t: int) -> "ElementSpectrum":
+        return ElementSpectrum(
+            int(self.elem[t]), self.sigma[t], self.vectors[t], int(self.j_count[t]),
+            self.h_target, self.c_j,
+        )
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    @property
+    def sigma_next(self) -> np.ndarray:
+        """First dropped eigenvalue sigma_{J+1}; infinite where every mode is kept."""
+        j = np.asarray(self.j_count)
+        padded = np.append(self.sigma, np.full(j.shape + (1,), np.inf), axis=-1)
+        return np.take_along_axis(padded, j[..., None], axis=-1)[..., 0]
 
 
 def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
@@ -185,7 +206,7 @@ def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> 
     return all_element_spectra(cache, h_target, c_j)[0]
 
 
-def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> list[ElementSpectrum]:
+def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
     """Neumann pencils of all elements (or of one element's view), solved as one stack."""
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
@@ -197,14 +218,11 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     sigma = np.maximum(sigma, 0.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, sigma.shape[1])
-    return [
-        ElementSpectrum(int(e), sigma[i], vectors[i], int(j_count[i]), h_target, c_j)
-        for i, e in enumerate(elems)
-    ]
+    return ElementSpectrum(elems, sigma, vectors, j_count, h_target, c_j)
 
 
 def project_rhs(
-    spectra: list[ElementSpectrum],
+    spectra: ElementSpectrum,
     caches: ElementCache,
     g: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +235,8 @@ def project_rhs(
     dropped.
     """
     g = np.asarray(g, dtype=float)
-    vectors = np.stack([s.vectors for s in spectra])
-    kept_modes = np.arange(vectors.shape[-1]) < np.array([s.j_count for s in spectra])[:, None]
+    vectors = spectra.vectors
+    kept_modes = np.arange(vectors.shape[-1]) < spectra.j_count[:, None]
     coeffs = np.einsum("eij,ei->ej", vectors, np.einsum("eij,ej->ei", caches.mass, g)) * kept_modes
     projected = np.einsum("eij,ej->ei", vectors, coeffs)
     return projected, np.sqrt(np.maximum(quadratic_forms(caches.mass, g - projected), 0.0))

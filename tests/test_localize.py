@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsdfem.localize import delta_basis, pi_basis, plain_basis, ring_energies
-from lsdfem.localop import apply_T
-from lsdfem.mesh import element_layers, saturation_depth, saturation_radius
-from lsdfem.traces import boundary_functional, element_functionals
+from lsdfem.coeff import local_bounds, make_weight
+from lsdfem.localize import build_flux_energy, delta_basis, pi_basis, plain_basis, ring_energies
+from lsdfem.localop import apply_T, assemble_all
+from lsdfem.mesh import element_layers, refine_faces, saturation_depth, saturation_radius
+from lsdfem.pipeline import Assembly
+from lsdfem.presets import coefficient_field
+from lsdfem.traces import boundary_functional, build_trace_space, element_functionals
+from test_mesh import meshes
 
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
@@ -114,15 +120,65 @@ def test_patch_galerkin_optimality(asm_mixed):
 
     best = err_energy(sol.values)
     for _ in range(6):
-        x = rng.standard_normal(problem.dim)
-        cand = proj.solve_patch(problem, np.zeros(proj.basis.dim)).values.copy()
-        pos = 0
-        nfs = asm_mixed.part.faces_per_coarse
-        for f in problem.active_faces:
-            blk = proj.basis.blocks[f]
-            cand[f * nfs : (f + 1) * nfs] += blk @ x[pos : pos + blk.shape[1]]
-            pos += blk.shape[1]
+        cand = proj.basis.matrix[:, problem.dof_indices] @ rng.standard_normal(problem.dim)
         assert err_energy(cand) >= best - 1e-12 * max(best, 1.0)
+
+
+def assembly_on(mesh, face_level):
+    part = refine_faces(mesh, face_level)
+    coeff = coefficient_field(part, "checkerboard", {"contrast": 1e2, "cells": 4})
+    weight = make_weight("one", coeff)
+    caches = assemble_all(coeff, weight, part)
+    space = build_trace_space(part)
+    return Assembly(mesh, part, coeff, weight, caches, space, build_flux_energy(space, caches),
+                    local_bounds(coeff))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mesh=meshes(),
+    face_level=st.integers(1, 2),
+    variant=st.sampled_from(["plain", "delta"]),
+    data=st.data(),
+)
+def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
+    # A seed's block of the response matrix is its patch solve, it vanishes
+    # on the basis columns of inactive faces, and at the saturation radius
+    # both localized projections are the global one.
+    asm = assembly_on(mesh, face_level)
+    space, part = asm.space, asm.part
+    proj = asm.projector(variant, 4.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["face", "element"]))
+    seed = (kind, data.draw(st.integers(0, (mesh.n_faces if kind == "face" else mesh.n_elements) - 1)))
+    j = data.draw(st.integers(1, 3))
+    face_r, element_r = proj.responses(j)
+    r = np.zeros(space.n_fine)
+    if kind == "face":
+        rows = np.arange(seed[1] * part.faces_per_coarse, (seed[1] + 1) * part.faces_per_coarse)
+        x = rng.standard_normal(rows.size)
+        r[rows] = x
+        r = asm.energy @ r
+        block = face_r[:, rows].toarray()
+    else:
+        rows = part.boundary_face_ids[seed[1]]
+        x = rng.standard_normal(rows.size)
+        np.add.at(r, rows, x)
+        block = element_r[:, seed[1] * rows.size : (seed[1] + 1) * rows.size].toarray()
+    problem = proj.patch_problem(seed, j)
+    expected = proj.solve_patch(problem, proj.reduce_functional(r)).values
+    assert np.abs(proj.basis.matrix @ (block @ x) - expected).max() <= 1e-12 * np.abs(expected).max()
+    col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
+    assert not block[~np.isin(col_face, problem.active_faces)].any()
+
+    jstar = saturation_radius(mesh)
+    lam = space.vector(rng.standard_normal(space.n_fine))
+    functionals = rng.standard_normal(part.boundary_face_ids.shape)
+    for loc, glob in (
+        (proj.apply_PjT(lam, jstar), proj.apply_PjT(lam, None)),
+        (proj.apply_Pj(functionals, jstar), proj.apply_Pj(functionals, None)),
+    ):
+        assert np.abs(loc.values - glob.values).max() <= 1e-10 * np.abs(glob.values).max()
 
 
 @pytest.mark.parametrize("variant", ["plain", "delta"])
@@ -168,8 +224,8 @@ def test_localization_error_nonincreasing_in_j(asm_mixed):
 
 
 def test_element_seeded_application(asm_mixed):
-    # A function supported on one element needs exactly one patch solve,
-    # and the saturated version matches the global projection.
+    # A function supported on one element, localized with enough layers
+    # to saturate that element's patch, matches the global projection.
     proj = asm_mixed.projector("plain", 4.0)
     nodes = asm_mixed.part.nodes
     v = np.zeros(nodes.shape[:2])

@@ -200,6 +200,30 @@ def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_patch_problems_set_up_once_per_seed(monkeypatch):
+    # A cold solve sets up every face and element seed's patch exactly once,
+    # for the upscaled operator and the load's two passes together; a warm
+    # solve sets up none.
+    from lsdfem.localize import PatchProjector
+
+    asm = make_assembly(4, 4, 1, "smooth")
+    g = sample_load(asm.part, smooth_g)
+    build, seeds = PatchProjector.patch_problem, []
+
+    def counted(self, seed, j, *args):
+        seeds.append((seed, j))
+        return build(self, seed, j, *args)
+
+    monkeypatch.setattr(PatchProjector, "patch_problem", counted)
+    solve_lsd(asm, g, 2, "delta", 4.0)
+    expected = [(("face", f), 2) for f in range(asm.mesh.n_faces)]
+    expected += [(("element", e), 2) for e in range(asm.mesh.n_elements)]
+    assert sorted(seeds) == sorted(expected)
+    seeds.clear()
+    solve_lsd(asm, g, 2, "delta", 4.0)
+    assert seeds == []
+
+
 def test_equilibrium_at_small_j(asm_mixed):
     g = sample_load(asm_mixed.part, smooth_g)
     for j in (1, 2):

@@ -8,6 +8,7 @@ from conftest import make_assembly
 from lsdfem.localop import face_blocks
 from lsdfem.spectral import (
     NotSPDError,
+    all_element_spectra,
     all_face_spectra,
     element_spectrum,
     face_spectrum,
@@ -228,6 +229,23 @@ def test_element_spectrum_basics(asm_mixed):
     assert spec.j_count >= 1
 
 
+def test_element_spectra_stack_and_views(asm_mixed):
+    # One stack for all elements; spectra[t] is a view of it, and the first
+    # dropped eigenvalue is infinite where every mode is kept.
+    spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
+    assert len(spectra) == asm_mixed.mesh.n_elements
+    for t, spec in enumerate(spectra):
+        assert spec.elem == t and np.shares_memory(spec.vectors, spectra.vectors)
+        single = element_spectrum(asm_mixed.caches[t], h_target=0.5)
+        assert np.allclose(single.sigma, spec.sigma, rtol=1e-10, atol=1e-10)
+        assert single.j_count == spec.j_count
+        first_dropped = spec.sigma[spec.j_count] if spec.j_count < len(spec.sigma) else np.inf
+        assert spec.sigma_next == first_dropped == spectra.sigma_next[t]
+    all_kept = all_element_spectra(asm_mixed.caches, h_target=1e-9)
+    assert np.all(all_kept.j_count == all_kept.sigma.shape[1])
+    assert np.all(all_kept.sigma_next == np.inf)
+
+
 def test_element_sigma2_against_dense_oracle():
     # Unit square split in two triangles, A = I, rho = 1: check sigma_2 of
     # one element against an independent dense eigensolve.
@@ -251,7 +269,7 @@ def test_element_eigvector_double_orthogonality(asm_mixed):
 
 
 def test_project_rhs_identities(asm_mixed):
-    spectra = [element_spectrum(c, h_target=0.5) for c in asm_mixed.caches]
+    spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     # Piecewise constant load is reproduced exactly.
     g_const = [np.full(c.geom.n_nodes, 2.0 + c.elem) for c in asm_mixed.caches]
     proj, rem = project_rhs(spectra, asm_mixed.caches, g_const)
@@ -296,8 +314,6 @@ def test_spectrum_dump(tmp_path, asm_smooth_4):
 
 
 def test_projection_idempotent_and_doubly_orthogonal(asm_mixed):
-    from lsdfem.spectral import all_element_spectra
-
     spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     rng = np.random.default_rng(41)
     g = [rng.standard_normal(c.geom.n_nodes) for c in asm_mixed.caches]
