@@ -196,10 +196,7 @@ def build_mesh(
     # Rotate the tangent by -90 degrees: outward from the left element.
     face_normals = np.column_stack((tangents[:, 1], -tangents[:, 0])) / face_measures[:, None]
 
-    element_face_signs = np.empty((ne, 3), dtype=int)
-    for t in range(ne):
-        for e in range(3):
-            element_face_signs[t, e] = 1 if face_left[element_faces[t, e]] == t else -1
+    element_face_signs = np.where(face_left[element_faces] == np.arange(ne)[:, None], 1, -1)
 
     centroids = vertices[elements].mean(axis=1)
     edge_l = np.stack(
@@ -273,17 +270,10 @@ def build_structured_mesh(
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack((xx.ravel(), yy.ravel()))
 
-    def vid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
-
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-    return build_mesh(vertices, np.array(elements, dtype=int))
+    # Lower-left vertex a of each cell, row by row; b, c, d follow ccw.
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    return build_mesh(vertices, np.column_stack((a, b, c, a, c, d)).reshape(-1, 3))
 
 
 def _first_layer(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:

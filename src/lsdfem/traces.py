@@ -11,6 +11,11 @@ The space splits into three complementary blocks:
 * the span of the per-element jump functionals (one per coarse element),
 * face-constant vectors with zero pairing against piecewise constants,
 * vectors with zero average on every coarse face (the fine remainder).
+
+The face-constant block (divergence-free face fluxes) is built in closed
+form: by the discrete de Rham sequence it is spanned by the curls of the P1
+hat functions, one per used vertex less one, plus one harmonic field per
+hole, which only a mesh with holes computes, as a small null space.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ class TraceSpace:
     jump_basis: sp.csr_matrix       # (n_fine, N): stored lambda0_i columns
     pairing_matrix: np.ndarray      # (N, N): entry [i, j] = (lambda0_i, 1_tau_j)
     zero_mean: np.ndarray           # (nfs, nfs - 1): per-face zero-average basis
-    face_constant_coeffs: np.ndarray  # (NF, NF - N): face-constant block, coefficients
+    face_constant_coeffs: np.ndarray  # (NF, NF - N): hat-function curls, then one field per hole
     _lu: spla.SuperLU | None = None
 
     @property
@@ -237,20 +242,23 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     zm = zero_mean_basis(np.full(nfs, 1.0))  # equal sub-face measures per face
 
     # Face-constant block: coefficients c with sum_F sign(tau,F) c_F |F| = 0
-    # for every element.  Null space via column-pivoted QR of the constraint.
-    constraint = np.zeros((n, nf))
-    signed = mesh.element_face_signs * mesh.face_measures[mesh.element_faces]
-    np.add.at(constraint, (np.repeat(np.arange(n), 3), mesh.element_faces.ravel()), signed.ravel())
-    q, r, _ = scipy.linalg.qr(constraint.T, pivoting=True)
-    diag = np.abs(np.diag(r)) if r.size else np.array([])
-    tol = (diag.max() if diag.size else 0.0) * max(n, nf) * np.finfo(float).eps
-    rank = int((diag > tol).sum())
-    if rank != n:
+    # for every element.  The curl of vertex v's hat function has flux
+    # delta_{v=b} - delta_{v=a} through F = (a, b); all but one are independent.
+    used = np.unique(mesh.faces)
+    a, b = np.searchsorted(used, mesh.faces).T
+    curls = np.zeros((nf, used.size))
+    curls[np.arange(nf), b] = 1.0 / mesh.face_measures
+    curls[np.arange(nf), a] = -1.0 / mesh.face_measures
+    face_constant_coeffs = curls[:, 1:]
+    if nf - n > used.size - 1:  # each hole adds a field that no curl spans
+        constraint = pair_v0 @ sp.kron(sp.identity(nf), np.ones((nfs, 1)))
+        holes = scipy.linalg.null_space(np.vstack([constraint.toarray(), face_constant_coeffs.T]))
+        face_constant_coeffs = np.hstack([face_constant_coeffs, holes])
+    if face_constant_coeffs.shape[1] != nf - n:
         raise AssertionError(
-            f"constant-constraint matrix has rank {rank}, expected {n}; "
-            "the jump functionals would be dependent"
+            f"face-constant basis has {face_constant_coeffs.shape[1]} columns, "
+            f"expected NF - NE = {nf - n}"
         )
-    face_constant_coeffs = q[:, rank:]
 
     return TraceSpace(
         mesh=mesh,

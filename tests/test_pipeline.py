@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_assembly
+from test_mesh import grid_mesh
 from lsdfem.localop import broken_energy
+from lsdfem.mesh import build_mesh, build_structured_mesh, save_mesh
 from lsdfem.pipeline import (
     PipelineError,
     SolverConfig,
@@ -246,14 +248,40 @@ def test_exact_hybrid_weak_continuity(asm_mixed):
     assert np.abs(r).max() <= 1e-10 * scale
 
 
-def test_four_step_reproduces_monolithic(asm_mixed):
-    g = sample_load(asm_mixed.part, smooth_g)
-    sol = solve_lsd(asm_mixed, g, None, "plain", 4.0)
-    u_ref, lam_ref = exact_hybrid_solve(asm_mixed, g)
-    ref = broken_energy(asm_mixed.caches, u_ref) ** 0.5
-    assert energy_error(asm_mixed.caches, u_ref, sol.u_broken) <= 1e-10 * ref
+def holed_mesh():
+    """Jittered grid with one cell removed: one hole, so one face-constant field is no curl."""
+    return grid_mesh(5, 4, np.random.default_rng(4), hole=True)
+
+
+def unused_vertex_mesh():
+    """Grid whose vertex list starts with a vertex that no element uses."""
+    base = build_structured_mesh(3, 3)
+    return build_mesh(np.vstack([[0.5, 0.5], base.vertices]), base.elements + 1)
+
+
+@pytest.mark.parametrize(
+    "mesh_fn", [None, holed_mesh, unused_vertex_mesh], ids=["structured", "holed", "unused_vertex"]
+)
+def test_four_step_reproduces_monolithic(asm_mixed, mesh_fn, tmp_path):
+    asm = asm_mixed
+    if mesh_fn is not None:
+        path = str(tmp_path / "mesh.txt")
+        save_mesh(mesh_fn(), path)
+        asm = build_assembly(
+            SolverConfig(
+                mesh_file=path,
+                face_level=2,
+                coefficient="checkerboard",
+                coefficient_params={"contrast": 1e3, "cells": 4},
+            )
+        )
+    g = sample_load(asm.part, smooth_g)
+    sol = solve_lsd(asm, g, None, "plain", 4.0)
+    u_ref, lam_ref = exact_hybrid_solve(asm, g)
+    ref = broken_energy(asm.caches, u_ref) ** 0.5
+    assert energy_error(asm.caches, u_ref, sol.u_broken) <= 1e-10 * ref
     # u0 agrees with the weighted average of the monolithic solution.
-    for cache in asm_mixed.caches:
+    for cache in asm.caches:
         t = cache.elem
         mean = (cache.mean_vector @ u_ref[t]) / cache.mean_vector.sum()
         assert sol.u0.values[t] == pytest.approx(mean, rel=1e-8, abs=1e-10)

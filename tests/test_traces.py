@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 from conftest import pairing_bruteforce
+from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.traces import (
     PiecewiseConstant,
@@ -155,13 +158,34 @@ def test_decompose_fixed_points(space):
     assert np.allclose(mtf.values, pure.values, atol=1e-12)
 
 
-def test_tilde0_basis_satisfies_constraints(space):
+def face_constant_reference(mesh):
+    """Null space of the NE x NF face-constant constraint by column-pivoted QR."""
+    n, nf = mesh.n_elements, mesh.n_faces
+    constraint = np.zeros((n, nf))
+    signed = mesh.element_face_signs * mesh.face_measures[mesh.element_faces]
+    np.add.at(constraint, (np.repeat(np.arange(n), 3), mesh.element_faces.ravel()), signed.ravel())
+    q, r, _ = scipy.linalg.qr(constraint.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > diag.max() * max(n, nf) * np.finfo(float).eps).sum())
+    assert rank == n
+    return q[:, rank:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=meshes())
+def test_tilde0_basis_satisfies_constraints(mesh):
+    space = build_trace_space(refine_faces(mesh, 1))
+    coeffs = space.face_constant_coeffs
+    assert coeffs.shape == (mesh.n_faces, mesh.n_faces - mesh.n_elements)
     stored = space.tilde0_stored_basis()
     assert stored.shape[1] == space.dim_tilde0
-    constraints = space.pair_v0 @ stored
-    assert np.abs(constraints).max() < 1e-12
-    rank = np.linalg.matrix_rank(stored)
-    assert rank == space.dim_tilde0
+    assert np.abs(space.pair_v0 @ stored).max() < 1e-12
+    assert np.linalg.matrix_rank(coeffs) == space.dim_tilde0
+    # Same span as the QR null space: the basis has no part outside it.
+    ref = face_constant_reference(mesh)
+    assert ref.shape == coeffs.shape
+    outside = coeffs - ref @ (ref.T @ coeffs)
+    assert np.abs(outside).max() < 1e-12 * np.abs(coeffs).max()
 
 
 def test_solve_v0_pairing_against_dense_oracle(space):
