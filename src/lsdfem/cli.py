@@ -83,14 +83,19 @@ class ExperimentSpec:
         return cls(kind=kind, config=cfg, sweep=sweep, out_dir=data.get("out", "lsdfem-out"), seed=seed)
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(path: str, columns: dict) -> None:
+    """Write equal-length columns as CSV (floats as ``repr``, CRLF line ends); nothing without rows."""
+    rows = list(zip(*columns.values()))
+    if rows:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+
+
+def _columns(rows: list[dict]) -> dict:
+    """The columns of a list of rows that share their keys."""
+    return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -135,37 +140,31 @@ def run_solve(spec: ExperimentSpec) -> dict:
     out = spec.out_dir
     _write_json(os.path.join(out, "report.json"), report)
     solution.lam_total.to_binary(os.path.join(out, "multiplier.bin"))
-    rows = [
-        {
-            "element": t,
-            "u_constant": float(solution.u0.values[t]),
-            "u_min": float(u_t.min()),
-            "u_max": float(u_t.max()),
-            "flux_max": float(np.abs(solution.sigma[t]).max()),
-            "config_hash": report["config_hash"],
-        }
-        for t, u_t in enumerate(solution.u_broken)
-    ]
-    _write_csv(os.path.join(out, "solution_summary.csv"), rows)
-    nodal = [
-        {"element": t, "node": i, "x": float(x), "y": float(y), "u": float(u)}
-        for t, u_t in enumerate(solution.u_broken)
-        for i, ((x, y), u) in enumerate(zip(assembly.part.nodes[t], u_t))
-    ]
-    _write_csv(os.path.join(out, "solution_nodal.csv"), nodal)
-    flux = [
-        {
-            "element": t,
-            "cell": c,
-            "x": float(xc),
-            "y": float(yc),
-            "sigma_x": float(s[0]),
-            "sigma_y": float(s[1]),
-        }
-        for t, sig in enumerate(solution.sigma)
-        for c, (s, (xc, yc)) in enumerate(zip(sig, assembly.part.cell_centroids[t]))
-    ]
-    _write_csv(os.path.join(out, "flux_cells.csv"), flux)
+    u, sigma, part = solution.u_broken, solution.sigma, assembly.part
+    (ne, nn), nc = u.shape, sigma.shape[1]
+    _write_csv(os.path.join(out, "solution_summary.csv"), {
+        "element": range(ne),
+        "u_constant": solution.u0.values.tolist(),
+        "u_min": u.min(axis=1).tolist(),
+        "u_max": u.max(axis=1).tolist(),
+        "flux_max": np.abs(sigma).max(axis=(1, 2)).tolist(),
+        "config_hash": [report["config_hash"]] * ne,
+    })
+    _write_csv(os.path.join(out, "solution_nodal.csv"), {
+        "element": np.repeat(np.arange(ne), nn).tolist(),
+        "node": np.tile(np.arange(nn), ne).tolist(),
+        "x": part.nodes[..., 0].ravel().tolist(),
+        "y": part.nodes[..., 1].ravel().tolist(),
+        "u": u.ravel().tolist(),
+    })
+    _write_csv(os.path.join(out, "flux_cells.csv"), {
+        "element": np.repeat(np.arange(ne), nc).tolist(),
+        "cell": np.tile(np.arange(nc), ne).tolist(),
+        "x": part.cell_centroids[..., 0].ravel().tolist(),
+        "y": part.cell_centroids[..., 1].ravel().tolist(),
+        "sigma_x": sigma[..., 0].ravel().tolist(),
+        "sigma_y": sigma[..., 1].ravel().tolist(),
+    })
     return report
 
 
@@ -196,7 +195,7 @@ def run_decay(spec: ExperimentSpec) -> dict:
             "worst_step": profile.worst_step,
             "total": profile.total,
         }
-    _write_csv(os.path.join(spec.out_dir, "decay.csv"), rows)
+    _write_csv(os.path.join(spec.out_dir, "decay.csv"), _columns(rows))
     payload = {"config_hash": cfg.digest(), "seed_element": elem, "fit": summary}
     _write_json(os.path.join(spec.out_dir, "decay.json"), payload)
     return payload
@@ -223,7 +222,7 @@ def run_j_sweep(spec: ExperimentSpec) -> dict:
                 "config_hash": cfg.digest(),
             }
         )
-    _write_csv(os.path.join(spec.out_dir, "j_sweep.csv"), rows)
+    _write_csv(os.path.join(spec.out_dir, "j_sweep.csv"), _columns(rows))
     payload = {"rows": rows, "config_hash": cfg.digest()}
     _write_json(os.path.join(spec.out_dir, "j_sweep.json"), payload)
     return payload
@@ -257,7 +256,7 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
                     "config_hash": sub.digest(),
                 }
             )
-    _write_csv(os.path.join(spec.out_dir, "contrast_sweep.csv"), rows)
+    _write_csv(os.path.join(spec.out_dir, "contrast_sweep.csv"), _columns(rows))
     payload = {"rows": rows}
     _write_json(os.path.join(spec.out_dir, "contrast_sweep.json"), payload)
     return payload
@@ -300,7 +299,7 @@ def run_h_convergence(spec: ExperimentSpec) -> dict:
             }
         )
         prev = (h_coarse, err)
-    _write_csv(os.path.join(spec.out_dir, "h_convergence.csv"), rows)
+    _write_csv(os.path.join(spec.out_dir, "h_convergence.csv"), _columns(rows))
     payload = {"rows": rows}
     _write_json(os.path.join(spec.out_dir, "h_convergence.json"), payload)
     return payload
@@ -334,7 +333,7 @@ def run_rhs_reduction(spec: ExperimentSpec) -> dict:
                 "config_hash": cfg.digest(),
             }
         )
-    _write_csv(os.path.join(spec.out_dir, "rhs_reduction.csv"), rows)
+    _write_csv(os.path.join(spec.out_dir, "rhs_reduction.csv"), _columns(rows))
     payload = {"rows": rows}
     _write_json(os.path.join(spec.out_dir, "rhs_reduction.json"), payload)
     return payload

@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .localop import ElementCache, quadratic_forms
+from .localop import ElementCache, quadratic_forms, scatter_blocks
 from .mesh import CoarseMesh, element_layers, layer_distances
 from .spectral import FaceSpectrum
 from .traces import TraceSpace, TraceVector
@@ -52,11 +52,7 @@ def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
     """
     ids, signs = space.part.boundary_face_ids, space.part.boundary_signs
     signed = (caches.flux_energy * signs[:, None, :]) * signs[:, :, None]
-    rows = np.broadcast_to(ids[:, :, None], signed.shape).ravel()
-    cols = np.broadcast_to(ids[:, None, :], signed.shape).ravel()
-    mat = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(space.n_fine,) * 2)
-    mat.sum_duplicates()
-    return mat
+    return scatter_blocks(signed, ids, ids, (space.n_fine,) * 2)
 
 
 @dataclass
@@ -155,8 +151,8 @@ class PatchProjector:
         self.space = space
         self.energy = energy
         self.basis = basis
-        self.gram = (basis.matrix.T @ (energy @ basis.matrix)).toarray()
-        self.gram = 0.5 * (self.gram + self.gram.T)
+        gram = basis.matrix.T @ (energy @ basis.matrix)
+        self.gram = (0.5 * (gram + gram.T)).toarray()
         # Seed right-hand sides, one column block per seed: W^T S on a face's
         # fine faces, W^T on an element's boundary rows in the order of the
         # element functionals (traces.element_functionals).

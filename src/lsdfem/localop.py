@@ -40,6 +40,7 @@ __all__ = [
     "broken_energy",
     "quadratic_forms",
     "saddle_solve",
+    "scatter_blocks",
 ]
 
 
@@ -84,6 +85,21 @@ class ElementCache:
 
 def _sym(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + mats.swapaxes(-1, -2))
+
+
+def scatter_blocks(
+    blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """Sum element blocks ``(ne, a, b)`` into a CSR matrix at ``rows (ne, a)``, ``cols (ne, b)``.
+
+    Zero block entries and sums that cancel exactly are not stored.
+    """
+    keep = blocks != 0
+    r = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
+    c = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
+    mat = sp.csr_matrix((blocks[keep], (r, c)), shape=shape)
+    mat.eliminate_zeros()
+    return mat
 
 
 def _scatter_cells(local: np.ndarray, cells: np.ndarray) -> np.ndarray:

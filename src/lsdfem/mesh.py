@@ -15,7 +15,6 @@ adjacent when their closures share a vertex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,19 +103,16 @@ class CoarseMesh:
         return float(self.face_measures[self.element_faces[elem]].sum())
 
 
-def _triangle_quality(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
-    """Signed area and circumradius/inradius ratio of a triangle."""
-    a = np.linalg.norm(p1 - p2)
-    b = np.linalg.norm(p2 - p0)
-    c = np.linalg.norm(p0 - p1)
-    signed = 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-    area = abs(signed)
-    if area == 0.0:
-        return signed, math.inf
-    s = 0.5 * (a + b + c)
-    circum = a * b * c / (4.0 * area)
-    inrad = area / s
-    return signed, circum / inrad
+def _triangle_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas and circumradius/inradius ratios (not finite if degenerate) of triangles ``p``."""
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    a, b, c = (np.linalg.norm(d, axis=1) for d in (p[:, 1] - p[:, 2], d2, d1))
+    signed = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
+    area = np.abs(signed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circum = a * b * c / (4.0 * area)
+        inrad = area / (0.5 * (a + b + c))
+        return signed, circum / inrad
 
 
 def build_mesh(
@@ -128,7 +124,8 @@ def build_mesh(
 
     Elements are reoriented counterclockwise if needed.  Raises
     :class:`MeshError` on degenerate elements, shape-regularity
-    violations, or faces shared by more than two elements.
+    violations, or faces shared by more than two elements; the message
+    names the first such element or face.
     """
     vertices = np.asarray(vertices, dtype=float)
     elements = np.asarray(elements, dtype=int).copy()
@@ -140,53 +137,37 @@ def build_mesh(
         raise MeshError("element vertex index out of range")
 
     ne = elements.shape[0]
-    areas = np.empty(ne)
-    for t in range(ne):
-        p = vertices[elements[t]]
-        signed, ratio = _triangle_quality(p[0], p[1], p[2])
-        if signed == 0.0:
+    signed, ratio = _triangle_quality(vertices[elements])
+    degenerate = signed == 0.0
+    bad = np.flatnonzero(degenerate | (ratio > shape_regularity_bound))
+    if bad.size:
+        t = bad[0]
+        if degenerate[t]:
             raise MeshError(f"element {t} is degenerate")
-        if signed < 0.0:
-            elements[t, 1], elements[t, 2] = elements[t, 2], elements[t, 1]
-            signed = -signed
-        if ratio > shape_regularity_bound:
-            raise MeshError(
-                f"element {t} violates shape regularity: ratio {ratio:.3g} > "
-                f"{shape_regularity_bound:.3g}"
-            )
-        areas[t] = signed
+        raise MeshError(
+            f"element {t} violates shape regularity: ratio {ratio[t]:.3g} > "
+            f"{shape_regularity_bound:.3g}"
+        )
+    elements[signed < 0.0] = elements[signed < 0.0][:, [0, 2, 1]]
+    areas = np.abs(signed)
 
-    # Collect unique faces.  key: sorted vertex pair.
-    face_of: dict[tuple[int, int], int] = {}
-    face_pairs: list[tuple[int, int]] = []     # oriented as first seen (ccw in first element)
-    incident: list[list[int]] = []
-    element_faces = np.empty((ne, 3), dtype=int)
-    for t in range(ne):
-        v = elements[t]
-        for e, (a, b) in enumerate(((v[0], v[1]), (v[1], v[2]), (v[2], v[0]))):
-            key = (min(a, b), max(a, b))
-            fid = face_of.get(key)
-            if fid is None:
-                fid = len(face_pairs)
-                face_of[key] = fid
-                face_pairs.append((int(a), int(b)))
-                incident.append([t])
-            else:
-                incident[fid].append(t)
-            element_faces[t, e] = fid
-
-    nf = len(face_pairs)
-    faces = np.array(face_pairs, dtype=int)
-    face_left = np.full(nf, -1, dtype=int)
-    face_right = np.full(nf, -1, dtype=int)
-    for fid, elems in enumerate(incident):
-        if len(elems) > 2:
-            raise MeshError(f"face {fid} shared by more than two elements")
-        # The first incident element traversed (a, b) ccw, so it is the
-        # left element for the stored orientation.
-        face_left[fid] = elems[0]
-        if len(elems) == 2:
-            face_right[fid] = elems[1]
+    # Local edges (0-1, 1-2, 2-0) of every element, ccw, in element order.
+    # Faces are numbered in order of first appearance and oriented as first
+    # seen, so the first incident element is the left one.
+    edges = elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    edge_face = np.argsort(order)[inverse.ravel()]
+    first, counts = first[order], counts[order]
+    if np.any(counts > 2):
+        raise MeshError(f"face {np.argmax(counts > 2)} shared by more than two elements")
+    faces, face_left = edges[first], first // 3
+    element_faces = edge_face.reshape(ne, 3)
+    face_right = np.full(first.size, -1, dtype=int)
+    later = np.ones(edge_face.size, dtype=bool)
+    later[first] = False
+    face_right[edge_face[later]] = np.flatnonzero(later) // 3
     face_boundary = face_right < 0
 
     tangents = vertices[faces[:, 1]] - vertices[faces[:, 0]]
@@ -601,6 +582,11 @@ class UnionMesh:
     nodes: np.ndarray
     node_maps: np.ndarray          # (ne, nn): local node id -> union node id
     boundary: np.ndarray           # union node ids on the domain boundary
+
+    @property
+    def free(self) -> np.ndarray:
+        """Union node ids off the domain boundary."""
+        return np.setdiff1d(np.arange(self.nodes.shape[0]), self.boundary)
 
 
 def build_union_mesh(part: FinePartition) -> UnionMesh:

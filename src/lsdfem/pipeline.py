@@ -47,6 +47,7 @@ from .localop import (
     assemble_all,
     broken_energy,
     quadratic_forms,
+    scatter_blocks,
 )
 from .mesh import (
     CoarseMesh,
@@ -623,16 +624,13 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
     """
     part = assembly.part
     caches = assembly.caches
-    stiffness = caches.stiffness
-    ne, nn = stiffness.shape[:2]
+    ne, nn = caches.stiffness.shape[:2]
     nu, nl = ne * nn, assembly.space.n_fine
-    nodes = np.arange(nu).reshape(ne, 1, nn)
-    k_mat = sp.csr_matrix((stiffness.ravel(), _block_indices(nodes[:, 0])), shape=(nu, nu))
+    nodes = np.arange(nu).reshape(ne, nn)
+    k_mat = scatter_blocks(caches.stiffness, nodes, nodes, (nu, nu))
     # Constraint block: -(mu, u) rows and the symmetric -(lambda, v) columns.
     signed = -(part.boundary_signs[:, :, None] * part.trace_matrix)
-    rows = np.broadcast_to(part.boundary_face_ids[:, :, None], signed.shape).ravel()
-    cols = np.broadcast_to(nodes, signed.shape).ravel()
-    cons = sp.csr_matrix((signed.ravel(), (rows, cols)), shape=(nl, nu))
+    cons = scatter_blocks(signed, part.boundary_face_ids, nodes, (nl, nu))
     mat = sp.bmat([[k_mat, cons.T], [cons, None]], format="csc")
     load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
     rhs = np.concatenate([load.ravel(), np.zeros(nl)])
@@ -644,10 +642,15 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
     return sol[:nu].reshape(ne, nn), assembly.space.vector(sol[nu:])
 
 
-def _block_indices(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of element blocks (ne, nn, nn) scattered by ``maps`` (ne, nn)."""
-    nn = maps.shape[1]
-    return np.repeat(maps, nn, axis=1).ravel(), np.tile(maps, nn).ravel()
+def _union_free_matrix(assembly: Assembly, blocks: np.ndarray) -> sp.csr_matrix:
+    """Element blocks summed on the union mesh, restricted to its nodes off the boundary.
+
+    The restriction imposes the zero Dirichlet condition of both union-mesh
+    computations, the conforming oracle and the Poincare estimate.
+    """
+    union = assembly.union_mesh()
+    ng, free = union.nodes.shape[0], union.free
+    return scatter_blocks(blocks, union.node_maps, union.node_maps, (ng, ng))[free][:, free]
 
 
 def poincare_estimate(assembly: Assembly) -> float:
@@ -658,19 +661,11 @@ def poincare_estimate(assembly: Assembly) -> float:
     smallest eigenvalue of the global stiffness/mass pencil.  A measured
     diagnostic, not an input to the method.
     """
-    import scipy.sparse.linalg as sla
-
-    union = assembly.union_mesh()
-    ng = union.nodes.shape[0]
-    idx = _block_indices(union.node_maps)
-    k_gl = sp.csr_matrix((assembly.caches.stiffness.ravel(), idx), (ng, ng))
-    m_gl = sp.csr_matrix((assembly.caches.mass.ravel(), idx), (ng, ng))
-    free = np.setdiff1d(np.arange(ng), union.boundary)
-    k_ff = k_gl[np.ix_(free, free)].tocsc()
-    m_ff = m_gl[np.ix_(free, free)].tocsc()
-    v0 = np.ones(free.size)
-    lam = sla.eigsh(k_ff, k=1, M=m_ff, sigma=0.0, which="LM", v0=v0,
-                    return_eigenvectors=False)
+    k_ff = _union_free_matrix(assembly, assembly.caches.stiffness).tocsc()
+    m_ff = _union_free_matrix(assembly, assembly.caches.mass).tocsc()
+    v0 = np.ones(k_ff.shape[0])
+    lam = spla.eigsh(k_ff, k=1, M=m_ff, sigma=0.0, which="LM", v0=v0,
+                     return_eigenvectors=False)
     return float(1.0 / np.sqrt(lam[0]))
 
 
@@ -698,19 +693,11 @@ def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.
     calibration.  Returns union nodal values and the broken view ``(ne, nn)``.
     """
     union = assembly.union_mesh()
-    ng = union.nodes.shape[0]
-    rhs = np.zeros(ng)
+    free = union.free
     loads = np.einsum("eij,ej->ei", assembly.caches.mass, np.asarray(g, dtype=float))
-    np.add.at(rhs, union.node_maps.ravel(), loads.ravel())
-    stiffness = assembly.caches.stiffness.ravel()
-    mat = sp.csr_matrix((stiffness, _block_indices(union.node_maps)), shape=(ng, ng)).tolil()
-    for b in union.boundary:
-        mat.rows[b] = [b]
-        mat.data[b] = [1.0]
-        rhs[b] = 0.0
-    # Keep symmetry irrelevant for splu; Dirichlet rows replaced, columns left.
-    lu = spla.splu(mat.tocsc())
-    u = lu.solve(rhs)
+    rhs = np.bincount(union.node_maps.ravel(), loads.ravel(), union.nodes.shape[0])
+    u = np.zeros(rhs.size)
+    u[free] = spla.splu(_union_free_matrix(assembly, assembly.caches.stiffness).tocsc()).solve(rhs[free])
     return u, u[union.node_maps]
 
 

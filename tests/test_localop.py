@@ -12,6 +12,7 @@ from lsdfem.localop import (
     apply_Ttilde,
     assemble_all,
     face_blocks,
+    scatter_blocks,
 )
 from lsdfem.coeff import local_bounds
 from lsdfem.localize import build_flux_energy
@@ -212,6 +213,22 @@ def test_static_condensation_consistency(asm_mixed):
     via_cache = mu @ (cache.flux_energy @ nu)
     via_solve = mu @ (cache.geom.trace_matrix @ apply_T(cache, nu))
     assert via_cache == pytest.approx(via_solve, rel=1e-11)
+
+
+def test_scatter_blocks_matches_dense_reference():
+    # Integer-valued entries sum exactly in any order, so zeros from the
+    # blocks and from cancelling sums are exact.
+    rng = np.random.default_rng(5)
+    blocks = rng.integers(-3, 4, (40, 4, 3)).astype(float)
+    rows = rng.integers(0, 6, (40, 4))   # indices repeat within and across blocks
+    cols = rng.integers(0, 5, (40, 3))
+    ref = np.zeros((7, 5))
+    np.add.at(ref, (rows[:, :, None], cols[:, None, :]), blocks)
+    mat = scatter_blocks(blocks, rows, cols, (7, 5))
+    assert mat.format == "csr" and mat.shape == (7, 5)
+    assert np.array_equal(mat.toarray(), ref)
+    assert mat.nnz == np.count_nonzero(ref) < ref.size
+    assert np.all(mat.data != 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

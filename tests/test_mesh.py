@@ -249,3 +249,129 @@ def test_shape_regularity_bound():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.005]])
     with pytest.raises(MeshError):
         build_mesh(verts, np.array([[0, 1, 2]]))
+
+
+# -- vectorized build_mesh against the per-element loops it replaced ------------
+
+
+def _triangle_quality_reference(p0, p1, p2):
+    """Signed area and circumradius/inradius ratio of one triangle."""
+    a = np.linalg.norm(p1 - p2)
+    b = np.linalg.norm(p2 - p0)
+    c = np.linalg.norm(p0 - p1)
+    signed = 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+    area = abs(signed)
+    if area == 0.0:
+        return signed, np.inf
+    s = 0.5 * (a + b + c)
+    return signed, (a * b * c / (4.0 * area)) / (area / s)
+
+
+def mesh_loop_reference(vertices, elements, bound=20.0):
+    """Orientation, areas and face numbering by the element and face loops."""
+    vertices = np.asarray(vertices, dtype=float)
+    elements = np.asarray(elements, dtype=int).copy()
+    ne = elements.shape[0]
+    areas = np.empty(ne)
+    for t in range(ne):
+        p = vertices[elements[t]]
+        signed, ratio = _triangle_quality_reference(p[0], p[1], p[2])
+        if signed == 0.0:
+            raise MeshError(f"element {t} is degenerate")
+        if signed < 0.0:
+            elements[t, 1], elements[t, 2] = elements[t, 2], elements[t, 1]
+            signed = -signed
+        if ratio > bound:
+            raise MeshError(f"element {t} violates shape regularity: ratio {ratio:.3g} > {bound:.3g}")
+        areas[t] = signed
+    face_of, face_pairs, incident = {}, [], []
+    element_faces = np.empty((ne, 3), dtype=int)
+    for t in range(ne):
+        v = elements[t]
+        for e, (a, b) in enumerate(((v[0], v[1]), (v[1], v[2]), (v[2], v[0]))):
+            key = (min(a, b), max(a, b))
+            fid = face_of.get(key)
+            if fid is None:
+                fid = len(face_pairs)
+                face_of[key] = fid
+                face_pairs.append((int(a), int(b)))
+                incident.append([t])
+            else:
+                incident[fid].append(t)
+            element_faces[t, e] = fid
+    face_left = np.full(len(face_pairs), -1, dtype=int)
+    face_right = np.full(len(face_pairs), -1, dtype=int)
+    for fid, elems in enumerate(incident):
+        if len(elems) > 2:
+            raise MeshError(f"face {fid} shared by more than two elements")
+        face_left[fid] = elems[0]
+        if len(elems) == 2:
+            face_right[fid] = elems[1]
+    return {
+        "elements": elements,
+        "areas": areas,
+        "faces": np.array(face_pairs, dtype=int),
+        "face_left": face_left,
+        "face_right": face_right,
+        "element_faces": element_faces,
+    }
+
+
+def assert_matches_loop_reference(mesh, vertices, elements):
+    for name, want in mesh_loop_reference(vertices, elements).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def shuffled_reoriented(mesh, rng):
+    """The mesh's elements in random order, about half of them listed clockwise."""
+    elements = mesh.elements[rng.permutation(mesh.n_elements)]
+    flip = rng.random(mesh.n_elements) < 0.5
+    elements[flip] = elements[flip][:, [0, 2, 1]]
+    return elements
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 5), (8, 8)])
+def test_structured_mesh_matches_loop_reference(nx, ny):
+    mesh = build_structured_mesh(nx, ny)
+    assert_matches_loop_reference(mesh, mesh.vertices, mesh.elements)
+
+
+@pytest.mark.parametrize("seed,hole", [(0, False), (1, True), (2, True)])
+def test_loaded_mesh_matches_loop_reference(tmp_path, seed, hole):
+    rng = np.random.default_rng(seed)
+    base = grid_mesh(5, 4, rng, hole)
+    elements = shuffled_reoriented(base, rng)
+    path = str(tmp_path / "mesh.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{base.n_vertices}\n")
+        fh.writelines(f"{float(x)!r} {float(y)!r}\n" for x, y in base.vertices)
+        fh.write(f"{len(elements)}\n")
+        fh.writelines(f"{a} {b} {c}\n" for a, b, c in elements)
+    assert_matches_loop_reference(load_mesh(path), base.vertices, elements)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+def test_reoriented_mesh_matches_loop_reference(mesh, seed):
+    elements = shuffled_reoriented(mesh, np.random.default_rng(seed))
+    assert_matches_loop_reference(build_mesh(mesh.vertices, elements), mesh.vertices, elements)
+
+
+def test_mesh_errors_name_the_first_bad_element_or_face():
+    verts = np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.5, 0.005], [0.5, 1.0], [0.5, -1.0]]
+    )
+    good, sliver, flat = [0, 1, 2], [0, 1, 4], [0, 1, 3]
+    cases = [
+        [good, sliver, flat, sliver],   # shape regularity at element 1
+        [good, flat, sliver, flat],     # degeneracy at element 1
+        [[0, 2, 1], flat, sliver],      # a clockwise element is fine
+        [[2, 5, 1], good, [0, 6, 1], [1, 0, 5]],   # edge 0-1 shared thrice: face 3
+    ]
+    for elements in cases:
+        with pytest.raises(MeshError) as want:
+            mesh_loop_reference(verts, elements)
+        with pytest.raises(MeshError) as got:
+            build_mesh(verts, np.array(elements))
+        assert str(got.value) == str(want.value)

@@ -1,11 +1,16 @@
 import json
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import make_assembly
 from test_mesh import grid_mesh
 from lsdfem.localop import broken_energy
+from lsdfem import pipeline
 from lsdfem.mesh import build_mesh, build_structured_mesh, save_mesh
 from lsdfem.pipeline import (
     PipelineError,
@@ -17,6 +22,7 @@ from lsdfem.pipeline import (
     exact_hybrid_solve,
     full_pipeline,
     load_norm,
+    poincare_estimate,
     recover_delta,
     sample_load,
     solve_lambda0,
@@ -400,6 +406,57 @@ def test_conforming_solve_manufactured():
     err = np.abs(u_nodes - exact).max()
     assert err < 0.05
     assert np.abs(u_nodes[union.boundary]).max() == 0.0
+
+
+def conforming_row_replacement(assembly, g):
+    """Conforming solve with each Dirichlet row replaced by an identity row."""
+    union = assembly.union_mesh()
+    ng, maps = union.nodes.shape[0], union.node_maps
+    rhs = np.zeros(ng)
+    np.add.at(rhs, maps.ravel(), np.einsum("eij,ej->ei", assembly.caches.mass, g).ravel())
+    nn = maps.shape[1]
+    index = (np.repeat(maps, nn, axis=1).ravel(), np.tile(maps, nn).ravel())
+    mat = sp.csr_matrix((assembly.caches.stiffness.ravel(), index), shape=(ng, ng)).tolil()
+    for b in union.boundary:
+        mat.rows[b] = [b]
+        mat.data[b] = [1.0]
+        rhs[b] = 0.0
+    return spla.splu(mat.tocsc()).solve(rhs)
+
+
+@pytest.mark.parametrize("params", [{"contrast": 1e3, "cells": 4}, {"contrast": 1e6, "cells": 2}])
+def test_conforming_solve_matches_row_replacement(params):
+    asm = make_assembly(4, 4, 2, "checkerboard", params)
+    g = sample_load(asm.part, smooth_g)
+    u, u_broken = conforming_solve(asm, g)
+    ref = conforming_row_replacement(asm, g)
+    union = asm.union_mesh()
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(u[union.boundary] == 0.0)
+    assert np.array_equal(u_broken, u[union.node_maps])
+
+
+def test_oracle_matrices_store_no_zeros(asm_mixed, monkeypatch):
+    # Every matrix the oracles and the Poincare estimate factor or hand to
+    # the eigensolver is scattered from the element blocks without zeros.
+    seen = []
+
+    def splu(mat, *args, **kwargs):
+        seen.append(mat)
+        return spla.splu(mat, *args, **kwargs)
+
+    def eigsh(mat, *args, M=None, **kwargs):
+        seen.extend([mat, M])
+        return spla.eigsh(mat, *args, M=M, **kwargs)
+
+    monkeypatch.setattr(pipeline, "spla", SimpleNamespace(splu=splu, eigsh=eigsh))
+    g = sample_load(asm_mixed.part, smooth_g)
+    exact_hybrid_solve(asm_mixed, g)
+    conforming_solve(asm_mixed, g)
+    poincare_estimate(asm_mixed)
+    assert len(seen) == 4
+    for mat in seen:
+        assert np.all(mat.data != 0.0)
 
 
 def test_full_pipeline_report(tmp_path):
