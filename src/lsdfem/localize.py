@@ -72,25 +72,43 @@ class FaceBasis:
         return int(self.col_offsets[-1])
 
 
-def _assemble_basis(label: str, blocks: list[np.ndarray]) -> FaceBasis:
-    """Basis from per-face blocks ``(nfs, m_F)`` in stored coordinates."""
-    offsets = np.concatenate(([0], np.cumsum([blk.shape[1] for blk in blocks])))
-    return FaceBasis(label, offsets, sp.block_diag(blocks, format="csc"))
+def _face_basis(label: str, space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> FaceBasis:
+    """Basis whose face-f columns are the ``keep[f]`` columns of ``zero_mean @ vectors[f]``.
+
+    ``vectors`` is ``(NF, m, m)`` in zero-mean coordinates and ``keep`` an
+    ``(NF, m)`` mask.  Face f's fine faces are the contiguous stored rows
+    ``f nfs ... (f + 1) nfs - 1``, so the CSC arrays are written directly;
+    zero values are not stored.
+    """
+    stored = space.zero_mean @ vectors                       # (NF, nfs, m)
+    nf, nfs, m = stored.shape
+    rows = np.arange(nf * nfs, dtype=np.int32).reshape(nf, 1, nfs)
+    data = stored.swapaxes(1, 2)[keep]                       # (M, nfs), one row per kept column
+    rows = np.broadcast_to(rows, (nf, m, nfs))[keep]
+    indptr = np.arange(data.shape[0] + 1, dtype=np.int32) * nfs
+    matrix = sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(space.n_fine, data.shape[0]))
+    matrix.eliminate_zeros()
+    return FaceBasis(label, np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), matrix)
 
 
 def plain_basis(space: TraceSpace) -> FaceBasis:
     """Zero-average-per-face subspace (the full fine remainder block)."""
-    return _assemble_basis("plain", [space.zero_mean] * space.n_coarse_faces)
+    nf, m = space.n_coarse_faces, space.zero_mean.shape[1]
+    return _face_basis("plain", space, np.broadcast_to(np.eye(m), (nf, m, m)), np.ones((nf, m), bool))
 
 
-def delta_basis(space: TraceSpace, spectra: list[FaceSpectrum]) -> FaceBasis:
+def delta_basis(space: TraceSpace, spectra: FaceSpectrum) -> FaceBasis:
     """Localizable block of the face spectra, per face."""
-    return _assemble_basis("delta", [s.stored_delta(space) for s in spectra])
+    return _face_basis("delta", space, spectra.vectors, _delta_mask(spectra))
 
 
-def pi_basis(space: TraceSpace, spectra: list[FaceSpectrum]) -> FaceBasis:
+def pi_basis(space: TraceSpace, spectra: FaceSpectrum) -> FaceBasis:
     """Retained block of the face spectra, per face."""
-    return _assemble_basis("pi", [s.stored_pi(space) for s in spectra])
+    return _face_basis("pi", space, spectra.vectors, ~_delta_mask(spectra))
+
+
+def _delta_mask(spectra: FaceSpectrum) -> np.ndarray:
+    return np.arange(spectra.alphas.shape[1]) < spectra.n_delta[:, None]
 
 
 @dataclass
@@ -112,8 +130,6 @@ class PatchProblem:
         return self.dof_indices.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(rhs.shape)
         if isinstance(self.factor, tuple):
             return scipy.linalg.cho_solve(self.factor, rhs)
         return self.factor.solve(rhs)
@@ -170,11 +186,9 @@ class PatchProjector:
 
     def _global_problem(self) -> PatchProblem:
         if self._global is None:
-            dim = self.basis.dim
-            what = f"global {self.basis.label} energy Gram matrix"
-            factor = _factorize(self.gram, what) if dim else ()
+            factor = _factorize(self.gram, f"global {self.basis.label} energy Gram matrix")
             faces = np.nonzero(self._nonempty)[0]
-            self._global = PatchProblem(("global", 0), None, faces, np.arange(dim), factor)
+            self._global = PatchProblem(("global", 0), None, faces, np.arange(self.basis.dim), factor)
         return self._global
 
     def reduce_functional(self, r: np.ndarray) -> np.ndarray:
@@ -217,7 +231,7 @@ class PatchProjector:
         key = faces.tobytes()
         if key not in factors:
             what = f"patch Gram matrix for seed {seed}, j={j}"
-            factors[key] = _factorize(self.gram[np.ix_(dofs, dofs)], what) if dofs.size else ()
+            factors[key] = _factorize(self.gram[np.ix_(dofs, dofs)], what)
         return PatchProblem(seed, j, faces, dofs, factors[key])
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:

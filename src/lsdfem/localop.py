@@ -30,13 +30,11 @@ from .traces import TraceSpace
 
 __all__ = [
     "ElementCache",
-    "FaceBlocks",
     "LocalAssemblyError",
     "assemble_all",
     "apply_T",
     "apply_Ttilde",
     "edge_blocks",
-    "face_blocks",
     "broken_energy",
     "quadratic_forms",
     "saddle_solve",
@@ -225,27 +223,6 @@ def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
     return saddle_solve(cache._saddle, cache._inverse, load)[..., 0]
 
 
-@dataclass
-class FaceBlocks:
-    """Blocks of the flux-energy matrix in the zero-average face bases.
-
-    ``t_ff`` etc. are expressed in the stored-orientation zero-mean basis
-    of each face; ``t_hat`` is the Schur complement onto the selected
-    face (the minimal energy over complementary-boundary fluxes).
-    """
-
-    face: int
-    t_ff: np.ndarray
-    t_ffc: np.ndarray
-    t_fcf: np.ndarray
-    t_fcfc: np.ndarray
-    t_hat: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.t_ff.shape[0] == 0
-
-
 def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:
     """Lower Cholesky factors of a stack ``(..., n, n)`` of symmetric matrices.
 
@@ -299,26 +276,6 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray, elems: np.ndarray) -
                              f"complementary block not SPD (Cholesky failed at pivot {pivot})")
     w = solve_lower(chol, t_ffc.swapaxes(-1, -2))
     return _sym(t_ff), t_ffc, t_fcfc, _sym(t_ff - w.swapaxes(-1, -2) @ w)
-
-
-def face_blocks(cache: ElementCache, space: TraceSpace, face: int) -> FaceBlocks:
-    """Split the element flux-energy matrix by one coarse face.
-
-    Degrees of freedom are restricted to zero average per face, so a face
-    with a single fine sub-face contributes nothing and yields empty
-    blocks.  Element-side signs cancel in every block because each basis
-    vector enters quadratically.  Runs :func:`edge_blocks` on a batch of
-    one element.
-    """
-    geom = cache.geom
-    if face not in geom.face_rows:
-        raise ValueError(f"face {face} is not a face of element {cache.elem}")
-    if space.zero_mean.shape[1] == 0:
-        zero = np.zeros((0, 0))
-        return FaceBlocks(face, zero, zero.copy(), zero.copy(), zero.copy(), zero.copy())
-    e = list(geom.face_rows).index(face)
-    t_ff, t_ffc, t_fcfc, t_hat = edge_blocks(space, cache.flux_energy[None], np.array([cache.elem]))
-    return FaceBlocks(face, t_ff[0, e], t_ffc[0, e], t_ffc[0, e].T.copy(), t_fcfc[0, e], t_hat[0, e])
 
 
 def quadratic_forms(mats: np.ndarray, values: np.ndarray) -> np.ndarray:

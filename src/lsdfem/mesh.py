@@ -365,10 +365,6 @@ class ElementGeometry:
     def n_boundary_faces(self) -> int:
         return self.boundary_face_ids.shape[0]
 
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        return np.nonzero(~self.boundary_node_mask)[0]
-
 
 @dataclass
 class FinePartition:

@@ -242,14 +242,14 @@ class Assembly:
         self.space = space
         self.energy = energy
         self.stats = stats
-        self._face_spectra: dict[float, list[FaceSpectrum]] = {}
+        self._face_spectra: dict[float, FaceSpectrum] = {}
         self._projectors: dict[tuple[str, float], PatchProjector] = {}
         self._element_spectra: dict[tuple[float, float], ElementSpectrum] = {}
         self._coarse_bases: dict[tuple[str, float], np.ndarray] = {}
         self._upscaled: dict[tuple[str, float, int | None], UpscaledOperator] = {}
         self._union: UnionMesh | None = None
 
-    def face_spectra(self, alpha_stab: float) -> list[FaceSpectrum]:
+    def face_spectra(self, alpha_stab: float) -> FaceSpectrum:
         spectra = self._face_spectra.get(alpha_stab)
         if spectra is None:
             spectra = all_face_spectra(self.space, self.caches, alpha_stab)
@@ -284,8 +284,7 @@ class Assembly:
             basis = self.space.tilde0_stored_basis()
             if variant != "plain":
                 pi = pi_basis(self.space, self.face_spectra(alpha_stab))
-                if pi.dim:
-                    basis = np.hstack([basis, pi.matrix.toarray()])
+                basis = np.hstack([basis, pi.matrix.toarray()])
             basis.flags.writeable = False
             self._coarse_bases[key] = basis
         return basis
@@ -391,7 +390,7 @@ class UpscaledOperator:
     basis: np.ndarray          # (n_fine, M) stored basis columns
     multiscale: np.ndarray     # (n_fine, M) psi = basis - P_j^T basis
     gram: np.ndarray           # (M, M) psi^T S psi
-    factor: tuple | None       # Cholesky factor of the Gram (None when M = 0)
+    factor: tuple              # Cholesky factor of the Gram
 
     @classmethod
     def build(
@@ -402,14 +401,12 @@ class UpscaledOperator:
         psi.flags.writeable = False
         gram = psi.T @ (energy @ psi)
         gram = 0.5 * (gram + gram.T)
-        factor = None
-        if basis.shape[1]:
-            try:
-                factor = scipy.linalg.cho_factor(gram)
-            except scipy.linalg.LinAlgError as exc:
-                raise AssertionError(
-                    f"upscaled system is not SPD ({exc}); patch/spectral data inconsistent"
-                ) from exc
+        try:
+            factor = scipy.linalg.cho_factor(gram)
+        except scipy.linalg.LinAlgError as exc:
+            raise AssertionError(
+                f"upscaled system is not SPD ({exc}); patch/spectral data inconsistent"
+            ) from exc
         return cls(basis, psi, gram, factor)
 
 
@@ -468,9 +465,6 @@ def assemble_upscaled(
 
 
 def solve_upscaled(system: UpscaledSystem, space: TraceSpace) -> TraceVector:
-    if system.basis.shape[1] == 0:
-        system.coefficients = np.zeros(0)
-        return space.zeros()
     x = scipy.linalg.cho_solve(system.operator.factor, system.rhs)
     system.coefficients = x
     return space.vector(system.basis @ x)
@@ -620,7 +614,10 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
     """Monolithic symmetric-indefinite solve of the full hybrid system.
 
     Returns the broken solution ``(ne, nn)`` and the multiplier.  This is the
-    localization-error reference; it is exact up to the direct solver.
+    localization-error reference; it is exact up to the direct solver, whose
+    solution is refined once against the assembled matrix: at high contrast
+    the plain sparse LU solve of this indefinite system leaves an error the
+    staged solve does not have.
     """
     part = assembly.part
     caches = assembly.caches
@@ -639,6 +636,7 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
     except RuntimeError as exc:
         raise AssertionError(f"hybrid saddle system is singular: {exc}") from exc
     sol = lu.solve(rhs)
+    sol += lu.solve(rhs - mat @ sol)
     return sol[:nu].reshape(ne, nn), assembly.space.vector(sol[nu:])
 
 
@@ -766,12 +764,12 @@ def full_pipeline(
     }
     if cfg.variant == "delta":
         spectra = assembly.face_spectra(cfg.alpha_stab)
-        alphas = np.concatenate([s.alphas for s in spectra if not s.empty]) if spectra else np.zeros(0)
+        alphas = spectra.alphas
         report["face_spectrum"] = {
             "alpha_min": float(alphas.min()) if alphas.size else None,
             "alpha_max": float(alphas.max()) if alphas.size else None,
-            "n_pi_total": int(sum(s.n_pi for s in spectra)),
-            "n_delta_total": int(sum(s.n_delta for s in spectra)),
+            "n_pi_total": int(spectra.n_pi.sum()),
+            "n_delta_total": int(spectra.n_delta.sum()),
         }
         alpha_eff = cfg.alpha_stab
     else:

@@ -11,7 +11,11 @@ Two families share one dense symmetric-definite kernel:
 Everything is dense by design: face problems have at most a few dozen
 unknowns and element problems a few hundred at the scales this library
 targets, and robustness beats scalability there.  All faces (and all
-elements) share one pencil size, so each family is solved as one stack.
+elements) share one pencil size, so each family is solved as one stack
+and kept as one: :class:`FaceSpectrum` and :class:`ElementSpectrum` carry
+a leading face or element axis, and indexing either gives one item's
+view.  Empty pencils (a face with a single fine sub-face has no
+zero-average modes) run through the same kernels.
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1]), np.zeros(a.shape)
     c, item, pivot = batched_cholesky(b)
     if c is None:
         raise NotSPDError(pivot, "" if b.ndim == 2 else f"item {item}", item)
@@ -79,40 +81,42 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class FaceSpectrum:
-    """Eigenpairs of one face pencil and their threshold split.
+    """Eigenpairs of the face pencils and their threshold split, stacked.
 
-    ``vectors`` are expressed in the zero-average basis of the face and
-    are orthonormal with respect to the summed Schur energy.  Modes with
-    eigenvalue >= the threshold go to the retained (``pi``) block, the
-    rest form the localizable (``delta``) block; ties retain.
+    The fields carry a leading face axis; ``spectra[i]`` is the i-th face's
+    view (``face`` and ``n_delta`` ints) and iteration yields the views in
+    stack order.  ``vectors`` are expressed in the zero-average basis of
+    each face and are orthonormal with respect to the summed Schur energy.
+    Modes with eigenvalue >= the threshold go to the retained (``pi``)
+    block, the rest form the localizable (``delta``) block; ties retain.
+    Eigenvalues ascend, so a face's delta modes are its first ``n_delta``
+    columns.
     """
 
-    face: int
-    alphas: np.ndarray          # ascending
-    vectors: np.ndarray         # (m, k) columns in zero-mean coordinates
+    face: np.ndarray | int      # (nf,) coarse face ids
+    alphas: np.ndarray          # (nf, m) ascending
+    vectors: np.ndarray         # (nf, m, m) columns in zero-mean coordinates
     alpha_stab: float
-    n_delta: int
+    n_delta: np.ndarray | int   # (nf,)
+
+    def __len__(self) -> int:
+        return len(self.face)
+
+    def __getitem__(self, i: int) -> "FaceSpectrum":
+        return FaceSpectrum(
+            int(self.face[i]), self.alphas[i], self.vectors[i], self.alpha_stab, int(self.n_delta[i])
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     @property
-    def n_pi(self) -> int:
-        return self.alphas.shape[0] - self.n_delta
+    def n_pi(self) -> np.ndarray | int:
+        return self.alphas.shape[-1] - self.n_delta
 
     @property
     def empty(self) -> bool:
-        return self.alphas.shape[0] == 0
-
-    def delta_vectors(self) -> np.ndarray:
-        return self.vectors[:, : self.n_delta]
-
-    def pi_vectors(self) -> np.ndarray:
-        return self.vectors[:, self.n_delta :]
-
-    def stored_delta(self, space: TraceSpace) -> np.ndarray:
-        """Delta block in stored fine-face coordinates of this face."""
-        return space.zero_mean @ self.delta_vectors()
-
-    def stored_pi(self, space: TraceSpace) -> np.ndarray:
-        return space.zero_mean @ self.pi_vectors()
+        return self.alphas.shape[-1] == 0
 
 
 def face_spectrum(
@@ -130,23 +134,20 @@ def face_spectrum(
     return _face_spectra(space, caches, np.array([face]), alpha_stab)[0]
 
 
-def all_face_spectra(
-    space: TraceSpace, caches: ElementCache, alpha_stab: float
-) -> list[FaceSpectrum]:
+def all_face_spectra(space: TraceSpace, caches: ElementCache, alpha_stab: float) -> FaceSpectrum:
+    """Pencils of all coarse faces, solved as one stack; ``spectra[f]`` is face f's view."""
     return _face_spectra(space, caches, np.arange(space.n_coarse_faces), alpha_stab)
 
 
 def _face_spectra(
     space: TraceSpace, caches: ElementCache, faces: np.ndarray, alpha_stab: float
-) -> list[FaceSpectrum]:
+) -> FaceSpectrum:
     """Pencils of ``faces``: the edge blocks of all incident elements as one
     stack, summed per face, then one stacked :func:`gensym_eig`."""
     if alpha_stab < 1.0:
         raise ValueError("alpha_stab must be >= 1")
     mesh = space.mesh
     m = space.zero_mean.shape[1]
-    if m == 0:
-        return [FaceSpectrum(int(f), np.zeros(0), np.zeros((0, 0)), alpha_stab, 0) for f in faces]
     elems = np.setdiff1d(np.concatenate((mesh.face_left[faces], mesh.face_right[faces])), -1)
     t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy[elems], elems)
     sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
@@ -155,11 +156,7 @@ def _face_spectra(
         alphas, vectors = gensym_eig(sums[faces, 0], sums[faces, 1])
     except NotSPDError as exc:
         raise NotSPDError(exc.pivot, f"soft-extension energy of face {faces[exc.item]}") from exc
-    n_delta = (alphas < alpha_stab).sum(axis=1)
-    return [
-        FaceSpectrum(int(f), alphas[i], vectors[i], alpha_stab, int(n_delta[i]))
-        for i, f in enumerate(faces)
-    ]
+    return FaceSpectrum(faces, alphas, vectors, alpha_stab, (alphas < alpha_stab).sum(axis=1))
 
 
 @dataclass
@@ -242,7 +239,7 @@ def project_rhs(
     return projected, np.sqrt(np.maximum(quadratic_forms(caches.mass, g - projected), 0.0))
 
 
-def spectrum_dump(spectra: list[FaceSpectrum], path: str | None = None) -> dict:
+def spectrum_dump(spectra: FaceSpectrum, path: str | None = None) -> dict:
     """JSON-able summary: per face, the eigenvalue list and split index."""
     payload = {
         "faces": [

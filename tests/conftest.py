@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lsdfem.coeff import CoefficientField, make_weight
-from lsdfem.localop import assemble_all
+from lsdfem.localop import assemble_all, edge_blocks
 from lsdfem.localize import build_flux_energy
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.pipeline import Assembly, SolverConfig, build_assembly
@@ -23,6 +23,13 @@ def make_assembly(nx, ny, face_level, coefficient="constant", params=None, rho="
         rho=rho,
     )
     return build_assembly(cfg)
+
+
+def face_split(asm, elem, face):
+    """Blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of element ``elem``'s flux energy split by its face ``face``."""
+    e = list(asm.mesh.element_faces[elem]).index(face)
+    blocks = edge_blocks(asm.space, asm.caches.flux_energy[[elem]], np.array([elem]))
+    return tuple(blk[0, e] for blk in blocks)
 
 
 @pytest.fixture(scope="session")

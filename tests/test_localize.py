@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,14 +26,44 @@ def test_energy_matrix_matches_elementwise_forms(asm_mixed):
     assert via_s == pytest.approx(direct, rel=1e-10)
 
 
-def test_basis_dimensions(asm_mixed):
-    space = asm_mixed.space
-    plain = plain_basis(space)
-    assert plain.dim == space.dim_tilde_f
-    spectra = asm_mixed.face_spectra(4.0)
-    delta = delta_basis(space, spectra)
-    pi = pi_basis(space, spectra)
-    assert delta.dim + pi.dim == plain.dim
+def block_diag_bases(space, spectra):
+    """Reference face bases, one dense block per face joined by ``sp.block_diag``."""
+    z = space.zero_mean
+    blocks = {
+        "plain": [z] * space.n_coarse_faces,
+        "delta": [z @ s.vectors[:, : s.n_delta] for s in spectra],
+        "pi": [z @ s.vectors[:, s.n_delta :] for s in spectra],
+    }
+    return {
+        label: (np.concatenate(([0], np.cumsum([b.shape[1] for b in bl]))), sp.block_diag(bl, format="csc"))
+        for label, bl in blocks.items()
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=meshes(), face_level=st.integers(1, 2), alpha_stab=st.floats(1.0, 1e3))
+def test_basis_dimensions(mesh, face_level, alpha_stab):
+    # The one-pass bases equal the per-face reference, every column lives on
+    # its own face's fine faces, and delta and pi split the plain basis.
+    asm = assembly_on(mesh, face_level)
+    space, nfs = asm.space, asm.part.faces_per_coarse
+    spectra = asm.face_spectra(alpha_stab)
+    bases = {
+        "plain": plain_basis(space),
+        "delta": delta_basis(space, spectra),
+        "pi": pi_basis(space, spectra),
+    }
+    for label, (offsets, matrix) in block_diag_bases(space, spectra).items():
+        basis = bases[label]
+        assert np.array_equal(basis.col_offsets, offsets)
+        got, ref = basis.matrix.toarray(), matrix.toarray()
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
+        rows, cols = basis.matrix.nonzero()
+        col_face = np.repeat(np.arange(mesh.n_faces), np.diff(basis.col_offsets))
+        assert np.array_equal(rows // nfs, col_face[cols])
+    assert bases["plain"].dim == space.dim_tilde_f
+    assert bases["delta"].dim + bases["pi"].dim == bases["plain"].dim
 
 
 def test_project_zero_functional(asm_mixed):

@@ -4,14 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_assembly
+from conftest import face_split, make_assembly
 from lsdfem.coeff import CoefficientField, Raster, make_weight
 from lsdfem.localop import (
     LocalAssemblyError,
     apply_T,
     apply_Ttilde,
     assemble_all,
-    face_blocks,
     scatter_blocks,
 )
 from lsdfem.coeff import local_bounds
@@ -133,49 +132,43 @@ def test_adjoint_identity(asm_mixed):
 
 def test_face_blocks_trivial_when_single_subface():
     asm = make_assembly(1, 1, 0)
-    space = asm.space
-    cache = asm.caches[0]
-    blocks = face_blocks(cache, space, int(asm.mesh.element_faces[0, 0]))
-    assert blocks.empty
+    for blk in face_split(asm, 0, int(asm.mesh.element_faces[0, 0])):
+        assert blk.shape[0] == 0
 
 
 def test_face_blocks_schur_below_full(asm_mixed):
-    space = asm_mixed.space
-    cache = asm_mixed.caches[3]
     rng = np.random.default_rng(8)
     for f in asm_mixed.mesh.element_faces[3]:
-        blocks = face_blocks(cache, space, int(f))
-        m = blocks.t_ff.shape[0]
+        t_ff, _, _, t_hat = face_split(asm_mixed, 3, int(f))
+        m = t_ff.shape[0]
         for _ in range(5):
             mu = rng.standard_normal(m)
-            assert mu @ (blocks.t_hat @ mu) <= mu @ (blocks.t_ff @ mu) + 1e-12
+            assert mu @ (t_hat @ mu) <= mu @ (t_ff @ mu) + 1e-12
 
 
 def test_face_blocks_schur_matches_min_oracle(asm_mixed):
     # Dense KKT oracle: minimize the full quadratic form over the
     # complementary-boundary values at fixed face values.
-    space = asm_mixed.space
-    cache = asm_mixed.caches[9]
     f = int(asm_mixed.mesh.element_faces[9, 1])
-    blocks = face_blocks(cache, space, f)
+    t_ff, t_ffc, t_fcfc, t_hat = face_split(asm_mixed, 9, f)
     rng = np.random.default_rng(17)
-    mu = rng.standard_normal(blocks.t_ff.shape[0])
-    nu = -np.linalg.solve(blocks.t_fcfc, blocks.t_fcf @ mu)
+    mu = rng.standard_normal(t_ff.shape[0])
+    nu = -np.linalg.solve(t_fcfc, t_ffc.T @ mu)
     full = (
-        mu @ (blocks.t_ff @ mu)
-        + 2 * mu @ (blocks.t_ffc @ nu)
-        + nu @ (blocks.t_fcfc @ nu)
+        mu @ (t_ff @ mu)
+        + 2 * mu @ (t_ffc @ nu)
+        + nu @ (t_fcfc @ nu)
     )
-    assert mu @ (blocks.t_hat @ mu) == pytest.approx(full, rel=1e-11)
+    assert mu @ (t_hat @ mu) == pytest.approx(full, rel=1e-11)
     # Any other candidate gives at least the Schur energy.
     for _ in range(5):
         cand = nu + rng.standard_normal(len(nu))
         energy = (
-            mu @ (blocks.t_ff @ mu)
-            + 2 * mu @ (blocks.t_ffc @ cand)
-            + cand @ (blocks.t_fcfc @ cand)
+            mu @ (t_ff @ mu)
+            + 2 * mu @ (t_ffc @ cand)
+            + cand @ (t_fcfc @ cand)
         )
-        assert energy >= mu @ (blocks.t_hat @ mu) - 1e-12
+        assert energy >= mu @ (t_hat @ mu) - 1e-12
 
 
 def test_energy_sandwich_with_identity_twin(asm_mixed):

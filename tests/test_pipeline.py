@@ -503,12 +503,29 @@ def test_constant_load_symmetric_solution():
 
 
 def test_degenerate_face_level_zero_is_exact():
-    # One sub-face per face: the fine remainder block is empty and the
-    # staged solve coincides with the monolithic one.
-    cfg = SolverConfig(nx=4, ny=4, face_level=0, coefficient="smooth", j=2, variant="delta")
-    asm = build_assembly(cfg)
+    # One sub-face per face: the fine remainder block is empty, so every face
+    # basis, every patch problem and the global Gram are empty, and the
+    # staged solve coincides with the monolithic one for every j.
+    asm = build_assembly(SolverConfig(nx=4, ny=4, face_level=0, coefficient="smooth"))
     g = sample_load(asm.part, smooth_g)
-    sol = solve_lsd(asm, g, 2, "delta", 4.0)
     u_ref, _ = exact_hybrid_solve(asm, g)
     ref = broken_energy(asm.caches, u_ref) ** 0.5
-    assert energy_error(asm.caches, u_ref, sol.u_broken) <= 1e-10 * ref
+    for variant in ("plain", "delta"):
+        assert asm.projector(variant, 4.0).gram.shape == (0, 0)
+        for j in (1, 2, None):
+            sol = solve_lsd(asm, g, j, variant, 4.0)
+            assert energy_error(asm.caches, u_ref, sol.u_broken) <= 1e-10 * ref
+
+
+def test_exact_hybrid_solve_is_refined_at_high_contrast():
+    # The benchmark's hairpin channel scaled to H = 1/4 at contrast 1e6.  A
+    # single sparse LU solve of the hybrid saddle is about 6e-8 (relative,
+    # broken energy) away from the j=None staged solve here; with one
+    # refinement step the distance is about 1e-10.
+    params = {"contrast": 1e6, "center": 0.375, "width": 0.056, "spacing": 0.12}
+    asm = make_assembly(4, 4, 2, "channel", params)
+    g = sample_load(asm.part, lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]))
+    u_ref, _ = exact_hybrid_solve(asm, g)
+    sol = solve_lsd(asm, g, None, "plain")
+    ref = broken_energy(asm.caches, u_ref) ** 0.5
+    assert energy_error(asm.caches, u_ref, sol.u_broken) <= 1e-9 * ref

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_assembly
-from lsdfem.localop import face_blocks
+from conftest import face_split, make_assembly
 from lsdfem.spectral import (
     NotSPDError,
     all_element_spectra,
@@ -177,11 +176,11 @@ def test_channel_face_has_large_eigenvalue(asm_channel):
     t_sum = np.zeros((m, m))
     that_sum = np.zeros((m, m))
     for e in asm_channel.mesh.face_elements(f):
-        blocks = face_blocks(asm_channel.caches[e], asm_channel.space, f)
-        t_sum += blocks.t_ff
+        t_ff, t_ffc, t_fcfc, _ = face_split(asm_channel, e, f)
+        t_sum += t_ff
         # Explicit constrained minimization, not the cached Schur path:
-        nu = -np.linalg.solve(blocks.t_fcfc, blocks.t_fcf)
-        that_sum += blocks.t_ff + blocks.t_ffc @ nu
+        nu = -np.linalg.solve(t_fcfc, t_ffc.T)
+        that_sum += t_ff + t_ffc @ nu
     mu = worst.vectors[:, -1]
     rayleigh = (mu @ (t_sum @ mu)) / (mu @ (that_sum @ mu))
     assert rayleigh == pytest.approx(worst.alphas[-1], rel=1e-8)
@@ -189,12 +188,12 @@ def test_channel_face_has_large_eigenvalue(asm_channel):
 
 def test_face_eigvectors_orthonormal_in_schur_energy(asm_mixed):
     spectra = all_face_spectra(asm_mixed.space, asm_mixed.caches, alpha_stab=4.0)
-    for s in spectra[:8]:
+    for s in list(spectra)[:8]:
         if s.empty:
             continue
         that = np.zeros((s.vectors.shape[0],) * 2)
         for e in asm_mixed.mesh.face_elements(s.face):
-            that += face_blocks(asm_mixed.caches[e], asm_mixed.space, s.face).t_hat
+            that += face_split(asm_mixed, e, s.face)[3]
         gram = s.vectors.T @ that @ s.vectors
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
