@@ -95,9 +95,6 @@ class CoefficientField:
     def mesh(self) -> CoarseMesh:
         return self.part.mesh
 
-    def cell_eigen_bounds(self, elem: int) -> tuple[np.ndarray, np.ndarray]:
-        return _sym_eig_bounds(np.asarray(self.tensors[elem]))
-
     def element_eigen_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest tensor eigenvalue on each element, for all elements at once."""
         emin, emax = _sym_eig_bounds(np.asarray(self.tensors))

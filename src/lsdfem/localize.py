@@ -8,9 +8,9 @@ the energy matrix is assembled once from the cached element flux-energy
 blocks, and patch problems are principal submatrices of the basis Gram.
 No interior problem is ever re-solved here.
 
-A localized projection is linear, and each seed's patch solution lives
-on the seed's patch, so it is stored as one sparse matrix of patch
-responses per seed kind and layer count: applying it is
+A localized projection is linear and each seed's solution lives on its
+patch, so it is stored as one sparse matrix of patch responses per seed
+kind and layer count, built by one batched patch kernel; applying it is
 ``basis @ (R @ data)``.
 """
 
@@ -23,8 +23,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .localop import ElementCache, quadratic_forms, scatter_blocks
-from .mesh import CoarseMesh, element_layers, layer_distances
+from .localop import ElementCache, batched_cholesky, quadratic_forms, scatter_blocks
+from .mesh import CoarseMesh, layer_distances, layer_sets
 from .spectral import FaceSpectrum
 from .traces import TraceSpace, TraceVector
 
@@ -40,7 +40,8 @@ __all__ = [
     "ring_energies",
 ]
 
-DENSE_PATCH_LIMIT = 4000
+DENSE_PATCH_LIMIT = 4000     # the global problem above this dimension is factored sparse
+PATCH_CHUNK_BYTES = 8 << 20  # stacked patch Gram matrices factored at once
 
 
 def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
@@ -135,24 +136,6 @@ class PatchProblem:
         return self.factor.solve(rhs)
 
 
-def _column_block(mat: sp.csc_matrix, start: int, stop: int) -> np.ndarray:
-    """Columns ``start:stop`` of a canonical CSC matrix as a dense array."""
-    lo, hi = mat.indptr[start], mat.indptr[stop]
-    cols = np.repeat(np.arange(stop - start), np.diff(mat.indptr[start : stop + 1]))
-    out = np.zeros((mat.shape[0], stop - start))
-    out[mat.indices[lo:hi], cols] = mat.data[lo:hi]
-    return out
-
-
-def _factorize(gram: np.ndarray, what: str):
-    try:
-        if gram.shape[0] <= DENSE_PATCH_LIMIT:
-            return scipy.linalg.cho_factor(gram)
-        return spla.splu(sp.csc_matrix(gram))
-    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-        raise AssertionError(f"{what} is not SPD: {exc}") from exc
-
-
 class PatchProjector:
     """Flux-energy Galerkin solver over a face basis, global and localized.
 
@@ -176,9 +159,12 @@ class PatchProjector:
         self._load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         self._flux_rhs.sum_duplicates()
         self._load_rhs.sum_duplicates()
-        widths = np.diff(basis.col_offsets)
-        self._nonempty = widths > 0
-        self._col_face = np.repeat(np.arange(space.n_coarse_faces), widths)
+        self._col_face = np.repeat(np.arange(space.n_coarse_faces), np.diff(basis.col_offsets))
+        # The incident elements of each face, the left one twice on the domain boundary.
+        self._face_right = np.where(space.mesh.face_right >= 0, space.mesh.face_right, space.mesh.face_left)
+        self._face_columns = sp.csr_matrix(
+            (np.ones(basis.dim), np.arange(basis.dim), basis.col_offsets), (space.n_coarse_faces, basis.dim)
+        )
         self._global: PatchProblem | None = None
         self._responses: dict[int, tuple[sp.csc_matrix, sp.csc_matrix]] = {}
 
@@ -186,8 +172,13 @@ class PatchProjector:
 
     def _global_problem(self) -> PatchProblem:
         if self._global is None:
-            factor = _factorize(self.gram, f"global {self.basis.label} energy Gram matrix")
-            faces = np.nonzero(self._nonempty)[0]
+            try:
+                dense = self.basis.dim <= DENSE_PATCH_LIMIT
+                factor = scipy.linalg.cho_factor(self.gram) if dense else spla.splu(sp.csc_matrix(self.gram))
+            except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+                what = f"global {self.basis.label} energy Gram matrix"
+                raise AssertionError(f"{what} is not SPD: {exc}") from exc
+            faces = np.unique(self._col_face)
             self._global = PatchProblem(("global", 0), None, faces, np.arange(self.basis.dim), factor)
         return self._global
 
@@ -205,34 +196,50 @@ class PatchProjector:
 
     # -- patch problems -------------------------------------------------------------
 
+    def _patch_columns(self, layers: sp.csr_matrix) -> sp.csr_matrix:
+        """0/1 row x basis-column matrix of the faces with all incident elements in that row of ``layers``."""
+        inside = layers[:, self.space.mesh.face_left].multiply(layers[:, self._face_right])
+        columns = inside @ self._face_columns
+        columns.sort_indices()
+        return columns
+
     def active_faces(self, elems: np.ndarray) -> np.ndarray:
         """Faces with basis columns all of whose incident elements lie inside the patch."""
-        mesh = self.space.mesh
-        inside = np.zeros(mesh.n_elements + 1, dtype=bool)
-        inside[elems] = True
-        inside[-1] = True   # face_right is -1 on the domain boundary
-        return np.nonzero(self._nonempty & inside[mesh.face_left] & inside[mesh.face_right])[0]
+        layer = sp.csr_matrix((np.ones(len(elems)), elems, [0, len(elems)]), (1, self.space.n_elements))
+        return np.unique(self._col_face[self._patch_columns(layer).indices])
 
-    def patch_problem(
-        self, seed: tuple[str, int], j: int, factors: dict[bytes, object] | None = None
-    ) -> PatchProblem:
-        """Factorized patch problem of a seed's ``j``-layer neighborhood.
+    def _patch_factors(self, kind: str, seeds: np.ndarray, j: int):
+        """Factorized ``j``-layer patch problems of seeds of one kind, in chunks of equal dimension d.
 
-        ``factors`` maps active face sets to factorizations, so seeds with
-        the same set share one; without it the problem is factored afresh.
+        Yields positions into ``seeds``, the ``(n, d)`` sorted basis columns of
+        their patches and the ``(n, d, d)`` lower Cholesky factors of their
+        Grams (at most ``PATCH_CHUNK_BYTES``), or None where every column is in
+        the patch and the global problem serves.
         """
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
-        faces = self.active_faces(element_layers(self.space.mesh, seed, j))
-        in_patch = np.zeros(self.space.n_coarse_faces, dtype=bool)
-        in_patch[faces] = True
-        dofs = np.nonzero(in_patch[self._col_face])[0]
-        factors = {} if factors is None else factors
-        key = faces.tobytes()
-        if key not in factors:
-            what = f"patch Gram matrix for seed {seed}, j={j}"
-            factors[key] = _factorize(self.gram[np.ix_(dofs, dofs)], what)
-        return PatchProblem(seed, j, faces, dofs, factors[key])
+        columns = self._patch_columns(layer_sets(self.space.mesh, kind, seeds, j))
+        dims = np.diff(columns.indptr)
+        for d in np.unique(dims):
+            group = np.nonzero(dims == d)[0]
+            dofs = columns.indices[columns.indptr[group][:, None] + np.arange(d)]
+            if d == self.basis.dim:
+                yield group, dofs, None
+                continue
+            step = max(1, PATCH_CHUNK_BYTES // (8 * d * d or 1))
+            for lo in range(0, group.size, step):
+                sub = dofs[lo : lo + step]
+                chol, item, pivot = batched_cholesky(self.gram[sub[:, :, None], sub[:, None, :]])
+                if chol is None:
+                    seed = (kind, int(seeds[group[lo + item]]))
+                    raise AssertionError(f"patch Gram of seed {seed}, j={j} is not SPD (pivot {pivot})")
+                yield group[lo : lo + step], sub, chol
+
+    def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
+        """Factorized ``j``-layer patch problem of one seed: the one-seed call of the patch kernel."""
+        ((_, dofs, chol),) = self._patch_factors(seed[0], np.array([seed[1]]), j)
+        factor = self._global_problem().factor if chol is None else (chol[0], True)
+        return PatchProblem(seed, j, np.unique(self._col_face[dofs[0]]), dofs[0], factor)
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
         """Galerkin solve on the patch subspace.
@@ -251,37 +258,33 @@ class PatchProjector:
         The face matrix is ``(M, n_fine)`` and takes stored trace values;
         the element matrix is ``(M, ne * n_bf)`` and takes the flattened
         element functionals.  The column block of seed s holds its patch
-        solution, in basis coefficients, for each unit input on its rows;
-        CSC keeps each block as the pass computes it.  Both come from one
-        pass that calls :meth:`patch_problem` once per seed; factorizations
-        are shared within the pass and dropped after it.
+        solution, in basis coefficients, for each unit input on its rows.
         """
-        out = self._responses.get(j)
-        if out is None:
-            factors: dict[bytes, object] = {}
-            out = (
-                self._response_matrix("face", self._flux_rhs, j, factors),
-                self._response_matrix("element", self._load_rhs, j, factors),
-            )
-            self._responses[j] = out
-        return out
+        if j not in self._responses:
+            self._responses[j] = (self._response_matrix("face", j), self._response_matrix("element", j))
+        return self._responses[j]
 
-    def _response_matrix(
-        self, kind: str, rhs: sp.csc_matrix, j: int, factors: dict[bytes, object]
-    ) -> sp.csc_matrix:
-        """Response matrix of one seed kind; seed s's right-hand sides are a column block of ``rhs``."""
+    def _response_matrix(self, kind: str, j: int) -> sp.csc_matrix:
+        """Response matrix of one seed kind; seed s's right-hand sides are a column block of its rhs."""
         n_seeds = self.space.n_coarse_faces if kind == "face" else self.space.n_elements
-        width = rhs.shape[1] // n_seeds
-        dims, rows, data = [], [], []
-        for s in range(n_seeds):
-            problem = self.patch_problem((kind, s), j, factors)
-            block = _column_block(rhs, s * width, (s + 1) * width)[problem.dof_indices]
-            dims.append(problem.dim)
-            rows.append(np.tile(problem.dof_indices.astype(np.int32), width))
-            data.append(problem.solve(block).T.ravel())
-        indptr = np.concatenate(([0], np.cumsum(np.repeat(dims, width), dtype=np.int32)))
-        shape = (self.basis.dim, rhs.shape[1])
-        return sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), shape)
+        rhs = self._flux_rhs if kind == "face" else self._load_rhs
+        width, m = rhs.shape[1] // n_seeds, rhs.shape[0]
+        stored = np.repeat(np.arange(rhs.shape[1]), np.diff(rhs.indptr)) * m + rhs.indices   # sorted keys
+        rows, cols, data = [], [], []
+        for members, dofs, chol in self._patch_factors(kind, np.arange(n_seeds), j):
+            (n, d), shape = dofs.shape, dofs.shape + (width,)
+            rows.append(np.broadcast_to(dofs[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(members[:, None, None] * width + np.arange(width), shape).ravel())
+            wanted = cols[-1] * m + rows[-1]
+            at = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
+            blocks = np.where(stored[at] == wanted, rhs.data[at], 0.0).reshape(shape)
+            if chol is None:  # saturated patches: one solve of the global problem
+                flat = self._global_problem().solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
+                blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
+            else:
+                blocks = scipy.linalg.cho_solve((chol, True), blocks, check_finite=False)
+            data.append(blocks.ravel())
+        return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), rhs.shape)
 
     # -- localized operator applications --------------------------------------------
 

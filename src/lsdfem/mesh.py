@@ -32,6 +32,7 @@ __all__ = [
     "UnionMesh",
     "build_union_mesh",
     "element_layers",
+    "layer_sets",
     "layer_distances",
     "saturation_depth",
     "saturation_radius",
@@ -97,10 +98,6 @@ class CoarseMesh:
         if self.face_boundary[face]:
             return (int(self.face_left[face]),)
         return (int(self.face_left[face]), int(self.face_right[face]))
-
-    def boundary_measure(self, elem: int) -> float:
-        """Total measure of the element boundary."""
-        return float(self.face_measures[self.element_faces[elem]].sum())
 
 
 def _triangle_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,49 +254,43 @@ def build_structured_mesh(
     return build_mesh(vertices, np.column_stack((a, b, c, a, c, d)).reshape(-1, 3))
 
 
-def _first_layer(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:
-    """T_1(seed) as a sorted array: the element, or the face's incident elements."""
-    kind, idx = seed
-    if kind == "element":
-        if not 0 <= idx < mesh.n_elements:
-            raise MeshError(f"unknown element seed {idx}")
-        return np.array([idx], dtype=int)
-    if kind == "face":
-        if not 0 <= idx < mesh.n_faces:
-            raise MeshError(f"unknown face seed {idx}")
-        return np.unique(mesh.face_elements(idx))
-    raise MeshError(f"unknown seed kind {kind!r}")
+def layer_sets(mesh: CoarseMesh, kind: str, seeds: np.ndarray, j: int) -> sp.csr_matrix:
+    """Layer neighborhoods T_j of seeds of one kind, as a 0/1 seed x element matrix.
 
-
-def element_layers(mesh: CoarseMesh, seed: tuple[str, int], j: int) -> np.ndarray:
-    """Layer neighborhood T_j(seed) grown by closure adjacency, as sorted element ids.
-
-    ``seed`` is ``("element", k)`` or ``("face", f)``.  T_0 is empty,
+    ``kind`` is ``"element"`` or ``"face"``.  T_0 is empty,
     T_1("element", K) = {K}, T_1("face", F) = the incident element(s), and
     T_{j+1} adds every element whose closure touches T_j (vertex
-    neighbors included).  Each step gathers the adjacency rows of T_j, so
-    the cost grows with the patch, not the mesh.
+    neighbors included): the first-layer rows times the adjacency,
+    ``j - 1`` times.  Row indices are sorted.
     """
     if j < 0:
         raise ValueError("layer count j must be >= 0")
-    current = _first_layer(mesh, seed)
+    if kind not in ("element", "face"):
+        raise MeshError(f"unknown seed kind {kind!r}")
+    bad = (seeds < 0) | (seeds >= (mesh.n_elements if kind == "element" else mesh.n_faces))
+    if bad.any():
+        raise MeshError(f"unknown {kind} seed {seeds[bad][0]}")
     if j == 0:
-        return current[:0]
-    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
+        return sp.csr_matrix((seeds.size, mesh.n_elements))
+    first = seeds[:, None] if kind == "element" else np.column_stack((mesh.face_left, mesh.face_right))[seeds]
+    rows, cols = np.nonzero(first >= 0)    # face_right is -1 on the domain boundary
+    layers = sp.csr_matrix((np.ones(rows.size), (rows, first[rows, cols])), (seeds.size, mesh.n_elements))
     for _ in range(j - 1):
-        if current.size == mesh.n_elements:
-            break
-        starts = indptr[current]
-        lens = indptr[current + 1] - starts
-        entries = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        current = np.unique(indices[entries])
-    return current
+        layers = layers @ mesh.adjacency
+        layers.data[:] = 1.0
+    layers.sort_indices()
+    return layers
+
+
+def element_layers(mesh: CoarseMesh, seed: tuple[str, int], j: int) -> np.ndarray:
+    """T_j(seed) as sorted element ids, ``seed`` ``("element", k)`` or ``("face", f)``: one layer_sets row."""
+    return layer_sets(mesh, seed[0], np.array([seed[1]]), j).indices
 
 
 def layer_distances(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:
     """Per element, the smallest j with the element in T_{j+1}(seed)."""
     dist = csgraph.shortest_path(
-        mesh.adjacency, unweighted=True, indices=_first_layer(mesh, seed)
+        mesh.adjacency, unweighted=True, indices=element_layers(mesh, seed, 1)
     ).min(axis=0)
     if not np.isfinite(dist).all():
         raise MeshError("layer growth stalled; mesh not connected?")
@@ -402,10 +393,6 @@ class FinePartition:
     def fine_size(self) -> float:
         """h: the largest fine sub-face diameter."""
         return float(self.fine_measures.max())
-
-    def face_slice(self, face: int) -> slice:
-        n = self.faces_per_coarse
-        return slice(face * n, (face + 1) * n)
 
 
 def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

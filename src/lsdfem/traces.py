@@ -33,7 +33,6 @@ __all__ = [
     "PiecewiseConstant",
     "TraceSpace",
     "build_trace_space",
-    "lambda0_basis",
     "pairing",
     "element_functionals",
     "boundary_functional",
@@ -60,13 +59,6 @@ class TraceVector:
         """
         part = self.space.part
         return part.boundary_signs[elem] * self.values[part.boundary_face_ids[elem]]
-
-    def restricted_to_face(self, face: int) -> "TraceVector":
-        """Copy that keeps only the values on one coarse face."""
-        out = np.zeros_like(self.values)
-        sl = self.space.part.face_slice(face)
-        out[sl] = self.values[sl]
-        return TraceVector(self.space, out)
 
     def __add__(self, other: "TraceVector") -> "TraceVector":
         return TraceVector(self.space, self.values + other.values)
@@ -186,25 +178,10 @@ class TraceSpace:
         scale = max(np.abs(mu.values).max(), 1.0)
         return bool(np.abs(r).max() <= tol * scale)
 
-    def is_tilde_f(self, mu: TraceVector, tol: float = 1e-10) -> bool:
-        """Membership test: zero average on every coarse face."""
-        r = self.face_integrals(mu.values)
-        scale = max(np.abs(mu.values).max(), 1.0)
-        return bool(np.abs(r).max() <= tol * scale)
-
     def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stored values from per-element boundary-row values ``(ne, n_bf)``, summed per fine face."""
         ids = self.part.boundary_face_ids
         return np.bincount(ids.ravel(), weights=rows.ravel(), minlength=self.n_fine)
-
-    def random_tilde_f(self, rng: np.random.Generator) -> TraceVector:
-        """Deterministic-seed random member of the zero-face-average block."""
-        nfs = self.part.faces_per_coarse
-        out = np.zeros(self.n_fine)
-        if nfs > 1:
-            coeffs = rng.standard_normal((self.n_coarse_faces, nfs - 1))
-            out = (coeffs @ self.zero_mean.T).ravel()
-        return TraceVector(self, out)
 
 
 def zero_mean_basis(weights: np.ndarray) -> np.ndarray:
@@ -269,13 +246,6 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
         zero_mean=zm,
         face_constant_coeffs=face_constant_coeffs,
     )
-
-
-def lambda0_basis(space: TraceSpace) -> list[TraceVector]:
-    """The jump functionals: element-side value +1 on all of the element
-    boundary, -1 on the mating side of shared faces, 0 elsewhere."""
-    cols = space.jump_basis.toarray()
-    return [TraceVector(space, cols[:, i].copy()) for i in range(space.n_elements)]
 
 
 def pairing(

@@ -13,6 +13,21 @@ from lsdfem.pipeline import Assembly, SolverConfig, build_assembly
 from lsdfem.traces import build_trace_space
 
 
+def lambda0_basis(space):
+    """The jump functionals, one trace vector per element: the columns of ``space.jump_basis``."""
+    cols = space.jump_basis.toarray()
+    return [space.vector(cols[:, i].copy()) for i in range(space.n_elements)]
+
+
+def random_tilde_f(space, rng):
+    """Random member of the zero-face-average block."""
+    nfs = space.part.faces_per_coarse
+    out = np.zeros(space.n_fine)
+    if nfs > 1:
+        out = (rng.standard_normal((space.n_coarse_faces, nfs - 1)) @ space.zero_mean.T).ravel()
+    return space.vector(out)
+
+
 def make_assembly(nx, ny, face_level, coefficient="constant", params=None, rho="one"):
     cfg = SolverConfig(
         nx=nx,
@@ -93,9 +108,8 @@ def pairing_bruteforce(space, mu, v_broken, n_quad=64):
         for local in range(3):
             fid = int(mesh.element_faces[elem, local])
             sign = int(mesh.element_face_signs[elem, local])
-            sl = part.face_slice(fid)
             for k in range(part.faces_per_coarse):
-                fine = sl.start + k
+                fine = fid * part.faces_per_coarse + k
                 a, b = part.fine_endpoints[fine]
                 side_value = sign * mu.values[fine]
                 ts = np.linspace(0.0, 1.0, n_quad + 1)

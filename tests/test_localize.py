@@ -1,17 +1,24 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_tilde_f
 from lsdfem.coeff import local_bounds, make_weight
-from lsdfem.localize import build_flux_energy, delta_basis, pi_basis, plain_basis, ring_energies
+from lsdfem import localize
+from lsdfem.localize import (
+    PatchProjector, build_flux_energy, delta_basis, pi_basis, plain_basis, ring_energies,
+)
 from lsdfem.localop import apply_T, assemble_all
 from lsdfem.mesh import element_layers, refine_faces, saturation_depth, saturation_radius
 from lsdfem.pipeline import Assembly
 from lsdfem.presets import coefficient_field
 from lsdfem.traces import boundary_functional, build_trace_space, element_functionals
-from test_mesh import meshes
+from test_mesh import layers_bruteforce, meshes
 
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
@@ -139,8 +146,9 @@ def test_patch_galerkin_optimality(asm_mixed):
     rng = np.random.default_rng(13)
     seed = ("face", 9)
     problem = proj.patch_problem(seed, 1)
-    lam_f = asm_mixed.space.random_tilde_f(rng)
-    lamF = lam_f.restricted_to_face(9)
+    lam_f = random_tilde_f(asm_mixed.space, rng)
+    on_face = np.arange(asm_mixed.space.n_fine) // asm_mixed.part.faces_per_coarse == 9
+    lamF = asm_mixed.space.vector(np.where(on_face, lam_f.values, 0.0))
     rhs = proj.reduce_functional(asm_mixed.energy @ lamF.values)
     sol = proj.solve_patch(problem, rhs)
     target = proj.project_flux(lamF)  # global reference
@@ -165,6 +173,32 @@ def assembly_on(mesh, face_level):
                     local_bounds(coeff))
 
 
+def response_matrix_reference(proj, kind, j):
+    """Per-seed loop: one layer set, active-face mask, Gram gather, Cholesky factor and solve per seed."""
+    space, mesh = proj.space, proj.space.mesh
+    if kind == "face":
+        n_seeds, rhs = mesh.n_faces, (proj.basis.matrix.T @ proj.energy).toarray()
+        firsts = [set(mesh.face_elements(f)) for f in range(n_seeds)]
+    else:
+        n_seeds, rhs = mesh.n_elements, proj.basis.matrix.T.toarray()[:, space.part.boundary_face_ids.ravel()]
+        firsts = [{e} for e in range(n_seeds)]
+    width = rhs.shape[1] // n_seeds
+    col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
+    dims, rows, data = [], [], []
+    for s in range(n_seeds):
+        inside = np.zeros(mesh.n_elements + 1, dtype=bool)
+        inside[list(layers_bruteforce(mesh, firsts[s], j))] = True
+        inside[-1] = True   # face_right is -1 on the domain boundary
+        faces = np.nonzero(inside[mesh.face_left] & inside[mesh.face_right])[0]
+        dofs = np.nonzero(np.isin(col_face, faces))[0]
+        factor = scipy.linalg.cho_factor(proj.gram[np.ix_(dofs, dofs)])
+        dims.append(dofs.size)
+        rows.append(np.tile(dofs, width))
+        data.append(scipy.linalg.cho_solve(factor, rhs[dofs, s * width : (s + 1) * width]).T.ravel())
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(dims, width))))
+    return sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), (proj.basis.dim, rhs.shape[1]))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     mesh=meshes(),
@@ -173,17 +207,24 @@ def assembly_on(mesh, face_level):
     data=st.data(),
 )
 def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
-    # A seed's block of the response matrix is its patch solve, it vanishes
-    # on the basis columns of inactive faces, and at the saturation radius
-    # both localized projections are the global one.
+    # Both response matrices equal the per-seed reference loop, a seed's
+    # block is its patch solve, it vanishes on the basis columns of inactive
+    # faces, and at the saturation radius both localized projections are
+    # the global one.
     asm = assembly_on(mesh, face_level)
     space, part = asm.space, asm.part
     proj = asm.projector(variant, 4.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["face", "element"]))
     seed = (kind, data.draw(st.integers(0, (mesh.n_faces if kind == "face" else mesh.n_elements) - 1)))
-    j = data.draw(st.integers(1, 3))
+    jstar = saturation_radius(mesh)
+    j = data.draw(st.integers(1, jstar + 1))
     face_r, element_r = proj.responses(j)
+    for got, seed_kind in ((face_r, "face"), (element_r, "element")):
+        ref = response_matrix_reference(proj, seed_kind, j)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.abs(got.data - ref.data).max(initial=0.0) <= 1e-12 * np.abs(ref.data).max(initial=0.0)
     r = np.zeros(space.n_fine)
     if kind == "face":
         rows = np.arange(seed[1] * part.faces_per_coarse, (seed[1] + 1) * part.faces_per_coarse)
@@ -202,7 +243,6 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
     col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
     assert not block[~np.isin(col_face, problem.active_faces)].any()
 
-    jstar = saturation_radius(mesh)
     lam = space.vector(rng.standard_normal(space.n_fine))
     functionals = rng.standard_normal(part.boundary_face_ids.shape)
     for loc, glob in (
@@ -212,6 +252,36 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
         assert np.abs(loc.values - glob.values).max() <= 1e-10 * np.abs(glob.values).max()
 
 
+def test_response_chunks_of_one_seed_match(asm_mixed, monkeypatch):
+    # Splitting every group of equal patch dimension into chunks of one seed
+    # leaves both response matrices unchanged.
+    basis = asm_mixed.projector("delta", 4.0).basis
+    default = PatchProjector(asm_mixed.space, asm_mixed.energy, basis)
+    expected = {j: default.responses(j) for j in (1, 2, 3)}
+    monkeypatch.setattr(localize, "PATCH_CHUNK_BYTES", 1)
+    single = PatchProjector(asm_mixed.space, asm_mixed.energy, basis)
+    for j, refs in expected.items():
+        for got, ref in zip(single.responses(j), refs):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("kind", ["face", "element"])
+def test_non_spd_patch_names_seed_and_j(asm_mixed, kind):
+    # A patch Gram that is not positive definite stops the pass with an
+    # error naming the seed and the layer count.
+    good = asm_mixed.projector("plain", 4.0)
+    seed, j = (kind, 5), 2
+    dof = good.patch_problem(seed, j).dof_indices[0]
+    proj = PatchProjector(asm_mixed.space, asm_mixed.energy, good.basis)
+    proj.gram[dof, dof] = -proj.gram[dof, dof]
+    with pytest.raises(AssertionError, match=re.escape(f"seed {seed}, j={j} is not SPD")):
+        proj.patch_problem(seed, j)
+    with pytest.raises(AssertionError, match=r"seed \('(face|element)', \d+\), j=2 is not SPD"):
+        proj.responses(j)
+
+
 @pytest.mark.parametrize("variant", ["plain", "delta"])
 def test_invariance_on_fine_block(asm_mixed, variant):
     # The face-seeded localized projection reproduces members of its own
@@ -219,7 +289,7 @@ def test_invariance_on_fine_block(asm_mixed, variant):
     rng = np.random.default_rng(17)
     proj = asm_mixed.projector(variant, 4.0)
     if variant == "plain":
-        lam = asm_mixed.space.random_tilde_f(rng)
+        lam = random_tilde_f(asm_mixed.space, rng)
     else:
         coeffs = rng.standard_normal(proj.basis.dim)
         lam = asm_mixed.space.vector(proj.basis.matrix @ coeffs)

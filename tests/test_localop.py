@@ -13,7 +13,7 @@ from lsdfem.localop import (
     assemble_all,
     scatter_blocks,
 )
-from lsdfem.coeff import local_bounds
+from lsdfem.coeff import _sym_eig_bounds, local_bounds
 from lsdfem.localize import build_flux_energy
 from lsdfem.mesh import _edge_lattice_nodes, _lattice, build_structured_mesh, refine_faces
 from lsdfem.pipeline import Assembly, sample_load, solve_lsd
@@ -383,8 +383,8 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
             (apply_Ttilde(cache, loads[t]), ref_tt),
         ):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
-        assert cache.a_min == coeff.cell_eigen_bounds(t)[0].min()
-        assert cache.a_max == coeff.cell_eigen_bounds(t)[1].max()
+        assert cache.a_min == _sym_eig_bounds(coeff.tensors[t])[0].min()
+        assert cache.a_max == _sym_eig_bounds(coeff.tensors[t])[1].max()
 
     # One staged solve on the same mesh keeps every element in equilibrium.
     asm = Assembly(mesh, part, coeff, weight, caches, space, build_flux_energy(space, caches),

@@ -95,8 +95,10 @@ def test_layer_basics_and_nesting():
     jstar = saturation_depth(mesh, ("element", 0))
     assert jstar <= mesh.n_elements
     assert len(element_layers(mesh, ("element", 0), jstar)) == mesh.n_elements
-    with pytest.raises(MeshError):
-        element_layers(mesh, ("element", 999), 1)
+    for seed in (("element", 999), ("element", -1), ("face", mesh.n_faces), ("vertex", 0)):
+        for j in (0, 2):
+            with pytest.raises(MeshError):
+                element_layers(mesh, seed, j)
 
 
 def grid_mesh(nx, ny, rng=None, hole=False):

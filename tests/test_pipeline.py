@@ -209,27 +209,28 @@ def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
 
 
 def test_patch_problems_set_up_once_per_seed(monkeypatch):
-    # A cold solve sets up every face and element seed's patch exactly once,
-    # for the upscaled operator and the load's two passes together; a warm
-    # solve sets up none.
+    # A cold solve runs the batched patch kernel once per seed kind, over
+    # every face and element seed exactly once, for the upscaled operator
+    # and the load's two passes together; a warm solve runs it not at all.
     from lsdfem.localize import PatchProjector
 
     asm = make_assembly(4, 4, 1, "smooth")
     g = sample_load(asm.part, smooth_g)
-    build, seeds = PatchProjector.patch_problem, []
+    kernel, calls = PatchProjector._patch_factors, []
 
-    def counted(self, seed, j, *args):
-        seeds.append((seed, j))
-        return build(self, seed, j, *args)
+    def counted(self, kind, seeds, j):
+        calls.append((kind, sorted(seeds.tolist()), j))
+        return kernel(self, kind, seeds, j)
 
-    monkeypatch.setattr(PatchProjector, "patch_problem", counted)
+    monkeypatch.setattr(PatchProjector, "_patch_factors", counted)
     solve_lsd(asm, g, 2, "delta", 4.0)
-    expected = [(("face", f), 2) for f in range(asm.mesh.n_faces)]
-    expected += [(("element", e), 2) for e in range(asm.mesh.n_elements)]
-    assert sorted(seeds) == sorted(expected)
-    seeds.clear()
+    assert sorted(calls) == [
+        ("element", list(range(asm.mesh.n_elements)), 2),
+        ("face", list(range(asm.mesh.n_faces)), 2),
+    ]
+    calls.clear()
     solve_lsd(asm, g, 2, "delta", 4.0)
-    assert seeds == []
+    assert calls == []
 
 
 def test_equilibrium_at_small_j(asm_mixed):
