@@ -80,7 +80,10 @@ class ExperimentSpec:
         seed = data.get("seed", 0)
         if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        return cls(kind=kind, config=cfg, sweep=sweep, out_dir=data.get("out", "lsdfem-out"), seed=seed)
+        out = data.get("out", "lsdfem-out")
+        if not isinstance(out, str):
+            raise ValueError(f"out must be a directory path string, got {out!r}")
+        return cls(kind=kind, config=cfg, sweep=sweep, out_dir=out, seed=seed)
 
 
 def _write_csv(path: str, columns: dict) -> None:

@@ -17,7 +17,7 @@ axes, so they run the same code on one element's view ``caches[t]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .coeff import CoefficientField, WeightField
-from .mesh import ElementGeometry, FinePartition
+from .mesh import FinePartition, Stacked
 from .traces import TraceSpace
 
 __all__ = [
@@ -47,18 +47,20 @@ class LocalAssemblyError(RuntimeError):
 
 
 @dataclass
-class ElementCache:
+class ElementCache(Stacked):
     """Assembled matrices of every coarse element, stacked along a leading axis.
 
     ``caches[t]`` is element t's view: the same fields without the leading
-    axis, ``elem`` an int and ``geom`` its :class:`ElementGeometry`;
+    axis, ``elem`` an int and ``geom`` the partition's view ``part[t]``;
     iteration yields the views in element order.  On the stack, ``geom``
-    is the :class:`FinePartition`, whose stacked fields carry the
-    ``ElementGeometry`` names.
+    is the :class:`FinePartition`.
     """
 
+    STACKED = ("elem", "geom", "tensors", "rho", "stiffness", "mass", "mean_vector",
+               "flux_energy", "a_min", "a_max", "_saddle", "_inverse")
+
     elem: np.ndarray | int                  # (ne,) element ids
-    geom: FinePartition | ElementGeometry
+    geom: FinePartition
     tensors: np.ndarray          # (ne, nc, 2, 2)
     rho: np.ndarray              # (ne, nc)
     stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
@@ -69,16 +71,6 @@ class ElementCache:
     a_max: np.ndarray            # (ne,) largest tensor eigenvalue
     _saddle: np.ndarray = field(repr=False)   # (ne, nn + 1, nn + 1) constrained stiffness
     _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) its inverse
-
-    def __len__(self) -> int:
-        return len(self.elem)
-
-    def __getitem__(self, t: int) -> "ElementCache":
-        view = {f.name: getattr(self, f.name)[t] for f in fields(self) if f.name != "geom"}
-        return ElementCache(**{**view, "elem": int(self.elem[t]), "geom": self.geom.geometry[t]})
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
 
 
 def _sym(mats: np.ndarray) -> np.ndarray:

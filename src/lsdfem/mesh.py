@@ -11,11 +11,17 @@ element and ``-1`` for the right one.
 Layer neighborhoods, their saturation depths and the mesh's saturation
 radius all read one sparse closure-adjacency matrix: two elements are
 adjacent when their closures share a vertex.
+
+Every per-item family of the package (the fine partition's element
+geometry, the element caches, the face and element spectra) is one
+dataclass of stacks with a leading item axis; :class:`Stacked` gives each
+of them the same item views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +30,7 @@ from scipy.sparse import csgraph
 __all__ = [
     "CoarseMesh",
     "FinePartition",
-    "ElementGeometry",
+    "Stacked",
     "MeshError",
     "build_structured_mesh",
     "build_mesh",
@@ -47,6 +53,31 @@ DEFAULT_SHAPE_REGULARITY_BOUND = 20.0
 
 class MeshError(ValueError):
     """Invalid mesh input (degenerate element, bad connectivity, ...)."""
+
+
+class Stacked:
+    """Base of the dataclasses that store one item family as stacks with a leading item axis.
+
+    ``STACKED`` names the fields that carry the item axis.  ``x[i]`` is
+    item i's view: the same dataclass with each stacked field indexed
+    (numpy integer ids become ints) and every other field shared.
+    Iteration yields the views in stack order.
+    """
+
+    STACKED: ClassVar[tuple[str, ...]] = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.STACKED[0]))
+
+    def __getitem__(self, i: int):
+        view = {}
+        for name in self.STACKED:
+            item = getattr(self, name)[i]
+            view[name] = int(item) if isinstance(item, np.integer) else item
+        return replace(self, **view)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -327,45 +358,20 @@ def saturation_radius(mesh: CoarseMesh) -> int:
 
 
 @dataclass
-class ElementGeometry:
-    """Interior triangulation of one coarse element plus its trace structure.
-
-    ``trace_matrix`` maps interior P1 nodal values to their integrals over
-    each fine sub-face of the element boundary (rows ordered by local edge,
-    then by the sub-face index along the *stored* orientation of the parent
-    coarse face), exact for P1 traces.
-    """
-
-    elem: int
-    nodes: np.ndarray            # (nn, 2)
-    cells: np.ndarray            # (nc, 3)
-    cell_areas: np.ndarray       # (nc,)
-    cell_centroids: np.ndarray   # (nc, 2)
-    grads: np.ndarray            # (nc, 3, 2) P1 basis gradients per cell
-    boundary_face_ids: np.ndarray   # (n_bf,) global fine-face ids
-    boundary_signs: np.ndarray      # (n_bf,) +-1, sign of parent coarse face
-    trace_matrix: np.ndarray        # (n_bf, nn)
-    face_rows: dict[int, np.ndarray]  # coarse face id -> row indices (ordered by sub-face)
-    boundary_node_mask: np.ndarray  # (nn,) True for nodes on the element boundary
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def n_boundary_faces(self) -> int:
-        return self.boundary_face_ids.shape[0]
-
-
-@dataclass
-class FinePartition:
+class FinePartition(Stacked):
     """Fine face partition F_h plus per-element interior triangulations.
 
     Every interior triangulation is an affine image of one reference
     lattice, so the per-element geometry is stored as stacks with a
-    leading element axis, under the field names of ``ElementGeometry``;
-    each ``ElementGeometry`` holds views into them.
+    leading element axis; ``part[t]`` is element t's view.  Row ``r`` of
+    ``trace_matrix`` maps interior P1 nodal values to their integral over
+    the fine sub-face ``boundary_face_ids[r]`` of the element boundary,
+    exact for P1 traces; rows are ordered by local edge, then by the
+    sub-face index along the stored orientation of the parent coarse face.
     """
+
+    STACKED = ("nodes", "cell_areas", "cell_centroids", "grads", "trace_matrix",
+               "boundary_face_ids", "boundary_signs")
 
     mesh: CoarseMesh
     face_level: int
@@ -383,7 +389,21 @@ class FinePartition:
     boundary_face_ids: np.ndarray   # (ne, n_bf)
     boundary_signs: np.ndarray      # (ne, n_bf)
     boundary_node_mask: np.ndarray  # (nn,) lattice nodes on the element boundary
-    geometry: list[ElementGeometry]
+
+    @property
+    def geometry(self):
+        """The element views ``part[t]`` in element order."""
+        return iter(self)
+
+    @property
+    def n_nodes(self) -> int:
+        """Interior lattice nodes per element."""
+        return self.nodes.shape[-2]
+
+    @property
+    def n_boundary_faces(self) -> int:
+        """Fine sub-faces on one element's boundary."""
+        return self.boundary_face_ids.shape[-1]
 
     @property
     def n_fine_faces(self) -> int:
@@ -499,25 +519,7 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
     trace = trace.reshape(ne, 3 * nfs, -1)
     b_ids = (ef[:, :, None] * nfs + np.arange(nfs)).reshape(ne, 3 * nfs)
     b_signs = np.repeat(mesh.element_face_signs, nfs, axis=1)
-    rows = np.arange(3 * nfs).reshape(3, nfs)
     boundary_mask = patterns.any(axis=(0, 1, 2))
-
-    geometry = [
-        ElementGeometry(
-            elem=t,
-            nodes=nodes[t],
-            cells=cells,
-            cell_areas=cell_areas[t],
-            cell_centroids=cell_centroids[t],
-            grads=grads[t],
-            boundary_face_ids=b_ids[t],
-            boundary_signs=b_signs[t],
-            trace_matrix=trace[t],
-            face_rows=dict(zip(ef[t].tolist(), rows)),
-            boundary_node_mask=boundary_mask,
-        )
-        for t in range(ne)
-    ]
 
     part = FinePartition(
         mesh=mesh,
@@ -536,7 +538,6 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         boundary_face_ids=b_ids,
         boundary_signs=b_signs,
         boundary_node_mask=boundary_mask,
-        geometry=geometry,
     )
     _check_partition(part)
     return part

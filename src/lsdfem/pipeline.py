@@ -119,6 +119,18 @@ def _is_finite_number(value) -> bool:
     )
 
 
+# Config fields checked by type alone: (names, requirement, check of one value).
+_FIELD_RULES = (
+    (("domain",), "4 finite numbers (x0, y0, x1, y1)",
+     lambda v: isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_finite_number, v))),
+    (("coefficient", "rho", "variant", "rhs"), "a name string", lambda v: isinstance(v, str)),
+    (("coefficient_params", "rhs_params"), "an object", lambda v: isinstance(v, dict)),
+    (("mesh_file", "coefficient_file"), "null or a path string", lambda v: v is None or isinstance(v, str)),
+    (("rhs_reduction", "compare_exact", "compare_conforming"), "true or false", lambda v: isinstance(v, bool)),
+    (("equilibrium_tol",), "finite and > 0", lambda v: _is_finite_number(v) and v > 0.0),
+)
+
+
 @dataclass
 class SolverConfig:
     """Everything a run needs; serializable and hashable for reports."""
@@ -162,6 +174,10 @@ class SolverConfig:
             value = getattr(self, name)
             if not (_is_finite_number(value) or (name == "h_target" and value is None)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for names, rule, ok in _FIELD_RULES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.alpha_stab < 1.0:
             raise ValueError("alpha_stab must be >= 1")
         if self.h_target is not None and self.h_target <= 0.0:
@@ -185,12 +201,14 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "domain" in kwargs:
+        if isinstance(kwargs.get("domain"), list):
             kwargs["domain"] = tuple(kwargs["domain"])
         cfg = cls(**kwargs)
         cfg.validate()
@@ -242,52 +260,45 @@ class Assembly:
         self.space = space
         self.energy = energy
         self.stats = stats
-        self._face_spectra: dict[float, FaceSpectrum] = {}
-        self._projectors: dict[tuple[str, float], PatchProjector] = {}
-        self._element_spectra: dict[tuple[float, float], ElementSpectrum] = {}
-        self._coarse_bases: dict[tuple[str, float], np.ndarray] = {}
-        self._upscaled: dict[tuple[str, float, int | None], UpscaledOperator] = {}
-        self._union: UnionMesh | None = None
+        self._stages: dict[tuple, object] = {}
+
+    def _memo(self, stage: str, key, build: Callable[[], object]):
+        """The product of ``stage`` for ``key``, built by ``build()`` on first use."""
+        if (stage, key) not in self._stages:
+            self._stages[stage, key] = build()
+        return self._stages[stage, key]
 
     def face_spectra(self, alpha_stab: float) -> FaceSpectrum:
-        spectra = self._face_spectra.get(alpha_stab)
-        if spectra is None:
-            spectra = all_face_spectra(self.space, self.caches, alpha_stab)
-            self._face_spectra[alpha_stab] = spectra
-        return spectra
+        return self._memo(
+            "face_spectra", alpha_stab, lambda: all_face_spectra(self.space, self.caches, alpha_stab)
+        )
 
     def projector(self, variant: str, alpha_stab: float) -> PatchProjector:
-        key = _variant_key(variant, alpha_stab)
-        proj = self._projectors.get(key)
-        if proj is None:
+        def build():
             if variant == "plain":
                 basis = plain_basis(self.space)
             else:
                 basis = delta_basis(self.space, self.face_spectra(alpha_stab))
-            proj = PatchProjector(self.space, self.energy, basis)
-            self._projectors[key] = proj
-        return proj
+            return PatchProjector(self.space, self.energy, basis)
+
+        return self._memo("projector", _variant_key(variant, alpha_stab), build)
 
     def element_spectra(self, h_target: float, c_j: float) -> ElementSpectrum:
-        key = (h_target, c_j)
-        spectra = self._element_spectra.get(key)
-        if spectra is None:
-            spectra = all_element_spectra(self.caches, h_target, c_j)
-            self._element_spectra[key] = spectra
-        return spectra
+        return self._memo(
+            "element_spectra", (h_target, c_j), lambda: all_element_spectra(self.caches, h_target, c_j)
+        )
 
     def coarse_basis(self, variant: str, alpha_stab: float) -> np.ndarray:
         """Stored basis of the upscaled block: face constants plus retained modes."""
-        key = _variant_key(variant, alpha_stab)
-        basis = self._coarse_bases.get(key)
-        if basis is None:
+        def build():
             basis = self.space.tilde0_stored_basis()
             if variant != "plain":
                 pi = pi_basis(self.space, self.face_spectra(alpha_stab))
                 basis = np.hstack([basis, pi.matrix.toarray()])
             basis.flags.writeable = False
-            self._coarse_bases[key] = basis
-        return basis
+            return basis
+
+        return self._memo("coarse_basis", _variant_key(variant, alpha_stab), build)
 
     def upscaled_operator(
         self, variant: str, alpha_stab: float, j: int | None
@@ -298,22 +309,19 @@ class Assembly:
         the multiscale basis costs ``n_fine x M`` doubles, and every later
         solve with the same key pays only its per-load patch passes.
         """
-        key = (*_variant_key(variant, alpha_stab), j)
-        operator = self._upscaled.get(key)
-        if operator is None:
-            operator = UpscaledOperator.build(
+        return self._memo(
+            "upscaled_operator",
+            (*_variant_key(variant, alpha_stab), j),
+            lambda: UpscaledOperator.build(
                 self.energy,
                 self.projector(variant, alpha_stab),
                 self.coarse_basis(variant, alpha_stab),
                 j,
-            )
-            self._upscaled[key] = operator
-        return operator
+            ),
+        )
 
     def union_mesh(self) -> "UnionMesh":
-        if self._union is None:
-            self._union = build_union_mesh(self.part)
-        return self._union
+        return self._memo("union_mesh", None, lambda: build_union_mesh(self.part))
 
 
 def build_assembly(cfg: SolverConfig) -> Assembly:

@@ -14,8 +14,9 @@ targets, and robustness beats scalability there.  All faces (and all
 elements) share one pencil size, so each family is solved as one stack
 and kept as one: :class:`FaceSpectrum` and :class:`ElementSpectrum` carry
 a leading face or element axis, and indexing either gives one item's
-view.  Empty pencils (a face with a single fine sub-face has no
-zero-average modes) run through the same kernels.
+view (:class:`~lsdfem.mesh.Stacked`).  Empty pencils (a face with a
+single fine sub-face has no zero-average modes) run through the same
+kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localop import ElementCache, batched_cholesky, edge_blocks, quadratic_forms, solve_lower
+from .mesh import Stacked
 from .traces import TraceSpace
 
 __all__ = [
@@ -80,7 +82,7 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class FaceSpectrum:
+class FaceSpectrum(Stacked):
     """Eigenpairs of the face pencils and their threshold split, stacked.
 
     The fields carry a leading face axis; ``spectra[i]`` is the i-th face's
@@ -93,22 +95,13 @@ class FaceSpectrum:
     columns.
     """
 
+    STACKED = ("face", "alphas", "vectors", "n_delta")
+
     face: np.ndarray | int      # (nf,) coarse face ids
     alphas: np.ndarray          # (nf, m) ascending
     vectors: np.ndarray         # (nf, m, m) columns in zero-mean coordinates
     alpha_stab: float
     n_delta: np.ndarray | int   # (nf,)
-
-    def __len__(self) -> int:
-        return len(self.face)
-
-    def __getitem__(self, i: int) -> "FaceSpectrum":
-        return FaceSpectrum(
-            int(self.face[i]), self.alphas[i], self.vectors[i], self.alpha_stab, int(self.n_delta[i])
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def n_pi(self) -> np.ndarray | int:
@@ -160,7 +153,7 @@ def _face_spectra(
 
 
 @dataclass
-class ElementSpectrum:
+class ElementSpectrum(Stacked):
     """Neumann pencils of every element and the load-space cut, stacked.
 
     The fields carry a leading element axis; ``spectra[t]`` is element t's
@@ -171,24 +164,14 @@ class ElementSpectrum:
     constants always survive) with 1/sigma_{J+1} <= c_j * h_target**2.
     """
 
+    STACKED = ("elem", "sigma", "vectors", "j_count")
+
     elem: np.ndarray | int
     sigma: np.ndarray            # (ne, nn) ascending
     vectors: np.ndarray          # (ne, nn, nn) eigenvectors as columns
     j_count: np.ndarray | int    # (ne,)
     h_target: float
     c_j: float
-
-    def __len__(self) -> int:
-        return len(self.elem)
-
-    def __getitem__(self, t: int) -> "ElementSpectrum":
-        return ElementSpectrum(
-            int(self.elem[t]), self.sigma[t], self.vectors[t], int(self.j_count[t]),
-            self.h_target, self.c_j,
-        )
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
 
     @property
     def sigma_next(self) -> np.ndarray:

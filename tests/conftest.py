@@ -28,6 +28,12 @@ def random_tilde_f(space, rng):
     return space.vector(out)
 
 
+def face_rows(part, elem):
+    """Coarse face id -> element ``elem``'s boundary rows on it, ordered by sub-face."""
+    rows = np.arange(3 * part.faces_per_coarse).reshape(3, part.faces_per_coarse)
+    return dict(zip(part.mesh.element_faces[elem].tolist(), rows))
+
+
 def make_assembly(nx, ny, face_level, coefficient="constant", params=None, rho="one"):
     cfg = SolverConfig(
         nx=nx,
@@ -104,7 +110,7 @@ def pairing_bruteforce(space, mu, v_broken, n_quad=64):
     mesh = space.mesh
     total = 0.0
     for elem in range(mesh.n_elements):
-        geom = part.geometry[elem]
+        geom = part[elem]
         for local in range(3):
             fid = int(mesh.element_faces[elem, local])
             sign = int(mesh.element_face_signs[elem, local])

@@ -1,8 +1,11 @@
-"""The per-layer benchmark (``perfbench/tracer.py``) wraps package functions by name.
+"""The benchmark (``perfbench/``) reads the package from outside it.
 
-These checks read its tables without installing the tracer, so a rename or
-deletion in the package that would break ``perfbench/run.py --trace 1``
-fails here first.
+The per-layer tracer (``perfbench/tracer.py``) wraps package functions by
+name, and the benchmark op and its gates (``perfbench/op.py``,
+``perfbench/gates.py``) read assembly attributes directly.  These checks
+read the tracer's tables without installing it and run what the op and the
+gates read, so a rename or deletion in the package that would break
+``perfbench/run.py`` fails here first.
 """
 
 import importlib
@@ -13,18 +16,22 @@ import numpy as np
 import pytest
 
 from lsdfem import localize
-from lsdfem.pipeline import assemble_upscaled, solve_lambda0
+from lsdfem.pipeline import assemble_upscaled, energy_error, solve_lambda0
 from lsdfem.traces import element_functionals
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_wrapped_functions_and_methods_exist(tracer):
@@ -71,3 +78,29 @@ def test_cache_bytes_scale_with_one_element(tracer, asm_const):
     first, second = caches[0], caches[1]
     for name in ("stiffness", "mass", "mean_vector", "flux_energy", "_saddle"):
         assert getattr(second, name).base is getattr(first, name).base is not None, name
+
+
+def test_op_and_gate_reads(asm_const):
+    # op.py splits a cached reference by the element views' node counts,
+    # gates.py sums per-element energies over the cache views, and op.py's
+    # set-up builds the coarse basis.
+    asm = asm_const
+    part = asm.part
+    counts = [geo.n_nodes for geo in part.geometry]
+    assert len(counts) == asm.mesh.n_elements
+    assert sum(counts) == part.nodes.shape[0] * part.nodes.shape[1]
+    u = np.arange(part.nodes.shape[0] * part.nodes.shape[1], dtype=float)
+    split = np.split(u, np.cumsum(counts)[:-1])
+    assert np.array_equal(np.stack(split), u.reshape(part.nodes.shape[:2]))
+    views = list(asm.caches)
+    assert [c.elem for c in views] == list(range(asm.mesh.n_elements))
+    for t, c in enumerate(views):
+        assert np.array_equal(c.stiffness, asm.caches.stiffness[t])
+    rng = np.random.default_rng(5)
+    u_ref, v = rng.standard_normal((2,) + part.nodes.shape[:2])
+    gates = load_perfbench("gates")
+    assert gates.relative_energy_error(asm.caches, u_ref, v) == pytest.approx(
+        energy_error(asm.caches, u_ref, v) / energy_error(asm.caches, u_ref, np.zeros_like(u_ref)), rel=1e-12
+    )
+    basis = asm.coarse_basis("plain", 4.0)
+    assert basis.shape == (asm.space.n_fine, asm.space.dim_tilde0)

@@ -75,8 +75,29 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ({**BASE, "experiment": "contrast_sweep", "sweep": {"seed_element": "abc"}}, "sweep.seed_element"),
         ({**BASE, "seed": "7"}, "seed"),
         ([1], "JSON object"),
+        ({**BASE, "config": 3}, "config must be an object"),
+        ({**BASE, "config": {"domain": 5}}, "domain"),
+        ({**BASE, "config": {"domain": [0, 0, 1]}}, "domain"),
+        ({**BASE, "out": 5}, "out"),
+        ({**BASE, "config": {**BASE["config"], "coefficient_params": 5}}, "coefficient_params"),
+        ({**BASE, "config": {**BASE["config"], "rhs_params": [1]}}, "rhs_params"),
+        ({**BASE, "config": {**BASE["config"], "equilibrium_tol": "x"}}, "equilibrium_tol"),
+        ({**BASE, "config": {**BASE["config"], "equilibrium_tol": 0}}, "equilibrium_tol"),
+        ({**BASE, "config": {**BASE["config"], "compare_exact": "yes"}}, "compare_exact"),
+        ({**BASE, "config": {**BASE["config"], "compare_conforming": 1}}, "compare_conforming"),
+        ({**BASE, "config": {**BASE["config"], "rhs_reduction": None}}, "rhs_reduction"),
+        ({**BASE, "config": {**BASE["config"], "mesh_file": 7}}, "mesh_file"),
+        ({**BASE, "config": {**BASE["config"], "coefficient_file": 7}}, "coefficient_file"),
+        ({**BASE, "config": {**BASE["config"], "rhs": {}}}, "rhs"),
     ],
-    ids=["decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object"],
+    ids=[
+        "decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object",
+        "config-not-an-object", "domain-not-a-list", "domain-too-short", "out-not-a-string",
+        "coefficient-params-not-an-object", "rhs-params-not-an-object", "equilibrium-tol-not-a-number",
+        "equilibrium-tol-zero", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",
+        "rhs-reduction-not-a-bool", "mesh-file-not-a-string", "coefficient-file-not-a-string",
+        "rhs-not-a-string",
+    ],
 )
 def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
     path = write_spec(tmp_path, spec)

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_split, make_assembly
+from conftest import face_rows, face_split, make_assembly
 from lsdfem.coeff import CoefficientField, Raster, make_weight
 from lsdfem.localop import (
     LocalAssemblyError,
@@ -319,9 +319,9 @@ def reference_face_alphas(space, flux_energies, face):
     t_sum = np.zeros((m, m))
     that_sum = np.zeros((m, m))
     for e in space.mesh.face_elements(face):
-        geom = space.part.geometry[e]
-        rows_f = geom.face_rows[face]
-        rows_c = np.concatenate([r for f, r in geom.face_rows.items() if f != face])
+        rows = face_rows(space.part, e)
+        rows_f = rows[face]
+        rows_c = np.concatenate([r for f, r in rows.items() if f != face])
         zc = scipy.linalg.block_diag(z, z)
         b = flux_energies[e]
         t_ff = z.T @ b[np.ix_(rows_f, rows_f)] @ z

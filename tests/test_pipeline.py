@@ -319,7 +319,7 @@ def test_upscaled_operator_reused_across_loads():
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # Retained modes make the delta operator differ from the plain one.
     assert sum(s.n_pi for s in asm.face_spectra(4.0)) > 0
-    assert set(asm._upscaled) == {
+    assert {key for stage, key in asm._stages if stage == "upscaled_operator"} == {
         (v, a, j) for v, a in (("plain", 0.0), ("delta", 4.0)) for j in (1, 2, None)
     }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -245,6 +246,50 @@ def test_element_spectra_stack_and_views(asm_mixed):
     assert np.all(all_kept.sigma_next == np.inf)
 
 
+STACKS = {
+    "partition": lambda asm: asm.part,
+    "caches": lambda asm: asm.caches,
+    "face_spectra": lambda asm: asm.face_spectra(4.0),
+    "element_spectra": lambda asm: all_element_spectra(asm.caches, h_target=0.5),
+}
+
+
+def assert_view_of(view, stack, i):
+    """``view`` is item i of ``stack``: stacked fields sliced in place, the rest shared."""
+    assert type(view) is type(stack)
+    for f in dataclasses.fields(stack):
+        whole, got = getattr(stack, f.name), getattr(view, f.name)
+        if f.name not in stack.STACKED:
+            assert got is whole, f.name
+            assert np.shape(whole)[:1] != (len(stack),), f"{f.name} has an item axis"
+        elif isinstance(whole, np.ndarray) and whole.ndim == 1 and whole.dtype.kind == "i":
+            assert type(got) is int and got == whole[i], f.name   # ids become ints
+        elif isinstance(whole, np.ndarray):
+            assert np.array_equal(got, whole[i]), f.name
+            if got.ndim:
+                assert np.shares_memory(got, whole), f.name
+        else:
+            assert_view_of(got, whole, i)                         # a stack of another family
+
+
+@pytest.mark.parametrize("family", sorted(STACKS))
+def test_stacked_views(asm_mixed, family):
+    stack = STACKS[family](asm_mixed)
+    n = asm_mixed.mesh.n_faces if family == "face_spectra" else asm_mixed.mesh.n_elements
+    assert len(stack) == n
+    views = list(stack)
+    assert len(views) == n
+    for i, view in enumerate(views):
+        assert_view_of(view, stack, i)
+    if family == "face_spectra":
+        assert [v.face for v in views] == list(range(n))
+        json.dumps(spectrum_dump(stack))
+    elif family != "partition":
+        assert [v.elem for v in views] == list(range(n))
+    else:
+        assert [v.n_nodes for v in views] == [stack.n_nodes] * n
+
+
 def test_element_sigma2_against_dense_oracle():
     # Unit square split in two triangles, A = I, rho = 1: check sigma_2 of
     # one element against an independent dense eigensolve.
@@ -305,8 +350,6 @@ def test_spectrum_dump(tmp_path, asm_smooth_4):
     spectra = all_face_spectra(asm_smooth_4.space, asm_smooth_4.caches, alpha_stab=4.0)
     path = str(tmp_path / "spec.json")
     payload = spectrum_dump(spectra, path)
-    import json
-
     back = json.load(open(path))
     assert back == payload
     assert len(back["faces"]) == asm_smooth_4.mesh.n_faces

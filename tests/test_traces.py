@@ -5,7 +5,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from conftest import lambda0_basis, pairing_bruteforce, random_tilde_f
+from conftest import face_rows, lambda0_basis, pairing_bruteforce, random_tilde_f
 from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.traces import (
@@ -40,12 +40,12 @@ def test_side_views_are_negatives(space):
         if mesh.face_boundary[f]:
             continue
         left, right = mesh.face_elements(f)
-        gl = space.part.geometry[left]
-        gr = space.part.geometry[right]
-        sl = mu.side_values(left)[gl.face_rows[f]]
-        fl = gl.boundary_face_ids[gl.face_rows[f]]
-        sr = mu.side_values(right)[gr.face_rows[f]]
-        fr = gr.boundary_face_ids[gr.face_rows[f]]
+        rl = face_rows(space.part, left)[f]
+        rr = face_rows(space.part, right)[f]
+        sl = mu.side_values(left)[rl]
+        fl = space.part[left].boundary_face_ids[rl]
+        sr = mu.side_values(right)[rr]
+        fr = space.part[right].boundary_face_ids[rr]
         assert np.array_equal(fl, fr)  # same global sub-face order from both sides
         assert np.array_equal(sl, -sr)
 
@@ -62,7 +62,7 @@ def test_lambda0_explicit_values(space):
             a, b = mesh.face_elements(f)
             if i in (a, b):
                 other = b if i == a else a
-                mate = lam.side_values(other)[space.part.geometry[other].face_rows[f]]
+                mate = lam.side_values(other)[face_rows(space.part, other)[f]]
                 assert np.allclose(mate, -1.0)
 
 
