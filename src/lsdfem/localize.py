@@ -281,8 +281,9 @@ class PatchProjector:
             if chol is None:  # saturated patches: one solve of the global problem
                 flat = self._global_problem().solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
                 blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
-            else:
-                blocks = scipy.linalg.cho_solve((chol, True), blocks, check_finite=False)
+            elif d:  # LAPACK's potrs per seed, without cho_solve's wrapper; potrs rejects d = 0
+                for k in range(n):
+                    blocks[k] = scipy.linalg.lapack.dpotrs(chol[k], blocks[k], lower=1)[0]
             data.append(blocks.ravel())
         return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), rhs.shape)
 
@@ -298,10 +299,11 @@ class PatchProjector:
         out = self.apply_PjT_columns(lam.values[:, None], j)
         return self.space.vector(out[:, 0])
 
-    def apply_PjT_columns(self, columns: np.ndarray, j: int | None) -> np.ndarray:
-        """Vectorized :meth:`apply_PjT` over the columns of a matrix."""
+    def apply_PjT_columns(self, columns: np.ndarray | sp.spmatrix, j: int | None) -> np.ndarray | sp.spmatrix:
+        """Vectorized :meth:`apply_PjT` over columns; sparse ones stay sparse unless ``j=None`` fills them."""
         if j is None:
-            coeffs = self._global_problem().solve(self._flux_rhs @ columns)
+            rhs = self._flux_rhs @ columns
+            coeffs = self._global_problem().solve(rhs.toarray() if sp.issparse(rhs) else rhs)
         else:
             coeffs = self.responses(j)[0] @ columns
         return self.basis.matrix @ coeffs

@@ -43,9 +43,9 @@ from .localize import (
 from .localop import (
     ElementCache,
     apply_T,
-    apply_Ttilde,
     assemble_all,
     broken_energy,
+    load_potentials,
     quadratic_forms,
     scatter_blocks,
 )
@@ -191,8 +191,10 @@ class SolverConfig:
             )
         if self.rho not in WEIGHT_CHOICES:
             raise ValueError(f"unknown rho {self.rho!r}")
-        if self.rhs not in presets.LOAD_PRESETS:
-            raise ValueError(f"unknown rhs {self.rhs!r}")
+        try:
+            presets.load_function(self.rhs, self.rhs_params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"rhs {self.rhs!r} with rhs_params {self.rhs_params!r}: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -288,15 +290,14 @@ class Assembly:
             "element_spectra", (h_target, c_j), lambda: all_element_spectra(self.caches, h_target, c_j)
         )
 
-    def coarse_basis(self, variant: str, alpha_stab: float) -> np.ndarray:
-        """Stored basis of the upscaled block: face constants plus retained modes."""
+    def coarse_basis(self, variant: str, alpha_stab: float) -> sp.csc_matrix:
+        """Stored basis of the upscaled block: face constants, expanded to fine faces, plus retained modes."""
         def build():
-            basis = self.space.tilde0_stored_basis()
+            coarse_face = np.repeat(np.arange(self.space.n_coarse_faces), self.space.part.faces_per_coarse)
+            blocks = [sp.csr_matrix(self.space.face_constant_coeffs)[coarse_face]]
             if variant != "plain":
-                pi = pi_basis(self.space, self.face_spectra(alpha_stab))
-                basis = np.hstack([basis, pi.matrix.toarray()])
-            basis.flags.writeable = False
-            return basis
+                blocks.append(pi_basis(self.space, self.face_spectra(alpha_stab)).matrix)
+            return sp.hstack(blocks, format="csc")
 
         return self._memo("coarse_basis", _variant_key(variant, alpha_stab), build)
 
@@ -386,29 +387,34 @@ def solve_lambda0(assembly: Assembly, g: np.ndarray) -> TraceVector:
     return assembly.space.vector(assembly.space.jump_basis @ coeffs)
 
 
-def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
-    """Load potential of every element, ``(ne, nn)``."""
-    return apply_Ttilde(assembly.caches, g)
+def compute_ttilde(assembly: Assembly, load: np.ndarray) -> np.ndarray:
+    """Load potential of every element, ``(ne, nn)``, from its load vector ``mass @ g``."""
+    return load_potentials(assembly.caches, load)
 
 
 @dataclass
 class UpscaledOperator:
     """Load-independent part of the upscaled problem for one basis and j."""
 
-    basis: np.ndarray          # (n_fine, M) stored basis columns
+    basis: sp.csc_matrix       # (n_fine, M) stored basis columns
     multiscale: np.ndarray     # (n_fine, M) psi = basis - P_j^T basis
     gram: np.ndarray           # (M, M) psi^T S psi
     factor: tuple              # Cholesky factor of the Gram
 
     @classmethod
     def build(
-        cls, energy: sp.csr_matrix, projector: PatchProjector, basis: np.ndarray, j: int | None
+        cls, energy: sp.csr_matrix, projector: PatchProjector, basis: sp.csc_matrix, j: int | None
     ) -> "UpscaledOperator":
-        """Multiscale basis by patch solves, then its Gram from the energy matrix."""
+        """Multiscale basis by patch solves, then its Gram from the energy matrix.
+
+        Sparse products for ``j >= 1``, where each column of ``psi`` lives on a patch; ``psi``
+        is stored dense (``perfbench``'s tracer reads its ``nbytes``), as is the j=None one.
+        """
         psi = basis - projector.apply_PjT_columns(basis, j)
-        psi.flags.writeable = False
         gram = psi.T @ (energy @ psi)
+        psi, gram = (x.toarray() if sp.issparse(x) else np.asarray(x) for x in (psi, gram))
         gram = 0.5 * (gram + gram.T)
+        psi.flags.writeable = False
         try:
             factor = scipy.linalg.cho_factor(gram)
         except scipy.linalg.LinAlgError as exc:
@@ -433,7 +439,7 @@ class UpscaledSystem:
     coefficients: np.ndarray | None = None
 
     @property
-    def basis(self) -> np.ndarray:
+    def basis(self) -> sp.csc_matrix:
         return self.operator.basis
 
     @property
@@ -508,16 +514,17 @@ def reconstruct(
     lam_coarse: TraceVector,
     lam_delta: TraceVector,
     u0: PiecewiseConstant,
-    g: np.ndarray,
+    load: np.ndarray,
     ttg: np.ndarray,
     equilibrium_tol: float = EQUILIBRIUM_TOL,
 ) -> Solution:
     """Per-element displacement and flux, with equilibrium diagnostics.
 
-    The flux is checked against the interior load balance on every
-    element: the residual at interior nodes is the multiplier of the
-    zero-average constraint, which vanishes because the recovered
-    multiplier carries exactly the load average of each element.
+    ``load`` holds the element load vectors ``mass @ g`` and ``ttg`` their
+    potentials (:func:`compute_ttilde`).  The flux is checked against the
+    interior load balance on every element: the residual at interior nodes
+    is the multiplier of the zero-average constraint, which vanishes because
+    the recovered multiplier carries exactly the load average of each element.
     """
     caches, part = assembly.caches, assembly.part
     lam_total = lam0 + lam_coarse + lam_delta
@@ -526,7 +533,6 @@ def reconstruct(
     u_broken = u0.values[:, None] + tilde
     grad = np.einsum("eck,ecki->eci", tilde[:, part.cells], part.grads)
     sigma = np.einsum("ecij,ecj->eci", caches.tensors, grad)
-    load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
     traction = np.einsum("ebn,eb->en", part.trace_matrix, side)
     residual = np.einsum("eij,ej->ei", caches.stiffness, tilde) - load - traction
     # Componentwise scale: the residual at a node is compared against
@@ -588,7 +594,8 @@ def solve_lsd(
             "dropped_norm": float(np.linalg.norm(remainders)),
         }
 
-    ttg = compute_ttilde(assembly, g_used)
+    load = (assembly.caches.mass @ g_used[..., None])[..., 0]
+    ttg = compute_ttilde(assembly, load)
     ttg_functionals = element_functionals(assembly.space, ttg)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
@@ -602,7 +609,7 @@ def solve_lsd(
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
-        assembly, lam0, lam_coarse, lam_delta, u0, g_used, ttg, equilibrium_tol
+        assembly, lam0, lam_coarse, lam_delta, u0, load, ttg, equilibrium_tol
     )
     solution.diagnostics["variant"] = variant
     solution.diagnostics["j"] = j

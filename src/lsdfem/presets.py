@@ -224,7 +224,7 @@ def describe() -> dict:
         "coefficients": {
             "smooth": {"amplitude": 0.5},
             "checkerboard": {"contrast": 100.0, "cells": 8},
-            "channel": {"contrast": 1e4, "center": 0.5, "width": 0.12},
+            "channel": {"contrast": 1e4, "center": 0.5, "width": 0.12, "spacing": 0.0, "turn_x": 0.8},
             "inclusions": {"contrast": 1e4, "count": 4, "radius": "0.35/sqrt(count)"},
             "constant": {"value": 1.0},
             "anisotropic": {"ratio": 4.0},

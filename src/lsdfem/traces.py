@@ -159,15 +159,10 @@ class TraceSpace:
         weighted = values * self.part.fine_measures
         return weighted.reshape(self.n_coarse_faces, nfs).sum(axis=1)
 
-    def tilde0_stored_basis(self) -> np.ndarray:
-        """Zero-boundary-average face-constant basis, expanded to fine faces."""
-        nfs = self.part.faces_per_coarse
-        return np.repeat(self.face_constant_coeffs, nfs, axis=0)
-
     def factorization(self) -> spla.SuperLU:
         if self._lu is None:
             try:
-                self._lu = spla.splu(sp.csc_matrix(self.pairing_matrix))
+                self._lu = spla.splu((self.pair_v0 @ self.jump_basis).T.tocsc())
             except RuntimeError as exc:  # pragma: no cover - cannot occur on valid meshes
                 raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
         return self._lu

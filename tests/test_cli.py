@@ -89,6 +89,7 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ({**BASE, "config": {**BASE["config"], "mesh_file": 7}}, "mesh_file"),
         ({**BASE, "config": {**BASE["config"], "coefficient_file": 7}}, "coefficient_file"),
         ({**BASE, "config": {**BASE["config"], "rhs": {}}}, "rhs"),
+        ({**BASE, "config": {**BASE["config"], "rhs": "bump", "rhs_params": {"cx": "a"}}}, "rhs_params"),
     ],
     ids=[
         "decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object",
@@ -96,7 +97,7 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         "coefficient-params-not-an-object", "rhs-params-not-an-object", "equilibrium-tol-not-a-number",
         "equilibrium-tol-zero", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",
         "rhs-reduction-not-a-bool", "mesh-file-not-a-string", "coefficient-file-not-a-string",
-        "rhs-not-a-string",
+        "rhs-not-a-string", "rhs-params-wrong-type",
     ],
 )
 def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
@@ -186,6 +187,8 @@ def test_list_presets(capsys):
     assert cli.main(["--list-presets"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "channel" in payload["coefficients"]
+    # The hairpin's two parameters are listed with the channel's others.
+    assert {"spacing", "turn_x"} <= set(payload["coefficients"]["channel"])
 
 
 # -- preset properties ------------------------------------------------------------

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_assembly
-from test_mesh import grid_mesh
+from test_localize import assembly_on
+from test_mesh import grid_mesh, meshes
+from lsdfem.localize import pi_basis
 from lsdfem.localop import broken_energy
 from lsdfem import pipeline
 from lsdfem.mesh import build_mesh, build_structured_mesh, save_mesh
@@ -132,7 +136,7 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     from lsdfem.pipeline import compute_ttilde
 
-    ttg = compute_ttilde(asm_mixed, g)
+    ttg = compute_ttilde(asm_mixed, (asm_mixed.caches.mass @ g[..., None])[..., 0])
     funcs = element_functionals(space, ttg)
     r_ttg = space.sum_element_rows(funcs)
     jstar = saturation_radius(asm_mixed.mesh)
@@ -322,6 +326,41 @@ def test_upscaled_operator_reused_across_loads():
     assert {key for stage, key in asm._stages if stage == "upscaled_operator"} == {
         (v, a, j) for v, a in (("plain", 0.0), ("delta", 4.0)) for j in (1, 2, None)
     }
+
+
+def dense_upscaled_reference(asm, variant, j):
+    """Dense formulas: face constants repeated per fine face beside the retained modes,
+    ``psi = basis - P_j^T basis`` and its Gram ``psi^T S psi``."""
+    space = asm.space
+    basis = np.repeat(space.face_constant_coeffs, space.part.faces_per_coarse, axis=0)
+    if variant == "delta":
+        basis = np.hstack([basis, pi_basis(space, asm.face_spectra(4.0)).matrix.toarray()])
+    psi = basis - asm.projector(variant, 4.0).apply_PjT_columns(basis, j)
+    gram = psi.T @ (asm.energy @ psi)
+    return basis, psi, 0.5 * (gram + gram.T)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mesh=meshes(),
+    face_level=st.integers(1, 2),
+    variant=st.sampled_from(["plain", "delta"]),
+    j=st.sampled_from([1, 2, None]),
+)
+def test_sparse_upscaled_build_matches_dense(mesh, face_level, variant, j):
+    # The coarse basis is the dense one stored as CSC without zeros, and the
+    # multiscale basis and its Gram, built by sparse products, match the
+    # dense formulas; both stay dense arrays.
+    asm = assembly_on(mesh, face_level)
+    basis_ref, psi_ref, gram_ref = dense_upscaled_reference(asm, variant, j)
+    basis = asm.coarse_basis(variant, 4.0)
+    assert basis.format == "csc"
+    assert np.array_equal(basis.toarray(), basis_ref)
+    assert np.all(basis.data != 0.0)
+    operator = asm.upscaled_operator(variant, 4.0, j)
+    for got, ref in ((operator.multiscale, psi_ref), (operator.gram, gram_ref)):
+        assert type(got) is np.ndarray
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
 
 
 def test_localization_error_monotone(asm_mixed):
