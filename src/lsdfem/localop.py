@@ -34,7 +34,6 @@ __all__ = [
     "assemble_all",
     "apply_T",
     "apply_Ttilde",
-    "load_potentials",
     "edge_blocks",
     "broken_energy",
     "quadratic_forms",
@@ -212,12 +211,8 @@ def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
 
 def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
     """Local load-to-potential solves for P1 nodal loads ``g`` ``(..., nn)``."""
-    return load_potentials(cache, (cache.mass @ np.asarray(g, dtype=float)[..., None])[..., 0])
-
-
-def load_potentials(cache: ElementCache, loads: np.ndarray) -> np.ndarray:
-    """:func:`apply_Ttilde` from the element load vectors ``mass @ g``, ``(..., nn)``."""
-    return saddle_solve(cache._saddle, cache._inverse, loads[..., None])[..., 0]
+    load = cache.mass @ np.asarray(g, dtype=float)[..., None]
+    return saddle_solve(cache._saddle, cache._inverse, load)[..., 0]
 
 
 def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:

@@ -43,9 +43,9 @@ from .localize import (
 from .localop import (
     ElementCache,
     apply_T,
+    apply_Ttilde,
     assemble_all,
     broken_energy,
-    load_potentials,
     quadratic_forms,
     scatter_blocks,
 )
@@ -387,9 +387,9 @@ def solve_lambda0(assembly: Assembly, g: np.ndarray) -> TraceVector:
     return assembly.space.vector(assembly.space.jump_basis @ coeffs)
 
 
-def compute_ttilde(assembly: Assembly, load: np.ndarray) -> np.ndarray:
-    """Load potential of every element, ``(ne, nn)``, from its load vector ``mass @ g``."""
-    return load_potentials(assembly.caches, load)
+def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
+    """Load potential of every element, ``(ne, nn)``."""
+    return apply_Ttilde(assembly.caches, g)
 
 
 @dataclass
@@ -514,17 +514,16 @@ def reconstruct(
     lam_coarse: TraceVector,
     lam_delta: TraceVector,
     u0: PiecewiseConstant,
-    load: np.ndarray,
+    g: np.ndarray,
     ttg: np.ndarray,
     equilibrium_tol: float = EQUILIBRIUM_TOL,
 ) -> Solution:
     """Per-element displacement and flux, with equilibrium diagnostics.
 
-    ``load`` holds the element load vectors ``mass @ g`` and ``ttg`` their
-    potentials (:func:`compute_ttilde`).  The flux is checked against the
-    interior load balance on every element: the residual at interior nodes
-    is the multiplier of the zero-average constraint, which vanishes because
-    the recovered multiplier carries exactly the load average of each element.
+    The flux is checked against the interior load balance on every
+    element: the residual at interior nodes is the multiplier of the
+    zero-average constraint, which vanishes because the recovered
+    multiplier carries exactly the load average of each element.
     """
     caches, part = assembly.caches, assembly.part
     lam_total = lam0 + lam_coarse + lam_delta
@@ -533,6 +532,7 @@ def reconstruct(
     u_broken = u0.values[:, None] + tilde
     grad = np.einsum("eck,ecki->eci", tilde[:, part.cells], part.grads)
     sigma = np.einsum("ecij,ecj->eci", caches.tensors, grad)
+    load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
     traction = np.einsum("ebn,eb->en", part.trace_matrix, side)
     residual = np.einsum("eij,ej->ei", caches.stiffness, tilde) - load - traction
     # Componentwise scale: the residual at a node is compared against
@@ -594,8 +594,7 @@ def solve_lsd(
             "dropped_norm": float(np.linalg.norm(remainders)),
         }
 
-    load = (assembly.caches.mass @ g_used[..., None])[..., 0]
-    ttg = compute_ttilde(assembly, load)
+    ttg = compute_ttilde(assembly, g_used)
     ttg_functionals = element_functionals(assembly.space, ttg)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
@@ -609,7 +608,7 @@ def solve_lsd(
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
-        assembly, lam0, lam_coarse, lam_delta, u0, load, ttg, equilibrium_tol
+        assembly, lam0, lam_coarse, lam_delta, u0, g_used, ttg, equilibrium_tol
     )
     solution.diagnostics["variant"] = variant
     solution.diagnostics["j"] = j

@@ -136,7 +136,7 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     from lsdfem.pipeline import compute_ttilde
 
-    ttg = compute_ttilde(asm_mixed, (asm_mixed.caches.mass @ g[..., None])[..., 0])
+    ttg = compute_ttilde(asm_mixed, g)
     funcs = element_functionals(space, ttg)
     r_ttg = space.sum_element_rows(funcs)
     jstar = saturation_radius(asm_mixed.mesh)
