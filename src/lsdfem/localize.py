@@ -5,8 +5,10 @@ face-spanned subspace whose flux energy matches a given functional.  The
 subspace is spanned by the columns of a sparse face basis (per face, the
 full zero-average block or the localizable part of the face spectrum),
 the energy matrix is assembled once from the cached element flux-energy
-blocks, and patch problems are principal submatrices of the basis Gram.
-No interior problem is ever re-solved here.
+blocks, and patch problems are principal submatrices of the basis Gram,
+which is kept sparse: each batch of patch Grams is gathered from its
+padded rows, so no localized solve forms the dense ``M x M`` Gram.  No
+interior problem is ever re-solved here.
 
 A localized projection is linear and each seed's solution lives on its
 patch, so it is stored as one sparse matrix of patch responses per seed
@@ -17,6 +19,7 @@ kind and layer count, built by one batched patch kernel; applying it is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +115,29 @@ def _delta_mask(spectra: FaceSpectrum) -> np.ndarray:
     return np.arange(spectra.alphas.shape[1]) < spectra.n_delta[:, None]
 
 
+def _padded_rows(matrix: sp.csr_matrix, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of each row of ``matrix``, padded to its widest row with column ``pad`` and 0."""
+    counts = np.diff(matrix.indptr)
+    stored = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.full(stored.shape, pad, np.int32)
+    vals = np.zeros(stored.shape)
+    cols[stored], vals[stored] = matrix.indices, matrix.data
+    return cols, vals
+
+
+def _gather(padded: tuple[np.ndarray, np.ndarray], positions: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """``(n, r, d)`` blocks ``A[rows[k], dofs[k]]`` of a matrix ``A`` given by its padded rows.
+
+    ``positions[k]`` maps each column of ``A`` (and the pad column) to its
+    place in ``dofs[k]``, or to -1 outside it; the entries that map to -1
+    land in a spare last column, which is cut off.
+    """
+    cols, vals = padded
+    out = np.zeros(rows.shape + (d + 1,))
+    np.put_along_axis(out, positions[np.arange(rows.shape[0])[:, None, None], cols[rows]], vals[rows], axis=2)
+    return out[..., :d]
+
+
 @dataclass
 class PatchProblem:
     """Factorized Galerkin problem on the faces of one layer neighborhood.
@@ -142,8 +168,10 @@ class PatchProjector:
     The global problem is the patch of all faces.  A localized projection
     with ``j`` layers is stored as two sparse response matrices
     (:meth:`responses`), one per seed kind, built on first use by one pass
-    over all seeds.  Every application lifts basis coefficients to stored
-    values with ``basis.matrix``.
+    over all seeds, which reads the basis Gram only through
+    ``sparse_gram`` (symmetrized ``W^T S W``, CSR with sorted indices).
+    Every application lifts basis coefficients to stored values with
+    ``basis.matrix``.
     """
 
     def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: FaceBasis):
@@ -151,14 +179,17 @@ class PatchProjector:
         self.energy = energy
         self.basis = basis
         gram = basis.matrix.T @ (energy @ basis.matrix)
-        self.gram = (0.5 * (gram + gram.T)).toarray()
+        self.sparse_gram = sp.csr_matrix(0.5 * (gram + gram.T))
+        self.sparse_gram.sum_duplicates()
         # Seed right-hand sides, one column block per seed: W^T S on a face's
         # fine faces, W^T on an element's boundary rows in the order of the
         # element functionals (traces.element_functionals).
         self._flux_rhs = (basis.matrix.T @ energy).tocsc()
-        self._load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         self._flux_rhs.sum_duplicates()
-        self._load_rhs.sum_duplicates()
+        load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
+        load_rhs.sum_duplicates()
+        self._rhs_columns = {"face": _padded_rows(self._flux_rhs.T, basis.dim),
+                             "element": _padded_rows(load_rhs.T, basis.dim)}
         self._col_face = np.repeat(np.arange(space.n_coarse_faces), np.diff(basis.col_offsets))
         # The incident elements of each face, the left one twice on the domain boundary.
         self._face_right = np.where(space.mesh.face_right >= 0, space.mesh.face_right, space.mesh.face_left)
@@ -168,13 +199,27 @@ class PatchProjector:
         self._global: PatchProblem | None = None
         self._responses: dict[int, tuple[sp.csc_matrix, sp.csc_matrix]] = {}
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Dense ``M x M`` view of ``sparse_gram``, built on first read and then kept.
+
+        Only the dense global factor (dimension up to ``DENSE_PATCH_LIMIT``)
+        reads it; above that limit the global problem factors the CSR.
+        """
+        return self.sparse_gram.toarray()
+
+    @cached_property
+    def _gram_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded rows of ``sparse_gram`` (:func:`_padded_rows`), built by the first patch pass."""
+        return _padded_rows(self.sparse_gram, self.basis.dim)
+
     # -- global (reference) solves ------------------------------------------------
 
     def _global_problem(self) -> PatchProblem:
         if self._global is None:
             try:
                 dense = self.basis.dim <= DENSE_PATCH_LIMIT
-                factor = scipy.linalg.cho_factor(self.gram) if dense else spla.splu(sp.csc_matrix(self.gram))
+                factor = scipy.linalg.cho_factor(self.gram) if dense else spla.splu(self.sparse_gram.tocsc())
             except (scipy.linalg.LinAlgError, RuntimeError) as exc:
                 what = f"global {self.basis.label} energy Gram matrix"
                 raise AssertionError(f"{what} is not SPD: {exc}") from exc
@@ -212,32 +257,41 @@ class PatchProjector:
         """Factorized ``j``-layer patch problems of seeds of one kind, in chunks of equal dimension d.
 
         Yields positions into ``seeds``, the ``(n, d)`` sorted basis columns of
-        their patches and the ``(n, d, d)`` lower Cholesky factors of their
-        Grams (at most ``PATCH_CHUNK_BYTES``), or None where every column is in
-        the patch and the global problem serves.
+        their patches, the ``(n, M + 1)`` position map of the chunk (basis
+        column -> patch position, -1 outside the patch and in the last
+        column; valid until the next chunk) and the ``(n, d, d)`` lower
+        Cholesky factors of their Grams, or None where every column is in the
+        patch and the global problem serves.  The Grams are gathered from the
+        padded rows of ``sparse_gram`` through the position map, so a chunk
+        holds at most ``PATCH_CHUNK_BYTES`` of Grams and of map.
         """
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
         columns = self._patch_columns(layer_sets(self.space.mesh, kind, seeds, j))
-        dims = np.diff(columns.indptr)
+        dims, m = np.diff(columns.indptr), self.basis.dim
+        positions = np.full((min(seeds.size, max(1, PATCH_CHUNK_BYTES // (4 * (m + 1)))), m + 1), -1, np.int32)
         for d in np.unique(dims):
             group = np.nonzero(dims == d)[0]
             dofs = columns.indices[columns.indptr[group][:, None] + np.arange(d)]
-            if d == self.basis.dim:
-                yield group, dofs, None
+            if d == m:
+                yield group, dofs, np.broadcast_to(np.append(np.arange(m), -1), (group.size, m + 1)), None
                 continue
-            step = max(1, PATCH_CHUNK_BYTES // (8 * d * d or 1))
+            step = max(1, min(PATCH_CHUNK_BYTES // (8 * d * d or 1), positions.shape[0]))
             for lo in range(0, group.size, step):
                 sub = dofs[lo : lo + step]
-                chol, item, pivot = batched_cholesky(self.gram[sub[:, :, None], sub[:, None, :]])
+                at = positions[: sub.shape[0]]
+                rows = np.arange(sub.shape[0])[:, None]
+                at[rows, sub] = np.arange(d)
+                chol, item, pivot = batched_cholesky(_gather(self._gram_rows, at, sub, d))
                 if chol is None:
                     seed = (kind, int(seeds[group[lo + item]]))
                     raise AssertionError(f"patch Gram of seed {seed}, j={j} is not SPD (pivot {pivot})")
-                yield group[lo : lo + step], sub, chol
+                yield group[lo : lo + step], sub, at, chol
+                at[rows, sub] = -1
 
     def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
         """Factorized ``j``-layer patch problem of one seed: the one-seed call of the patch kernel."""
-        ((_, dofs, chol),) = self._patch_factors(seed[0], np.array([seed[1]]), j)
+        ((_, dofs, _, chol),) = self._patch_factors(seed[0], np.array([seed[1]]), j)
         factor = self._global_problem().factor if chol is None else (chol[0], True)
         return PatchProblem(seed, j, np.unique(self._col_face[dofs[0]]), dofs[0], factor)
 
@@ -265,19 +319,22 @@ class PatchProjector:
         return self._responses[j]
 
     def _response_matrix(self, kind: str, j: int) -> sp.csc_matrix:
-        """Response matrix of one seed kind; seed s's right-hand sides are a column block of its rhs."""
+        """Response matrix of one seed kind; seed s's right-hand sides are a column block of its rhs.
+
+        Each chunk's right-hand-side blocks are gathered from the padded
+        columns of the rhs through the chunk's position map, as its Grams are.
+        """
         n_seeds = self.space.n_coarse_faces if kind == "face" else self.space.n_elements
-        rhs = self._flux_rhs if kind == "face" else self._load_rhs
-        width, m = rhs.shape[1] // n_seeds, rhs.shape[0]
-        stored = np.repeat(np.arange(rhs.shape[1]), np.diff(rhs.indptr)) * m + rhs.indices   # sorted keys
+        rhs = self._rhs_columns[kind]
+        n_cols = rhs[0].shape[0]
+        width = n_cols // n_seeds
         rows, cols, data = [], [], []
-        for members, dofs, chol in self._patch_factors(kind, np.arange(n_seeds), j):
+        for members, dofs, at, chol in self._patch_factors(kind, np.arange(n_seeds), j):
             (n, d), shape = dofs.shape, dofs.shape + (width,)
+            seed_cols = members[:, None] * width + np.arange(width)
             rows.append(np.broadcast_to(dofs[:, :, None], shape).ravel())
-            cols.append(np.broadcast_to(members[:, None, None] * width + np.arange(width), shape).ravel())
-            wanted = cols[-1] * m + rows[-1]
-            at = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
-            blocks = np.where(stored[at] == wanted, rhs.data[at], 0.0).reshape(shape)
+            cols.append(np.broadcast_to(seed_cols[:, None, :], shape).ravel())
+            blocks = _gather(rhs, at, seed_cols, d).transpose(0, 2, 1)   # (n, d, width)
             if chol is None:  # saturated patches: one solve of the global problem
                 flat = self._global_problem().solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
                 blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
@@ -285,7 +342,8 @@ class PatchProjector:
                 for k in range(n):
                     blocks[k] = scipy.linalg.lapack.dpotrs(chol[k], blocks[k], lower=1)[0]
             data.append(blocks.ravel())
-        return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), rhs.shape)
+        coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+        return sp.csc_matrix(coo, (self.basis.dim, n_cols))
 
     # -- localized operator applications --------------------------------------------
 

@@ -273,7 +273,7 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray, elems: np.ndarray) -
 def quadratic_forms(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``v^T A v`` of each matrix of a stack ``(..., n, n)`` with its vector ``(..., n)``."""
     values = np.asarray(values, dtype=float)
-    return np.einsum("...i,...i->...", values, np.einsum("...ij,...j->...i", mats, values))
+    return (values[..., None, :] @ (mats @ values[..., None]))[..., 0, 0]
 
 
 def broken_energy(caches: ElementCache, values: np.ndarray) -> float:

@@ -530,15 +530,17 @@ def reconstruct(
     side = lam_total.side_values()
     tilde = apply_T(caches, side) + np.asarray(ttg, dtype=float)
     u_broken = u0.values[:, None] + tilde
-    grad = np.einsum("eck,ecki->eci", tilde[:, part.cells], part.grads)
-    sigma = np.einsum("ecij,ecj->eci", caches.tensors, grad)
-    load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
-    traction = np.einsum("ebn,eb->en", part.trace_matrix, side)
-    residual = np.einsum("eij,ej->ei", caches.stiffness, tilde) - load - traction
+    grad = (tilde[:, part.cells][..., None, :] @ part.grads)[..., 0, :]      # (ne, nc, 2)
+    a = caches.tensors
+    sigma = np.stack((a[..., 0, 0] * grad[..., 0] + a[..., 0, 1] * grad[..., 1],
+                      a[..., 1, 0] * grad[..., 0] + a[..., 1, 1] * grad[..., 1]), axis=-1)
+    load = (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0]
+    traction = (side[:, None, :] @ part.trace_matrix)[:, 0]
+    residual = (caches.stiffness @ tilde[..., None])[..., 0] - load - traction
     # Componentwise scale: the residual at a node is compared against
     # the magnitudes of the flux and load terms that feed it, so the
     # check stays meaningful at high contrast.
-    scale = np.einsum("eij,ej->ei", np.abs(caches.stiffness), np.abs(tilde)) + np.abs(load) + np.abs(traction)
+    scale = (np.abs(caches.stiffness) @ np.abs(tilde)[..., None])[..., 0] + np.abs(load) + np.abs(traction)
     scale = np.maximum(scale, scale.max(axis=1, keepdims=True) * 1e-8 + 1e-300)
     interior = ~part.boundary_node_mask
     eq_rel = (np.abs(residual[:, interior]) / scale[:, interior]).max(axis=1, initial=0.0)

@@ -215,10 +215,11 @@ def project_rhs(
     dropped.
     """
     g = np.asarray(g, dtype=float)
-    vectors = spectra.vectors
-    kept_modes = np.arange(vectors.shape[-1]) < spectra.j_count[:, None]
-    coeffs = np.einsum("eij,ei->ej", vectors, np.einsum("eij,ej->ei", caches.mass, g)) * kept_modes
-    projected = np.einsum("eij,ej->ei", vectors, coeffs)
+    j_max = int(spectra.j_count.max(initial=0))
+    kept = spectra.vectors[..., :j_max]                            # (ne, nn, j_max)
+    coeffs = ((caches.mass @ g[..., None]).swapaxes(-1, -2) @ kept)[:, 0]
+    coeffs *= np.arange(j_max) < spectra.j_count[:, None]
+    projected = (kept @ coeffs[..., None])[..., 0]
     return projected, np.sqrt(np.maximum(quadratic_forms(caches.mass, g - projected), 0.0))
 
 

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tilde_f
+from conftest import make_assembly, random_tilde_f
 from lsdfem.coeff import local_bounds, make_weight
 from lsdfem import localize
 from lsdfem.localize import (
@@ -15,7 +16,7 @@ from lsdfem.localize import (
 )
 from lsdfem.localop import apply_T, assemble_all
 from lsdfem.mesh import element_layers, refine_faces, saturation_depth, saturation_radius
-from lsdfem.pipeline import Assembly
+from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.presets import coefficient_field
 from lsdfem.traces import boundary_functional, build_trace_space, element_functionals
 from test_mesh import layers_bruteforce, meshes
@@ -252,6 +253,54 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
         assert np.abs(loc.values - glob.values).max() <= 1e-10 * np.abs(glob.values).max()
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    mesh=meshes(),
+    face_level=st.integers(1, 2),
+    variant=st.sampled_from(["plain", "delta"]),
+    chunk_bytes=st.sampled_from([localize.PATCH_CHUNK_BYTES, 1]),
+)
+def test_patch_grams_gathered_from_sparse_gram(mesh, face_level, variant, chunk_bytes):
+    # Every chunk's position map marks exactly its patch columns, and the
+    # Grams and right-hand-side blocks gathered through it, and the Cholesky
+    # factors of those Grams, equal the dense principal submatrices bitwise.
+    asm = assembly_on(mesh, face_level)
+    proj = asm.projector(variant, 4.0)
+    m = proj.basis.dim
+    dense_rhs = {"face": (proj.basis.matrix.T @ proj.energy).toarray(),
+                 "element": proj.basis.matrix.T.toarray()[:, asm.part.boundary_face_ids.ravel()]}
+    with mock.patch.object(localize, "PATCH_CHUNK_BYTES", chunk_bytes):
+        for j in (1, 2, 3):
+            for kind, rhs in dense_rhs.items():
+                n_seeds = mesh.n_faces if kind == "face" else mesh.n_elements
+                width = rhs.shape[1] // n_seeds
+                for members, dofs, at, chol in proj._patch_factors(kind, np.arange(n_seeds), j):
+                    (n, d), rows = dofs.shape, np.arange(dofs.shape[0])[:, None]
+                    expected = np.full((n, m + 1), -1)
+                    expected[rows, dofs] = np.arange(d)
+                    assert np.array_equal(at, expected)
+                    grams = localize._gather(proj._gram_rows, at, dofs, d)
+                    ref = proj.gram[dofs[:, :, None], dofs[:, None, :]]
+                    assert grams.tobytes() == ref.tobytes()
+                    if chol is not None:
+                        assert chol.tobytes() == np.linalg.cholesky(ref).tobytes()
+                    seed_cols = members[:, None] * width + np.arange(width)
+                    blocks = localize._gather(proj._rhs_columns[kind], at, seed_cols, d)
+                    ref = rhs[dofs[:, None, :], seed_cols[:, :, None]]
+                    assert blocks.tobytes() == ref.tobytes()
+
+
+def test_cold_localized_solve_leaves_dense_gram_unbuilt():
+    # With no saturated patch, a cold j=2 solve factors every patch from the
+    # sparse Gram and never builds the dense M x M view.
+    asm, j = make_assembly(6, 6, 1, "smooth"), 2
+    assert min(saturation_depth(asm.mesh, ("element", e)) for e in range(asm.mesh.n_elements)) > j + 1
+    solve_lsd(asm, sample_load(asm.part, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1]), j, "delta", 4.0)
+    projector = asm.projector("delta", 4.0)
+    assert projector.responses(j)
+    assert "gram" not in vars(projector)
+
+
 def test_response_chunks_of_one_seed_match(asm_mixed, monkeypatch):
     # Splitting every group of equal patch dimension into chunks of one seed
     # leaves both response matrices unchanged.
@@ -275,7 +324,7 @@ def test_non_spd_patch_names_seed_and_j(asm_mixed, kind):
     seed, j = (kind, 5), 2
     dof = good.patch_problem(seed, j).dof_indices[0]
     proj = PatchProjector(asm_mixed.space, asm_mixed.energy, good.basis)
-    proj.gram[dof, dof] = -proj.gram[dof, dof]
+    proj.sparse_gram[dof, dof] = -proj.sparse_gram[dof, dof]
     with pytest.raises(AssertionError, match=re.escape(f"seed {seed}, j={j} is not SPD")):
         proj.patch_problem(seed, j)
     with pytest.raises(AssertionError, match=r"seed \('(face|element)', \d+\), j=2 is not SPD"):
