@@ -9,7 +9,7 @@ patch problems, optionally enriched by face eigenmodes so the decay does
 not degrade with the coefficient contrast.
 """
 
-from .coeff import CoefficientField, ContrastStats, Raster, WeightField, local_bounds, make_weight
+from .coeff import CoefficientField, ContrastStats, Raster, local_bounds, make_weight
 from .localize import PatchProjector, RingProfile, build_flux_energy, ring_energies
 from .localop import ElementCache, apply_T, apply_Ttilde, assemble_all
 from .mesh import (
@@ -35,7 +35,7 @@ from .pipeline import (
     solve_lsd,
 )
 from .spectral import ElementSpectrum, FaceSpectrum, element_spectrum, face_spectrum, gensym_eig
-from .traces import PiecewiseConstant, TraceSpace, TraceVector, build_trace_space, decompose
+from .traces import TraceSpace, TraceVector, build_trace_space, decompose
 
 __version__ = "0.1.0"
 
@@ -50,14 +50,12 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "CoefficientField",
-    "WeightField",
     "ContrastStats",
     "Raster",
     "local_bounds",
     "make_weight",
     "TraceSpace",
     "TraceVector",
-    "PiecewiseConstant",
     "build_trace_space",
     "decompose",
     "ElementCache",

@@ -147,7 +147,7 @@ def run_solve(spec: ExperimentSpec) -> dict:
     (ne, nn), nc = u.shape, sigma.shape[1]
     _write_csv(os.path.join(out, "solution_summary.csv"), {
         "element": range(ne),
-        "u_constant": solution.u0.values.tolist(),
+        "u_constant": solution.u0.tolist(),
         "u_min": u.min(axis=1).tolist(),
         "u_max": u.max(axis=1).tolist(),
         "flux_max": np.abs(sigma).max(axis=(1, 2)).tolist(),
@@ -267,7 +267,7 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
 
 def _channel_seed(assembly: Assembly, cfg: SolverConfig) -> int:
     """Element inside the channel nearest the domain's left edge."""
-    center = float(cfg.coefficient_params.get("center", 0.5))
+    center = float(cfg.coefficient_params.get("center", presets.COEFFICIENT_PRESETS["channel"][1]["center"]))
     lo = assembly.mesh.vertices.min(axis=0)
     target = np.array([lo[0], center])
     return int(np.argmin(np.linalg.norm(assembly.mesh.centroids - target, axis=1)))

@@ -18,7 +18,6 @@ from .mesh import CoarseMesh, FinePartition
 
 __all__ = [
     "CoefficientField",
-    "WeightField",
     "ContrastStats",
     "Raster",
     "CoefficientError",
@@ -163,23 +162,12 @@ class CoefficientField:
         return cls(part, tensors, float(emin.min()), float(emax.max()))
 
 
-@dataclass
-class WeightField:
-    """User weight rho > 0, one value per fine interior cell."""
-
-    part: FinePartition
-    values: np.ndarray                 # (ne, nc)
-    choice: str
-    rho_min: float
-    rho_max: float
-
-
 def make_weight(
     choice: str,
     field: CoefficientField,
     custom: Callable[[np.ndarray], np.ndarray] | Raster | None = None,
-) -> WeightField:
-    """Realize the weight rho from one of the supported choices.
+) -> np.ndarray:
+    """The weight rho > 0 of one supported choice, per fine interior cell ``(ne, nc)``.
 
     ``one`` is the unit weight, ``amin``/``amax`` the global coefficient
     bounds, ``a_minus``/``a_plus`` the cellwise smallest/largest tensor
@@ -205,7 +193,7 @@ def make_weight(
     bad = _first(~((values > 0.0) & np.isfinite(values)))
     if bad >= 0:
         raise CoefficientError(f"nonpositive weight value in element {bad}")
-    return WeightField(part, values, choice, float(values.min()), float(values.max()))
+    return values
 
 
 @dataclass

@@ -227,17 +227,9 @@ class PatchProjector:
             self._global = PatchProblem(("global", 0), None, faces, np.arange(self.basis.dim), factor)
         return self._global
 
-    def reduce_functional(self, r: np.ndarray) -> np.ndarray:
-        """Test the stored functional vector against every basis column."""
-        return self.basis.matrix.T @ r
-
     def project_functional(self, r: np.ndarray) -> TraceVector:
         """Global solve: subspace element whose flux energy matches ``r``."""
-        return self.solve_patch(self._global_problem(), self.reduce_functional(r))
-
-    def project_flux(self, lam: TraceVector) -> TraceVector:
-        """Global projection applied to the potential of a multiplier."""
-        return self.project_functional(self.energy @ lam.values)
+        return self.solve_patch(self._global_problem(), self.basis.matrix.T @ r)
 
     # -- patch problems -------------------------------------------------------------
 

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .coeff import CoefficientField, WeightField
+from .coeff import CoefficientField
 from .mesh import FinePartition, Stacked
 from .traces import TraceSpace
 
@@ -173,11 +173,11 @@ def _condense_boundary(trace: np.ndarray, saddle: np.ndarray, inverse: np.ndarra
     return _sym(trace @ saddle_solve(saddle, inverse, trace.swapaxes(-1, -2)))
 
 
-def assemble_all(field_a: CoefficientField, weight: WeightField, part: FinePartition) -> ElementCache:
-    """Assemble, invert and condense every element as one stack."""
+def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition) -> ElementCache:
+    """Assemble, invert and condense every element as one stack, with the cellwise weight ``rho`` ``(ne, nc)``."""
     ne, nc = part.mesh.n_elements, len(part.cells)
     tensors = np.asarray(field_a.tensors, dtype=float)
-    rho = np.asarray(weight.values, dtype=float)
+    rho = np.asarray(rho, dtype=float)
     if tensors.shape != (ne, nc, 2, 2) or rho.shape != (ne, nc):
         raise LocalAssemblyError(
             f"coefficient {tensors.shape} or weight {rho.shape} does not cover the {ne} x {nc} cells"

@@ -374,11 +374,9 @@ class FinePartition(Stacked):
                "boundary_face_ids", "boundary_signs")
 
     mesh: CoarseMesh
-    face_level: int
     interior_level: int
     faces_per_coarse: int         # 2**face_level
     fine_measures: np.ndarray     # (n_fine,)
-    fine_midpoints: np.ndarray    # (n_fine, 2)
     fine_endpoints: np.ndarray    # (n_fine, 2, 2)
     nodes: np.ndarray             # (ne, nn, 2)
     cells: np.ndarray             # (nc, 3) lattice connectivity shared by every element
@@ -488,7 +486,6 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
     q = mesh.vertices[mesh.faces[:, 1]][:, None, :]
     pts = p + np.linspace(0.0, 1.0, nfs + 1)[None, :, None] * (q - p)
     endpoints = np.stack((pts[:, :-1], pts[:, 1:]), axis=2).reshape(-1, 2, 2)
-    fine_midpoints = endpoints.mean(axis=1)
 
     bary, cells, index = _lattice(interior_level)
     n = 2 ** interior_level
@@ -523,11 +520,9 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
 
     part = FinePartition(
         mesh=mesh,
-        face_level=level,
         interior_level=interior_level,
         faces_per_coarse=nfs,
         fine_measures=fine_measures,
-        fine_midpoints=fine_midpoints,
         fine_endpoints=endpoints,
         nodes=nodes,
         cells=cells,

@@ -25,14 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import presets
-from .coeff import (
-    CoefficientField,
-    ContrastStats,
-    WEIGHT_CHOICES,
-    WeightField,
-    local_bounds,
-    make_weight,
-)
+from .coeff import ContrastStats, WEIGHT_CHOICES, local_bounds, make_weight
 from .localize import (
     PatchProjector,
     build_flux_energy,
@@ -67,7 +60,6 @@ from .spectral import (
     project_rhs,
 )
 from .traces import (
-    PiecewiseConstant,
     TraceSpace,
     TraceVector,
     build_trace_space,
@@ -225,7 +217,7 @@ class SolverConfig:
 class Solution:
     """Reconstructed fields of one staged solve."""
 
-    u0: PiecewiseConstant
+    u0: np.ndarray                 # (ne,) constant part per element
     u_broken: np.ndarray           # (ne, nn) broken nodal field
     lam0: TraceVector
     lam_coarse: TraceVector        # face-constant + retained spectral part
@@ -240,29 +232,18 @@ def _variant_key(variant: str, alpha_stab: float) -> tuple[str, float]:
     return (variant, alpha_stab if variant == "delta" else 0.0)
 
 
+@dataclass(eq=False)
 class Assembly:
     """Stage products shared between solves on one discretization."""
 
-    def __init__(
-        self,
-        mesh: CoarseMesh,
-        part: FinePartition,
-        field_a: CoefficientField,
-        weight: WeightField,
-        caches: ElementCache,
-        space: TraceSpace,
-        energy: sp.csr_matrix,
-        stats: ContrastStats,
-    ):
-        self.mesh = mesh
-        self.part = part
-        self.field = field_a
-        self.weight = weight
-        self.caches = caches
-        self.space = space
-        self.energy = energy
-        self.stats = stats
-        self._stages: dict[tuple, object] = {}
+    mesh: CoarseMesh
+    part: FinePartition
+    caches: ElementCache
+    space: TraceSpace
+    energy: sp.csr_matrix
+    stats: ContrastStats
+    build_s: float = 0.0           # wall time of build_assembly
+    _stages: dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def _memo(self, stage: str, key, build: Callable[[], object]):
         """The product of ``stage`` for ``key``, built by ``build()`` on first use."""
@@ -327,6 +308,7 @@ class Assembly:
 
 def build_assembly(cfg: SolverConfig) -> Assembly:
     """Stages mesh -> coefficients -> element caches -> trace space."""
+    t0 = time.perf_counter()
     cfg.validate()
     try:
         if cfg.mesh_file:
@@ -340,12 +322,12 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
         field_a = presets.coefficient_field(
             part, cfg.coefficient, cfg.coefficient_params, cfg.coefficient_file
         )
-        weight = make_weight(cfg.rho, field_a)
+        rho = make_weight(cfg.rho, field_a)
         stats = local_bounds(field_a)
     except Exception as exc:
         raise PipelineError("coefficients", exc) from exc
     try:
-        caches = assemble_all(field_a, weight, part)
+        caches = assemble_all(field_a, rho, part)
     except Exception as exc:
         raise PipelineError("element_caches", exc) from exc
     try:
@@ -353,7 +335,7 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
         energy = build_flux_energy(space, caches)
     except Exception as exc:
         raise PipelineError("trace_space", exc) from exc
-    return Assembly(mesh, part, field_a, weight, caches, space, energy, stats)
+    return Assembly(mesh, part, caches, space, energy, stats, time.perf_counter() - t0)
 
 
 def sample_load(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -446,10 +428,6 @@ class UpscaledSystem:
     def multiscale(self) -> np.ndarray:
         return self.operator.multiscale
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.operator.gram
-
 
 def assemble_upscaled(
     assembly: Assembly,
@@ -498,14 +476,11 @@ def recover_delta(
     return assembly.space.vector(-(flux_part + system.load_localized))
 
 
-def solve_u0(
-    assembly: Assembly, lam_total: TraceVector, r_ttg: np.ndarray
-) -> PiecewiseConstant:
-    """Constant part from the transposed constant-pairing system."""
+def solve_u0(assembly: Assembly, lam_total: TraceVector, r_ttg: np.ndarray) -> np.ndarray:
+    """Constant part of every element ``(ne,)``, from the transposed constant-pairing system."""
     space = assembly.space
     rhs = -(space.jump_basis.T @ (assembly.energy @ lam_total.values + r_ttg))
-    values = solve_V0_pairing(space, np.asarray(rhs).ravel(), transpose=False)
-    return PiecewiseConstant(values)
+    return solve_V0_pairing(space, np.asarray(rhs).ravel(), transpose=False)
 
 
 def reconstruct(
@@ -513,7 +488,7 @@ def reconstruct(
     lam0: TraceVector,
     lam_coarse: TraceVector,
     lam_delta: TraceVector,
-    u0: PiecewiseConstant,
+    u0: np.ndarray,
     g: np.ndarray,
     ttg: np.ndarray,
     equilibrium_tol: float = EQUILIBRIUM_TOL,
@@ -529,7 +504,7 @@ def reconstruct(
     lam_total = lam0 + lam_coarse + lam_delta
     side = lam_total.side_values()
     tilde = apply_T(caches, side) + np.asarray(ttg, dtype=float)
-    u_broken = u0.values[:, None] + tilde
+    u_broken = u0[:, None] + tilde
     grad = (tilde[:, part.cells][..., None, :] @ part.grads)[..., 0, :]      # (ne, nc, 2)
     a = caches.tensors
     sigma = np.stack((a[..., 0, 0] * grad[..., 0] + a[..., 0, 1] * grad[..., 1],
@@ -720,14 +695,12 @@ def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def full_pipeline(
-    cfg: SolverConfig,
-    g_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    assembly: Assembly | None = None,
-) -> tuple[Solution, dict]:
+def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[Solution, dict]:
     """Run every stage and emit a JSON-able report of all diagnostics."""
     cfg.validate()
-    timings: dict[str, float] = {}
+    if assembly is None:
+        assembly = build_assembly(cfg)
+    timings = {"assembly": assembly.build_s}
 
     def timed(stage: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -740,14 +713,7 @@ def full_pipeline(
         timings[stage] = time.perf_counter() - t0
         return out
 
-    if assembly is None:
-        t0 = time.perf_counter()
-        assembly = build_assembly(cfg)
-        timings["assembly"] = time.perf_counter() - t0
-
-    if g_fn is None:
-        g_fn = presets.load_function(cfg.rhs, cfg.rhs_params)
-    g = timed("rhs", sample_load, assembly.part, g_fn)
+    g = timed("rhs", sample_load, assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
 
     solution = timed(
         "solve",

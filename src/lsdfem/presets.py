@@ -35,7 +35,7 @@ _INCLUSION_CENTERS = [
 
 
 def _smooth(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    amp = float(params.get("amplitude", 0.5))
+    amp = float(params["amplitude"])
     if not 0.0 <= amp < 1.0:
         raise ValueError("smooth amplitude must lie in [0, 1)")
 
@@ -46,8 +46,8 @@ def _smooth(params: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _checkerboard(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    contrast = float(params.get("contrast", 100.0))
-    cells = int(params.get("cells", 8))
+    contrast = float(params["contrast"])
+    cells = int(params["cells"])
 
     def fn(points: np.ndarray) -> np.ndarray:
         ix = np.floor(points[:, 0] * cells).astype(int)
@@ -66,11 +66,11 @@ def _channel(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     both strands sees two separate high-coefficient strands, which is
     what drives the face eigenvalues up with the contrast.
     """
-    contrast = float(params.get("contrast", 1e4))
-    center = float(params.get("center", 0.5))
-    width = float(params.get("width", 0.12))
-    spacing = float(params.get("spacing", 0.0))
-    turn_x = float(params.get("turn_x", 0.8))
+    contrast = float(params["contrast"])
+    center = float(params["center"])
+    width = float(params["width"])
+    spacing = float(params["spacing"])
+    turn_x = float(params["turn_x"])
 
     def fn(points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
@@ -91,11 +91,11 @@ def _channel(params: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _inclusions(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    contrast = float(params.get("contrast", 1e4))
-    count = int(params.get("count", 4))
+    contrast = float(params["contrast"])
+    count = int(params["count"])
     if not 1 <= count <= len(_INCLUSION_CENTERS):
         raise ValueError(f"inclusion count must be in [1, {len(_INCLUSION_CENTERS)}]")
-    radius = float(params.get("radius", 0.35 / math.sqrt(count)))
+    radius = 0.35 / math.sqrt(count) if params["radius"] is None else float(params["radius"])
     centers = np.array(_INCLUSION_CENTERS[:count])
 
     def fn(points: np.ndarray) -> np.ndarray:
@@ -109,26 +109,51 @@ def _inclusions(params: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _constant(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    value = float(params.get("value", 1.0))
+    value = float(params["value"])
     return lambda points: np.full(len(points), value)
 
 
+def _anisotropic(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """The tensor diag(1, ratio); the other presets are scalar."""
+    a2 = float(params["ratio"])
+
+    def fn(points: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(points), 2, 2))
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = a2
+        return out
+
+    return fn
+
+
+# name -> (maker, its parameters with their defaults).  The makers read exactly
+# these keys, and describe() lists them; None means derived from the others.
 COEFFICIENT_PRESETS = {
-    "smooth": _smooth,
-    "checkerboard": _checkerboard,
-    "channel": _channel,
-    "inclusions": _inclusions,
-    "constant": _constant,
+    "smooth": (_smooth, {"amplitude": 0.5}),
+    "checkerboard": (_checkerboard, {"contrast": 100.0, "cells": 8}),
+    "channel": (_channel, {"contrast": 1e4, "center": 0.5, "width": 0.12, "spacing": 0.0, "turn_x": 0.8}),
+    "inclusions": (_inclusions, {"contrast": 1e4, "count": 4, "radius": None}),  # radius 0.35/sqrt(count)
+    "constant": (_constant, {"value": 1.0}),
+    "anisotropic": (_anisotropic, {"ratio": 4.0}),
 }
 
 
-def coefficient_function(name: str, params: dict | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    params = params or {}
+def _preset(table: dict, family: str, name: str, params: dict | None) -> Callable[[np.ndarray], np.ndarray]:
+    """Preset ``name`` of ``table`` made with ``params`` over its defaults; a key it does not take raises."""
     try:
-        maker = COEFFICIENT_PRESETS[name]
+        maker, defaults = table[name]
     except KeyError:
-        raise ValueError(f"unknown coefficient preset {name!r}") from None
-    return maker(params)
+        raise ValueError(f"unknown {family} preset {name!r}") from None
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"{family} preset {name!r} has no parameter {names}; it takes {sorted(defaults)}")
+    return maker({**defaults, **(params or {})})
+
+
+def coefficient_function(name: str, params: dict | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """Scalar values ``(n,)`` at ``n`` points, or tensors ``(n, 2, 2)`` for ``anisotropic``."""
+    return _preset(COEFFICIENT_PRESETS, "coefficient", name, params)
 
 
 def coefficient_field(
@@ -143,18 +168,10 @@ def coefficient_field(
         x1, y1 = part.mesh.vertices.max(axis=0)
         raster = load_raster(raster_file, (x0, y0, x1, y1))
         return CoefficientField.from_raster(part, raster)
+    fn = coefficient_function(name, params)
     if name == "anisotropic":
-        params = params or {}
-        a2 = float(params.get("ratio", 4.0))
-
-        def tensor(points: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(points), 2, 2))
-            out[:, 0, 0] = 1.0
-            out[:, 1, 1] = a2
-            return out
-
-        return CoefficientField.from_tensor_function(part, tensor)
-    return CoefficientField.from_scalar_function(part, coefficient_function(name, params))
+        return CoefficientField.from_tensor_function(part, fn)
+    return CoefficientField.from_scalar_function(part, fn)
 
 
 def make_raster(
@@ -170,8 +187,10 @@ def make_raster(
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     xx, yy = np.meshgrid(xs, ys)
-    values = fn(np.column_stack((xx.ravel(), yy.ravel()))).reshape(ny, nx)
-    return Raster(nx, ny, values, domain)
+    values = fn(np.column_stack((xx.ravel(), yy.ravel())))
+    if values.ndim == 3:  # tensors, stored as (a11, a12, a22)
+        values = values[:, [0, 0, 1], [0, 1, 1]]
+    return Raster(nx, ny, values.reshape((ny, nx) + values.shape[1:]), domain)
 
 
 def _g_smooth(params: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -182,57 +201,40 @@ def _g_smooth(params: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _g_constant(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    value = float(params.get("value", 1.0))
+    value = float(params["value"])
     return lambda points: np.full(len(points), value)
 
 
 def _g_linear(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    ax = float(params.get("ax", 1.0))
-    ay = float(params.get("ay", 0.0))
+    ax = float(params["ax"])
+    ay = float(params["ay"])
     return lambda points: ax * points[:, 0] + ay * points[:, 1]
 
 
 def _g_bump(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    cx = float(params.get("cx", 0.5))
-    cy = float(params.get("cy", 0.5))
-    w = float(params.get("width", 0.15))
+    cx = float(params["cx"])
+    cy = float(params["cy"])
+    w = float(params["width"])
     return lambda points: np.exp(
         -((points[:, 0] - cx) ** 2 + (points[:, 1] - cy) ** 2) / (2 * w * w)
     )
 
 
 LOAD_PRESETS = {
-    "smooth": _g_smooth,
-    "constant": _g_constant,
-    "linear": _g_linear,
-    "bump": _g_bump,
+    "smooth": (_g_smooth, {}),
+    "constant": (_g_constant, {"value": 1.0}),
+    "linear": (_g_linear, {"ax": 1.0, "ay": 0.0}),
+    "bump": (_g_bump, {"cx": 0.5, "cy": 0.5, "width": 0.15}),
 }
 
 
 def load_function(name: str, params: dict | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    params = params or {}
-    try:
-        maker = LOAD_PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown load preset {name!r}") from None
-    return maker(params)
+    return _preset(LOAD_PRESETS, "load", name, params)
 
 
 def describe() -> dict:
-    """Catalog of bundled scenarios with their tunable parameters."""
+    """Catalog of bundled scenarios with their tunable parameters and defaults."""
     return {
-        "coefficients": {
-            "smooth": {"amplitude": 0.5},
-            "checkerboard": {"contrast": 100.0, "cells": 8},
-            "channel": {"contrast": 1e4, "center": 0.5, "width": 0.12, "spacing": 0.0, "turn_x": 0.8},
-            "inclusions": {"contrast": 1e4, "count": 4, "radius": "0.35/sqrt(count)"},
-            "constant": {"value": 1.0},
-            "anisotropic": {"ratio": 4.0},
-        },
-        "loads": {
-            "smooth": {},
-            "constant": {"value": 1.0},
-            "linear": {"ax": 1.0, "ay": 0.0},
-            "bump": {"cx": 0.5, "cy": 0.5, "width": 0.15},
-        },
+        "coefficients": {name: dict(defaults) for name, (_, defaults) in COEFFICIENT_PRESETS.items()},
+        "loads": {name: dict(defaults) for name, (_, defaults) in LOAD_PRESETS.items()},
     }

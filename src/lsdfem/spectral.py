@@ -170,8 +170,6 @@ class ElementSpectrum(Stacked):
     sigma: np.ndarray            # (ne, nn) ascending
     vectors: np.ndarray          # (ne, nn, nn) eigenvectors as columns
     j_count: np.ndarray | int    # (ne,)
-    h_target: float
-    c_j: float
 
     @property
     def sigma_next(self) -> np.ndarray:
@@ -198,7 +196,7 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     sigma = np.maximum(sigma, 0.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, sigma.shape[1])
-    return ElementSpectrum(elems, sigma, vectors, j_count, h_target, c_j)
+    return ElementSpectrum(elems, sigma, vectors, j_count)
 
 
 def project_rhs(

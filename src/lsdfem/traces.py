@@ -30,7 +30,6 @@ from .mesh import CoarseMesh, FinePartition
 
 __all__ = [
     "TraceVector",
-    "PiecewiseConstant",
     "TraceSpace",
     "build_trace_space",
     "pairing",
@@ -94,16 +93,6 @@ class TraceVector:
 
 
 @dataclass
-class PiecewiseConstant:
-    """One scalar per coarse element (a member of the constant space)."""
-
-    values: np.ndarray
-
-    def copy(self) -> "PiecewiseConstant":
-        return PiecewiseConstant(self.values.copy())
-
-
-@dataclass
 class TraceSpace:
     """Index bookkeeping and change-of-basis data for the multiplier space."""
 
@@ -127,10 +116,6 @@ class TraceSpace:
     @property
     def n_coarse_faces(self) -> int:
         return self.mesh.n_faces
-
-    @property
-    def dim_lambda0(self) -> int:
-        return self.n_elements
 
     @property
     def dim_tilde0(self) -> int:
@@ -246,16 +231,17 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
 def pairing(
     space: TraceSpace,
     mu: TraceVector,
-    v: PiecewiseConstant | np.ndarray,
+    v: np.ndarray,
 ) -> float:
     """The broken duality pairing (mu, v) summed over element boundaries.
 
-    ``v`` is either a piecewise constant or a broken function given by its
-    P1 nodal values on each element's interior triangulation, ``(ne, nn)``.
+    ``v`` is either a piecewise constant, one value per element ``(ne,)``,
+    or a broken function given by its P1 nodal values on each element's
+    interior triangulation, ``(ne, nn)``.
     Exact for P1 traces (trapezoid rule per fine boundary edge).
     """
-    if isinstance(v, PiecewiseConstant):
-        return float(v.values @ (space.pair_v0 @ mu.values))
+    if np.ndim(v) == 1:
+        return float(v @ (space.pair_v0 @ mu.values))
     return float(mu.values @ boundary_functional(space, v))
 
 

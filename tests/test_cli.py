@@ -5,7 +5,7 @@ import pytest
 import scipy.ndimage
 
 from lsdfem import cli, presets
-from lsdfem.coeff import local_bounds
+from lsdfem.coeff import CoefficientField, local_bounds
 from lsdfem.mesh import build_structured_mesh, refine_faces
 
 
@@ -90,6 +90,11 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ({**BASE, "config": {**BASE["config"], "coefficient_file": 7}}, "coefficient_file"),
         ({**BASE, "config": {**BASE["config"], "rhs": {}}}, "rhs"),
         ({**BASE, "config": {**BASE["config"], "rhs": "bump", "rhs_params": {"cx": "a"}}}, "rhs_params"),
+        ({**BASE, "config": {**BASE["config"], "rhs": "bump", "rhs_params": {"widht": 0.3}}}, "'widht'"),
+        (
+            {**BASE, "config": {**BASE["config"], "coefficient": "channel", "coefficient_params": {"contrst": 1e6}}},
+            "[coefficients]: stage 'coefficients' failed: coefficient preset 'channel' has no parameter 'contrst'",
+        ),
     ],
     ids=[
         "decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object",
@@ -97,7 +102,7 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         "coefficient-params-not-an-object", "rhs-params-not-an-object", "equilibrium-tol-not-a-number",
         "equilibrium-tol-zero", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",
         "rhs-reduction-not-a-bool", "mesh-file-not-a-string", "coefficient-file-not-a-string",
-        "rhs-not-a-string", "rhs-params-wrong-type",
+        "rhs-not-a-string", "rhs-params-wrong-type", "rhs-params-unknown-key", "coefficient-params-unknown-key",
     ],
 )
 def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
@@ -113,6 +118,9 @@ def test_solve_writes_outputs(tmp_path):
     assert cli.main(["--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["diagnostics"]["equilibrium_rel_max"] <= 1e-10
+    # The set-up is timed when the CLI builds the assembly itself.
+    assert set(report["timings"]) == {"assembly", "rhs", "solve"}
+    assert all(t > 0.0 for t in report["timings"].values())
     assert (out / "multiplier.bin").exists()
     assert (out / "solution_summary.csv").exists()
     assert (out / "solution_nodal.csv").exists()
@@ -200,6 +208,14 @@ def test_channel_contrast_one_is_constant():
     const = presets.coefficient_field(part, "constant", {"value": 1.0})
     for a, b in zip(chan.tensors, const.tensors):
         assert np.array_equal(a, b)
+
+
+def test_anisotropic_raster_matches_preset():
+    part = refine_faces(build_structured_mesh(2, 2), 1)
+    raster = presets.make_raster("anisotropic", {"ratio": 3.0}, nx=8, ny=8)
+    assert raster.is_tensor
+    direct = presets.coefficient_field(part, "anisotropic", {"ratio": 3.0})
+    assert np.array_equal(CoefficientField.from_raster(part, raster).tensors, direct.tensors)
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])

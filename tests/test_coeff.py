@@ -79,12 +79,12 @@ def test_weight_tags(part):
         return out
 
     field = CoefficientField.from_tensor_function(part, tensor)
-    assert all(np.allclose(v, 1.0) for v in make_weight("one", field).values)
-    assert all(np.allclose(v, 4.0) for v in make_weight("a_plus", field).values)
-    assert all(np.allclose(v, 1.0) for v in make_weight("a_minus", field).values)
+    assert all(np.allclose(v, 1.0) for v in make_weight("one", field))
+    assert all(np.allclose(v, 4.0) for v in make_weight("a_plus", field))
+    assert all(np.allclose(v, 1.0) for v in make_weight("a_minus", field))
     scalar = CoefficientField.from_scalar_function(part, lambda p: 2.0 + 6.0 * (p[:, 0] > 0.5))
     w = make_weight("amin", scalar)
-    assert all(np.allclose(v, 2.0) for v in w.values)
+    assert all(np.allclose(v, 2.0) for v in w)
     with pytest.raises(CoefficientError):
         make_weight("bogus", field)
     with pytest.raises(CoefficientError):
@@ -112,7 +112,7 @@ def test_weighted_norm_consistency(part):
     total_a = total_b = 0.0
     for elem, geom in enumerate(part.geometry):
         g = rng.standard_normal(geom.n_nodes)
-        rho = weight.values[elem]
+        rho = weight[elem]
         for c, cell in enumerate(geom.cells):
             p = geom.nodes[cell]
             vals = np.array([0.5 * (g[cell[i]] + g[cell[(i + 1) % 3]]) for i in range(3)])

@@ -124,7 +124,8 @@ def test_upscaled_zero_data(asm_const):
     assert np.abs(system.rhs).max() == 0.0
     lam_coarse = solve_upscaled(system, space)
     assert np.abs(lam_coarse.values).max() == 0.0
-    assert np.abs(system.gram - system.gram.T).max() <= 1e-11 * np.abs(system.gram).max()
+    gram = system.operator.gram
+    assert np.abs(gram - gram.T).max() <= 1e-11 * np.abs(gram).max()
 
 
 def test_upscaled_saturated_matches_global_matrix(asm_mixed):
@@ -144,8 +145,8 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     op_glob = asm_mixed.upscaled_operator("plain", 4.0, None)
     sys_loc = assemble_upscaled(asm_mixed, proj, op_loc, lam0, funcs, r_ttg, jstar)
     sys_glob = assemble_upscaled(asm_mixed, proj, op_glob, lam0, funcs, r_ttg, None)
-    scale = np.abs(sys_glob.gram).max()
-    assert np.allclose(sys_loc.gram, sys_glob.gram, atol=1e-10 * scale)
+    scale = np.abs(sys_glob.operator.gram).max()
+    assert np.allclose(sys_loc.operator.gram, sys_glob.operator.gram, atol=1e-10 * scale)
     assert np.allclose(sys_loc.rhs, sys_glob.rhs, atol=1e-10 * max(np.abs(sys_glob.rhs).max(), 1e-30))
 
 
@@ -175,7 +176,7 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
 
     for cache in asm_mixed.caches:
         t = cache.elem
-        tilde = sol.u_broken[t] - sol.u0.values[t]
+        tilde = sol.u_broken[t] - sol.u0[t]
         avg = cache.mean_vector @ tilde
         assert abs(avg) < 1e-10 * max(np.abs(tilde).max(), 1.0)
     # Energy identity: the flux energy of the multiplier equals the summed
@@ -295,7 +296,7 @@ def test_four_step_reproduces_monolithic(asm_mixed, mesh_fn, tmp_path):
     for cache in asm.caches:
         t = cache.elem
         mean = (cache.mean_vector @ u_ref[t]) / cache.mean_vector.sum()
-        assert sol.u0.values[t] == pytest.approx(mean, rel=1e-8, abs=1e-10)
+        assert sol.u0[t] == pytest.approx(mean, rel=1e-8, abs=1e-10)
 
 
 def test_upscaled_operator_reused_across_loads():
@@ -539,7 +540,7 @@ def test_constant_load_symmetric_solution():
     for t in range(asm.mesh.n_elements):
         mirrored = 1.0 - cents[t]
         s = int(np.argmin(np.linalg.norm(cents - mirrored, axis=1)))
-        assert sol.u0.values[t] == pytest.approx(sol.u0.values[s], rel=1e-10, abs=1e-12)
+        assert sol.u0[t] == pytest.approx(sol.u0[s], rel=1e-10, abs=1e-12)
 
 
 def test_degenerate_face_level_zero_is_exact():

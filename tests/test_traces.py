@@ -9,7 +9,6 @@ from conftest import face_rows, lambda0_basis, pairing_bruteforce, random_tilde_
 from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.traces import (
-    PiecewiseConstant,
     TraceVector,
     build_trace_space,
     decompose,
@@ -26,10 +25,10 @@ def space():
 
 def test_dimensions(space):
     n, nf = space.n_elements, space.n_coarse_faces
-    assert space.dim_lambda0 == n
+    assert space.jump_basis.shape[1] == n
     assert space.dim_tilde0 == nf - n
     assert space.dim_tilde_f == space.n_fine - nf
-    assert space.dim_lambda0 + space.dim_tilde0 + space.dim_tilde_f == space.n_fine
+    assert space.n_elements + space.dim_tilde0 + space.dim_tilde_f == space.n_fine
 
 
 def test_side_views_are_negatives(space):
@@ -99,8 +98,8 @@ def test_pairing_examples(space):
     rng = np.random.default_rng(5)
     mu = space.vector(rng.standard_normal(space.n_fine))
     assert pairing(space, mu, zero_v) == 0.0
-    ind = PiecewiseConstant(np.zeros(space.n_elements))
-    ind.values[1] = 1.0
+    ind = np.zeros(space.n_elements)
+    ind[1] = 1.0
     assert pairing(space, basis[1], ind) == pytest.approx(
         space.mesh.face_measures[space.mesh.element_faces[1]].sum(), rel=1e-14
     )
