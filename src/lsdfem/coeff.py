@@ -90,10 +90,6 @@ class CoefficientField:
     a_min: float
     a_max: float
 
-    @property
-    def mesh(self) -> CoarseMesh:
-        return self.part.mesh
-
     def element_eigen_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Smallest and largest tensor eigenvalue on each element, for all elements at once."""
         emin, emax = _sym_eig_bounds(np.asarray(self.tensors))

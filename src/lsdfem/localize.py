@@ -13,7 +13,8 @@ interior problem is ever re-solved here.
 A localized projection is linear and each seed's solution lives on its
 patch, so it is stored as one sparse matrix of patch responses per seed
 kind and layer count, built by one batched patch kernel; applying it is
-``basis @ (R @ data)``.
+``basis @ (R @ data)``.  Every global Gram is factored sparse by
+:func:`spd_factor`, which also checks that it is positive definite.
 """
 
 from __future__ import annotations
@@ -41,10 +42,29 @@ __all__ = [
     "delta_basis",
     "pi_basis",
     "ring_energies",
+    "spd_factor",
 ]
 
-DENSE_PATCH_LIMIT = 4000     # the global problem above this dimension is factored sparse
+DENSE_PATCH_LIMIT = 4000     # not read by the package; perfbench's tracer still reads it
 PATCH_CHUNK_BYTES = 8 << 20  # stacked patch Gram matrices factored at once
+
+
+def spd_factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
+    """Sparse ``P A P^T = L D L^T`` factor of a symmetric matrix that must be positive definite.
+
+    The symmetric ordering and the diagonal-only pivoting make the LU factor
+    an ``L D L^T`` one, so ``A`` is SPD exactly when no pivot left the
+    diagonal and every pivot is positive; otherwise an ``AssertionError``
+    names ``what``.
+    """
+    try:
+        lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise AssertionError(f"{what} is not SPD: {exc}") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise AssertionError(f"{what} is not SPD")
+    return lu
 
 
 def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
@@ -146,8 +166,6 @@ class PatchProblem:
     takes right-hand sides on them.
     """
 
-    seed: tuple[str, int]
-    j: int | None
     active_faces: np.ndarray
     dof_indices: np.ndarray
     factor: object = field(repr=False)
@@ -165,13 +183,13 @@ class PatchProblem:
 class PatchProjector:
     """Flux-energy Galerkin solver over a face basis, global and localized.
 
-    The global problem is the patch of all faces.  A localized projection
-    with ``j`` layers is stored as two sparse response matrices
-    (:meth:`responses`), one per seed kind, built on first use by one pass
-    over all seeds, which reads the basis Gram only through
-    ``sparse_gram`` (symmetrized ``W^T S W``, CSR with sorted indices).
-    Every application lifts basis coefficients to stored values with
-    ``basis.matrix``.
+    The global problem is the patch of all faces, factored once by
+    :func:`spd_factor`.  A localized projection with ``j`` layers is stored
+    as two sparse response matrices (:meth:`responses`), one per seed kind,
+    built on first use by one pass over all seeds, which reads the basis
+    Gram only through ``sparse_gram`` (symmetrized ``W^T S W``, CSR with
+    sorted indices).  Every application lifts basis coefficients to stored
+    values with ``basis.matrix``.
     """
 
     def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: FaceBasis):
@@ -184,11 +202,11 @@ class PatchProjector:
         # Seed right-hand sides, one column block per seed: W^T S on a face's
         # fine faces, W^T on an element's boundary rows in the order of the
         # element functionals (traces.element_functionals).
-        self._flux_rhs = (basis.matrix.T @ energy).tocsc()
-        self._flux_rhs.sum_duplicates()
+        flux_rhs = (basis.matrix.T @ energy).tocsc()
+        flux_rhs.sum_duplicates()
         load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         load_rhs.sum_duplicates()
-        self._rhs_columns = {"face": _padded_rows(self._flux_rhs.T, basis.dim),
+        self._rhs_columns = {"face": _padded_rows(flux_rhs.T, basis.dim),
                              "element": _padded_rows(load_rhs.T, basis.dim)}
         self._col_face = np.repeat(np.arange(space.n_coarse_faces), np.diff(basis.col_offsets))
         # The incident elements of each face, the left one twice on the domain boundary.
@@ -196,15 +214,13 @@ class PatchProjector:
         self._face_columns = sp.csr_matrix(
             (np.ones(basis.dim), np.arange(basis.dim), basis.col_offsets), (space.n_coarse_faces, basis.dim)
         )
-        self._global: PatchProblem | None = None
         self._responses: dict[int, tuple[sp.csc_matrix, sp.csc_matrix]] = {}
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Dense ``M x M`` view of ``sparse_gram``, built on first read and then kept.
 
-        Only the dense global factor (dimension up to ``DENSE_PATCH_LIMIT``)
-        reads it; above that limit the global problem factors the CSR.
+        The package never reads it; perfbench's tracer reads its ``nbytes``.
         """
         return self.sparse_gram.toarray()
 
@@ -215,21 +231,13 @@ class PatchProjector:
 
     # -- global (reference) solves ------------------------------------------------
 
-    def _global_problem(self) -> PatchProblem:
-        if self._global is None:
-            try:
-                dense = self.basis.dim <= DENSE_PATCH_LIMIT
-                factor = scipy.linalg.cho_factor(self.gram) if dense else spla.splu(self.sparse_gram.tocsc())
-            except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-                what = f"global {self.basis.label} energy Gram matrix"
-                raise AssertionError(f"{what} is not SPD: {exc}") from exc
-            faces = np.unique(self._col_face)
-            self._global = PatchProblem(("global", 0), None, faces, np.arange(self.basis.dim), factor)
-        return self._global
+    @cached_property
+    def _global_factor(self) -> spla.SuperLU:
+        return spd_factor(self.sparse_gram, f"global {self.basis.label} energy Gram matrix")
 
     def project_functional(self, r: np.ndarray) -> TraceVector:
         """Global solve: subspace element whose flux energy matches ``r``."""
-        return self.solve_patch(self._global_problem(), self.basis.matrix.T @ r)
+        return self.space.vector(self.basis.matrix @ self._global_factor.solve(self.basis.matrix.T @ r))
 
     # -- patch problems -------------------------------------------------------------
 
@@ -284,8 +292,8 @@ class PatchProjector:
     def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
         """Factorized ``j``-layer patch problem of one seed: the one-seed call of the patch kernel."""
         ((_, dofs, _, chol),) = self._patch_factors(seed[0], np.array([seed[1]]), j)
-        factor = self._global_problem().factor if chol is None else (chol[0], True)
-        return PatchProblem(seed, j, np.unique(self._col_face[dofs[0]]), dofs[0], factor)
+        factor = self._global_factor if chol is None else (chol[0], True)
+        return PatchProblem(np.unique(self._col_face[dofs[0]]), dofs[0], factor)
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
         """Galerkin solve on the patch subspace.
@@ -328,7 +336,7 @@ class PatchProjector:
             cols.append(np.broadcast_to(seed_cols[:, None, :], shape).ravel())
             blocks = _gather(rhs, at, seed_cols, d).transpose(0, 2, 1)   # (n, d, width)
             if chol is None:  # saturated patches: one solve of the global problem
-                flat = self._global_problem().solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
+                flat = self._global_factor.solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
                 blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
             elif d:  # LAPACK's potrs per seed, without cho_solve's wrapper; potrs rejects d = 0
                 for k in range(n):
@@ -339,35 +347,29 @@ class PatchProjector:
 
     # -- localized operator applications --------------------------------------------
 
-    def apply_PjT(self, lam: TraceVector, j: int | None) -> TraceVector:
+    def apply_PjT(self, lam: TraceVector, j: int) -> TraceVector:
         """Face-seeded localization applied to the potential of ``lam``.
 
         The sum over coarse faces of the patch solutions for the
-        multiplier's restriction to each face.  ``j=None`` is the global
-        reference.
+        multiplier's restriction to each face.  The global projection is
+        ``project_functional(energy @ lam.values)``.
         """
         out = self.apply_PjT_columns(lam.values[:, None], j)
         return self.space.vector(out[:, 0])
 
-    def apply_PjT_columns(self, columns: np.ndarray | sp.spmatrix, j: int | None) -> np.ndarray | sp.spmatrix:
-        """Vectorized :meth:`apply_PjT` over columns; sparse ones stay sparse unless ``j=None`` fills them."""
-        if j is None:
-            rhs = self._flux_rhs @ columns
-            coeffs = self._global_problem().solve(rhs.toarray() if sp.issparse(rhs) else rhs)
-        else:
-            coeffs = self.responses(j)[0] @ columns
-        return self.basis.matrix @ coeffs
+    def apply_PjT_columns(self, columns: np.ndarray | sp.spmatrix, j: int) -> np.ndarray | sp.spmatrix:
+        """Vectorized :meth:`apply_PjT` over columns; sparse columns stay sparse."""
+        return self.basis.matrix @ (self.responses(j)[0] @ columns)
 
-    def apply_Pj(self, functionals: np.ndarray, j: int | None) -> TraceVector:
+    def apply_Pj(self, functionals: np.ndarray, j: int) -> TraceVector:
         """Element-seeded localization of a broken function.
 
         ``functionals[k]`` is the stored boundary functional of the function
         restricted to element k on its boundary rows
         (:func:`traces.element_functionals`, ``(ne, n_bf)``).  Used to
-        localize the load potential; ``j=None`` is the global reference.
+        localize the load potential; the global projection is
+        ``project_functional(space.sum_element_rows(functionals))``.
         """
-        if j is None:
-            return self.project_functional(self.space.sum_element_rows(functionals))
         coeffs = self.responses(j)[1] @ functionals.ravel()
         return self.space.vector(self.basis.matrix @ coeffs)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -32,6 +31,7 @@ from .localize import (
     delta_basis,
     pi_basis,
     plain_basis,
+    spd_factor,
 )
 from .localop import (
     ElementCache,
@@ -79,6 +79,7 @@ __all__ = [
     "recover_delta",
     "solve_u0",
     "reconstruct",
+    "solve_global",
     "solve_lsd",
     "exact_hybrid_solve",
     "conforming_solve",
@@ -282,28 +283,34 @@ class Assembly:
 
         return self._memo("coarse_basis", _variant_key(variant, alpha_stab), build)
 
-    def upscaled_operator(
-        self, variant: str, alpha_stab: float, j: int | None
-    ) -> "UpscaledOperator":
+    def upscaled_operator(self, variant: str, alpha_stab: float, j: int) -> "UpscaledOperator":
         """Load-independent upscaled operator, built by the first solve that needs it.
 
-        Kept per ``(variant, alpha_stab, j)`` for the life of the assembly:
-        the multiscale basis costs ``n_fine x M`` doubles, and every later
-        solve with the same key pays only its per-load patch passes.
+        Kept per ``(variant, alpha_stab, j)`` for the life of the assembly, so
+        every later solve with the same key pays only its per-load patch
+        passes.  Each column of ``psi = basis - P_j^T basis`` lives on a
+        patch, so ``psi`` and its Gram are sparse products; ``psi`` is then
+        stored dense, ``n_fine x M`` doubles (``perfbench``'s tracer reads its
+        ``nbytes``).
         """
-        return self._memo(
-            "upscaled_operator",
-            (*_variant_key(variant, alpha_stab), j),
-            lambda: UpscaledOperator.build(
-                self.energy,
-                self.projector(variant, alpha_stab),
-                self.coarse_basis(variant, alpha_stab),
-                j,
-            ),
-        )
+        def build():
+            basis = self.coarse_basis(variant, alpha_stab)
+            psi = basis - self.projector(variant, alpha_stab).apply_PjT_columns(basis, j)
+            gram = psi.T @ (self.energy @ psi)
+            factor = spd_factor(0.5 * (gram + gram.T), f"upscaled Gram matrix (j={j})")
+            psi = psi.toarray()
+            psi.flags.writeable = False
+            return UpscaledOperator(basis, psi, factor)
+
+        return self._memo("upscaled_operator", (*_variant_key(variant, alpha_stab), j), build)
 
     def union_mesh(self) -> "UnionMesh":
         return self._memo("union_mesh", None, lambda: build_union_mesh(self.part))
+
+    def union_stiffness(self) -> tuple[sp.csc_matrix, spla.SuperLU]:
+        """Stiffness on the free union-mesh nodes and its sparse LU, shared by both union-mesh computations."""
+        k_ff = self._memo("union_stiffness", None, lambda: _union_free_matrix(self, self.caches.stiffness))
+        return k_ff, self._memo("union_lu", None, lambda: spla.splu(k_ff))
 
 
 def build_assembly(cfg: SolverConfig) -> Assembly:
@@ -380,30 +387,7 @@ class UpscaledOperator:
 
     basis: sp.csc_matrix       # (n_fine, M) stored basis columns
     multiscale: np.ndarray     # (n_fine, M) psi = basis - P_j^T basis
-    gram: np.ndarray           # (M, M) psi^T S psi
-    factor: tuple              # Cholesky factor of the Gram
-
-    @classmethod
-    def build(
-        cls, energy: sp.csr_matrix, projector: PatchProjector, basis: sp.csc_matrix, j: int | None
-    ) -> "UpscaledOperator":
-        """Multiscale basis by patch solves, then its Gram from the energy matrix.
-
-        Sparse products for ``j >= 1``, where each column of ``psi`` lives on a patch; ``psi``
-        is stored dense (``perfbench``'s tracer reads its ``nbytes``), as is the j=None one.
-        """
-        psi = basis - projector.apply_PjT_columns(basis, j)
-        gram = psi.T @ (energy @ psi)
-        psi, gram = (x.toarray() if sp.issparse(x) else np.asarray(x) for x in (psi, gram))
-        gram = 0.5 * (gram + gram.T)
-        psi.flags.writeable = False
-        try:
-            factor = scipy.linalg.cho_factor(gram)
-        except scipy.linalg.LinAlgError as exc:
-            raise AssertionError(
-                f"upscaled system is not SPD ({exc}); patch/spectral data inconsistent"
-            ) from exc
-        return cls(basis, psi, gram, factor)
+    factor: spla.SuperLU       # SPD-checked factor of the Gram psi^T S psi
 
 
 @dataclass
@@ -436,7 +420,7 @@ def assemble_upscaled(
     lam0: TraceVector,
     ttg_functionals: np.ndarray,
     r_ttg: np.ndarray,
-    j: int | None,
+    j: int,
 ) -> UpscaledSystem:
     """Build the coarse Galerkin system for the face-constant + retained part.
 
@@ -457,7 +441,7 @@ def assemble_upscaled(
 
 
 def solve_upscaled(system: UpscaledSystem, space: TraceSpace) -> TraceVector:
-    x = scipy.linalg.cho_solve(system.operator.factor, system.rhs)
+    x = system.operator.factor.solve(system.rhs)
     system.coefficients = x
     return space.vector(system.basis @ x)
 
@@ -514,8 +498,11 @@ def reconstruct(
     residual = (caches.stiffness @ tilde[..., None])[..., 0] - load - traction
     # Componentwise scale: the residual at a node is compared against
     # the magnitudes of the flux and load terms that feed it, so the
-    # check stays meaningful at high contrast.
-    scale = (np.abs(caches.stiffness) @ np.abs(tilde)[..., None])[..., 0] + np.abs(load) + np.abs(traction)
+    # check stays meaningful at high contrast.  |K| is formed in blocks of
+    # about 16 MB of elements, never for the whole stack at once.
+    n_blocks = max(1, caches.stiffness.nbytes >> 24)
+    pairs = zip(np.array_split(caches.stiffness, n_blocks), np.array_split(np.abs(tilde)[..., None], n_blocks))
+    scale = np.concatenate([np.abs(k) @ t for k, t in pairs])[..., 0] + np.abs(load) + np.abs(traction)
     scale = np.maximum(scale, scale.max(axis=1, keepdims=True) * 1e-8 + 1e-300)
     interior = ~part.boundary_node_mask
     eq_rel = (np.abs(residual[:, interior]) / scale[:, interior]).max(axis=1, initial=0.0)
@@ -539,6 +526,29 @@ def reconstruct(
     )
 
 
+def solve_global(
+    assembly: Assembly, variant: str, alpha_stab: float, lam0: TraceVector, r_ttg: np.ndarray
+) -> tuple[TraceVector, TraceVector]:
+    """``lam_coarse = B c_B`` and ``lam_delta = W c_W`` of the four-step scheme without localization.
+
+    The tilde space is the direct sum of ``span(W)`` (the projector's basis) and
+    ``span(B)`` (the coarse basis), so that scheme is the flux-energy Galerkin solve
+    ``V^T S V c = -V^T (S lam0 + r_ttg)`` on ``V = [W B]``, factored once per basis.
+    """
+    w = assembly.projector(variant, alpha_stab).basis.matrix
+    b = assembly.coarse_basis(variant, alpha_stab)
+    v = sp.hstack([w, b], format="csc")
+
+    def build():
+        gram = v.T @ (assembly.energy @ v)
+        return spd_factor(0.5 * (gram + gram.T), f"global {variant} tilde-space Gram matrix")
+
+    factor = assembly._memo("global_factor", _variant_key(variant, alpha_stab), build)
+    c = factor.solve(-(v.T @ (assembly.energy @ lam0.values + r_ttg)))
+    m = w.shape[1]
+    return assembly.space.vector(b @ c[m:]), assembly.space.vector(w @ c[:m])
+
+
 def solve_lsd(
     assembly: Assembly,
     g: np.ndarray,
@@ -552,9 +562,10 @@ def solve_lsd(
 ) -> Solution:
     """Run the staged solve on an existing assembly.
 
-    ``j=None`` uses the global projections (the exact four-step
-    reference); any integer j >= 1 localizes every projection to j
-    element layers.
+    Any integer j >= 1 localizes every projection to j element layers.
+    ``j=None`` is the exact four-step reference, solved at once on the
+    whole tilde space by :func:`solve_global`; it builds no upscaled
+    operator and no patch response.
     """
     if h_target is None:
         h_target = assembly.mesh.coarse_size
@@ -575,13 +586,15 @@ def solve_lsd(
     ttg_functionals = element_functionals(assembly.space, ttg)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
-    projector = assembly.projector(variant, alpha_stab)
-    operator = assembly.upscaled_operator(variant, alpha_stab, j)
-
     lam0 = solve_lambda0(assembly, g_used)
-    system = assemble_upscaled(assembly, projector, operator, lam0, ttg_functionals, r_ttg, j)
-    lam_coarse = solve_upscaled(system, assembly.space)
-    lam_delta = recover_delta(assembly, lam_coarse, system)
+    if j is None:
+        lam_coarse, lam_delta = solve_global(assembly, variant, alpha_stab, lam0, r_ttg)
+    else:
+        projector = assembly.projector(variant, alpha_stab)
+        operator = assembly.upscaled_operator(variant, alpha_stab, j)
+        system = assemble_upscaled(assembly, projector, operator, lam0, ttg_functionals, r_ttg, j)
+        lam_coarse = solve_upscaled(system, assembly.space)
+        lam_delta = recover_delta(assembly, lam_coarse, system)
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
@@ -589,7 +602,7 @@ def solve_lsd(
     )
     solution.diagnostics["variant"] = variant
     solution.diagnostics["j"] = j
-    solution.diagnostics["coarse_dim"] = int(operator.basis.shape[1])
+    solution.diagnostics["coarse_dim"] = int(assembly.coarse_basis(variant, alpha_stab).shape[1])
     solution.diagnostics["load_norm"] = load_norm(assembly.caches, g_used)
     if rhs_reduction:
         solution.diagnostics["rhs_reduction"] = reduction_info
@@ -631,7 +644,7 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
     return sol[:nu].reshape(ne, nn), assembly.space.vector(sol[nu:])
 
 
-def _union_free_matrix(assembly: Assembly, blocks: np.ndarray) -> sp.csr_matrix:
+def _union_free_matrix(assembly: Assembly, blocks: np.ndarray) -> sp.csc_matrix:
     """Element blocks summed on the union mesh, restricted to its nodes off the boundary.
 
     The restriction imposes the zero Dirichlet condition of both union-mesh
@@ -639,7 +652,7 @@ def _union_free_matrix(assembly: Assembly, blocks: np.ndarray) -> sp.csr_matrix:
     """
     union = assembly.union_mesh()
     ng, free = union.nodes.shape[0], union.free
-    return scatter_blocks(blocks, union.node_maps, union.node_maps, (ng, ng))[free][:, free]
+    return scatter_blocks(blocks, union.node_maps, union.node_maps, (ng, ng))[free][:, free].tocsc()
 
 
 def poincare_estimate(assembly: Assembly) -> float:
@@ -650,11 +663,11 @@ def poincare_estimate(assembly: Assembly) -> float:
     smallest eigenvalue of the global stiffness/mass pencil.  A measured
     diagnostic, not an input to the method.
     """
-    k_ff = _union_free_matrix(assembly, assembly.caches.stiffness).tocsc()
-    m_ff = _union_free_matrix(assembly, assembly.caches.mass).tocsc()
+    k_ff, lu = assembly.union_stiffness()
+    m_ff = _union_free_matrix(assembly, assembly.caches.mass)
     v0 = np.ones(k_ff.shape[0])
     lam = spla.eigsh(k_ff, k=1, M=m_ff, sigma=0.0, which="LM", v0=v0,
-                     return_eigenvectors=False)
+                     OPinv=spla.LinearOperator(k_ff.shape, lu.solve), return_eigenvectors=False)
     return float(1.0 / np.sqrt(lam[0]))
 
 
@@ -686,7 +699,7 @@ def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.
     loads = np.einsum("eij,ej->ei", assembly.caches.mass, np.asarray(g, dtype=float))
     rhs = np.bincount(union.node_maps.ravel(), loads.ravel(), union.nodes.shape[0])
     u = np.zeros(rhs.size)
-    u[free] = spla.splu(_union_free_matrix(assembly, assembly.caches.stiffness).tocsc()).solve(rhs[free])
+    u[free] = assembly.union_stiffness()[1].solve(rhs[free])
     return u, u[union.node_maps]
 
 

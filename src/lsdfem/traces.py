@@ -48,9 +48,6 @@ class TraceVector:
     space: "TraceSpace"
     values: np.ndarray
 
-    def copy(self) -> "TraceVector":
-        return TraceVector(self.space, self.values.copy())
-
     def side_values(self, elem: int | slice = slice(None)) -> np.ndarray:
         """Element-side view: sign(elem, F) * stored value, per boundary row.
 
@@ -61,17 +58,6 @@ class TraceVector:
 
     def __add__(self, other: "TraceVector") -> "TraceVector":
         return TraceVector(self.space, self.values + other.values)
-
-    def __sub__(self, other: "TraceVector") -> "TraceVector":
-        return TraceVector(self.space, self.values - other.values)
-
-    def __mul__(self, s: float) -> "TraceVector":
-        return TraceVector(self.space, self.values * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TraceVector":
-        return TraceVector(self.space, -self.values)
 
     def to_csv(self, path: str) -> None:
         """Rows ``fine_face_index,value`` ordered by global fine-face index."""

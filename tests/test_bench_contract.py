@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lsdfem import localize
-from lsdfem.pipeline import assemble_upscaled, energy_error, solve_lambda0
+from lsdfem.pipeline import assemble_upscaled, energy_error, solve_lambda0, solve_lsd
 from lsdfem.traces import element_functionals
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -104,3 +104,13 @@ def test_op_and_gate_reads(asm_const):
     )
     basis = asm.coarse_basis("plain", 4.0)
     assert basis.shape == (asm.space.n_fine, asm.space.dim_tilde0)
+
+
+def test_global_reference_call(asm_const):
+    # op.py's reference="global" solve: j=None, variant and alpha_stab positional.
+    asm = asm_const
+    g = np.ones(asm.part.nodes.shape[:2])
+    u_ref = solve_lsd(asm, g, None, "delta", 4.0).u_broken
+    assert isinstance(u_ref, np.ndarray)
+    assert u_ref.shape == asm.part.nodes.shape[:2] == (asm.mesh.n_elements, asm.part.nodes.shape[1])
+    assert np.all(np.isfinite(u_ref))

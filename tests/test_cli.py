@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from lsdfem import cli, presets
+from lsdfem import cli, pipeline, presets
 from lsdfem.coeff import CoefficientField, local_bounds
 from lsdfem.mesh import build_structured_mesh, refine_faces
 
@@ -110,6 +110,19 @@ def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+def test_non_spd_upscaled_gram_exits_3(tmp_path, capsys, monkeypatch):
+    # A negated upscaled Gram fails the SPD check of its factor: exit 3, naming the stage.
+    factor = pipeline.spd_factor
+    monkeypatch.setattr(
+        pipeline, "spd_factor", lambda mat, what: factor(-mat if what.startswith("upscaled") else mat, what)
+    )
+    path = write_spec(tmp_path, BASE)
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical assertion failed [solve]" in err
+    assert "upscaled Gram matrix (j=1) is not SPD" in err
 
 
 def test_solve_writes_outputs(tmp_path):

@@ -85,8 +85,8 @@ def test_projection_idempotent(asm_mixed):
     rng = np.random.default_rng(3)
     proj = asm_mixed.projector("plain", 4.0)
     lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    once = proj.apply_PjT(lam, None)
-    twice = proj.apply_PjT(once, None)
+    once = proj.project_functional(asm_mixed.energy @ lam.values)
+    twice = proj.project_functional(asm_mixed.energy @ once.values)
     assert np.allclose(twice.values, once.values, rtol=0, atol=1e-10 * max(np.abs(once.values).max(), 1))
 
 
@@ -97,8 +97,8 @@ def test_delta_equals_plain_when_no_retained_modes(asm_smooth_4):
     p_plain = asm_smooth_4.projector("plain", 1e12)
     p_delta = asm_smooth_4.projector("delta", 1e12)
     lam = asm_smooth_4.space.vector(rng.standard_normal(asm_smooth_4.space.n_fine))
-    a = p_plain.apply_PjT(lam, None)
-    b = p_delta.apply_PjT(lam, None)
+    a = p_plain.project_functional(asm_smooth_4.energy @ lam.values)
+    b = p_delta.project_functional(asm_smooth_4.energy @ lam.values)
     scale = np.abs(a.values).max()
     assert np.allclose(a.values, b.values, atol=1e-10 * scale)
 
@@ -135,7 +135,7 @@ def test_saturated_patch_equals_global(asm_mixed):
     rng = np.random.default_rng(11)
     lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
     loc = proj.apply_PjT(lam, jstar)
-    glob = proj.apply_PjT(lam, None)
+    glob = proj.project_functional(asm_mixed.energy @ lam.values)
     scale = max(np.abs(glob.values).max(), 1.0)
     assert np.allclose(loc.values, glob.values, atol=1e-10 * scale)
 
@@ -152,7 +152,7 @@ def test_patch_galerkin_optimality(asm_mixed):
     lamF = asm_mixed.space.vector(np.where(on_face, lam_f.values, 0.0))
     rhs = proj.basis.matrix.T @ (asm_mixed.energy @ lamF.values)
     sol = proj.solve_patch(problem, rhs)
-    target = proj.apply_PjT(lamF, None)  # global reference
+    target = proj.project_functional(asm_mixed.energy @ lamF.values)  # global reference
 
     def err_energy(cand_values):
         d = target.values - cand_values
@@ -245,8 +245,8 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
     lam = space.vector(rng.standard_normal(space.n_fine))
     functionals = rng.standard_normal(part.boundary_face_ids.shape)
     for loc, glob in (
-        (proj.apply_PjT(lam, jstar), proj.apply_PjT(lam, None)),
-        (proj.apply_Pj(functionals, jstar), proj.apply_Pj(functionals, None)),
+        (proj.apply_PjT(lam, jstar), proj.project_functional(asm.energy @ lam.values)),
+        (proj.apply_Pj(functionals, jstar), proj.project_functional(space.sum_element_rows(functionals))),
     ):
         assert np.abs(loc.values - glob.values).max() <= 1e-10 * np.abs(glob.values).max()
 
@@ -330,6 +330,33 @@ def test_non_spd_patch_names_seed_and_j(asm_mixed, kind):
 
 
 @pytest.mark.parametrize("variant", ["plain", "delta"])
+def test_spd_factor_accepts_basis_grams(asm_mixed, variant):
+    # The sparse basis Gram of either basis, and an empty matrix, factor and
+    # solve to rounding.
+    rng = np.random.default_rng(31)
+    for gram in (asm_mixed.projector(variant, 4.0).sparse_gram, sp.csr_matrix((0, 0))):
+        b = rng.standard_normal(gram.shape[0])
+        x = localize.spd_factor(gram, "basis Gram").solve(b)
+        assert np.abs(gram @ x - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 2.0], [2.0, 1.0]],                          # indefinite, nonsingular
+        [[1.0, 1.0], [1.0, 1.0]],                          # positive semidefinite, singular
+        # A zero diagonal entry: the factor takes an off-diagonal pivot and
+        # every pivot is positive, so only the permutation check rejects it.
+        [[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+    ],
+    ids=["indefinite", "singular", "zero-diagonal"],
+)
+def test_spd_factor_rejects(matrix):
+    with pytest.raises(AssertionError, match="^test matrix is not SPD"):
+        localize.spd_factor(sp.csr_matrix(np.array(matrix)), "test matrix")
+
+
+@pytest.mark.parametrize("variant", ["plain", "delta"])
 def test_invariance_on_fine_block(asm_mixed, variant):
     # The face-seeded localized projection reproduces members of its own
     # subspace exactly, for every j >= 1.
@@ -349,7 +376,7 @@ def test_invariance_on_fine_block(asm_mixed, variant):
     columns = np.column_stack(
         [rng.standard_normal(asm_mixed.space.n_fine), np.zeros(asm_mixed.space.n_fine), lam.values]
     )
-    for j in (1, 2, None):
+    for j in (1, 2):
         out = proj.apply_PjT_columns(columns, j)
         assert np.all(out[:, 1] == 0.0)
         for k in (0, 2):
@@ -361,7 +388,7 @@ def test_localization_error_nonincreasing_in_j(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     rng = np.random.default_rng(19)
     lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    glob = proj.apply_PjT(lam, None)
+    glob = proj.project_functional(asm_mixed.energy @ lam.values)
     errs = []
     for j in (1, 2, 3, 4, 5):
         loc = proj.apply_PjT(lam, j)
@@ -381,7 +408,7 @@ def test_element_seeded_application(asm_mixed):
     functionals = element_functionals(asm_mixed.space, v)
     jstar = saturation_depth(asm_mixed.mesh, ("element", 6)) + 1
     loc = proj.apply_Pj(functionals, jstar)
-    glob = proj.apply_Pj(functionals, None)
+    glob = proj.project_functional(asm_mixed.space.sum_element_rows(functionals))
     scale = max(np.abs(glob.values).max(), 1e-30)
     assert np.allclose(loc.values, glob.values, atol=1e-10 * scale)
 
@@ -432,7 +459,7 @@ def test_element_seeded_error_monotone_smooth(asm_smooth_4):
     space = asm_smooth_4.space
     nodes = asm_smooth_4.part.nodes
     functionals = element_functionals(space, np.sin(2 * np.pi * nodes[..., 0]) * nodes[..., 1])
-    glob = proj.apply_Pj(functionals, None)
+    glob = proj.project_functional(space.sum_element_rows(functionals))
     errs = []
     for j in (1, 2, 3, 4):
         loc = proj.apply_Pj(functionals, j)

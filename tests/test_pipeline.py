@@ -124,8 +124,36 @@ def test_upscaled_zero_data(asm_const):
     assert np.abs(system.rhs).max() == 0.0
     lam_coarse = solve_upscaled(system, space)
     assert np.abs(lam_coarse.values).max() == 0.0
-    gram = system.operator.gram
+    psi = system.operator.multiscale
+    gram = psi.T @ (asm_const.energy @ psi)
     assert np.abs(gram - gram.T).max() <= 1e-11 * np.abs(gram).max()
+    assert np.abs(factored_matrix(system.operator.factor) - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def factored_matrix(lu):
+    """The matrix ``Pr^T L U Pc^T`` a SuperLU factor ``lu`` factors, dense."""
+    n = lu.shape[0]
+    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), (n, n))
+    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), (n, n))
+    return (pr.T @ lu.L @ lu.U @ pc.T).toarray()
+
+
+def global_projection(proj, r):
+    """Columns of the global projection of the functionals in the columns of ``r``."""
+    return np.column_stack([proj.project_functional(col).values for col in r.T])
+
+
+def staged_global_system(asm, variant, lam0, r_ttg):
+    """The staged j=None system in dense formulas: ``psi = B - P^T B`` and its Gram, and the
+    load terms ``q = P r_ttg``, ``P^T lam0`` and the right-hand side, with the global
+    projection ``P`` of ``project_functional``."""
+    proj, s_mat = asm.projector(variant, 4.0), asm.energy
+    basis = asm.coarse_basis(variant, 4.0).toarray()
+    psi = basis - global_projection(proj, s_mat @ basis)
+    q = proj.project_functional(r_ttg).values
+    flux0 = proj.project_functional(s_mat @ lam0.values).values
+    rhs = -(psi.T @ (r_ttg - s_mat @ q + s_mat @ (lam0.values - flux0)))
+    return basis, psi, psi.T @ (s_mat @ psi), rhs, q, flux0
 
 
 def test_upscaled_saturated_matches_global_matrix(asm_mixed):
@@ -142,12 +170,12 @@ def test_upscaled_saturated_matches_global_matrix(asm_mixed):
     r_ttg = space.sum_element_rows(funcs)
     jstar = saturation_radius(asm_mixed.mesh)
     op_loc = asm_mixed.upscaled_operator("plain", 4.0, jstar)
-    op_glob = asm_mixed.upscaled_operator("plain", 4.0, None)
     sys_loc = assemble_upscaled(asm_mixed, proj, op_loc, lam0, funcs, r_ttg, jstar)
-    sys_glob = assemble_upscaled(asm_mixed, proj, op_glob, lam0, funcs, r_ttg, None)
-    scale = np.abs(sys_glob.operator.gram).max()
-    assert np.allclose(sys_loc.operator.gram, sys_glob.operator.gram, atol=1e-10 * scale)
-    assert np.allclose(sys_loc.rhs, sys_glob.rhs, atol=1e-10 * max(np.abs(sys_glob.rhs).max(), 1e-30))
+    _, _, gram_glob, rhs_glob, _, _ = staged_global_system(asm_mixed, "plain", lam0, r_ttg)
+    gram_loc = factored_matrix(op_loc.factor)
+    scale = np.abs(gram_glob).max()
+    assert np.allclose(gram_loc, gram_glob, atol=1e-10 * scale)
+    assert np.allclose(sys_loc.rhs, rhs_glob, atol=1e-10 * max(np.abs(rhs_glob).max(), 1e-30))
 
 
 def test_recover_delta_zero_and_membership(asm_mixed):
@@ -324,9 +352,11 @@ def test_upscaled_operator_reused_across_loads():
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # Retained modes make the delta operator differ from the plain one.
     assert sum(s.n_pi for s in asm.face_spectra(4.0)) > 0
+    # j=None solves on the whole tilde space and builds no upscaled operator.
     assert {key for stage, key in asm._stages if stage == "upscaled_operator"} == {
-        (v, a, j) for v, a in (("plain", 0.0), ("delta", 4.0)) for j in (1, 2, None)
+        (v, a, j) for v, a in (("plain", 0.0), ("delta", 4.0)) for j in (1, 2)
     }
+    assert {key for stage, key in asm._stages if stage == "global_factor"} == {("plain", 0.0), ("delta", 4.0)}
 
 
 def dense_upscaled_reference(asm, variant, j):
@@ -346,12 +376,12 @@ def dense_upscaled_reference(asm, variant, j):
     mesh=meshes(),
     face_level=st.integers(1, 2),
     variant=st.sampled_from(["plain", "delta"]),
-    j=st.sampled_from([1, 2, None]),
+    j=st.sampled_from([1, 2]),
 )
 def test_sparse_upscaled_build_matches_dense(mesh, face_level, variant, j):
-    # The coarse basis is the dense one stored as CSC without zeros, and the
-    # multiscale basis and its Gram, built by sparse products, match the
-    # dense formulas; both stay dense arrays.
+    # The coarse basis is the dense one stored as CSC without zeros, the
+    # multiscale basis, built by sparse products, matches the dense formula
+    # and is stored dense, and the factor is one of the dense Gram.
     asm = assembly_on(mesh, face_level)
     basis_ref, psi_ref, gram_ref = dense_upscaled_reference(asm, variant, j)
     basis = asm.coarse_basis(variant, 4.0)
@@ -359,9 +389,36 @@ def test_sparse_upscaled_build_matches_dense(mesh, face_level, variant, j):
     assert np.array_equal(basis.toarray(), basis_ref)
     assert np.all(basis.data != 0.0)
     operator = asm.upscaled_operator(variant, 4.0, j)
-    for got, ref in ((operator.multiscale, psi_ref), (operator.gram, gram_ref)):
+    for got, ref in ((operator.multiscale, psi_ref), (factored_matrix(operator.factor), gram_ref)):
         assert type(got) is np.ndarray
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("variant", ["plain", "delta"])
+def test_global_solve_is_the_staged_global_solve(variant):
+    # j=None is one Galerkin solve on [W B]: it builds no upscaled operator
+    # and no patch response, lam_delta lies in span(W) and lam_coarse in
+    # span(B), and both equal the staged solve with global projections.
+    asm = make_assembly(4, 4, 2, "checkerboard", {"contrast": 1e3, "cells": 4})
+    g = sample_load(asm.part, smooth_g)
+    sol = solve_lsd(asm, g, None, variant, 4.0)
+    proj = asm.projector(variant, 4.0)
+    assert not any(stage == "upscaled_operator" for stage, _ in asm._stages)
+    assert proj._responses == {}
+    from lsdfem.pipeline import compute_ttilde
+
+    funcs = element_functionals(asm.space, compute_ttilde(asm, g))
+    r_ttg = asm.space.sum_element_rows(funcs)
+    basis, psi, gram, rhs, q, flux0 = staged_global_system(asm, variant, sol.lam0, r_ttg)
+    x = np.linalg.solve(gram, rhs)
+    lam_coarse = basis @ x
+    lam_delta = -(flux0 + lam_coarse - psi @ x + q)
+    w = proj.basis.matrix.toarray()
+    for got, want, span in ((sol.lam_coarse, lam_coarse, basis), (sol.lam_delta, lam_delta, w)):
+        scale = np.abs(want).max()
+        assert np.abs(got.values - want).max() <= 1e-10 * scale
+        coeffs, *_ = np.linalg.lstsq(span, got.values, rcond=None)
+        assert np.abs(span @ coeffs - got.values).max() <= 1e-10 * scale
 
 
 def test_localization_error_monotone(asm_mixed):
@@ -490,12 +547,16 @@ def test_oracle_matrices_store_no_zeros(asm_mixed, monkeypatch):
         seen.extend([mat, M])
         return spla.eigsh(mat, *args, M=M, **kwargs)
 
-    monkeypatch.setattr(pipeline, "spla", SimpleNamespace(splu=splu, eigsh=eigsh))
+    monkeypatch.setattr(
+        pipeline, "spla", SimpleNamespace(splu=splu, eigsh=eigsh, LinearOperator=spla.LinearOperator)
+    )
     g = sample_load(asm_mixed.part, smooth_g)
     exact_hybrid_solve(asm_mixed, g)
     conforming_solve(asm_mixed, g)
     poincare_estimate(asm_mixed)
-    assert len(seen) == 4
+    # The hybrid saddle, and the union stiffness and mass, which the
+    # conforming solve and the Poincare estimate share.
+    assert len({id(mat) for mat in seen}) == 3
     for mat in seen:
         assert np.all(mat.data != 0.0)
 
