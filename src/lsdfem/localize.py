@@ -158,6 +158,10 @@ def _gather(padded: tuple[np.ndarray, np.ndarray], positions: np.ndarray, rows: 
     return out[..., :d]
 
 
+def _not_spd(seed: tuple[str, int], j: int, pivot: int) -> AssertionError:
+    return AssertionError(f"patch Gram of seed {seed}, j={j} is not SPD (pivot {pivot})")
+
+
 @dataclass
 class PatchProblem:
     """Factorized Galerkin problem on the faces of one layer neighborhood.
@@ -253,17 +257,17 @@ class PatchProjector:
         layer = sp.csr_matrix((np.ones(len(elems)), elems, [0, len(elems)]), (1, self.space.n_elements))
         return np.unique(self._col_face[self._patch_columns(layer).indices])
 
-    def _patch_factors(self, kind: str, seeds: np.ndarray, j: int):
-        """Factorized ``j``-layer patch problems of seeds of one kind, in chunks of equal dimension d.
+    def _patch_grams(self, kind: str, seeds: np.ndarray, j: int):
+        """``j``-layer patch Grams of seeds of one kind, in chunks of equal dimension d.
 
         Yields positions into ``seeds``, the ``(n, d)`` sorted basis columns of
         their patches, the ``(n, M + 1)`` position map of the chunk (basis
         column -> patch position, -1 outside the patch and in the last
-        column; valid until the next chunk) and the ``(n, d, d)`` lower
-        Cholesky factors of their Grams, or None where every column is in the
-        patch and the global problem serves.  The Grams are gathered from the
-        padded rows of ``sparse_gram`` through the position map, so a chunk
-        holds at most ``PATCH_CHUNK_BYTES`` of Grams and of map.
+        column; valid until the next chunk) and the ``(n, d, d)`` Grams, or
+        None where every column is in the patch and the global problem
+        serves.  The Grams are gathered from the padded rows of
+        ``sparse_gram`` through the position map, so a chunk holds at most
+        ``PATCH_CHUNK_BYTES`` of Grams and of map.  The caller factors them.
         """
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
@@ -282,17 +286,19 @@ class PatchProjector:
                 at = positions[: sub.shape[0]]
                 rows = np.arange(sub.shape[0])[:, None]
                 at[rows, sub] = np.arange(d)
-                chol, item, pivot = batched_cholesky(_gather(self._gram_rows, at, sub, d))
-                if chol is None:
-                    seed = (kind, int(seeds[group[lo + item]]))
-                    raise AssertionError(f"patch Gram of seed {seed}, j={j} is not SPD (pivot {pivot})")
-                yield group[lo : lo + step], sub, at, chol
+                yield group[lo : lo + step], sub, at, _gather(self._gram_rows, at, sub, d)
                 at[rows, sub] = -1
 
     def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
         """Factorized ``j``-layer patch problem of one seed: the one-seed call of the patch kernel."""
-        ((_, dofs, _, chol),) = self._patch_factors(seed[0], np.array([seed[1]]), j)
-        factor = self._global_factor if chol is None else (chol[0], True)
+        ((_, dofs, _, gram),) = self._patch_grams(seed[0], np.array([seed[1]]), j)
+        if gram is None:
+            factor = self._global_factor
+        else:
+            chol, _, pivot = batched_cholesky(gram)
+            if chol is None:
+                raise _not_spd(seed, j, pivot)
+            factor = (chol[0], True)
         return PatchProblem(np.unique(self._col_face[dofs[0]]), dofs[0], factor)
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
@@ -329,18 +335,23 @@ class PatchProjector:
         n_cols = rhs[0].shape[0]
         width = n_cols // n_seeds
         rows, cols, data = [], [], []
-        for members, dofs, at, chol in self._patch_factors(kind, np.arange(n_seeds), j):
+        for members, dofs, at, grams in self._patch_grams(kind, np.arange(n_seeds), j):
             (n, d), shape = dofs.shape, dofs.shape + (width,)
             seed_cols = members[:, None] * width + np.arange(width)
             rows.append(np.broadcast_to(dofs[:, :, None], shape).ravel())
             cols.append(np.broadcast_to(seed_cols[:, None, :], shape).ravel())
             blocks = _gather(rhs, at, seed_cols, d).transpose(0, 2, 1)   # (n, d, width)
-            if chol is None:  # saturated patches: one solve of the global problem
+            if grams is None:  # saturated patches: one solve of the global problem
                 flat = self._global_factor.solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
                 blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
-            elif d:  # LAPACK's potrs per seed, without cho_solve's wrapper; potrs rejects d = 0
+            elif d:  # LAPACK's posv factors and solves each seed at once; posv rejects d = 0
                 for k in range(n):
-                    blocks[k] = scipy.linalg.lapack.dpotrs(chol[k], blocks[k], lower=1)[0]
+                    # A Gram is symmetric, so its transpose is a Fortran-ordered copy-free view.
+                    _, blocks[k], info = scipy.linalg.lapack.dposv(
+                        grams[k].T, blocks[k], lower=1, overwrite_a=1, overwrite_b=1
+                    )
+                    if info:
+                        raise _not_spd((kind, int(members[k])), j, info - 1)
             data.append(blocks.ravel())
         coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
         return sp.csc_matrix(coo, (self.basis.dim, n_cols))

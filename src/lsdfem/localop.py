@@ -5,13 +5,14 @@ system, the saddle: the P1 stiffness with the zero-weighted-average
 condition enforced by a single scalar Lagrange multiplier.  All elements
 are affine images of one reference lattice, so every element quantity is
 one stack with a leading element axis, held by one :class:`ElementCache`:
-the saddles and their inverses, and the boundary flux-energy matrix ``B``,
-the static condensation of the interior problem onto the fine-face flux
-basis, which every downstream patch or face computation re-uses instead
-of re-solving interiors.  Every local solve (the condensation, the
-flux-to-potential map ``T`` and the load-to-potential map ``T~``) is one
-stacked product with the stored inverses, refined once against the
-stored saddles (:func:`saddle_solve`).  The kernels take any leading
+the inverses of the saddles, the potentials ``T_e`` of the fine-face flux
+basis functions, and the boundary flux-energy matrix ``B``, the static
+condensation of the interior problem onto that basis, which every
+downstream patch or face computation re-uses instead of re-solving
+interiors.  Every local solve (the condensation, the flux-to-potential map
+``T`` and the load-to-potential map ``T~``) is one stacked product with
+the stored inverses, refined once against the stiffness and the
+constraint row (:func:`saddle_solve`).  The kernels take any leading
 axes, so they run the same code on one element's view ``caches[t]``.
 """
 
@@ -35,6 +36,8 @@ __all__ = [
     "apply_T",
     "apply_Ttilde",
     "edge_blocks",
+    "load_functionals",
+    "local_solve",
     "broken_energy",
     "quadratic_forms",
     "saddle_solve",
@@ -57,7 +60,7 @@ class ElementCache(Stacked):
     """
 
     STACKED = ("elem", "geom", "tensors", "rho", "stiffness", "mass", "mean_vector",
-               "flux_energy", "a_min", "a_max", "_saddle", "_inverse")
+               "flux_potentials", "flux_energy", "a_min", "a_max", "_inverse")
 
     elem: np.ndarray | int                  # (ne,) element ids
     geom: FinePartition
@@ -66,11 +69,11 @@ class ElementCache(Stacked):
     stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
     mass: np.ndarray             # (ne, nn, nn) rho-weighted P1 mass
     mean_vector: np.ndarray      # (ne, nn) integral of rho * phi_i
+    flux_potentials: np.ndarray  # (ne, nn, n_bf) T_e: potentials T mu_b of the fine-face fluxes
     flux_energy: np.ndarray      # (ne, n_bf, n_bf) pairings (mu_a, T mu_b)
     a_min: np.ndarray            # (ne,) smallest tensor eigenvalue
     a_max: np.ndarray            # (ne,) largest tensor eigenvalue
-    _saddle: np.ndarray = field(repr=False)   # (ne, nn + 1, nn + 1) constrained stiffness
-    _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) its inverse
+    _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) inverse of the constrained stiffness
 
 
 def _sym(mats: np.ndarray) -> np.ndarray:
@@ -150,27 +153,28 @@ def _invert_saddles(saddles: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def saddle_solve(saddle: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def saddle_solve(
+    stiffness: np.ndarray, mean_vector: np.ndarray, inverse: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
     """Zero-average-constrained solves for nodal right-hand sides ``(..., nn, k)``.
 
-    ``x = X b`` with the stored inverse ``X``, then one refinement step
-    ``x += X (b - S x)`` against the stored saddle ``S``, which keeps the
-    residual at working precision even for high-contrast coefficients,
-    where the residual of the plain product grows with the condition
-    number.  Returns the nodal part ``(..., nn, k)``; each solution has
-    zero weighted average.
+    ``x = X b`` with the stored inverse ``X`` of the saddle ``S`` (the
+    stiffness bordered by ``mean_vector``), then one refinement step
+    ``x += X (b - S x)``, with ``S x = [K u + m lambda; m^T u]`` formed from
+    the stiffness and the constraint row.  That keeps the residual at
+    working precision even for high-contrast coefficients, where the
+    residual of the plain product grows with the condition number.  The
+    solve is linear in ``b``.  Returns the nodal part ``(..., nn, k)``;
+    each solution has zero weighted average.
     """
     nn = rhs.shape[-2]
-    b = np.zeros(rhs.shape[:-2] + (nn + 1, rhs.shape[-1]))
-    b[..., :nn, :] = rhs
-    x = inverse @ b
-    x += inverse @ (b - saddle @ x)
+    x = inverse[..., :nn] @ rhs                      # b has a zero constraint row
+    u, lam = x[..., :nn, :], x[..., nn:, :]
+    res = np.empty_like(x)
+    res[..., :nn, :] = rhs - stiffness @ u - mean_vector[..., :, None] * lam
+    res[..., nn:, :] = -(mean_vector[..., None, :] @ u)
+    x += inverse @ res
     return x[..., :nn, :]
-
-
-def _condense_boundary(trace: np.ndarray, saddle: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Static condensation B[a, b] = (mu_a, T mu_b) of a stack of elements."""
-    return _sym(trace @ saddle_solve(saddle, inverse, trace.swapaxes(-1, -2)))
 
 
 def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition) -> ElementCache:
@@ -189,11 +193,14 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
     saddles = np.zeros((ne, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
     saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
     inverse = _invert_saddles(saddles)
-    flux_energy = _condense_boundary(part.trace_matrix, saddles, inverse)
+    del saddles
+    trace = part.trace_matrix
+    potentials = saddle_solve(stiffness, mean_vector, inverse, trace.swapaxes(-1, -2))
+    flux_energy = _sym(trace @ potentials)   # static condensation B[a, b] = (mu_a, T mu_b)
     a_min, a_max = field_a.element_eigen_bounds()
     return ElementCache(
-        np.arange(ne), part, tensors, rho, stiffness, mass, mean_vector, flux_energy,
-        a_min, a_max, saddles, inverse,
+        np.arange(ne), part, tensors, rho, stiffness, mass, mean_vector, potentials, flux_energy,
+        a_min, a_max, inverse,
     )
 
 
@@ -206,13 +213,30 @@ def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
     constrained test functions.
     """
     nodal = np.einsum("...bn,...b->...n", cache.geom.trace_matrix, side)
-    return saddle_solve(cache._saddle, cache._inverse, nodal[..., None])[..., 0]
+    return local_solve(cache, nodal)
 
 
 def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
     """Local load-to-potential solves for P1 nodal loads ``g`` ``(..., nn)``."""
-    load = cache.mass @ np.asarray(g, dtype=float)[..., None]
-    return saddle_solve(cache._saddle, cache._inverse, load)[..., 0]
+    return local_solve(cache, (cache.mass @ np.asarray(g, dtype=float)[..., None])[..., 0])
+
+
+def local_solve(cache: ElementCache, nodal: np.ndarray) -> np.ndarray:
+    """Constrained solves for nodal right-hand sides ``(..., nn)``, one per element.
+
+    ``T side + T~ g`` is one such solve of ``trace^T side + M g``.
+    """
+    return saddle_solve(cache.stiffness, cache.mean_vector, cache._inverse, nodal[..., None])[..., 0]
+
+
+def load_functionals(cache: ElementCache, load: np.ndarray) -> np.ndarray:
+    """Pairings ``trace . T~ g = T_e^T (M g)`` of the load potentials, ``(..., n_bf)``.
+
+    ``load`` is the element load ``M g`` ``(..., nn)``; the stored flux
+    potentials ``T_e`` stand in for a solve, because the refined saddle
+    solve is symmetric.
+    """
+    return (load[..., None, :] @ cache.flux_potentials)[..., 0, :]
 
 
 def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:
@@ -231,17 +255,16 @@ def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:
         raise
 
 
-def solve_lower(chol: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-    """Solve ``L X = B`` (``L^T X = B`` with ``trans``) for a stack of lower-triangular ``L``.
+def solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L X = B`` for a stack of lower-triangular ``L``.
 
     Substitution row by row, each step batched over the stack; the entries
     of ``L`` above the diagonal must be zero.
     """
-    tri = chol.swapaxes(-1, -2) if trans else chol
-    n = tri.shape[-1]
-    x = np.zeros(np.broadcast_shapes(tri.shape[:-1], rhs.shape[:-2] + (n,)) + rhs.shape[-1:])
-    for i in reversed(range(n)) if trans else range(n):
-        x[..., i, :] = (rhs[..., i, :] - (tri[..., i : i + 1, :] @ x)[..., 0, :]) / tri[..., i, i, None]
+    n = chol.shape[-1]
+    x = np.zeros(np.broadcast_shapes(chol.shape[:-1], rhs.shape[:-2] + (n,)) + rhs.shape[-1:])
+    for i in range(n):
+        x[..., i, :] = (rhs[..., i, :] - (chol[..., i : i + 1, :] @ x)[..., 0, :]) / chol[..., i, i, None]
     return x
 
 

@@ -35,10 +35,11 @@ from .localize import (
 )
 from .localop import (
     ElementCache,
-    apply_T,
     apply_Ttilde,
     assemble_all,
     broken_energy,
+    load_functionals,
+    local_solve,
     quadratic_forms,
     scatter_blocks,
 )
@@ -63,7 +64,6 @@ from .traces import (
     TraceSpace,
     TraceVector,
     build_trace_space,
-    element_functionals,
     solve_V0_pairing,
 )
 
@@ -89,6 +89,7 @@ __all__ = [
 ]
 
 EQUILIBRIUM_TOL = 1e-10
+_BLOCK = 32    # elements per block of reconstruct's pass over the stiffness stack
 
 
 class PipelineError(RuntimeError):
@@ -474,10 +475,17 @@ def reconstruct(
     lam_delta: TraceVector,
     u0: np.ndarray,
     g: np.ndarray,
-    ttg: np.ndarray,
+    ttg: np.ndarray | None,
     equilibrium_tol: float = EQUILIBRIUM_TOL,
+    load: np.ndarray | None = None,
 ) -> Solution:
     """Per-element displacement and flux, with equilibrium diagnostics.
+
+    The element potentials ``T side + T~ g`` come from one stacked local
+    solve of ``trace^T side + M g``, so ``ttg`` is not read: the argument
+    is kept for callers that still pass the load potential.  ``load`` is
+    the element load ``M g`` ``(ne, nn)`` when the caller has it; otherwise
+    it is formed from the nodal load ``g``.
 
     The flux is checked against the interior load balance on every
     element: the residual at interior nodes is the multiplier of the
@@ -485,24 +493,34 @@ def reconstruct(
     multiplier carries exactly the load average of each element.
     """
     caches, part = assembly.caches, assembly.part
+    if load is None:
+        load = (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0]
     lam_total = lam0 + lam_coarse + lam_delta
     side = lam_total.side_values()
-    tilde = apply_T(caches, side) + np.asarray(ttg, dtype=float)
-    u_broken = u0[:, None] + tilde
-    grad = (tilde[:, part.cells][..., None, :] @ part.grads)[..., 0, :]      # (ne, nc, 2)
-    a = caches.tensors
-    sigma = np.stack((a[..., 0, 0] * grad[..., 0] + a[..., 0, 1] * grad[..., 1],
-                      a[..., 1, 0] * grad[..., 0] + a[..., 1, 1] * grad[..., 1]), axis=-1)
-    load = (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0]
     traction = (side[:, None, :] @ part.trace_matrix)[:, 0]
-    residual = (caches.stiffness @ tilde[..., None])[..., 0] - load - traction
-    # Componentwise scale: the residual at a node is compared against
-    # the magnitudes of the flux and load terms that feed it, so the
-    # check stays meaningful at high contrast.  |K| is formed in blocks of
-    # about 16 MB of elements, never for the whole stack at once.
-    n_blocks = max(1, caches.stiffness.nbytes >> 24)
-    pairs = zip(np.array_split(caches.stiffness, n_blocks), np.array_split(np.abs(tilde)[..., None], n_blocks))
-    scale = np.concatenate([np.abs(k) @ t for k, t in pairs])[..., 0] + np.abs(load) + np.abs(traction)
+    tilde = local_solve(caches, traction + load)
+    u_broken = u0[:, None] + tilde
+    # Cellwise gradient: per component, a three-term sum over the cell vertices.
+    vertex = [tilde[:, c] for c in part.cells.T]                                   # 3 x (ne, nc)
+    gx, gy = (sum(v * part.grads[:, :, k, d] for k, v in enumerate(vertex)) for d in (0, 1))
+    a = caches.tensors
+    sigma = np.stack((a[..., 0, 0] * gx + a[..., 0, 1] * gy, a[..., 1, 0] * gx + a[..., 1, 1] * gy), axis=-1)
+    # One pass over the stiffness, a block of elements at a time so that each
+    # block is read from cache once: K tilde, K u and, for the componentwise
+    # scale, |K| |tilde|.  The residual at a node is compared against the
+    # magnitudes of the flux and load terms that feed it, so the check stays
+    # meaningful at high contrast.
+    k_tilde, scale = np.empty_like(tilde), np.empty_like(tilde)
+    energy = 0.0
+    for lo in range(0, len(tilde), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        k = caches.stiffness[blk]
+        prod = k @ np.stack((tilde[blk], u_broken[blk]), axis=-1)
+        k_tilde[blk] = prod[..., 0]
+        energy += float(np.vdot(u_broken[blk], prod[..., 1]))
+        scale[blk] = (np.abs(k) @ np.abs(tilde[blk])[..., None])[..., 0]
+    residual = k_tilde - load - traction
+    scale += np.abs(load) + np.abs(traction)
     scale = np.maximum(scale, scale.max(axis=1, keepdims=True) * 1e-8 + 1e-300)
     interior = ~part.boundary_node_mask
     eq_rel = (np.abs(residual[:, interior]) / scale[:, interior]).max(axis=1, initial=0.0)
@@ -512,7 +530,7 @@ def reconstruct(
         "equilibrium_tol": equilibrium_tol,
         "equilibrium_ok": bool(eq_rel.max() <= equilibrium_tol) if len(eq_rel) else True,
         "flux_energy_sq": flux_energy_sq,
-        "solution_energy_sq": broken_energy(caches, u_broken),
+        "solution_energy_sq": energy,
     }
     return Solution(
         u0=u0,
@@ -582,8 +600,11 @@ def solve_lsd(
             "dropped_norm": float(np.linalg.norm(remainders)),
         }
 
-    ttg = compute_ttilde(assembly, g_used)
-    ttg_functionals = element_functionals(assembly.space, ttg)
+    # The element load M g is formed once; the load potentials' functionals
+    # come from the stored flux potentials, and the potentials themselves from
+    # the one local solve of reconstruct.
+    load = (assembly.caches.mass @ g_used[..., None])[..., 0]
+    ttg_functionals = assembly.part.boundary_signs * load_functionals(assembly.caches, load)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
     lam0 = solve_lambda0(assembly, g_used)
@@ -598,12 +619,12 @@ def solve_lsd(
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
-        assembly, lam0, lam_coarse, lam_delta, u0, g_used, ttg, equilibrium_tol
+        assembly, lam0, lam_coarse, lam_delta, u0, g_used, None, equilibrium_tol, load
     )
     solution.diagnostics["variant"] = variant
     solution.diagnostics["j"] = j
     solution.diagnostics["coarse_dim"] = int(assembly.coarse_basis(variant, alpha_stab).shape[1])
-    solution.diagnostics["load_norm"] = load_norm(assembly.caches, g_used)
+    solution.diagnostics["load_norm"] = float(np.vdot(g_used, load)) ** 0.5
     if rhs_reduction:
         solution.diagnostics["rhs_reduction"] = reduction_info
     return solution

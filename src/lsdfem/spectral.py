@@ -74,11 +74,12 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c, item, pivot = batched_cholesky(b)
     if c is None:
         raise NotSPDError(pivot, "" if b.ndim == 2 else f"item {item}", item)
-    # C = L^{-1} A L^{-T}
-    reduced = solve_lower(c, solve_lower(c, a).swapaxes(-1, -2))
+    # One triangular inverse per pencil, then C = L^{-1} A L^{-T} and V = L^{-T} Y
+    # as batched products.
+    li = solve_lower(c, np.eye(c.shape[-1]))
+    reduced = li @ a @ li.swapaxes(-1, -2)
     w, y = np.linalg.eigh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
-    v = solve_lower(c, y, trans=True)
-    return w, v
+    return w, li.swapaxes(-1, -2) @ y
 
 
 @dataclass

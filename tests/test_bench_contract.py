@@ -76,7 +76,7 @@ def test_cache_bytes_scale_with_one_element(tracer, asm_const):
     cache_mb = tracer._HOOKS["localop.assemble_all"](tracer.Tracer(), (), caches)["cache_mb"]
     assert cache_mb == pytest.approx(len(caches) * tracer._array_mb(caches[0]), rel=1e-12)
     first, second = caches[0], caches[1]
-    for name in ("stiffness", "mass", "mean_vector", "flux_energy", "_saddle"):
+    for name in ("stiffness", "mass", "mean_vector", "flux_energy", "flux_potentials"):
         assert getattr(second, name).base is getattr(first, name).base is not None, name
 
 

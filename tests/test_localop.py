@@ -369,7 +369,7 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
         # Two backward-stable solves of one saddle agree to about eps * cond
         # relative, which exceeds 1e-11 on elongated elements at high
         # contrast (up to 1.5e-10 seen at contrast 2e5).
-        tol = max(1e-11, np.finfo(float).eps * np.linalg.cond(cache._saddle))
+        tol = max(1e-11, np.finfo(float).eps * np.linalg.cond(reference_saddle(cache.stiffness, cache.mass)))
         assert np.abs(cache.flux_energy - b).max() <= tol * np.abs(b).max()
         # The stacked solves and the same kernel on one element's view match
         # the per-element LU reference.

@@ -215,8 +215,9 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
 
 
 def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
-    # Every per-load element solve is one stacked call of the saddle kernel,
-    # so a warm solve makes as many calls on 8 elements as on 32.
+    # A warm solve makes exactly one stacked call of the saddle kernel, the
+    # reconstruction's, on 8 elements as on 32: the load potentials'
+    # functionals come from the stored flux potentials.
     from lsdfem import localop
 
     runs = []
@@ -238,7 +239,60 @@ def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
         solve_lsd(asm, g, 1, "delta", 4.0, rhs_reduction=True)
         assert all(shape[0] == asm.mesh.n_elements for shape in calls)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [1, 1]
+
+
+def _two_solve_reference(asm, g, j, variant, h_target):
+    """The staged solve with separate load-potential and flux-potential solves.
+
+    Returns ``u_broken``, the load used and its potentials' element
+    functionals, from ``compute_ttilde`` and ``apply_T`` instead of the
+    stored flux potentials.  ``h_target`` set reduces the load as
+    ``rhs_reduction`` does.
+    """
+    from lsdfem.localop import apply_T
+    from lsdfem.pipeline import compute_ttilde, solve_u0
+    from lsdfem.spectral import project_rhs
+
+    if h_target is not None:
+        g = project_rhs(asm.element_spectra(h_target, 1.0), asm.caches, g)[0]
+    ttg = compute_ttilde(asm, g)
+    funcs = element_functionals(asm.space, ttg)
+    r_ttg = asm.space.sum_element_rows(funcs)
+    lam0 = solve_lambda0(asm, g)
+    operator = asm.upscaled_operator(variant, 4.0, j)
+    system = assemble_upscaled(asm, asm.projector(variant, 4.0), operator, lam0, funcs, r_ttg, j)
+    lam_coarse = solve_upscaled(system, asm.space)
+    lam_total = lam0 + lam_coarse + recover_delta(asm, lam_coarse, system)
+    u0 = solve_u0(asm, lam_total, r_ttg)
+    return u0[:, None] + apply_T(asm.caches, lam_total.side_values()) + ttg, g, funcs
+
+
+@pytest.fixture(scope="module", params=[1e2, 1e4, 1e6], ids=["1e2", "1e4", "1e6"])
+def asm_contrast(request):
+    """4x4 grid, two refinement levels, checkerboard at contrasts 1e2 to 1e6."""
+    return make_assembly(4, 4, 2, "checkerboard", {"contrast": request.param, "cells": 4})
+
+
+@pytest.mark.parametrize("rhs_reduction", [False, True], ids=["full_load", "reduced_load"])
+@pytest.mark.parametrize("variant", ["plain", "delta"])
+def test_one_local_solve_matches_two_solve_reference(asm_contrast, variant, rhs_reduction):
+    # The warm solve's single local solve of trace^T side + M g, and the load
+    # functionals T_e^T (M g) from the stored flux potentials, reproduce the
+    # separate T~g and T(side) solves, with every element in equilibrium.
+    from lsdfem.localop import load_functionals
+
+    asm = asm_contrast
+    g = sample_load(asm.part, smooth_g)
+    # At a tenth of the mesh size, half of the elements keep four load modes.
+    h_target = 0.1 * asm.mesh.coarse_size
+    sol = solve_lsd(asm, g, 2, variant, 4.0, rhs_reduction, h_target)
+    u_ref, g_used, funcs = _two_solve_reference(asm, g, 2, variant, h_target if rhs_reduction else None)
+    assert np.abs(sol.u_broken - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    assert sol.diagnostics["equilibrium_rel_max"] <= 1e-10
+    load = (asm.caches.mass @ g_used[..., None])[..., 0]
+    got = asm.part.boundary_signs * load_functionals(asm.caches, load)
+    assert np.abs(got - funcs).max() <= 1e-12 * np.abs(funcs).max()
 
 
 def test_patch_problems_set_up_once_per_seed(monkeypatch):
@@ -249,13 +303,13 @@ def test_patch_problems_set_up_once_per_seed(monkeypatch):
 
     asm = make_assembly(4, 4, 1, "smooth")
     g = sample_load(asm.part, smooth_g)
-    kernel, calls = PatchProjector._patch_factors, []
+    kernel, calls = PatchProjector._patch_grams, []
 
     def counted(self, kind, seeds, j):
         calls.append((kind, sorted(seeds.tolist()), j))
         return kernel(self, kind, seeds, j)
 
-    monkeypatch.setattr(PatchProjector, "_patch_factors", counted)
+    monkeypatch.setattr(PatchProjector, "_patch_grams", counted)
     solve_lsd(asm, g, 2, "delta", 4.0)
     assert sorted(calls) == [
         ("element", list(range(asm.mesh.n_elements)), 2),
