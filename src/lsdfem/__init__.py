@@ -35,7 +35,7 @@ from .pipeline import (
     solve_lsd,
 )
 from .spectral import ElementSpectrum, FaceSpectrum, element_spectrum, face_spectrum, gensym_eig
-from .traces import TraceSpace, TraceVector, build_trace_space, decompose
+from .traces import TraceSpace, build_trace_space, decompose
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "local_bounds",
     "make_weight",
     "TraceSpace",
-    "TraceVector",
     "build_trace_space",
     "decompose",
     "ElementCache",

@@ -66,6 +66,9 @@ class ExperimentSpec:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"experiment spec must be a JSON object, got {data!r}")
+        unknown = set(data) - {"experiment", "config", "sweep", "seed", "out"}
+        if unknown:
+            raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
         kind = data.get("experiment", "solve")
         if kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {kind!r}")
@@ -73,6 +76,11 @@ class ExperimentSpec:
         sweep = data.get("sweep", {})
         if not isinstance(sweep, dict):
             raise ValueError(f"sweep must be an object, got {sweep!r}")
+        unknown = set(sweep) - {*SWEEP_RULES, "seed_element", "random_probe"}
+        if unknown:
+            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
+        if not isinstance(sweep.get("random_probe", False), bool):
+            raise ValueError(f"sweep.random_probe must be true or false, got {sweep['random_probe']!r}")
         for key, (rule, ok) in SWEEP_RULES.items():
             values = sweep.get(key, [])
             if not isinstance(values, list) or not all(map(ok, values)):
@@ -142,7 +150,7 @@ def run_solve(spec: ExperimentSpec) -> dict:
     solution, report = full_pipeline(spec.config, assembly=assembly)
     out = spec.out_dir
     _write_json(os.path.join(out, "report.json"), report)
-    solution.lam_total.to_binary(os.path.join(out, "multiplier.bin"))
+    solution.lam_total.astype("<f8").tofile(os.path.join(out, "multiplier.bin"))
     u, sigma, part = solution.u_broken, solution.sigma, assembly.part
     (ne, nn), nc = u.shape, sigma.shape[1]
     _write_csv(os.path.join(out, "solution_summary.csv"), {
@@ -320,7 +328,7 @@ def run_rhs_reduction(spec: ExperimentSpec) -> dict:
     rows = []
     for h_target in [float(t) for t in targets]:
         spectra = assembly.element_spectra(h_target, cfg.c_j)
-        g_proj, dropped = project_rhs(spectra, assembly.caches, g)
+        g_proj, dropped, _ = project_rhs(spectra, assembly.caches, g)
         u_red, _ = exact_hybrid_solve(assembly, g_proj)
         err = energy_error(assembly.caches, u_full, u_red)
         bound = float(np.max(1.0 / np.sqrt(spectra.sigma_next))) * load_norm(assembly.caches, g)

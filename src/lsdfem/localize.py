@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .localop import ElementCache, batched_cholesky, quadratic_forms, scatter_blocks
 from .mesh import CoarseMesh, layer_distances, layer_sets
 from .spectral import FaceSpectrum
-from .traces import TraceSpace, TraceVector
+from .traces import TraceSpace
 
 __all__ = [
     "FaceBasis",
@@ -239,9 +239,9 @@ class PatchProjector:
     def _global_factor(self) -> spla.SuperLU:
         return spd_factor(self.sparse_gram, f"global {self.basis.label} energy Gram matrix")
 
-    def project_functional(self, r: np.ndarray) -> TraceVector:
+    def project_functional(self, r: np.ndarray) -> np.ndarray:
         """Global solve: subspace element whose flux energy matches ``r``."""
-        return self.space.vector(self.basis.matrix @ self._global_factor.solve(self.basis.matrix.T @ r))
+        return self.basis.matrix @ self._global_factor.solve(self.basis.matrix.T @ r)
 
     # -- patch problems -------------------------------------------------------------
 
@@ -301,7 +301,7 @@ class PatchProjector:
             factor = (chol[0], True)
         return PatchProblem(np.unique(self._col_face[dofs[0]]), dofs[0], factor)
 
-    def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> TraceVector:
+    def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> np.ndarray:
         """Galerkin solve on the patch subspace.
 
         ``rhs_reduced`` is the functional tested against the full basis;
@@ -310,7 +310,7 @@ class PatchProjector:
         """
         coeffs = np.zeros(self.basis.dim)
         coeffs[problem.dof_indices] = problem.solve(rhs_reduced[problem.dof_indices])
-        return self.space.vector(self.basis.matrix @ coeffs)
+        return self.basis.matrix @ coeffs
 
     def responses(self, j: int) -> tuple[sp.csc_matrix, sp.csc_matrix]:
         """Face- and element-seed response matrices of the ``j``-layer projections.
@@ -358,21 +358,20 @@ class PatchProjector:
 
     # -- localized operator applications --------------------------------------------
 
-    def apply_PjT(self, lam: TraceVector, j: int) -> TraceVector:
+    def apply_PjT(self, lam: np.ndarray, j: int) -> np.ndarray:
         """Face-seeded localization applied to the potential of ``lam``.
 
         The sum over coarse faces of the patch solutions for the
         multiplier's restriction to each face.  The global projection is
-        ``project_functional(energy @ lam.values)``.
+        ``project_functional(energy @ lam)``.
         """
-        out = self.apply_PjT_columns(lam.values[:, None], j)
-        return self.space.vector(out[:, 0])
+        return self.apply_PjT_columns(lam[:, None], j)[:, 0]
 
     def apply_PjT_columns(self, columns: np.ndarray | sp.spmatrix, j: int) -> np.ndarray | sp.spmatrix:
         """Vectorized :meth:`apply_PjT` over columns; sparse columns stay sparse."""
         return self.basis.matrix @ (self.responses(j)[0] @ columns)
 
-    def apply_Pj(self, functionals: np.ndarray, j: int) -> TraceVector:
+    def apply_Pj(self, functionals: np.ndarray, j: int) -> np.ndarray:
         """Element-seeded localization of a broken function.
 
         ``functionals[k]`` is the stored boundary functional of the function
@@ -381,8 +380,7 @@ class PatchProjector:
         localize the load potential; the global projection is
         ``project_functional(space.sum_element_rows(functionals))``.
         """
-        coeffs = self.responses(j)[1] @ functionals.ravel()
-        return self.space.vector(self.basis.matrix @ coeffs)
+        return self.basis.matrix @ (self.responses(j)[1] @ functionals.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +455,11 @@ def _fit_ratio(energies: np.ndarray, total: float, start: int = 1) -> float:
 def ring_energies(
     mesh: CoarseMesh,
     caches: ElementCache,
-    mu: TraceVector,
+    mu: np.ndarray,
     seed: tuple[str, int],
 ) -> RingProfile:
-    """Broken energy of the potential of ``mu`` split by layer rings."""
-    per_element = quadratic_forms(caches.flux_energy, mu.side_values())
+    """Broken energy of the potential of ``mu`` (stored values) split by layer rings."""
+    per_element = quadratic_forms(caches.flux_energy, caches.geom.side_values(mu))
     total = float(per_element.sum())
     energies = np.bincount(layer_distances(mesh, seed), weights=per_element)
     return RingProfile(seed, energies, _fit_ratio(energies, total), total)

@@ -412,6 +412,13 @@ class FinePartition(Stacked):
         """h: the largest fine sub-face diameter."""
         return float(self.fine_measures.max())
 
+    def side_values(self, stored: np.ndarray) -> np.ndarray:
+        """Element-side view ``sign * stored`` of stored fine-face values, per boundary row.
+
+        ``(ne, n_bf)`` on the stack; one element's ``(n_bf,)`` on a view ``part[t]``.
+        """
+        return self.boundary_signs * stored[self.boundary_face_ids]
+
 
 def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barycentric lattice of a uniformly refined reference triangle.

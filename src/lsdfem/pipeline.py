@@ -60,12 +60,7 @@ from .spectral import (
     all_face_spectra,
     project_rhs,
 )
-from .traces import (
-    TraceSpace,
-    TraceVector,
-    build_trace_space,
-    solve_V0_pairing,
-)
+from .traces import TraceSpace, build_trace_space, solve_V0_pairing
 
 __all__ = [
     "SolverConfig",
@@ -217,14 +212,14 @@ class SolverConfig:
 
 @dataclass
 class Solution:
-    """Reconstructed fields of one staged solve."""
+    """Reconstructed fields of one staged solve; each multiplier is ``(n_fine,)`` stored values."""
 
     u0: np.ndarray                 # (ne,) constant part per element
     u_broken: np.ndarray           # (ne, nn) broken nodal field
-    lam0: TraceVector
-    lam_coarse: TraceVector        # face-constant + retained spectral part
-    lam_delta: TraceVector
-    lam_total: TraceVector
+    lam0: np.ndarray
+    lam_coarse: np.ndarray         # face-constant + retained spectral part
+    lam_delta: np.ndarray
+    lam_total: np.ndarray
     sigma: np.ndarray              # (ne, nc, 2) cellwise flux
     diagnostics: dict
 
@@ -370,11 +365,10 @@ def energy_error(caches: ElementCache, u: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_lambda0(assembly: Assembly, g: np.ndarray) -> TraceVector:
+def solve_lambda0(assembly: Assembly, g: np.ndarray) -> np.ndarray:
     """Jump-basis coefficients from the constant pairing against the load."""
     rhs = -np.einsum("ei,ei->e", assembly.caches.mean_vector, np.asarray(g, dtype=float))
-    coeffs = solve_V0_pairing(assembly.space, rhs, transpose=True)
-    return assembly.space.vector(assembly.space.jump_basis @ coeffs)
+    return assembly.space.jump_basis @ solve_V0_pairing(assembly.space, rhs, transpose=True)
 
 
 def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
@@ -418,7 +412,7 @@ def assemble_upscaled(
     assembly: Assembly,
     projector: PatchProjector,
     operator: UpscaledOperator,
-    lam0: TraceVector,
+    lam0: np.ndarray,
     ttg_functionals: np.ndarray,
     r_ttg: np.ndarray,
     j: int,
@@ -434,45 +428,43 @@ def assemble_upscaled(
     then come from the cached energy matrix, never from interior re-solves.
     """
     s_mat = assembly.energy
-    q = projector.apply_Pj(ttg_functionals, j).values
-    flux0 = projector.apply_PjT(lam0, j).values
-    work = r_ttg - s_mat @ q + s_mat @ (lam0.values - flux0)
+    q = projector.apply_Pj(ttg_functionals, j)
+    flux0 = projector.apply_PjT(lam0, j)
+    work = r_ttg - s_mat @ q + s_mat @ (lam0 - flux0)
     rhs = -(operator.multiscale.T @ work)
     return UpscaledSystem(operator, rhs, flux0, q)
 
 
-def solve_upscaled(system: UpscaledSystem, space: TraceSpace) -> TraceVector:
+def solve_upscaled(system: UpscaledSystem) -> np.ndarray:
     x = system.operator.factor.solve(system.rhs)
     system.coefficients = x
-    return space.vector(system.basis @ x)
+    return system.basis @ x
 
 
-def recover_delta(
-    assembly: Assembly, lam_coarse: TraceVector, system: UpscaledSystem
-) -> TraceVector:
+def recover_delta(lam_coarse: np.ndarray, system: UpscaledSystem) -> np.ndarray:
     """Localizable component from patch projections of the known parts.
 
     ``system`` is the solved upscaled system ``lam_coarse`` came from.  It
     supplies the load's patch passes, and ``P_j^T lam_coarse`` follows by
     linearity as ``lam_coarse - psi x``, so no patch pass runs here.
     """
-    coarse_part = lam_coarse.values - system.multiscale @ system.coefficients
+    coarse_part = lam_coarse - system.multiscale @ system.coefficients
     flux_part = system.flux0_localized + coarse_part
-    return assembly.space.vector(-(flux_part + system.load_localized))
+    return -(flux_part + system.load_localized)
 
 
-def solve_u0(assembly: Assembly, lam_total: TraceVector, r_ttg: np.ndarray) -> np.ndarray:
+def solve_u0(assembly: Assembly, lam_total: np.ndarray, r_ttg: np.ndarray) -> np.ndarray:
     """Constant part of every element ``(ne,)``, from the transposed constant-pairing system."""
     space = assembly.space
-    rhs = -(space.jump_basis.T @ (assembly.energy @ lam_total.values + r_ttg))
+    rhs = -(space.jump_basis.T @ (assembly.energy @ lam_total + r_ttg))
     return solve_V0_pairing(space, np.asarray(rhs).ravel(), transpose=False)
 
 
 def reconstruct(
     assembly: Assembly,
-    lam0: TraceVector,
-    lam_coarse: TraceVector,
-    lam_delta: TraceVector,
+    lam0: np.ndarray,
+    lam_coarse: np.ndarray,
+    lam_delta: np.ndarray,
     u0: np.ndarray,
     g: np.ndarray,
     ttg: np.ndarray | None,
@@ -496,7 +488,7 @@ def reconstruct(
     if load is None:
         load = (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0]
     lam_total = lam0 + lam_coarse + lam_delta
-    side = lam_total.side_values()
+    side = part.side_values(lam_total)
     traction = (side[:, None, :] @ part.trace_matrix)[:, 0]
     tilde = local_solve(caches, traction + load)
     u_broken = u0[:, None] + tilde
@@ -524,7 +516,7 @@ def reconstruct(
     scale = np.maximum(scale, scale.max(axis=1, keepdims=True) * 1e-8 + 1e-300)
     interior = ~part.boundary_node_mask
     eq_rel = (np.abs(residual[:, interior]) / scale[:, interior]).max(axis=1, initial=0.0)
-    flux_energy_sq = float(lam_total.values @ (assembly.energy @ lam_total.values))
+    flux_energy_sq = float(lam_total @ (assembly.energy @ lam_total))
     diagnostics = {
         "equilibrium_rel_max": float(eq_rel.max()) if len(eq_rel) else 0.0,
         "equilibrium_tol": equilibrium_tol,
@@ -545,8 +537,8 @@ def reconstruct(
 
 
 def solve_global(
-    assembly: Assembly, variant: str, alpha_stab: float, lam0: TraceVector, r_ttg: np.ndarray
-) -> tuple[TraceVector, TraceVector]:
+    assembly: Assembly, variant: str, alpha_stab: float, lam0: np.ndarray, r_ttg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """``lam_coarse = B c_B`` and ``lam_delta = W c_W`` of the four-step scheme without localization.
 
     The tilde space is the direct sum of ``span(W)`` (the projector's basis) and
@@ -562,9 +554,9 @@ def solve_global(
         return spd_factor(0.5 * (gram + gram.T), f"global {variant} tilde-space Gram matrix")
 
     factor = assembly._memo("global_factor", _variant_key(variant, alpha_stab), build)
-    c = factor.solve(-(v.T @ (assembly.energy @ lam0.values + r_ttg)))
+    c = factor.solve(-(v.T @ (assembly.energy @ lam0 + r_ttg)))
     m = w.shape[1]
-    return assembly.space.vector(b @ c[m:]), assembly.space.vector(w @ c[:m])
+    return b @ c[m:], w @ c[:m]
 
 
 def solve_lsd(
@@ -591,7 +583,7 @@ def solve_lsd(
     reduction_info: dict = {}
     if rhs_reduction:
         spectra_e = assembly.element_spectra(h_target, c_j)
-        g_used, remainders = project_rhs(spectra_e, assembly.caches, g)
+        g_used, remainders, load = project_rhs(spectra_e, assembly.caches, g)
         sig_next = spectra_e.sigma_next
         reduction_info = {
             "j_counts": spectra_e.j_count.tolist(),
@@ -599,11 +591,12 @@ def solve_lsd(
             "reduction_bound": float(np.max(1.0 / np.sqrt(sig_next))),
             "dropped_norm": float(np.linalg.norm(remainders)),
         }
+    else:
+        load = (assembly.caches.mass @ g_used[..., None])[..., 0]
 
-    # The element load M g is formed once; the load potentials' functionals
-    # come from the stored flux potentials, and the potentials themselves from
-    # the one local solve of reconstruct.
-    load = (assembly.caches.mass @ g_used[..., None])[..., 0]
+    # The element load M g is formed once (by project_rhs when reducing); the
+    # load potentials' functionals come from the stored flux potentials, and
+    # the potentials themselves from the one local solve of reconstruct.
     ttg_functionals = assembly.part.boundary_signs * load_functionals(assembly.caches, load)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
@@ -614,8 +607,8 @@ def solve_lsd(
         projector = assembly.projector(variant, alpha_stab)
         operator = assembly.upscaled_operator(variant, alpha_stab, j)
         system = assemble_upscaled(assembly, projector, operator, lam0, ttg_functionals, r_ttg, j)
-        lam_coarse = solve_upscaled(system, assembly.space)
-        lam_delta = recover_delta(assembly, lam_coarse, system)
+        lam_coarse = solve_upscaled(system)
+        lam_delta = recover_delta(lam_coarse, system)
     lam_total = lam0 + lam_coarse + lam_delta
     u0 = solve_u0(assembly, lam_total, r_ttg)
     solution = reconstruct(
@@ -635,14 +628,14 @@ def solve_lsd(
 # ---------------------------------------------------------------------------
 
 
-def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, TraceVector]:
+def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monolithic symmetric-indefinite solve of the full hybrid system.
 
-    Returns the broken solution ``(ne, nn)`` and the multiplier.  This is the
-    localization-error reference; it is exact up to the direct solver, whose
-    solution is refined once against the assembled matrix: at high contrast
-    the plain sparse LU solve of this indefinite system leaves an error the
-    staged solve does not have.
+    Returns the broken solution ``(ne, nn)`` and the multiplier's stored
+    values.  This is the localization-error reference; it is exact up to the
+    direct solver, whose solution is refined once against the assembled
+    matrix: at high contrast the plain sparse LU solve of this indefinite
+    system leaves an error the staged solve does not have.
     """
     part = assembly.part
     caches = assembly.caches
@@ -662,7 +655,7 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, T
         raise AssertionError(f"hybrid saddle system is singular: {exc}") from exc
     sol = lu.solve(rhs)
     sol += lu.solve(rhs - mat @ sol)
-    return sol[:nu].reshape(ne, nn), assembly.space.vector(sol[nu:])
+    return sol[:nu].reshape(ne, nn), sol[nu:]
 
 
 def _union_free_matrix(assembly: Assembly, blocks: np.ndarray) -> sp.csc_matrix:

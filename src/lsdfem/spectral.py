@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localop import ElementCache, batched_cholesky, edge_blocks, quadratic_forms, solve_lower
+from .localop import ElementCache, batched_cholesky, edge_blocks, solve_lower
 from .mesh import Stacked
 from .traces import TraceSpace
 
@@ -204,22 +204,28 @@ def project_rhs(
     spectra: ElementSpectrum,
     caches: ElementCache,
     g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise weighted-L2 projection of the load onto the kept modes.
 
     ``g`` is the nodal load per element, ``(ne, nn)``.  Returns the
-    projected load and the weighted-L2 norm of the dropped remainder per
-    element.  The remainder norm is taken of the difference itself, not as
+    projected load ``p``, the weighted-L2 norm of the dropped remainder per
+    element and the element load ``M p`` ``(ne, nn)``, formed as
+    ``M g - M (g - p)`` from the two mass products the first two need.  The
+    remainder norm is taken of the difference itself, not as
     ``|g|^2 - |kept|^2``, which cancels to rounding noise when little is
     dropped.
     """
     g = np.asarray(g, dtype=float)
     j_max = int(spectra.j_count.max(initial=0))
     kept = spectra.vectors[..., :j_max]                            # (ne, nn, j_max)
-    coeffs = ((caches.mass @ g[..., None]).swapaxes(-1, -2) @ kept)[:, 0]
+    mass_g = caches.mass @ g[..., None]
+    coeffs = (mass_g.swapaxes(-1, -2) @ kept)[:, 0]
     coeffs *= np.arange(j_max) < spectra.j_count[:, None]
     projected = (kept @ coeffs[..., None])[..., 0]
-    return projected, np.sqrt(np.maximum(quadratic_forms(caches.mass, g - projected), 0.0))
+    dropped = g - projected
+    mass_dropped = caches.mass @ dropped[..., None]
+    norms = np.sqrt(np.maximum((dropped[..., None, :] @ mass_dropped)[..., 0, 0], 0.0))
+    return projected, norms, (mass_g - mass_dropped)[..., 0]
 
 
 def spectrum_dump(spectra: FaceSpectrum, path: str | None = None) -> dict:

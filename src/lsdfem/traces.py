@@ -1,7 +1,8 @@
 """Flux trace vectors and the splitting of the multiplier space.
 
-A trace vector holds one scalar per oriented fine face; the value an
-element sees is ``sign * stored`` where the sign is +1 for the left
+A trace vector is an ``(n_fine,)`` float array with one stored value per
+oriented fine face; the value an element sees is ``sign * stored``
+(:meth:`FinePartition.side_values`), where the sign is +1 for the left
 element of the face.  Storing a single value per face builds the
 normal-flux compatibility of the trace space into the data structure:
 the two element-side views of a shared face are exact negatives.
@@ -29,7 +30,6 @@ import scipy.sparse.linalg as spla
 from .mesh import CoarseMesh, FinePartition
 
 __all__ = [
-    "TraceVector",
     "TraceSpace",
     "build_trace_space",
     "pairing",
@@ -39,43 +39,6 @@ __all__ = [
     "solve_V0_pairing",
     "zero_mean_basis",
 ]
-
-
-@dataclass
-class TraceVector:
-    """One scalar per oriented fine face."""
-
-    space: "TraceSpace"
-    values: np.ndarray
-
-    def side_values(self, elem: int | slice = slice(None)) -> np.ndarray:
-        """Element-side view: sign(elem, F) * stored value, per boundary row.
-
-        One element gives ``(n_bf,)``; the default gives every element, ``(ne, n_bf)``.
-        """
-        part = self.space.part
-        return part.boundary_signs[elem] * self.values[part.boundary_face_ids[elem]]
-
-    def __add__(self, other: "TraceVector") -> "TraceVector":
-        return TraceVector(self.space, self.values + other.values)
-
-    def to_csv(self, path: str) -> None:
-        """Rows ``fine_face_index,value`` ordered by global fine-face index."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("fine_face,value\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{i},{float(v)!r}\n")
-
-    def to_binary(self, path: str) -> None:
-        """Raw little-endian float64, ordered by global fine-face index."""
-        self.values.astype("<f8").tofile(path)
-
-    @classmethod
-    def from_binary(cls, space: "TraceSpace", path: str) -> "TraceVector":
-        values = np.fromfile(path, dtype="<f8")
-        if values.shape[0] != space.n_fine:
-            raise ValueError("binary trace vector has wrong length")
-        return cls(space, values)
 
 
 @dataclass
@@ -111,14 +74,12 @@ class TraceSpace:
     def dim_tilde_f(self) -> int:
         return self.n_fine - self.n_coarse_faces
 
-    def zeros(self) -> TraceVector:
-        return TraceVector(self, np.zeros(self.n_fine))
-
-    def vector(self, values: np.ndarray) -> TraceVector:
+    def vector(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as a float array of stored fine-face values, checked for length."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_fine,):
             raise ValueError("trace vector has wrong length")
-        return TraceVector(self, values)
+        return values
 
     def expand_face_constants(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-coarse-face coefficients -> stored fine-face values."""
@@ -138,10 +99,10 @@ class TraceSpace:
                 raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
         return self._lu
 
-    def is_tilde(self, mu: TraceVector, tol: float = 1e-10) -> bool:
+    def is_tilde(self, mu: np.ndarray, tol: float = 1e-10) -> bool:
         """Membership test: (mu, 1_tau) = 0 for every element."""
-        r = self.pair_v0 @ mu.values
-        scale = max(np.abs(mu.values).max(), 1.0)
+        r = self.pair_v0 @ mu
+        scale = max(np.abs(mu).max(), 1.0)
         return bool(np.abs(r).max() <= tol * scale)
 
     def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -214,11 +175,7 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     )
 
 
-def pairing(
-    space: TraceSpace,
-    mu: TraceVector,
-    v: np.ndarray,
-) -> float:
+def pairing(space: TraceSpace, mu: np.ndarray, v: np.ndarray) -> float:
     """The broken duality pairing (mu, v) summed over element boundaries.
 
     ``v`` is either a piecewise constant, one value per element ``(ne,)``,
@@ -227,8 +184,8 @@ def pairing(
     Exact for P1 traces (trapezoid rule per fine boundary edge).
     """
     if np.ndim(v) == 1:
-        return float(v @ (space.pair_v0 @ mu.values))
-    return float(mu.values @ boundary_functional(space, v))
+        return float(v @ (space.pair_v0 @ mu))
+    return float(mu @ boundary_functional(space, v))
 
 
 def element_functionals(space: TraceSpace, v: np.ndarray) -> np.ndarray:
@@ -269,9 +226,7 @@ def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray, transpose: bool = False
     return x
 
 
-def decompose(
-    space: TraceSpace, mu: TraceVector
-) -> tuple[TraceVector, TraceVector, TraceVector]:
+def decompose(space: TraceSpace, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split mu into (jump part, face-constant part, zero-face-average part).
 
     The jump part matches mu against all piecewise constants, the
@@ -279,15 +234,8 @@ def decompose(
     is left has zero mean on every coarse face.  The three parts sum back
     to mu exactly.
     """
-    b = space.pair_v0 @ mu.values
-    coeffs = solve_V0_pairing(space, b, transpose=True)
+    coeffs = solve_V0_pairing(space, space.pair_v0 @ mu, transpose=True)
     mu0 = space.jump_basis @ coeffs
-    r = mu.values - mu0
-    averages = space.face_integrals(r) / space.mesh.face_measures
-    mu_t0 = space.expand_face_constants(averages)
-    mu_tf = r - mu_t0
-    return (
-        TraceVector(space, np.asarray(mu0).ravel()),
-        TraceVector(space, mu_t0),
-        TraceVector(space, mu_tf),
-    )
+    r = mu - mu0
+    mu_t0 = space.expand_face_constants(space.face_integrals(r) / space.mesh.face_measures)
+    return mu0, mu_t0, r - mu_t0

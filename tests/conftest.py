@@ -16,7 +16,7 @@ from lsdfem.traces import build_trace_space
 def lambda0_basis(space):
     """The jump functionals, one trace vector per element: the columns of ``space.jump_basis``."""
     cols = space.jump_basis.toarray()
-    return [space.vector(cols[:, i].copy()) for i in range(space.n_elements)]
+    return [cols[:, i].copy() for i in range(space.n_elements)]
 
 
 def random_tilde_f(space, rng):
@@ -25,7 +25,7 @@ def random_tilde_f(space, rng):
     out = np.zeros(space.n_fine)
     if nfs > 1:
         out = (rng.standard_normal((space.n_coarse_faces, nfs - 1)) @ space.zero_mean.T).ravel()
-    return space.vector(out)
+    return out
 
 
 def face_rows(part, elem):
@@ -117,7 +117,7 @@ def pairing_bruteforce(space, mu, v_broken, n_quad=64):
             for k in range(part.faces_per_coarse):
                 fine = fid * part.faces_per_coarse + k
                 a, b = part.fine_endpoints[fine]
-                side_value = sign * mu.values[fine]
+                side_value = sign * mu[fine]
                 ts = np.linspace(0.0, 1.0, n_quad + 1)
                 pts = a[None, :] + ts[:, None] * (b - a)[None, :]
                 vals = np.array([eval_p1(geom, v_broken[elem], p) for p in pts])

@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from lsdfem import localize
-from lsdfem.pipeline import assemble_upscaled, energy_error, solve_lambda0, solve_lsd
+from lsdfem.pipeline import (
+    assemble_upscaled,
+    compute_ttilde,
+    energy_error,
+    reconstruct,
+    solve_lambda0,
+    solve_lsd,
+)
 from lsdfem.traces import element_functionals
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -114,3 +121,18 @@ def test_global_reference_call(asm_const):
     assert isinstance(u_ref, np.ndarray)
     assert u_ref.shape == asm.part.nodes.shape[:2] == (asm.mesh.n_elements, asm.part.nodes.shape[1])
     assert np.all(np.isfinite(u_ref))
+
+
+def test_smoke_perturbation_calls(asm_const):
+    # perfbench/test_smoke.py perturbs a solution's coarse multiplier and
+    # reconstructs it: a length-checked noise vector added to lam_coarse, and
+    # reconstruct called positionally with compute_ttilde's output.
+    asm = asm_const
+    g = np.ones(asm.part.nodes.shape[:2])
+    sol = solve_lsd(asm, g, 1, "delta", 4.0)
+    noise = asm.space.vector(np.random.default_rng(0).standard_normal(asm.space.n_fine))
+    ttg = compute_ttilde(asm, g)
+    out = reconstruct(asm, sol.lam0, sol.lam_coarse + noise, sol.lam_delta, sol.u0, g, ttg)
+    assert isinstance(out.diagnostics["equilibrium_rel_max"], float)
+    assert out.diagnostics["equilibrium_ok"] is False
+    assert out.u_broken.shape == sol.u_broken.shape == asm.part.nodes.shape[:2]

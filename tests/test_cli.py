@@ -74,6 +74,9 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ({**BASE, "experiment": "decay", "sweep": {"seed_element": -1}}, "sweep.seed_element"),
         ({**BASE, "experiment": "contrast_sweep", "sweep": {"seed_element": "abc"}}, "sweep.seed_element"),
         ({**BASE, "seed": "7"}, "seed"),
+        ({**BASE, "ouput": "o2"}, "unknown experiment spec keys: ['ouput']"),
+        ({**BASE, "experiment": "j_sweep", "sweep": {"js": [1, 2]}}, "unknown sweep keys: ['js']"),
+        ({**BASE, "experiment": "decay", "sweep": {"random_probe": "yes"}}, "sweep.random_probe"),
         ([1], "JSON object"),
         ({**BASE, "config": 3}, "config must be an object"),
         ({**BASE, "config": {"domain": 5}}, "domain"),
@@ -97,7 +100,8 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ),
     ],
     ids=[
-        "decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer", "not-an-object",
+        "decay-out-of-range", "decay-negative", "contrast-not-integer", "seed-not-integer",
+        "unknown-top-level-key", "unknown-sweep-key", "random-probe-not-a-bool", "not-an-object",
         "config-not-an-object", "domain-not-a-list", "domain-too-short", "out-not-a-string",
         "coefficient-params-not-an-object", "rhs-params-not-an-object", "equilibrium-tol-not-a-number",
         "equilibrium-tol-zero", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",

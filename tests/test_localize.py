@@ -24,11 +24,11 @@ from test_mesh import layers_bruteforce, meshes
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
     rng = np.random.default_rng(2)
-    mu = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    nu = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    via_s = mu.values @ (asm_mixed.energy @ nu.values)
+    mu = rng.standard_normal(asm_mixed.space.n_fine)
+    nu = rng.standard_normal(asm_mixed.space.n_fine)
+    via_s = mu @ (asm_mixed.energy @ nu)
     direct = sum(
-        mu.side_values(c.elem) @ (c.geom.trace_matrix @ apply_T(c, nu.side_values(c.elem)))
+        c.geom.side_values(mu) @ (c.geom.trace_matrix @ apply_T(c, c.geom.side_values(nu)))
         for c in asm_mixed.caches
     )
     assert via_s == pytest.approx(direct, rel=1e-10)
@@ -77,17 +77,17 @@ def test_basis_dimensions(mesh, face_level, alpha_stab):
 def test_project_zero_functional(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     out = proj.project_functional(np.zeros(asm_mixed.space.n_fine))
-    assert np.abs(out.values).max() == 0.0
+    assert np.abs(out).max() == 0.0
 
 
 def test_projection_idempotent(asm_mixed):
     # Applying the projection to the potential of its own output changes nothing.
     rng = np.random.default_rng(3)
     proj = asm_mixed.projector("plain", 4.0)
-    lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    once = proj.project_functional(asm_mixed.energy @ lam.values)
-    twice = proj.project_functional(asm_mixed.energy @ once.values)
-    assert np.allclose(twice.values, once.values, rtol=0, atol=1e-10 * max(np.abs(once.values).max(), 1))
+    lam = rng.standard_normal(asm_mixed.space.n_fine)
+    once = proj.project_functional(asm_mixed.energy @ lam)
+    twice = proj.project_functional(asm_mixed.energy @ once)
+    assert np.allclose(twice, once, rtol=0, atol=1e-10 * max(np.abs(once).max(), 1))
 
 
 def test_delta_equals_plain_when_no_retained_modes(asm_smooth_4):
@@ -96,18 +96,18 @@ def test_delta_equals_plain_when_no_retained_modes(asm_smooth_4):
     assert all(s.n_pi == 0 for s in spectra)
     p_plain = asm_smooth_4.projector("plain", 1e12)
     p_delta = asm_smooth_4.projector("delta", 1e12)
-    lam = asm_smooth_4.space.vector(rng.standard_normal(asm_smooth_4.space.n_fine))
-    a = p_plain.project_functional(asm_smooth_4.energy @ lam.values)
-    b = p_delta.project_functional(asm_smooth_4.energy @ lam.values)
-    scale = np.abs(a.values).max()
-    assert np.allclose(a.values, b.values, atol=1e-10 * scale)
+    lam = rng.standard_normal(asm_smooth_4.space.n_fine)
+    a = p_plain.project_functional(asm_smooth_4.energy @ lam)
+    b = p_delta.project_functional(asm_smooth_4.energy @ lam)
+    scale = np.abs(a).max()
+    assert np.allclose(a, b, atol=1e-10 * scale)
 
 
 def test_patch_zero_rhs_and_support(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     problem = proj.patch_problem(("element", 5), 1)
     out = proj.solve_patch(problem, np.zeros(proj.basis.dim))
-    assert np.abs(out.values).max() == 0.0
+    assert np.abs(out).max() == 0.0
     # Support: structural zero outside the patch faces.
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(proj.basis.dim)
@@ -116,7 +116,7 @@ def test_patch_zero_rhs_and_support(asm_mixed):
     active = set(problem.active_faces.tolist())
     for f in range(asm_mixed.mesh.n_faces):
         if f not in active:
-            assert np.abs(out.values[f * nfs : (f + 1) * nfs]).max() == 0.0
+            assert np.abs(out[f * nfs : (f + 1) * nfs]).max() == 0.0
 
 
 def test_patch_active_faces_inside_layer(asm_mixed):
@@ -133,11 +133,11 @@ def test_saturated_patch_equals_global(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     jstar = saturation_radius(asm_mixed.mesh)
     rng = np.random.default_rng(11)
-    lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
+    lam = rng.standard_normal(asm_mixed.space.n_fine)
     loc = proj.apply_PjT(lam, jstar)
-    glob = proj.project_functional(asm_mixed.energy @ lam.values)
-    scale = max(np.abs(glob.values).max(), 1.0)
-    assert np.allclose(loc.values, glob.values, atol=1e-10 * scale)
+    glob = proj.project_functional(asm_mixed.energy @ lam)
+    scale = max(np.abs(glob).max(), 1.0)
+    assert np.allclose(loc, glob, atol=1e-10 * scale)
 
 
 def test_patch_galerkin_optimality(asm_mixed):
@@ -149,16 +149,16 @@ def test_patch_galerkin_optimality(asm_mixed):
     problem = proj.patch_problem(seed, 1)
     lam_f = random_tilde_f(asm_mixed.space, rng)
     on_face = np.arange(asm_mixed.space.n_fine) // asm_mixed.part.faces_per_coarse == 9
-    lamF = asm_mixed.space.vector(np.where(on_face, lam_f.values, 0.0))
-    rhs = proj.basis.matrix.T @ (asm_mixed.energy @ lamF.values)
+    lamF = np.where(on_face, lam_f, 0.0)
+    rhs = proj.basis.matrix.T @ (asm_mixed.energy @ lamF)
     sol = proj.solve_patch(problem, rhs)
-    target = proj.project_functional(asm_mixed.energy @ lamF.values)  # global reference
+    target = proj.project_functional(asm_mixed.energy @ lamF)  # global reference
 
     def err_energy(cand_values):
-        d = target.values - cand_values
+        d = target - cand_values
         return d @ (asm_mixed.energy @ d)
 
-    best = err_energy(sol.values)
+    best = err_energy(sol)
     for _ in range(6):
         cand = proj.basis.matrix[:, problem.dof_indices] @ rng.standard_normal(problem.dim)
         assert err_energy(cand) >= best - 1e-12 * max(best, 1.0)
@@ -237,18 +237,18 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
         np.add.at(r, rows, x)
         block = element_r[:, seed[1] * rows.size : (seed[1] + 1) * rows.size].toarray()
     problem = proj.patch_problem(seed, j)
-    expected = proj.solve_patch(problem, proj.basis.matrix.T @ r).values
+    expected = proj.solve_patch(problem, proj.basis.matrix.T @ r)
     assert np.abs(proj.basis.matrix @ (block @ x) - expected).max() <= 1e-12 * np.abs(expected).max()
     col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
     assert not block[~np.isin(col_face, problem.active_faces)].any()
 
-    lam = space.vector(rng.standard_normal(space.n_fine))
+    lam = rng.standard_normal(space.n_fine)
     functionals = rng.standard_normal(part.boundary_face_ids.shape)
     for loc, glob in (
-        (proj.apply_PjT(lam, jstar), proj.project_functional(asm.energy @ lam.values)),
+        (proj.apply_PjT(lam, jstar), proj.project_functional(asm.energy @ lam)),
         (proj.apply_Pj(functionals, jstar), proj.project_functional(space.sum_element_rows(functionals))),
     ):
-        assert np.abs(loc.values - glob.values).max() <= 1e-10 * np.abs(glob.values).max()
+        assert np.abs(loc - glob).max() <= 1e-10 * np.abs(glob).max()
 
 
 @settings(max_examples=20, deadline=None)
@@ -366,33 +366,33 @@ def test_invariance_on_fine_block(asm_mixed, variant):
         lam = random_tilde_f(asm_mixed.space, rng)
     else:
         coeffs = rng.standard_normal(proj.basis.dim)
-        lam = asm_mixed.space.vector(proj.basis.matrix @ coeffs)
+        lam = proj.basis.matrix @ coeffs
     for j in (1, 2, 3):
         out = proj.apply_PjT(lam, j)
-        err = np.abs(out.values - lam.values).max()
-        assert err <= 1e-10 * np.abs(lam.values).max()
+        err = np.abs(out - lam).max()
+        assert err <= 1e-10 * np.abs(lam).max()
     # Many columns at once equal the columns one at a time; a zero column
     # gives exact zeros.
     columns = np.column_stack(
-        [rng.standard_normal(asm_mixed.space.n_fine), np.zeros(asm_mixed.space.n_fine), lam.values]
+        [rng.standard_normal(asm_mixed.space.n_fine), np.zeros(asm_mixed.space.n_fine), lam]
     )
     for j in (1, 2):
         out = proj.apply_PjT_columns(columns, j)
         assert np.all(out[:, 1] == 0.0)
         for k in (0, 2):
-            one = proj.apply_PjT(asm_mixed.space.vector(columns[:, k]), j).values
+            one = proj.apply_PjT(columns[:, k], j)
             assert np.abs(out[:, k] - one).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_localization_error_nonincreasing_in_j(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     rng = np.random.default_rng(19)
-    lam = asm_mixed.space.vector(rng.standard_normal(asm_mixed.space.n_fine))
-    glob = proj.project_functional(asm_mixed.energy @ lam.values)
+    lam = rng.standard_normal(asm_mixed.space.n_fine)
+    glob = proj.project_functional(asm_mixed.energy @ lam)
     errs = []
     for j in (1, 2, 3, 4, 5):
         loc = proj.apply_PjT(lam, j)
-        d = glob.values - loc.values
+        d = glob - loc
         errs.append(d @ (asm_mixed.energy @ d))
     for a, b in zip(errs, errs[1:]):
         assert b <= a * (1 + 1e-10)
@@ -409,18 +409,18 @@ def test_element_seeded_application(asm_mixed):
     jstar = saturation_depth(asm_mixed.mesh, ("element", 6)) + 1
     loc = proj.apply_Pj(functionals, jstar)
     glob = proj.project_functional(asm_mixed.space.sum_element_rows(functionals))
-    scale = max(np.abs(glob.values).max(), 1e-30)
-    assert np.allclose(loc.values, glob.values, atol=1e-10 * scale)
+    scale = max(np.abs(glob).max(), 1e-30)
+    assert np.allclose(loc, glob, atol=1e-10 * scale)
 
 
 def test_ring_energies_basics(asm_smooth_4):
     space = asm_smooth_4.space
-    zero = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, space.zeros(), ("element", 0))
+    zero = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, np.zeros(space.n_fine), ("element", 0))
     assert zero.total == 0.0
     assert np.abs(zero.energies).max() == 0.0
 
     rng = np.random.default_rng(23)
-    mu = space.vector(rng.standard_normal(space.n_fine))
+    mu = rng.standard_normal(space.n_fine)
     prof = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, mu, ("element", 5))
     assert prof.energies.sum() == pytest.approx(prof.total, rel=1e-10)
     # cumulative fraction reaches 1
@@ -443,7 +443,7 @@ def test_ring_decay_smooth_coefficient(asm_smooth_4):
 
 def test_ring_profile_csv(tmp_path, asm_smooth_4):
     rng = np.random.default_rng(29)
-    mu = asm_smooth_4.space.vector(rng.standard_normal(asm_smooth_4.space.n_fine))
+    mu = rng.standard_normal(asm_smooth_4.space.n_fine)
     prof = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, mu, ("element", 3))
     path = str(tmp_path / "rings.csv")
     prof.to_csv(path)
@@ -463,7 +463,7 @@ def test_element_seeded_error_monotone_smooth(asm_smooth_4):
     errs = []
     for j in (1, 2, 3, 4):
         loc = proj.apply_Pj(functionals, j)
-        d = glob.values - loc.values
+        d = glob - loc
         errs.append(d @ (asm_smooth_4.energy @ d))
     for a, b in zip(errs, errs[1:]):
         assert b <= a * (1 + 1e-9)

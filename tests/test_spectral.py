@@ -316,17 +316,20 @@ def test_project_rhs_identities(asm_mixed):
     spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     # Piecewise constant load is reproduced exactly.
     g_const = [np.full(c.geom.n_nodes, 2.0 + c.elem) for c in asm_mixed.caches]
-    proj, rem = project_rhs(spectra, asm_mixed.caches, g_const)
+    proj, rem, load = project_rhs(spectra, asm_mixed.caches, g_const)
     for p, g in zip(proj, g_const):
         assert np.allclose(p, g, rtol=1e-10, atol=1e-10)
     assert rem.max() < 1e-9
+    # The element load M p, formed as M g - M (g - p), is the direct product.
+    direct = (asm_mixed.caches.mass @ proj[..., None])[..., 0]
+    assert np.abs(load - direct).max() <= 1e-13 * np.abs(direct).max()
     # A dropped eigenfunction projects to zero on its element.
     cache = asm_mixed.caches[3]
     spec = spectra[3]
     idx = spec.j_count  # first dropped mode
     g = [np.zeros(c.geom.n_nodes) for c in asm_mixed.caches]
     g[3] = spec.vectors[:, idx].copy()
-    proj, rem = project_rhs(spectra, asm_mixed.caches, g)
+    proj, rem, _ = project_rhs(spectra, asm_mixed.caches, g)
     assert np.abs(proj[3]).max() < 1e-10
     assert rem[3] == pytest.approx(1.0, rel=1e-9)
 
@@ -359,8 +362,8 @@ def test_projection_idempotent_and_doubly_orthogonal(asm_mixed):
     spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     rng = np.random.default_rng(41)
     g = [rng.standard_normal(c.geom.n_nodes) for c in asm_mixed.caches]
-    proj, _ = project_rhs(spectra, asm_mixed.caches, g)
-    twice, _ = project_rhs(spectra, asm_mixed.caches, proj)
+    proj = project_rhs(spectra, asm_mixed.caches, g)[0]
+    twice = project_rhs(spectra, asm_mixed.caches, proj)[0]
     for a, b in zip(proj, twice):
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
     # The dropped part is orthogonal to the kept part in both the weighted

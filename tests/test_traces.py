@@ -9,7 +9,6 @@ from conftest import face_rows, lambda0_basis, pairing_bruteforce, random_tilde_
 from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.traces import (
-    TraceVector,
     build_trace_space,
     decompose,
     pairing,
@@ -33,7 +32,7 @@ def test_dimensions(space):
 
 def test_side_views_are_negatives(space):
     rng = np.random.default_rng(0)
-    mu = space.vector(rng.standard_normal(space.n_fine))
+    mu = rng.standard_normal(space.n_fine)
     mesh = space.mesh
     for f in range(mesh.n_faces):
         if mesh.face_boundary[f]:
@@ -41,9 +40,9 @@ def test_side_views_are_negatives(space):
         left, right = mesh.face_elements(f)
         rl = face_rows(space.part, left)[f]
         rr = face_rows(space.part, right)[f]
-        sl = mu.side_values(left)[rl]
+        sl = space.part[left].side_values(mu)[rl]
         fl = space.part[left].boundary_face_ids[rl]
-        sr = mu.side_values(right)[rr]
+        sr = space.part[right].side_values(mu)[rr]
         fr = space.part[right].boundary_face_ids[rr]
         assert np.array_equal(fl, fr)  # same global sub-face order from both sides
         assert np.array_equal(sl, -sr)
@@ -53,7 +52,7 @@ def test_lambda0_explicit_values(space):
     basis = lambda0_basis(space)
     mesh = space.mesh
     for i, lam in enumerate(basis):
-        side = lam.side_values(i)
+        side = space.part[i].side_values(lam)
         assert np.allclose(side, 1.0)  # +1 seen from the owning element
         for f in range(mesh.n_faces):
             if mesh.face_boundary[f]:
@@ -61,7 +60,7 @@ def test_lambda0_explicit_values(space):
             a, b = mesh.face_elements(f)
             if i in (a, b):
                 other = b if i == a else a
-                mate = lam.side_values(other)[face_rows(space.part, other)[f]]
+                mate = space.part[other].side_values(lam)[face_rows(space.part, other)[f]]
                 assert np.allclose(mate, -1.0)
 
 
@@ -96,7 +95,7 @@ def test_pairing_examples(space):
     basis = lambda0_basis(space)
     zero_v = [np.zeros(g.n_nodes) for g in space.part.geometry]
     rng = np.random.default_rng(5)
-    mu = space.vector(rng.standard_normal(space.n_fine))
+    mu = rng.standard_normal(space.n_fine)
     assert pairing(space, mu, zero_v) == 0.0
     ind = np.zeros(space.n_elements)
     ind[1] = 1.0
@@ -107,7 +106,7 @@ def test_pairing_examples(space):
 
 def test_pairing_matches_bruteforce_quadrature(space):
     rng = np.random.default_rng(11)
-    mu = space.vector(rng.standard_normal(space.n_fine))
+    mu = rng.standard_normal(space.n_fine)
     v = [rng.standard_normal(g.n_nodes) for g in space.part.geometry]
     fast = pairing(space, mu, v)
     slow = pairing_bruteforce(space, mu, v)
@@ -126,34 +125,34 @@ def test_zero_mean_basis_properties():
 
 def test_decompose_reconstructs_and_orthogonality(space):
     rng = np.random.default_rng(7)
-    mu = space.vector(rng.standard_normal(space.n_fine))
+    mu = rng.standard_normal(space.n_fine)
     mu0, mt0, mtf = decompose(space, mu)
-    recon = mu0.values + mt0.values + mtf.values
-    assert np.allclose(recon, mu.values, rtol=0, atol=1e-12 * np.abs(mu.values).max())
+    recon = mu0 + mt0 + mtf
+    assert np.allclose(recon, mu, rtol=0, atol=1e-12 * np.abs(mu).max())
     # The two tilde parts pair to zero against every piecewise constant.
     for part_vec in (mt0, mtf):
-        r = space.pair_v0 @ part_vec.values
+        r = space.pair_v0 @ part_vec
         assert np.abs(r).max() < 1e-12
     # Face averages of the fine remainder vanish.
-    assert np.abs(space.face_integrals(mtf.values)).max() < 1e-12
+    assert np.abs(space.face_integrals(mtf)).max() < 1e-12
     # The face-constant part is constant per coarse face.
     nfs = space.part.faces_per_coarse
-    per_face = mt0.values.reshape(space.n_coarse_faces, nfs)
+    per_face = mt0.reshape(space.n_coarse_faces, nfs)
     assert np.abs(per_face - per_face[:, :1]).max() < 1e-12
 
 
 def test_decompose_fixed_points(space):
     basis = lambda0_basis(space)
     mu0, mt0, mtf = decompose(space, basis[3])
-    assert np.allclose(mu0.values, basis[3].values, atol=1e-12)
-    assert np.abs(mt0.values).max() < 1e-12
-    assert np.abs(mtf.values).max() < 1e-12
+    assert np.allclose(mu0, basis[3], atol=1e-12)
+    assert np.abs(mt0).max() < 1e-12
+    assert np.abs(mtf).max() < 1e-12
     rng = np.random.default_rng(9)
     pure = random_tilde_f(space, rng)
     mu0, mt0, mtf = decompose(space, pure)
-    assert np.abs(mu0.values).max() < 1e-12
-    assert np.abs(mt0.values).max() < 1e-12
-    assert np.allclose(mtf.values, pure.values, atol=1e-12)
+    assert np.abs(mu0).max() < 1e-12
+    assert np.abs(mt0).max() < 1e-12
+    assert np.allclose(mtf, pure, atol=1e-12)
 
 
 def face_constant_reference(mesh):
@@ -216,21 +215,19 @@ def test_membership_tests(space):
     rng = np.random.default_rng(21)
     tf = random_tilde_f(space, rng)
     assert space.is_tilde(tf)
-    assert np.abs(space.face_integrals(tf.values)).max() <= 1e-10 * max(np.abs(tf.values).max(), 1.0)
+    assert np.abs(space.face_integrals(tf)).max() <= 1e-10 * max(np.abs(tf).max(), 1.0)
     lam = lambda0_basis(space)[0]
     assert not space.is_tilde(lam)
 
 
 def test_serialization_roundtrip(tmp_path, space):
+    # The CLI's multiplier.bin: raw little-endian float64 by fine-face index,
+    # read back through the length check of space.vector.
     rng = np.random.default_rng(2)
-    mu = space.vector(rng.standard_normal(space.n_fine))
-    binpath = str(tmp_path / "mu.bin")
-    mu.to_binary(binpath)
-    back = TraceVector.from_binary(space, binpath)
-    assert np.array_equal(back.values, mu.values)
-    csvpath = str(tmp_path / "mu.csv")
-    mu.to_csv(csvpath)
-    rows = open(csvpath).read().strip().splitlines()
-    assert rows[0] == "fine_face,value"
-    assert len(rows) == space.n_fine + 1
-    assert float(rows[1].split(",")[1]) == mu.values[0]
+    mu = rng.standard_normal(space.n_fine)
+    binpath = tmp_path / "mu.bin"
+    mu.astype("<f8").tofile(binpath)
+    assert binpath.stat().st_size == 8 * space.n_fine
+    assert np.array_equal(space.vector(np.fromfile(binpath, dtype="<f8")), mu)
+    with pytest.raises(ValueError, match="wrong length"):
+        space.vector(np.fromfile(binpath, dtype="<f8")[1:])
