@@ -111,8 +111,12 @@ def _assemble_stiffness(grads, cell_areas, tensors, cells) -> np.ndarray:
     norm(K) * eps) leaks into every constrained solve as a spurious
     constraint multiplier, which is visible at high contrast.
     """
-    flux = np.einsum("ecij,eckj->ecki", tensors, grads)   # (ne, nc, 3, 2): A grad(phi_k)
-    local = np.einsum("ecki,ecli->eckl", flux, grads) * cell_areas[:, :, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]                 # (ne, nc, 3): grad(phi_k) per cell
+    a = tensors[..., None]                                # (ne, nc, 2, 2, 1)
+    fx = a[:, :, 0, 0] * gx + a[:, :, 0, 1] * gy          # A grad(phi_k), x and y
+    fy = a[:, :, 1, 0] * gx + a[:, :, 1, 1] * gy
+    local = fx[..., :, None] * gx[..., None, :] + fy[..., :, None] * gy[..., None, :]
+    local *= cell_areas[:, :, None, None]
     k = _scatter_cells(local, cells)
     diag = np.arange(k.shape[1])
     k[:, diag, diag] -= k.sum(axis=2)

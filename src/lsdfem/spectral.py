@@ -1,6 +1,6 @@
 """Generalized eigenproblems: face enrichment and load reduction.
 
-Two families share one dense symmetric-definite kernel:
+Two families of dense symmetric-definite pencils:
 
 * per face, the pencil of the full flux energy against the soft-extension
   (Schur) energy; eigenvalues are >= 1 and the threshold split decides
@@ -11,8 +11,10 @@ Two families share one dense symmetric-definite kernel:
 Everything is dense by design: face problems have at most a few dozen
 unknowns and element problems a few hundred at the scales this library
 targets, and robustness beats scalability there.  All faces (and all
-elements) share one pencil size, so each family is solved as one stack
-and kept as one: :class:`FaceSpectrum` and :class:`ElementSpectrum` carry
+elements) share one pencil size, so each family is kept as one stack
+(the element eigenvalues come from one LAPACK call per element, which
+is faster than the stacked reduction when no eigenvectors are wanted):
+:class:`FaceSpectrum` and :class:`ElementSpectrum` carry
 a leading face or element axis, and indexing either gives one item's
 view (:class:`~lsdfem.mesh.Stacked`).  Empty pencils (a face with a
 single fine sub-face has no zero-average modes) run through the same
@@ -25,6 +27,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .localop import ElementCache, batched_cholesky, edge_blocks, solve_lower
 from .mesh import Stacked
@@ -159,17 +162,20 @@ class ElementSpectrum(Stacked):
 
     The fields carry a leading element axis; ``spectra[t]`` is element t's
     view (``elem`` and ``j_count`` ints) and iteration yields the views in
-    element order.  ``sigma[..., 0]`` is zero with the constant
-    eigenfunction; eigenvectors are orthogonal in both the A-energy and
-    the weighted mass.  ``j_count`` is the smallest J (at least 1, so
-    constants always survive) with 1/sigma_{J+1} <= c_j * h_target**2.
+    element order.  ``sigma`` holds every eigenvalue, ``sigma[..., 0]``
+    zero with the constant eigenfunction.  ``j_count`` is the smallest J
+    (at least 1, so constants always survive) with
+    1/sigma_{J+1} <= c_j * h_target**2.  ``vectors`` holds the kept modes
+    only: an element's first ``j_count`` columns are M-orthonormal
+    eigenvectors (also orthogonal in the A-energy), and its columns past
+    them, up to the stack's largest ``j_count``, are zero.
     """
 
     STACKED = ("elem", "sigma", "vectors", "j_count")
 
     elem: np.ndarray | int
     sigma: np.ndarray            # (ne, nn) ascending
-    vectors: np.ndarray          # (ne, nn, nn) eigenvectors as columns
+    vectors: np.ndarray          # (ne, nn, j_max) kept eigenvectors as columns, zero-padded
     j_count: np.ndarray | int    # (ne,)
 
     @property
@@ -186,17 +192,36 @@ def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> 
 
 
 def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
-    """Neumann pencils of all elements (or of one element's view), solved as one stack."""
+    """Neumann pencils of all elements (or of one element's view): every eigenvalue, kept modes only.
+
+    The eigenvalues come from one LAPACK ``dsygvd`` per element, without
+    eigenvectors.  An element that keeps one mode keeps the M-normalized
+    constant, which is exact because constants span the kernel of the
+    stiffness; the elements that keep more take their kept columns from
+    one stacked :func:`gensym_eig` of their pencils alone.
+    """
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
     elems, nn = np.atleast_1d(caches.elem), caches.stiffness.shape[-1]
-    try:
-        sigma, vectors = gensym_eig(caches.stiffness.reshape(-1, nn, nn), caches.mass.reshape(-1, nn, nn))
-    except NotSPDError as exc:
-        raise NotSPDError(exc.pivot, f"weighted mass of element {elems[exc.item]}") from exc
+    stiffness, mass = caches.stiffness.reshape(-1, nn, nn), caches.mass.reshape(-1, nn, nn)
+    sigma = np.empty((len(elems), nn))
+    for t in range(len(elems)):
+        # Symmetric matrices: the transposes are copy-free Fortran-ordered views.
+        sigma[t], _, info = lapack.dsygvd(stiffness[t].T, mass[t].T, jobz="N")
+        if info > nn:
+            raise NotSPDError(info - nn - 1, f"weighted mass of element {elems[t]}", t)
+        if info:
+            raise np.linalg.LinAlgError(f"eigenvalues of element {elems[t]} did not converge")
     sigma = np.maximum(sigma, 0.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
-    j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, sigma.shape[1])
+    j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
+    j_max = int(j_count.max(initial=0))
+    vectors = np.zeros((len(elems), nn, j_max))
+    one = j_count == 1
+    vectors[one, :, 0] = 1.0 / np.sqrt(mass[one].sum(axis=(1, 2)))[:, None]
+    many = ~one
+    kept = gensym_eig(stiffness[many], mass[many])[1][..., :j_max]
+    vectors[many] = kept * (np.arange(j_max) < j_count[many, None])[:, None, :]
     return ElementSpectrum(elems, sigma, vectors, j_count)
 
 
@@ -213,14 +238,12 @@ def project_rhs(
     ``M g - M (g - p)`` from the two mass products the first two need.  The
     remainder norm is taken of the difference itself, not as
     ``|g|^2 - |kept|^2``, which cancels to rounding noise when little is
-    dropped.
+    dropped.  The zero columns of ``spectra.vectors`` add nothing.
     """
     g = np.asarray(g, dtype=float)
-    j_max = int(spectra.j_count.max(initial=0))
-    kept = spectra.vectors[..., :j_max]                            # (ne, nn, j_max)
+    kept = spectra.vectors                                         # (ne, nn, j_max)
     mass_g = caches.mass @ g[..., None]
     coeffs = (mass_g.swapaxes(-1, -2) @ kept)[:, 0]
-    coeffs *= np.arange(j_max) < spectra.j_count[:, None]
     projected = (kept @ coeffs[..., None])[..., 0]
     dropped = g - projected
     mass_dropped = caches.mass @ dropped[..., None]

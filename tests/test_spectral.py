@@ -246,6 +246,53 @@ def test_element_spectra_stack_and_views(asm_mixed):
     assert np.all(all_kept.sigma_next == np.inf)
 
 
+def test_element_spectra_mixed_cut_match_full_spectrum(asm_mixed):
+    # A cut between the elements' second and third eigenvalues leaves the
+    # stiff elements with the constant alone and the soft ones with several
+    # modes, so both ways of forming the kept vectors run.  Scaling each
+    # stiffness by its own factor spreads the soft elements' counts, so the
+    # zero padding past each count is checked too.
+    scale = np.linspace(1.0, 4.0, asm_mixed.mesh.n_elements)[:, None, None]
+    caches = dataclasses.replace(asm_mixed.caches, stiffness=scale * asm_mixed.caches.stiffness)
+    sigma_ref, vectors_ref = gensym_eig(caches.stiffness, caches.mass)
+    sigma_ref = np.maximum(sigma_ref, 0.0)
+    cut = np.sqrt(sigma_ref[:, 2].min() * sigma_ref[:, 1].max())
+    assert sigma_ref[:, 1].min() < cut < sigma_ref[:, 2].max()
+    spectra = all_element_spectra(caches, h_target=1.0 / np.sqrt(cut))
+    nn = sigma_ref.shape[1]
+    assert np.any(spectra.j_count == 1) and len(np.unique(spectra.j_count[spectra.j_count > 1])) > 1
+    assert spectra.j_count.max() < nn
+    largest = sigma_ref.max(axis=1, keepdims=True)
+    assert np.all(np.abs(spectra.sigma - sigma_ref) <= 1e-13 * largest)
+    above = sigma_ref[:, 1:] >= cut
+    j_ref = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
+    assert np.array_equal(spectra.j_count, j_ref)
+    next_ref = sigma_ref[np.arange(len(j_ref)), j_ref]    # every element drops a mode at this cut
+    assert np.all(np.abs(spectra.sigma_next - next_ref) <= 1e-13 * largest[:, 0])
+    assert spectra.vectors.shape == (len(j_ref), nn, j_ref.max())
+    for t, j in enumerate(j_ref):
+        v, v_ref = spectra.vectors[t], vectors_ref[t, :, :j]
+        assert not v[:, j:].any()
+        projector = v[:, :j] @ v[:, :j].T @ caches.mass[t]
+        projector_ref = v_ref @ v_ref.T @ caches.mass[t]
+        assert np.abs(projector - projector_ref).max() <= 1e-9
+    g = np.random.default_rng(19).standard_normal(caches.mean_vector.shape)
+    kept = vectors_ref * (np.arange(nn) < j_ref[:, None])[:, None, :]
+    p_ref = (kept @ (kept.swapaxes(-1, -2) @ (caches.mass @ g[..., None])))[..., 0]
+    proj = project_rhs(spectra, caches, g)[0]
+    assert np.abs(proj - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+
+
+def test_element_mass_not_spd_names_element(asm_mixed):
+    elem = 5
+    mass = asm_mixed.caches.mass.copy()
+    mass[elem, 3, 3] = -1.0     # the leading minor of order 4 is indefinite
+    caches = dataclasses.replace(asm_mixed.caches, mass=mass)
+    with pytest.raises(NotSPDError, match=rf"pivot 3 \(weighted mass of element {elem}\)") as err:
+        all_element_spectra(caches, h_target=0.5)
+    assert err.value.pivot == 3 and err.value.item == elem
+
+
 STACKS = {
     "partition": lambda asm: asm.part,
     "caches": lambda asm: asm.caches,
@@ -304,7 +351,7 @@ def test_element_sigma2_against_dense_oracle():
 def test_element_eigvector_double_orthogonality(asm_mixed):
     cache = asm_mixed.caches[1]
     spec = element_spectrum(cache, h_target=0.5)
-    v = spec.vectors
+    v = gensym_eig(cache.stiffness, cache.mass)[1]   # every mode, not just the kept ones
     gram_m = v.T @ cache.mass @ v
     assert np.abs(gram_m - np.eye(len(gram_m))).max() < 1e-9
     gram_k = v.T @ cache.stiffness @ v
@@ -328,7 +375,7 @@ def test_project_rhs_identities(asm_mixed):
     spec = spectra[3]
     idx = spec.j_count  # first dropped mode
     g = [np.zeros(c.geom.n_nodes) for c in asm_mixed.caches]
-    g[3] = spec.vectors[:, idx].copy()
+    g[3] = gensym_eig(cache.stiffness, cache.mass)[1][:, idx].copy()
     proj, rem, _ = project_rhs(spectra, asm_mixed.caches, g)
     assert np.abs(proj[3]).max() < 1e-10
     assert rem[3] == pytest.approx(1.0, rel=1e-9)
@@ -336,17 +383,20 @@ def test_project_rhs_identities(asm_mixed):
 
 def test_sampled_poincare_inequality(asm_mixed):
     rng = np.random.default_rng(31)
+    sampled = 0
     for cache in list(asm_mixed.caches)[:6]:
         spec = element_spectrum(cache, h_target=0.5)
         j = spec.j_count
-        tail = spec.vectors[:, j:]
+        tail = gensym_eig(cache.stiffness, cache.mass)[1][:, j:]   # the dropped modes
         if tail.shape[1] == 0:
             continue
+        sampled += 1
         for _ in range(20):
             v = tail @ rng.standard_normal(tail.shape[1])
             mass = v @ (cache.mass @ v)
             energy = v @ (cache.stiffness @ v)
             assert mass <= energy / spec.sigma[j] * (1 + 1e-10)
+    assert sampled
 
 
 def test_spectrum_dump(tmp_path, asm_smooth_4):
