@@ -6,15 +6,16 @@ subspace is spanned by the columns of a sparse face basis (per face, the
 full zero-average block or the localizable part of the face spectrum),
 the energy matrix is assembled once from the cached element flux-energy
 blocks, and patch problems are principal submatrices of the basis Gram,
-which is kept sparse: each batch of patch Grams is gathered from its
-padded rows, so no localized solve forms the dense ``M x M`` Gram.  No
-interior problem is ever re-solved here.
+which is kept sparse.  No interior problem is ever re-solved here.
 
 A localized projection is linear and each seed's solution lives on its
 patch, so it is stored as one sparse matrix of patch responses per seed
-kind and layer count, built by one batched patch kernel; applying it is
-``basis @ (R @ data)``.  Every global Gram is factored sparse by
-:func:`spd_factor`, which also checks that it is positive definite.
+kind and layer count; applying it is ``basis @ (R @ data)``.  One pass
+over the seeds in order builds each matrix: cache-sized chunks of seeds
+gather their patch Grams from the padded rows of the sparse Gram, and
+their right-hand sides straight into the CSC data, where one LAPACK
+``posv`` per seed solves in place.  Every global Gram is factored sparse
+by :func:`spd_factor`, which also checks that it is positive definite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .localop import ElementCache, batched_cholesky, quadratic_forms, scatter_blocks
+from .localop import ElementCache, quadratic_forms, scatter_blocks
 from .mesh import CoarseMesh, layer_distances, layer_sets
 from .spectral import FaceSpectrum
 from .traces import TraceSpace
@@ -46,7 +47,9 @@ __all__ = [
 ]
 
 DENSE_PATCH_LIMIT = 4000     # not read by the package; perfbench's tracer still reads it
-PATCH_CHUNK_BYTES = 8 << 20  # stacked patch Gram matrices factored at once
+# Gram bytes per chunk of patch seeds, which the gather fills at random: 1-2 MB stay in cache and ran
+# fastest at nx=16..64.  Position-map rows are touched only near the patch columns: 8 times as much.
+PATCH_CHUNK_BYTES = 1 << 20
 
 
 def spd_factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
@@ -145,19 +148,6 @@ def _padded_rows(matrix: sp.csr_matrix, pad: int) -> tuple[np.ndarray, np.ndarra
     return cols, vals
 
 
-def _gather(padded: tuple[np.ndarray, np.ndarray], positions: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
-    """``(n, r, d)`` blocks ``A[rows[k], dofs[k]]`` of a matrix ``A`` given by its padded rows.
-
-    ``positions[k]`` maps each column of ``A`` (and the pad column) to its
-    place in ``dofs[k]``, or to -1 outside it; the entries that map to -1
-    land in a spare last column, which is cut off.
-    """
-    cols, vals = padded
-    out = np.zeros(rows.shape + (d + 1,))
-    np.put_along_axis(out, positions[np.arange(rows.shape[0])[:, None, None], cols[rows]], vals[rows], axis=2)
-    return out[..., :d]
-
-
 def _not_spd(seed: tuple[str, int], j: int, pivot: int) -> AssertionError:
     return AssertionError(f"patch Gram of seed {seed}, j={j} is not SPD (pivot {pivot})")
 
@@ -210,8 +200,9 @@ class PatchProjector:
         flux_rhs.sum_duplicates()
         load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         load_rhs.sum_duplicates()
-        self._rhs_columns = {"face": _padded_rows(flux_rhs.T, basis.dim),
-                             "element": _padded_rows(load_rhs.T, basis.dim)}
+        nfs = space.part.faces_per_coarse
+        self._rhs_columns = {"face": (nfs, *_padded_rows(flux_rhs.T, basis.dim)),
+                             "element": (3 * nfs, *_padded_rows(load_rhs.T, basis.dim))}
         self._col_face = np.repeat(np.arange(space.n_coarse_faces), np.diff(basis.col_offsets))
         # The incident elements of each face, the left one twice on the domain boundary.
         self._face_right = np.where(space.mesh.face_right >= 0, space.mesh.face_right, space.mesh.face_left)
@@ -222,10 +213,7 @@ class PatchProjector:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Dense ``M x M`` view of ``sparse_gram``, built on first read and then kept.
-
-        The package never reads it; perfbench's tracer reads its ``nbytes``.
-        """
+        """Dense ``M x M`` view of ``sparse_gram``, built on first read: only perfbench's tracer reads it."""
         return self.sparse_gram.toarray()
 
     @cached_property
@@ -257,49 +245,70 @@ class PatchProjector:
         layer = sp.csr_matrix((np.ones(len(elems)), elems, [0, len(elems)]), (1, self.space.n_elements))
         return np.unique(self._col_face[self._patch_columns(layer).indices])
 
-    def _patch_grams(self, kind: str, seeds: np.ndarray, j: int):
-        """``j``-layer patch Grams of seeds of one kind, in chunks of equal dimension d.
-
-        Yields positions into ``seeds``, the ``(n, d)`` sorted basis columns of
-        their patches, the ``(n, M + 1)`` position map of the chunk (basis
-        column -> patch position, -1 outside the patch and in the last
-        column; valid until the next chunk) and the ``(n, d, d)`` Grams, or
-        None where every column is in the patch and the global problem
-        serves.  The Grams are gathered from the padded rows of
-        ``sparse_gram`` through the position map, so a chunk holds at most
-        ``PATCH_CHUNK_BYTES`` of Grams and of map.  The caller factors them.
-        """
+    def _seed_columns(self, kind: str, seeds: np.ndarray, j: int) -> sp.csr_matrix:
+        """Sorted basis columns of the ``j``-layer patch of each seed of one kind, one CSR row per seed."""
         if j < 1:
             raise ValueError("patch layer count must be >= 1")
-        columns = self._patch_columns(layer_sets(self.space.mesh, kind, seeds, j))
-        dims, m = np.diff(columns.indptr), self.basis.dim
-        positions = np.full((min(seeds.size, max(1, PATCH_CHUNK_BYTES // (4 * (m + 1)))), m + 1), -1, np.int32)
-        for d in np.unique(dims):
-            group = np.nonzero(dims == d)[0]
-            dofs = columns.indices[columns.indptr[group][:, None] + np.arange(d)]
-            if d == m:
-                yield group, dofs, np.broadcast_to(np.append(np.arange(m), -1), (group.size, m + 1)), None
-                continue
-            step = max(1, min(PATCH_CHUNK_BYTES // (8 * d * d or 1), positions.shape[0]))
-            for lo in range(0, group.size, step):
-                sub = dofs[lo : lo + step]
-                at = positions[: sub.shape[0]]
-                rows = np.arange(sub.shape[0])[:, None]
-                at[rows, sub] = np.arange(d)
-                yield group[lo : lo + step], sub, at, _gather(self._gram_rows, at, sub, d)
-                at[rows, sub] = -1
+        return self._patch_columns(layer_sets(self.space.mesh, kind, seeds, j))
+
+    def _patch_blocks(self, kind: str, seeds: np.ndarray, columns: sp.csr_matrix, data: np.ndarray):
+        """Patch Grams and right-hand sides of seeds of one kind, gathered in chunks of consecutive seeds.
+
+        ``columns`` is :meth:`_seed_columns` of ``seeds``; ``data`` holds ``width`` zeros per patch
+        column.  Yields ``(k, gram, rhs)`` for each seed ``seeds[k]`` with d > 0 patch columns: its
+        ``(d, d)`` Gram (None if the patch holds every column) and the Fortran-ordered ``(d, width)``
+        view of ``data`` holding its right-hand sides, so ``data`` is seed-major and column-major
+        within a seed.  A chunk holds at most ``PATCH_CHUNK_BYTES`` of Gram slots and 8 times that of
+        position-map rows (basis column -> patch position, -1 outside); both are allocated once, so
+        a Gram is valid until the next chunk.
+        """
+        m, (gram_cols, gram_vals) = self.basis.dim, self._gram_rows
+        width, rhs_cols, rhs_vals = self._rhs_columns[kind]
+        indptr = columns.indptr.astype(np.int64)
+        dims, starts = np.diff(indptr), indptr[:-1]
+        slot = np.where(dims < m, dims * dims, 0)
+        gram_chunk = np.cumsum(8 * slot) // PATCH_CHUNK_BYTES
+        map_chunk = np.arange(seeds.size) // max(1, 8 * PATCH_CHUNK_BYTES // (4 * (m + 1)))
+        chunk_starts = np.flatnonzero(np.diff(gram_chunk, prepend=-1) | np.diff(map_chunk, prepend=-1))
+        bounds = np.append(chunk_starts, seeds.size)
+        slab = np.empty(np.add.reduceat(slot, chunk_starts).max())
+        at = np.full((np.diff(bounds).max(), m + 1), -1, np.int32)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            owner = np.repeat(np.arange(hi - lo), dims[lo:hi])      # chunk seed of each patch column
+            dofs = columns.indices[starts[lo] : indptr[hi]]
+            place = np.arange(dofs.size) - (starts[lo:hi] - starts[lo])[owner]
+            at[owner, dofs] = place
+            offset, d_of = np.cumsum(slot[lo:hi]) - slot[lo:hi], dims[lo:hi][owner]
+            loc = at[owner[:, None], gram_cols[dofs]]
+            loc[d_of == m] = -1                                     # saturated seeds gather no Gram
+            slab[: offset[-1] + slot[hi - 1]] = 0.0
+            slab[((offset[owner] + place * d_of)[:, None] + loc)[loc >= 0]] = gram_vals[dofs][loc >= 0]
+            seed_cols = seeds[lo:hi, None] * width + np.arange(width)
+            loc = at[np.arange(hi - lo)[:, None, None], rhs_cols[seed_cols]]
+            first = width * starts[lo:hi, None] + np.arange(width) * dims[lo:hi, None]
+            data[(first[:, :, None] + loc)[loc >= 0]] = rhs_vals[seed_cols][loc >= 0]
+            for k in range(lo, hi):
+                d, o = dims[k], offset[k - lo]
+                if d:
+                    rhs = data[width * starts[k] : width * (starts[k] + d)].reshape(width, d).T
+                    yield k, slab[o : o + d * d].reshape(d, d) if d < m else None, rhs
+            at[owner, dofs] = -1
 
     def patch_problem(self, seed: tuple[str, int], j: int) -> PatchProblem:
         """Factorized ``j``-layer patch problem of one seed: the one-seed call of the patch kernel."""
-        ((_, dofs, _, gram),) = self._patch_grams(seed[0], np.array([seed[1]]), j)
-        if gram is None:
-            factor = self._global_factor
-        else:
-            chol, _, pivot = batched_cholesky(gram)
-            if chol is None:
-                raise _not_spd(seed, j, pivot)
-            factor = (chol[0], True)
-        return PatchProblem(np.unique(self._col_face[dofs[0]]), dofs[0], factor)
+        kind, seeds = seed[0], np.array([seed[1]])
+        columns = self._seed_columns(kind, seeds, j)
+        data = np.zeros(columns.nnz * self._rhs_columns[kind][0])
+        factor = (np.zeros((0, 0)), True)   # an empty patch
+        for _, gram, _ in self._patch_blocks(kind, seeds, columns, data):
+            if gram is None:
+                factor = self._global_factor
+            else:
+                chol, info = scipy.linalg.lapack.dpotrf(gram, lower=1)
+                if info:
+                    raise _not_spd(seed, j, info - 1)
+                factor = (chol, True)
+        return PatchProblem(np.unique(self._col_face[columns.indices]), columns.indices, factor)
 
     def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> np.ndarray:
         """Galerkin solve on the patch subspace.
@@ -325,36 +334,22 @@ class PatchProjector:
         return self._responses[j]
 
     def _response_matrix(self, kind: str, j: int) -> sp.csc_matrix:
-        """Response matrix of one seed kind; seed s's right-hand sides are a column block of its rhs.
-
-        Each chunk's right-hand-side blocks are gathered from the padded
-        columns of the rhs through the chunk's position map, as its Grams are.
-        """
-        n_seeds = self.space.n_coarse_faces if kind == "face" else self.space.n_elements
-        rhs = self._rhs_columns[kind]
-        n_cols = rhs[0].shape[0]
-        width = n_cols // n_seeds
-        rows, cols, data = [], [], []
-        for members, dofs, at, grams in self._patch_grams(kind, np.arange(n_seeds), j):
-            (n, d), shape = dofs.shape, dofs.shape + (width,)
-            seed_cols = members[:, None] * width + np.arange(width)
-            rows.append(np.broadcast_to(dofs[:, :, None], shape).ravel())
-            cols.append(np.broadcast_to(seed_cols[:, None, :], shape).ravel())
-            blocks = _gather(rhs, at, seed_cols, d).transpose(0, 2, 1)   # (n, d, width)
-            if grams is None:  # saturated patches: one solve of the global problem
-                flat = self._global_factor.solve(blocks.transpose(1, 0, 2).reshape(d, n * width))
-                blocks = flat.reshape(d, n, width).transpose(1, 0, 2)
-            elif d:  # LAPACK's posv factors and solves each seed at once; posv rejects d = 0
-                for k in range(n):
-                    # A Gram is symmetric, so its transpose is a Fortran-ordered copy-free view.
-                    _, blocks[k], info = scipy.linalg.lapack.dposv(
-                        grams[k].T, blocks[k], lower=1, overwrite_a=1, overwrite_b=1
-                    )
-                    if info:
-                        raise _not_spd((kind, int(members[k])), j, info - 1)
-            data.append(blocks.ravel())
-        coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-        return sp.csc_matrix(coo, (self.basis.dim, n_cols))
+        """Response matrix of one seed kind: one pass of the patch kernel, solved in place in its CSC data."""
+        seeds = np.arange(self.space.n_coarse_faces if kind == "face" else self.space.n_elements)
+        columns, width = self._seed_columns(kind, seeds, j), self._rhs_columns[kind][0]
+        data, saturated = np.zeros(width * columns.nnz), []
+        for k, gram, rhs in self._patch_blocks(kind, seeds, columns, data):
+            # posv factors and solves in place; a Gram is symmetric, so its transpose is Fortran-ordered.
+            if gram is None:
+                saturated.append(rhs)
+            elif info := scipy.linalg.lapack.dposv(gram.T, rhs, lower=1, overwrite_a=1, overwrite_b=1)[2]:
+                raise _not_spd((kind, k), j, info - 1)
+        if saturated:  # patches holding every basis column: one solve of the global problem
+            solved = self._global_factor.solve(np.hstack(saturated))
+            for rhs, x in zip(saturated, np.hsplit(solved, len(saturated))):
+                rhs[...] = x
+        repeated = columns[np.repeat(seeds, width)]
+        return sp.csc_matrix((data, repeated.indices, repeated.indptr), (self.basis.dim, seeds.size * width))
 
     # -- localized operator applications --------------------------------------------
 

@@ -96,11 +96,16 @@ def scatter_blocks(
 
 
 def _scatter_cells(local: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Sum cell matrices (ne, nc, 3, 3) into element matrices (ne, nn, nn) by one 0/1 map."""
+    """Sum cell matrices (ne, nc, 3, 3) into (ne, nn, nn), each slot in ascending cell-entry order onto zeros."""
     ne, nn = local.shape[0], int(cells.max()) + 1
     dest = (cells[:, :, None] * nn + cells[:, None, :]).ravel()
-    scatter = sp.csr_matrix((np.ones(dest.size), (dest, np.arange(dest.size))), (nn * nn, dest.size))
-    return np.ascontiguousarray((scatter @ local.reshape(ne, -1).T).T).reshape(ne, nn, nn)
+    order = np.argsort(dest, kind="stable")
+    slots, first, counts = np.unique(dest[order], return_index=True, return_counts=True)
+    flat, out = local.reshape(ne, -1), np.zeros((ne, nn * nn))
+    for layer in range(counts.max()):
+        has = counts > layer
+        out[:, slots[has]] += flat[:, order[first[has] + layer]]
+    return out.reshape(ne, nn, nn)
 
 
 def _assemble_stiffness(grads, cell_areas, tensors, cells) -> np.ndarray:

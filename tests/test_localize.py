@@ -259,9 +259,10 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
     chunk_bytes=st.sampled_from([localize.PATCH_CHUNK_BYTES, 1]),
 )
 def test_patch_grams_gathered_from_sparse_gram(mesh, face_level, variant, chunk_bytes):
-    # Every chunk's position map marks exactly its patch columns, and the
-    # Grams and right-hand-side blocks gathered through it equal the dense
-    # principal submatrices bitwise.
+    # Every seed's Gram and right-hand-side block, gathered chunk by chunk,
+    # equals the dense principal submatrices bitwise, and the right-hand
+    # sides sit at the seed's place in the data array: seed-major and
+    # column-major within a seed.
     asm = assembly_on(mesh, face_level)
     proj = asm.projector(variant, 4.0)
     m = proj.basis.dim
@@ -270,22 +271,56 @@ def test_patch_grams_gathered_from_sparse_gram(mesh, face_level, variant, chunk_
     with mock.patch.object(localize, "PATCH_CHUNK_BYTES", chunk_bytes):
         for j in (1, 2, 3):
             for kind, rhs in dense_rhs.items():
-                n_seeds = mesh.n_faces if kind == "face" else mesh.n_elements
-                width = rhs.shape[1] // n_seeds
-                for members, dofs, at, grams in proj._patch_grams(kind, np.arange(n_seeds), j):
-                    (n, d), rows = dofs.shape, np.arange(dofs.shape[0])[:, None]
-                    expected = np.full((n, m + 1), -1)
-                    expected[rows, dofs] = np.arange(d)
-                    assert np.array_equal(at, expected)
-                    ref = proj.gram[dofs[:, :, None], dofs[:, None, :]]
-                    if grams is None:   # saturated: the global problem serves
-                        assert d == m
+                seeds = np.arange(mesh.n_faces if kind == "face" else mesh.n_elements)
+                width = rhs.shape[1] // seeds.size
+                columns = proj._seed_columns(kind, seeds, j)
+                data = np.zeros(width * columns.nnz)
+                yielded = []
+                for k, gram, block in proj._patch_blocks(kind, seeds, columns, data):
+                    dofs = columns.indices[columns.indptr[k] : columns.indptr[k + 1]]
+                    if gram is None:   # saturated: the global problem serves
+                        assert dofs.size == m
                     else:
-                        assert grams.tobytes() == ref.tobytes()
-                    seed_cols = members[:, None] * width + np.arange(width)
-                    blocks = localize._gather(proj._rhs_columns[kind], at, seed_cols, d)
-                    ref = rhs[dofs[:, None, :], seed_cols[:, :, None]]
-                    assert blocks.tobytes() == ref.tobytes()
+                        assert gram.tobytes() == proj.gram[np.ix_(dofs, dofs)].tobytes()
+                    ref = rhs[dofs, k * width : (k + 1) * width]
+                    assert block.tobytes() == ref.tobytes()
+                    assert np.shares_memory(block, data) and block.flags.f_contiguous
+                    yielded.append(k)
+                assert yielded == np.flatnonzero(np.diff(columns.indptr)).tolist()
+                expected = [rhs[columns.indices[columns.indptr[k] : columns.indptr[k + 1]],
+                                k * width : (k + 1) * width].T.ravel() for k in seeds]
+                assert data.tobytes() == np.concatenate(expected).tobytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", [localize.PATCH_CHUNK_BYTES, 1])
+def test_responses_equal_per_seed_patch_problems(asm_mixed, chunk_bytes, monkeypatch):
+    # Both response matrices equal the per-seed patch_problem solves with an
+    # identical sparsity pattern, at j=1..3 and at the saturation radius,
+    # where every patch is the global problem.
+    monkeypatch.setattr(localize, "PATCH_CHUNK_BYTES", chunk_bytes)
+    space, mesh = asm_mixed.space, asm_mixed.mesh
+    basis = asm_mixed.projector("delta", 4.0).basis
+    proj = PatchProjector(space, asm_mixed.energy, basis)
+    dense_rhs = {"face": (basis.matrix.T @ asm_mixed.energy).toarray(),
+                 "element": basis.matrix.T.toarray()[:, space.part.boundary_face_ids.ravel()]}
+    jstar = saturation_radius(mesh)
+    for j in (1, 2, 3, jstar):
+        for got, (kind, rhs) in zip(proj.responses(j), dense_rhs.items()):
+            n_seeds = mesh.n_faces if kind == "face" else mesh.n_elements
+            width = rhs.shape[1] // n_seeds
+            indices, dims, data = [], [], []
+            for s in range(n_seeds):
+                problem = proj.patch_problem((kind, s), j)
+                if j == jstar:
+                    assert problem.dim == basis.dim
+                indices.append(np.tile(problem.dof_indices, width))
+                dims.append(problem.dim)
+                if problem.dim:
+                    data.append(problem.solve(rhs[problem.dof_indices, s * width : (s + 1) * width]).T.ravel())
+            assert np.array_equal(got.indptr, np.concatenate(([0], np.cumsum(np.repeat(dims, width)))))
+            assert np.array_equal(got.indices, np.concatenate(indices))
+            ref = np.concatenate(data)
+            assert np.abs(got.data - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_cold_localized_solve_leaves_dense_gram_unbuilt():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,3 +408,36 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
         v = spec.vectors[:, : spec.j_count]
         assert np.abs(v.T @ cache.mass @ v - np.eye(v.shape[1])).max() < 1e-9
         assert spec.sigma[0] <= 1e-10 * spec.sigma[-1]
+
+
+@pytest.mark.parametrize("coefficient, params", [
+    ("checkerboard", {"contrast": 1e3, "cells": 4}),   # the asm_mixed fixture
+    ("anisotropic", {"ratio": 4.0}),
+])
+def test_scatter_cells_matches_sparse_product(coefficient, params, monkeypatch):
+    # The layered gather of the cell matrices into element stiffness and mass
+    # equals, bitwise, the product of the 0/1 slot-by-cell-entry map with the
+    # stacked cell entries, which sums each slot in ascending cell-entry order.
+    # The lattice's cell entries are mostly dyadic and sum exactly in any
+    # order, so random cell entries on the same cells check the order too.
+    from lsdfem import localop
+
+    kernel, calls = localop._scatter_cells, []
+
+    def recorded(local, cells):
+        out = kernel(local, cells)
+        calls.append((local.copy(), cells, out.copy()))
+        return out
+
+    monkeypatch.setattr(localop, "_scatter_cells", recorded)
+    make_assembly(4, 4, 2, coefficient, params)
+    assert len(calls) == 2   # stiffness and mass
+    local, cells = calls[0][:2]
+    noise = np.random.default_rng(3).standard_normal(local.shape)
+    calls.append((noise, cells, kernel(noise, cells)))
+    for local, cells, out in calls:
+        ne, nn = local.shape[0], int(cells.max()) + 1
+        dest = (cells[:, :, None] * nn + cells[:, None, :]).ravel()
+        scatter = sp.csr_matrix((np.ones(dest.size), (dest, np.arange(dest.size))), (nn * nn, dest.size))
+        ref = (scatter @ local.reshape(ne, -1).T).T.reshape(ne, nn, nn)
+        assert out.shape == ref.shape and out.tobytes() == np.ascontiguousarray(ref).tobytes()

@@ -297,25 +297,29 @@ def test_one_local_solve_matches_two_solve_reference(asm_contrast, variant, rhs_
 
 
 def test_patch_problems_set_up_once_per_seed(monkeypatch):
-    # A cold solve runs the batched patch kernel once per seed kind, over
-    # every face and element seed exactly once, for the upscaled operator
-    # and the load's two passes together; a warm solve runs it not at all.
+    # A cold solve runs the patch kernel once per seed kind, over every face
+    # and element seed exactly once with their j=2 patches, for the upscaled
+    # operator and the load's two passes together; a warm solve runs it not
+    # at all.
     from lsdfem.localize import PatchProjector
 
     asm = make_assembly(4, 4, 1, "smooth")
     g = sample_load(asm.part, smooth_g)
-    kernel, calls = PatchProjector._patch_grams, []
+    kernel, calls = PatchProjector._patch_blocks, []
 
-    def counted(self, kind, seeds, j):
-        calls.append((kind, sorted(seeds.tolist()), j))
-        return kernel(self, kind, seeds, j)
+    def counted(self, kind, seeds, columns, data):
+        calls.append((kind, sorted(seeds.tolist()), columns))
+        return kernel(self, kind, seeds, columns, data)
 
-    monkeypatch.setattr(PatchProjector, "_patch_grams", counted)
+    monkeypatch.setattr(PatchProjector, "_patch_blocks", counted)
     solve_lsd(asm, g, 2, "delta", 4.0)
-    assert sorted(calls) == [
-        ("element", list(range(asm.mesh.n_elements)), 2),
-        ("face", list(range(asm.mesh.n_faces)), 2),
+    projector = asm.projector("delta", 4.0)
+    assert sorted(call[:2] for call in calls) == [
+        ("element", list(range(asm.mesh.n_elements))),
+        ("face", list(range(asm.mesh.n_faces))),
     ]
+    for kind, seeds, columns in calls:
+        assert (columns != projector._seed_columns(kind, np.array(seeds), 2)).nnz == 0
     calls.clear()
     solve_lsd(asm, g, 2, "delta", 4.0)
     assert calls == []
