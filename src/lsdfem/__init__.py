@@ -11,7 +11,7 @@ not degrade with the coefficient contrast.
 
 from .coeff import CoefficientField, ContrastStats, Raster, local_bounds, make_weight
 from .localize import PatchProjector, RingProfile, build_flux_energy, ring_energies
-from .localop import ElementCache, apply_T, apply_Ttilde, assemble_all
+from .localop import ElementCache, apply_T, assemble_all
 from .mesh import (
     CoarseMesh,
     FinePartition,
@@ -34,8 +34,8 @@ from .pipeline import (
     sample_load,
     solve_lsd,
 )
-from .spectral import ElementSpectrum, FaceSpectrum, element_spectrum, face_spectrum, gensym_eig
-from .traces import TraceSpace, build_trace_space, decompose
+from .spectral import ElementSpectrum, FaceSpectrum, all_element_spectra, all_face_spectra, gensym_eig
+from .traces import TraceSpace, build_trace_space
 
 __version__ = "0.1.0"
 
@@ -56,16 +56,14 @@ __all__ = [
     "make_weight",
     "TraceSpace",
     "build_trace_space",
-    "decompose",
     "ElementCache",
     "assemble_all",
     "apply_T",
-    "apply_Ttilde",
     "gensym_eig",
     "FaceSpectrum",
     "ElementSpectrum",
-    "face_spectrum",
-    "element_spectrum",
+    "all_face_spectra",
+    "all_element_spectra",
     "PatchProjector",
     "RingProfile",
     "build_flux_energy",

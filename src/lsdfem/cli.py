@@ -416,7 +416,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         spec.seed = args.seed
 
-    os.makedirs(spec.out_dir, exist_ok=True)
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {spec.out_dir!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     try:
         RUNNERS[spec.kind](spec)
     except SpecError as exc:

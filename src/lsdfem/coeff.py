@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import CoarseMesh, FinePartition
+from .mesh import FinePartition
 
 __all__ = [
     "CoefficientField",
@@ -95,11 +95,6 @@ class CoefficientField:
         emin, emax = _sym_eig_bounds(np.asarray(self.tensors))
         return emin.min(axis=1), emax.max(axis=1)
 
-    def scaled(self, s: float) -> "CoefficientField":
-        if s <= 0:
-            raise CoefficientError("scale factor must be positive")
-        return CoefficientField(self.part, s * self.tensors, s * self.a_min, s * self.a_max)
-
     @classmethod
     def from_tensor_function(
         cls, part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]
@@ -137,14 +132,6 @@ class CoefficientField:
 
             return cls.from_tensor_function(part, tensor)
         return cls.from_scalar_function(part, raster.lookup)
-
-    @classmethod
-    def constant(cls, part: FinePartition, value: float = 1.0) -> "CoefficientField":
-        return cls.from_scalar_function(part, lambda pts: np.full(len(pts), float(value)))
-
-    @classmethod
-    def identity(cls, part: FinePartition) -> "CoefficientField":
-        return cls.constant(part, 1.0)
 
     @classmethod
     def _finalize(cls, part: FinePartition, tensors: np.ndarray) -> "CoefficientField":
@@ -215,11 +202,9 @@ class ContrastStats:
         }
 
 
-def local_bounds(field: CoefficientField, mesh: CoarseMesh | None = None) -> ContrastStats:
+def local_bounds(field: CoefficientField) -> ContrastStats:
     """Per-element eigenvalue bounds, contrasts, and beta = 1 + log(H/h)."""
     part = field.part
-    if mesh is not None and mesh is not part.mesh:
-        raise CoefficientError("field was sampled on a different mesh")
     lo, hi = field.element_eigen_bounds()
     kappa_local = hi / lo
     big_h = part.mesh.coarse_size

@@ -156,8 +156,8 @@ def _not_spd(seed: tuple[str, int], j: int, pivot: int) -> AssertionError:
 class PatchProblem:
     """Factorized Galerkin problem on the faces of one layer neighborhood.
 
-    ``dof_indices`` are the basis columns of ``active_faces``; ``solve``
-    takes right-hand sides on them.
+    ``dof_indices`` are the basis columns of ``active_faces``; ``factor``
+    factors the patch Gram on them.
     """
 
     active_faces: np.ndarray
@@ -167,11 +167,6 @@ class PatchProblem:
     @property
     def dim(self) -> int:
         return self.dof_indices.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if isinstance(self.factor, tuple):
-            return scipy.linalg.cho_solve(self.factor, rhs)
-        return self.factor.solve(rhs)
 
 
 class PatchProjector:
@@ -310,17 +305,6 @@ class PatchProjector:
                 factor = (chol, True)
         return PatchProblem(np.unique(self._col_face[columns.indices]), columns.indices, factor)
 
-    def solve_patch(self, problem: PatchProblem, rhs_reduced: np.ndarray) -> np.ndarray:
-        """Galerkin solve on the patch subspace.
-
-        ``rhs_reduced`` is the functional tested against the full basis;
-        only its active entries participate.  The output vanishes outside
-        the patch faces by construction.
-        """
-        coeffs = np.zeros(self.basis.dim)
-        coeffs[problem.dof_indices] = problem.solve(rhs_reduced[problem.dof_indices])
-        return self.basis.matrix @ coeffs
-
     def responses(self, j: int) -> tuple[sp.csc_matrix, sp.csc_matrix]:
         """Face- and element-seed response matrices of the ``j``-layer projections.
 
@@ -424,13 +408,6 @@ class RingProfile:
         least-squares line through the profile would hide them."""
         steps = self.step_ratios()
         return float(steps.max()) if steps.size else 0.0
-
-    def to_csv(self, path: str) -> None:
-        cum = self.cumulative_fraction()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("seed_kind,seed_index,ring,energy,cumulative_fraction\n")
-            for r, (e, c) in enumerate(zip(self.energies, cum)):
-                fh.write(f"{self.seed[0]},{self.seed[1]},{r},{float(e)!r},{float(c)!r}\n")
 
 
 def _fit_ratio(energies: np.ndarray, total: float, start: int = 1) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "LocalAssemblyError",
     "assemble_all",
     "apply_T",
-    "apply_Ttilde",
     "edge_blocks",
     "load_functionals",
     "local_solve",
@@ -59,20 +58,17 @@ class ElementCache(Stacked):
     is the :class:`FinePartition`.
     """
 
-    STACKED = ("elem", "geom", "tensors", "rho", "stiffness", "mass", "mean_vector",
-               "flux_potentials", "flux_energy", "a_min", "a_max", "_inverse")
+    STACKED = ("elem", "geom", "tensors", "stiffness", "mass", "mean_vector",
+               "flux_potentials", "flux_energy", "_inverse")
 
     elem: np.ndarray | int                  # (ne,) element ids
     geom: FinePartition
     tensors: np.ndarray          # (ne, nc, 2, 2)
-    rho: np.ndarray              # (ne, nc)
     stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
     mass: np.ndarray             # (ne, nn, nn) rho-weighted P1 mass
     mean_vector: np.ndarray      # (ne, nn) integral of rho * phi_i
     flux_potentials: np.ndarray  # (ne, nn, n_bf) T_e: potentials T mu_b of the fine-face fluxes
     flux_energy: np.ndarray      # (ne, n_bf, n_bf) pairings (mu_a, T mu_b)
-    a_min: np.ndarray            # (ne,) smallest tensor eigenvalue
-    a_max: np.ndarray            # (ne,) largest tensor eigenvalue
     _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) inverse of the constrained stiffness
 
 
@@ -206,10 +202,8 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
     trace = part.trace_matrix
     potentials = saddle_solve(stiffness, mean_vector, inverse, trace.swapaxes(-1, -2))
     flux_energy = _sym(trace @ potentials)   # static condensation B[a, b] = (mu_a, T mu_b)
-    a_min, a_max = field_a.element_eigen_bounds()
     return ElementCache(
-        np.arange(ne), part, tensors, rho, stiffness, mass, mean_vector, potentials, flux_energy,
-        a_min, a_max, inverse,
+        np.arange(ne), part, tensors, stiffness, mass, mean_vector, potentials, flux_energy, inverse
     )
 
 
@@ -223,11 +217,6 @@ def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
     """
     nodal = np.einsum("...bn,...b->...n", cache.geom.trace_matrix, side)
     return local_solve(cache, nodal)
-
-
-def apply_Ttilde(cache: ElementCache, g: np.ndarray) -> np.ndarray:
-    """Local load-to-potential solves for P1 nodal loads ``g`` ``(..., nn)``."""
-    return local_solve(cache, (cache.mass @ np.asarray(g, dtype=float)[..., None])[..., 0])
 
 
 def local_solve(cache: ElementCache, nodal: np.ndarray) -> np.ndarray:

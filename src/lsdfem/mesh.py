@@ -116,20 +116,6 @@ class CoarseMesh:
         """Mesh size H: the largest element diameter."""
         return float(self.diameters.max())
 
-    def face_sign(self, elem: int, face: int) -> int:
-        """+1 if ``n_F`` points outward from ``elem``, else -1."""
-        if self.face_left[face] == elem:
-            return 1
-        if self.face_right[face] == elem:
-            return -1
-        raise MeshError(f"face {face} is not incident to element {elem}")
-
-    def face_elements(self, face: int) -> tuple[int, ...]:
-        """Incident element ids (one for boundary faces, two otherwise)."""
-        if self.face_boundary[face]:
-            return (int(self.face_left[face]),)
-        return (int(self.face_left[face]), int(self.face_right[face]))
-
 
 def _triangle_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed areas and circumradius/inradius ratios (not finite if degenerate) of triangles ``p``."""

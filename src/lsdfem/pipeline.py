@@ -35,7 +35,6 @@ from .localize import (
 )
 from .localop import (
     ElementCache,
-    apply_Ttilde,
     assemble_all,
     broken_energy,
     load_functionals,
@@ -372,8 +371,9 @@ def solve_lambda0(assembly: Assembly, g: np.ndarray) -> np.ndarray:
 
 
 def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
-    """Load potential of every element, ``(ne, nn)``."""
-    return apply_Ttilde(assembly.caches, g)
+    """Load potential ``T~ g`` of every element, ``(ne, nn)``: one local solve of ``M g``."""
+    caches = assembly.caches
+    return local_solve(caches, (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0])
 
 
 @dataclass

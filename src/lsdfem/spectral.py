@@ -23,7 +23,6 @@ kernels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +37,9 @@ __all__ = [
     "FaceSpectrum",
     "ElementSpectrum",
     "gensym_eig",
-    "face_spectrum",
     "all_face_spectra",
-    "element_spectrum",
     "all_element_spectra",
     "project_rhs",
-    "spectrum_dump",
 ]
 
 
@@ -104,7 +100,6 @@ class FaceSpectrum(Stacked):
     face: np.ndarray | int      # (nf,) coarse face ids
     alphas: np.ndarray          # (nf, m) ascending
     vectors: np.ndarray         # (nf, m, m) columns in zero-mean coordinates
-    alpha_stab: float
     n_delta: np.ndarray | int   # (nf,)
 
     @property
@@ -116,44 +111,27 @@ class FaceSpectrum(Stacked):
         return self.alphas.shape[-1] == 0
 
 
-def face_spectrum(
-    space: TraceSpace,
-    caches: ElementCache,
-    face: int,
-    alpha_stab: float,
-) -> FaceSpectrum:
-    """Solve the face pencil: full energy against soft-extension energy.
-
-    Interior faces sum the two incident elements' blocks; boundary faces
-    use the single incident element.  A face with a single fine sub-face
-    has no zero-average modes and yields an empty spectrum.
-    """
-    return _face_spectra(space, caches, np.array([face]), alpha_stab)[0]
-
-
 def all_face_spectra(space: TraceSpace, caches: ElementCache, alpha_stab: float) -> FaceSpectrum:
-    """Pencils of all coarse faces, solved as one stack; ``spectra[f]`` is face f's view."""
-    return _face_spectra(space, caches, np.arange(space.n_coarse_faces), alpha_stab)
+    """Solve every face pencil: full energy against soft-extension energy, as one stack.
 
-
-def _face_spectra(
-    space: TraceSpace, caches: ElementCache, faces: np.ndarray, alpha_stab: float
-) -> FaceSpectrum:
-    """Pencils of ``faces``: the edge blocks of all incident elements as one
-    stack, summed per face, then one stacked :func:`gensym_eig`."""
+    The edge blocks of all elements are summed per face, so interior faces
+    sum their two incident elements' blocks and boundary faces use the
+    single incident element; then one stacked :func:`gensym_eig` solves
+    them.  A face with a single fine sub-face has no zero-average modes
+    and an empty pencil.  ``spectra[f]`` is face f's view.
+    """
     if alpha_stab < 1.0:
         raise ValueError("alpha_stab must be >= 1")
     mesh = space.mesh
     m = space.zero_mean.shape[1]
-    elems = np.setdiff1d(np.concatenate((mesh.face_left[faces], mesh.face_right[faces])), -1)
-    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy[elems], elems)
+    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy, caches.elem)
     sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
-    np.add.at(sums, mesh.element_faces[elems], np.stack((t_ff, t_hat), axis=2))
+    np.add.at(sums, mesh.element_faces, np.stack((t_ff, t_hat), axis=2))
     try:
-        alphas, vectors = gensym_eig(sums[faces, 0], sums[faces, 1])
+        alphas, vectors = gensym_eig(sums[:, 0], sums[:, 1])
     except NotSPDError as exc:
-        raise NotSPDError(exc.pivot, f"soft-extension energy of face {faces[exc.item]}") from exc
-    return FaceSpectrum(faces, alphas, vectors, alpha_stab, (alphas < alpha_stab).sum(axis=1))
+        raise NotSPDError(exc.pivot, f"soft-extension energy of face {exc.item}") from exc
+    return FaceSpectrum(np.arange(mesh.n_faces), alphas, vectors, (alphas < alpha_stab).sum(axis=1))
 
 
 @dataclass
@@ -186,13 +164,8 @@ class ElementSpectrum(Stacked):
         return np.take_along_axis(padded, j[..., None], axis=-1)[..., 0]
 
 
-def element_spectrum(cache: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
-    """Neumann pencil of one element's view ``caches[t]``."""
-    return all_element_spectra(cache, h_target, c_j)[0]
-
-
 def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
-    """Neumann pencils of all elements (or of one element's view): every eigenvalue, kept modes only.
+    """Neumann pencils of all elements: every eigenvalue, kept modes only.
 
     The eigenvalues come from one LAPACK ``dsygvd`` per element, without
     eigenvectors.  An element that keeps one mode keeps the M-normalized
@@ -202,8 +175,8 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     """
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
-    elems, nn = np.atleast_1d(caches.elem), caches.stiffness.shape[-1]
-    stiffness, mass = caches.stiffness.reshape(-1, nn, nn), caches.mass.reshape(-1, nn, nn)
+    elems, stiffness, mass = caches.elem, caches.stiffness, caches.mass
+    nn = stiffness.shape[-1]
     sigma = np.empty((len(elems), nn))
     for t in range(len(elems)):
         # Symmetric matrices: the transposes are copy-free Fortran-ordered views.
@@ -249,23 +222,3 @@ def project_rhs(
     mass_dropped = caches.mass @ dropped[..., None]
     norms = np.sqrt(np.maximum((dropped[..., None, :] @ mass_dropped)[..., 0, 0], 0.0))
     return projected, norms, (mass_g - mass_dropped)[..., 0]
-
-
-def spectrum_dump(spectra: FaceSpectrum, path: str | None = None) -> dict:
-    """JSON-able summary: per face, the eigenvalue list and split index."""
-    payload = {
-        "faces": [
-            {
-                "face": s.face,
-                "alphas": s.alphas.tolist(),
-                "n_delta": s.n_delta,
-                "n_pi": s.n_pi,
-                "alpha_stab": s.alpha_stab,
-            }
-            for s in spectra
-        ]
-    }
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-    return payload

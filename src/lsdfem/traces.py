@@ -32,10 +32,8 @@ from .mesh import CoarseMesh, FinePartition
 __all__ = [
     "TraceSpace",
     "build_trace_space",
-    "pairing",
     "element_functionals",
     "boundary_functional",
-    "decompose",
     "solve_V0_pairing",
     "zero_mean_basis",
 ]
@@ -81,16 +79,6 @@ class TraceSpace:
             raise ValueError("trace vector has wrong length")
         return values
 
-    def expand_face_constants(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-coarse-face coefficients -> stored fine-face values."""
-        return np.repeat(coeffs, self.part.faces_per_coarse)
-
-    def face_integrals(self, values: np.ndarray) -> np.ndarray:
-        """Integral of mu over each coarse face (stored orientation)."""
-        nfs = self.part.faces_per_coarse
-        weighted = values * self.part.fine_measures
-        return weighted.reshape(self.n_coarse_faces, nfs).sum(axis=1)
-
     def factorization(self) -> spla.SuperLU:
         if self._lu is None:
             try:
@@ -98,12 +86,6 @@ class TraceSpace:
             except RuntimeError as exc:  # pragma: no cover - cannot occur on valid meshes
                 raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
         return self._lu
-
-    def is_tilde(self, mu: np.ndarray, tol: float = 1e-10) -> bool:
-        """Membership test: (mu, 1_tau) = 0 for every element."""
-        r = self.pair_v0 @ mu
-        scale = max(np.abs(mu).max(), 1.0)
-        return bool(np.abs(r).max() <= tol * scale)
 
     def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stored values from per-element boundary-row values ``(ne, n_bf)``, summed per fine face."""
@@ -175,19 +157,6 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     )
 
 
-def pairing(space: TraceSpace, mu: np.ndarray, v: np.ndarray) -> float:
-    """The broken duality pairing (mu, v) summed over element boundaries.
-
-    ``v`` is either a piecewise constant, one value per element ``(ne,)``,
-    or a broken function given by its P1 nodal values on each element's
-    interior triangulation, ``(ne, nn)``.
-    Exact for P1 traces (trapezoid rule per fine boundary edge).
-    """
-    if np.ndim(v) == 1:
-        return float(v @ (space.pair_v0 @ mu))
-    return float(mu @ boundary_functional(space, v))
-
-
 def element_functionals(space: TraceSpace, v: np.ndarray) -> np.ndarray:
     """Stored-orientation boundary functional of each element's part of ``v``.
 
@@ -224,18 +193,3 @@ def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray, transpose: bool = False
     if not np.all(np.isfinite(x)):
         raise AssertionError("constant-pairing solve produced non-finite values")
     return x
-
-
-def decompose(space: TraceSpace, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split mu into (jump part, face-constant part, zero-face-average part).
-
-    The jump part matches mu against all piecewise constants, the
-    face-constant part is the facewise average of the remainder, and what
-    is left has zero mean on every coarse face.  The three parts sum back
-    to mu exactly.
-    """
-    coeffs = solve_V0_pairing(space, space.pair_v0 @ mu, transpose=True)
-    mu0 = space.jump_basis @ coeffs
-    r = mu - mu0
-    mu_t0 = space.expand_face_constants(space.face_integrals(r) / space.mesh.face_measures)
-    return mu0, mu_t0, r - mu_t0

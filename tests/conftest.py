@@ -28,6 +28,18 @@ def random_tilde_f(space, rng):
     return out
 
 
+def constant_field(part, value=1.0):
+    """The coefficient ``value * I`` on every fine cell."""
+    return CoefficientField.from_scalar_function(part, lambda pts: np.full(len(pts), float(value)))
+
+
+def face_elements(mesh, face):
+    """Incident element ids of a coarse face: one on the boundary, (left, right) otherwise."""
+    if mesh.face_boundary[face]:
+        return (int(mesh.face_left[face]),)
+    return (int(mesh.face_left[face]), int(mesh.face_right[face]))
+
+
 def face_rows(part, elem):
     """Coarse face id -> element ``elem``'s boundary rows on it, ordered by sub-face."""
     rows = np.arange(3 * part.faces_per_coarse).reshape(3, part.faces_per_coarse)

@@ -116,6 +116,18 @@ def test_bad_spec_value_exits_2(tmp_path, capsys, spec, named):
     assert "config error" in err and named in err
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["out-is-a-file", "out-under-a-file"])
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys, below):
+    # An existing file, or a path through one, cannot be the output directory.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = str(afile.joinpath(*below))
+    assert cli.main(["--config", write_spec(tmp_path, BASE), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out!r}" in err
+    assert afile.read_text() == ""
+
+
 def test_non_spd_upscaled_gram_exits_3(tmp_path, capsys, monkeypatch):
     # A negated upscaled Gram fails the SPD check of its factor: exit 3, naming the stage.
     factor = pipeline.spd_factor

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_field
 from lsdfem.coeff import (
     CoefficientError,
     CoefficientField,
@@ -19,7 +20,7 @@ def part():
 
 
 def test_identity_contrast(part):
-    stats = local_bounds(CoefficientField.identity(part))
+    stats = local_bounds(constant_field(part))
     assert np.allclose(stats.kappa_local, 1.0)
     assert stats.kappa == 1.0
     assert stats.beta == pytest.approx(1.0 + np.log(part.mesh.coarse_size / part.fine_size))
@@ -52,9 +53,8 @@ def test_scaling_property(part):
     def fn(points):
         return 1.0 + points[:, 0]
 
-    field = CoefficientField.from_scalar_function(part, fn)
-    base = local_bounds(field)
-    scaled = local_bounds(field.scaled(3.5))
+    base = local_bounds(CoefficientField.from_scalar_function(part, fn))
+    scaled = local_bounds(CoefficientField.from_scalar_function(part, lambda points: 3.5 * fn(points)))
     assert np.allclose(scaled.a_min_local, 3.5 * base.a_min_local, rtol=1e-14)
     assert np.allclose(scaled.a_max_local, 3.5 * base.a_max_local, rtol=1e-14)
     assert np.allclose(scaled.kappa_local, base.kappa_local, rtol=1e-14)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_assembly, random_tilde_f
+from conftest import face_elements, make_assembly, random_tilde_f
 from lsdfem.coeff import local_bounds, make_weight
 from lsdfem import localize
 from lsdfem.localize import (
@@ -20,6 +20,24 @@ from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.presets import coefficient_field
 from lsdfem.traces import boundary_functional, build_trace_space, element_functionals
 from test_mesh import layers_bruteforce, meshes
+
+
+def patch_solve(problem, rhs):
+    """Solves with the factored patch Gram of ``problem``, for right-hand sides on its basis columns."""
+    if isinstance(problem.factor, tuple):
+        return scipy.linalg.cho_solve(problem.factor, rhs)
+    return problem.factor.solve(rhs)
+
+
+def solve_patch(proj, problem, rhs_reduced):
+    """Galerkin solve on the patch subspace for a functional tested against the full basis.
+
+    Only the patch entries of ``rhs_reduced`` participate; the stored
+    values vanish outside the patch faces by construction.
+    """
+    coeffs = np.zeros(proj.basis.dim)
+    coeffs[problem.dof_indices] = patch_solve(problem, rhs_reduced[problem.dof_indices])
+    return proj.basis.matrix @ coeffs
 
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
@@ -106,12 +124,12 @@ def test_delta_equals_plain_when_no_retained_modes(asm_smooth_4):
 def test_patch_zero_rhs_and_support(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     problem = proj.patch_problem(("element", 5), 1)
-    out = proj.solve_patch(problem, np.zeros(proj.basis.dim))
+    out = solve_patch(proj, problem, np.zeros(proj.basis.dim))
     assert np.abs(out).max() == 0.0
     # Support: structural zero outside the patch faces.
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(proj.basis.dim)
-    out = proj.solve_patch(problem, rhs)
+    out = solve_patch(proj, problem, rhs)
     nfs = asm_mixed.part.faces_per_coarse
     active = set(problem.active_faces.tolist())
     for f in range(asm_mixed.mesh.n_faces):
@@ -125,7 +143,7 @@ def test_patch_active_faces_inside_layer(asm_mixed):
         problem = proj.patch_problem(("face", 7), j)
         layer = element_layers(asm_mixed.mesh, ("face", 7), j)
         for f in problem.active_faces:
-            for e in asm_mixed.mesh.face_elements(int(f)):
+            for e in face_elements(asm_mixed.mesh, int(f)):
                 assert e in layer
 
 
@@ -151,7 +169,7 @@ def test_patch_galerkin_optimality(asm_mixed):
     on_face = np.arange(asm_mixed.space.n_fine) // asm_mixed.part.faces_per_coarse == 9
     lamF = np.where(on_face, lam_f, 0.0)
     rhs = proj.basis.matrix.T @ (asm_mixed.energy @ lamF)
-    sol = proj.solve_patch(problem, rhs)
+    sol = solve_patch(proj, problem, rhs)
     target = proj.project_functional(asm_mixed.energy @ lamF)  # global reference
 
     def err_energy(cand_values):
@@ -177,7 +195,7 @@ def response_matrix_reference(proj, kind, j):
     space, mesh = proj.space, proj.space.mesh
     if kind == "face":
         n_seeds, rhs = mesh.n_faces, (proj.basis.matrix.T @ proj.energy).toarray()
-        firsts = [set(mesh.face_elements(f)) for f in range(n_seeds)]
+        firsts = [set(face_elements(mesh, f)) for f in range(n_seeds)]
     else:
         n_seeds, rhs = mesh.n_elements, proj.basis.matrix.T.toarray()[:, space.part.boundary_face_ids.ravel()]
         firsts = [{e} for e in range(n_seeds)]
@@ -237,7 +255,7 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
         np.add.at(r, rows, x)
         block = element_r[:, seed[1] * rows.size : (seed[1] + 1) * rows.size].toarray()
     problem = proj.patch_problem(seed, j)
-    expected = proj.solve_patch(problem, proj.basis.matrix.T @ r)
+    expected = solve_patch(proj, problem, proj.basis.matrix.T @ r)
     assert np.abs(proj.basis.matrix @ (block @ x) - expected).max() <= 1e-12 * np.abs(expected).max()
     col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
     assert not block[~np.isin(col_face, problem.active_faces)].any()
@@ -316,7 +334,8 @@ def test_responses_equal_per_seed_patch_problems(asm_mixed, chunk_bytes, monkeyp
                 indices.append(np.tile(problem.dof_indices, width))
                 dims.append(problem.dim)
                 if problem.dim:
-                    data.append(problem.solve(rhs[problem.dof_indices, s * width : (s + 1) * width]).T.ravel())
+                    block = rhs[problem.dof_indices, s * width : (s + 1) * width]
+                    data.append(patch_solve(problem, block).T.ravel())
             assert np.array_equal(got.indptr, np.concatenate(([0], np.cumsum(np.repeat(dims, width)))))
             assert np.array_equal(got.indices, np.concatenate(indices))
             ref = np.concatenate(data)
@@ -474,17 +493,6 @@ def test_ring_decay_smooth_coefficient(asm_smooth_4):
     assert prof.worst_step < 1.0
     tail = prof.energies[2:]
     assert np.all(np.diff(tail) <= 1e-12 * prof.total)
-
-
-def test_ring_profile_csv(tmp_path, asm_smooth_4):
-    rng = np.random.default_rng(29)
-    mu = rng.standard_normal(asm_smooth_4.space.n_fine)
-    prof = ring_energies(asm_smooth_4.mesh, asm_smooth_4.caches, mu, ("element", 3))
-    path = str(tmp_path / "rings.csv")
-    prof.to_csv(path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "seed_kind,seed_index,ring,energy,cumulative_fraction"
-    assert len(lines) == len(prof.energies) + 1
 
 
 def test_element_seeded_error_monotone_smooth(asm_smooth_4):

@@ -5,13 +5,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_rows, face_split, make_assembly
+from conftest import constant_field, face_elements, face_rows, face_split, make_assembly
 from lsdfem.coeff import CoefficientField, Raster, make_weight
 from lsdfem.localop import (
     LocalAssemblyError,
     apply_T,
-    apply_Ttilde,
     assemble_all,
+    local_solve,
     scatter_blocks,
 )
 from lsdfem.coeff import _sym_eig_bounds, local_bounds
@@ -21,6 +21,11 @@ from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.spectral import all_element_spectra, all_face_spectra
 from lsdfem.traces import build_trace_space
 from test_mesh import meshes
+
+
+def apply_Ttilde(cache, g):
+    """Local load-to-potential solves ``T~ g`` for P1 nodal loads ``g`` ``(..., nn)``: one solve of ``M g``."""
+    return local_solve(cache, (cache.mass @ np.asarray(g, dtype=float)[..., None])[..., 0])
 
 
 def identity_flux_energy(cache):
@@ -79,8 +84,7 @@ def test_apply_T_zero_and_zero_average(asm_mixed):
 
 def test_apply_T_scaling_in_coefficient():
     part = refine_faces(build_structured_mesh(1, 1), 1)
-    ident = CoefficientField.identity(part)
-    scaled = ident.scaled(7.0)
+    ident, scaled = constant_field(part), constant_field(part, 7.0)
     w1 = make_weight("one", ident)
     c1 = assemble_all(ident, w1, part)[0]
     c7 = assemble_all(scaled, make_weight("one", scaled), part)[0]
@@ -110,10 +114,10 @@ def test_apply_Ttilde_constant_is_zero(asm_mixed):
 
 
 def test_apply_Ttilde_eigenfunction_identity(asm_mixed):
-    from lsdfem.spectral import element_spectrum, gensym_eig
+    from lsdfem.spectral import gensym_eig
 
     cache = asm_mixed.caches[7]
-    spec = element_spectrum(cache, h_target=1.0)
+    spec = all_element_spectra(asm_mixed.caches, h_target=1.0)[7]
     vectors = gensym_eig(cache.stiffness, cache.mass)[1]   # every mode, not just the kept ones
     for i in (1, 2, 5):
         v = vectors[:, i]
@@ -184,8 +188,8 @@ def test_energy_sandwich_with_identity_twin(asm_mixed):
             e = mu @ (b @ mu)
             e_id = mu @ (b_id @ mu)
             slack = 1e-11 * max(e, e_id)
-            assert e >= e_id / cache.a_max - slack
-            assert e <= e_id / cache.a_min + slack
+            assert e >= e_id / asm_mixed.stats.a_max_local[cache.elem] - slack
+            assert e <= e_id / asm_mixed.stats.a_min_local[cache.elem] + slack
 
 
 def test_flux_energy_positive_on_zero_average(asm_mixed):
@@ -231,7 +235,7 @@ def test_zero_tensor_names_its_element():
     # A field built directly (no _finalize check) with a zero tensor on one
     # element: its constrained system is singular, and the error names it.
     part = refine_faces(build_structured_mesh(2, 2), 1)
-    ident = CoefficientField.identity(part)
+    ident = constant_field(part)
     tensors = [t.copy() for t in ident.tensors]
     tensors[5][:] = 0.0
     broken = CoefficientField(part, tensors, ident.a_min, ident.a_max)
@@ -320,7 +324,7 @@ def reference_face_alphas(space, flux_energies, face):
     m = z.shape[1]
     t_sum = np.zeros((m, m))
     that_sum = np.zeros((m, m))
-    for e in space.mesh.face_elements(face):
+    for e in face_elements(space.mesh, face):
         rows = face_rows(space.part, e)
         rows_f = rows[face]
         rows_c = np.concatenate([r for f, r in rows.items() if f != face])
@@ -360,6 +364,7 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
     sides = rng.standard_normal(part.boundary_face_ids.shape)
     loads = rng.standard_normal(part.nodes.shape[:2])
     potentials, load_potentials = apply_T(caches, sides), apply_Ttilde(caches, loads)
+    stats = local_bounds(coeff)
     for t, cache in enumerate(caches):
         geom = cache.geom
         assert np.array_equal(geom.trace_matrix, reference_trace(part, t))
@@ -385,11 +390,11 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
             (apply_Ttilde(cache, loads[t]), ref_tt),
         ):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
-        assert cache.a_min == _sym_eig_bounds(coeff.tensors[t])[0].min()
-        assert cache.a_max == _sym_eig_bounds(coeff.tensors[t])[1].max()
+        assert stats.a_min_local[t] == _sym_eig_bounds(coeff.tensors[t])[0].min()
+        assert stats.a_max_local[t] == _sym_eig_bounds(coeff.tensors[t])[1].max()
 
     # One staged solve on the same mesh keeps every element in equilibrium.
-    asm = Assembly(mesh, part, caches, space, build_flux_energy(space, caches), local_bounds(coeff))
+    asm = Assembly(mesh, part, caches, space, build_flux_energy(space, caches), stats)
     g = sample_load(part, lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2)
     assert solve_lsd(asm, g, 1).diagnostics["equilibrium_rel_max"] <= 1e-10
 

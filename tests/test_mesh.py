@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import face_elements
 from lsdfem.mesh import (
     MeshError,
     build_mesh,
@@ -45,12 +46,12 @@ def test_face_orientation_and_signs():
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         # Normal points away from the left element.
         assert np.dot(n, mid - mesh.centroids[left]) > 0
-        assert mesh.face_sign(left, f) == 1
-        if mesh.face_right[f] >= 0:
-            assert mesh.face_sign(mesh.face_right[f], f) == -1
+        # The element-side sign is +1 for the left element and -1 for the right one.
+        for elem, sign in ((left, 1), (mesh.face_right[f], -1)):
+            if elem >= 0:
+                assert mesh.element_face_signs[elem, list(mesh.element_faces[elem]).index(f)] == sign
     # Interior faces have two incident elements, boundary faces one.
-    for f in range(mesh.n_faces):
-        assert len(mesh.face_elements(f)) == (1 if mesh.face_boundary[f] else 2)
+    assert np.array_equal(mesh.face_right >= 0, ~mesh.face_boundary)
 
 
 def layers_bruteforce(mesh, first, j):
@@ -75,7 +76,7 @@ def test_layers_match_bruteforce_oracle():
         got = element_layers(mesh, ("element", corner), j)
         assert set(got.tolist()) == layers_bruteforce(mesh, {corner}, j)
     face = int(mesh.element_faces[10, 0])
-    first = set(mesh.face_elements(face))
+    first = set(face_elements(mesh, face))
     for j in range(0, 3):
         got = element_layers(mesh, ("face", face), j)
         assert set(got.tolist()) == layers_bruteforce(mesh, first, j)
@@ -86,7 +87,7 @@ def test_layer_basics_and_nesting():
     assert len(element_layers(mesh, ("element", 3), 0)) == 0
     assert set(element_layers(mesh, ("element", 3), 1).tolist()) == {3}
     f_int = next(f for f in range(mesh.n_faces) if not mesh.face_boundary[f])
-    assert set(element_layers(mesh, ("face", f_int), 1).tolist()) == set(mesh.face_elements(f_int))
+    assert set(element_layers(mesh, ("face", f_int), 1).tolist()) == set(face_elements(mesh, f_int))
     prev = element_layers(mesh, ("element", 0), 1)
     for j in range(2, 8):
         cur = element_layers(mesh, ("element", 0), j)
@@ -160,7 +161,7 @@ def test_layer_graph_matches_references(mesh, data):
     elem = data.draw(st.integers(0, mesh.n_elements - 1))
     face = data.draw(st.integers(0, mesh.n_faces - 1))
     neighbors = closure_neighbors(mesh)
-    for seed, first in ((("element", elem), {elem}), (("face", face), set(mesh.face_elements(face)))):
+    for seed, first in ((("element", elem), {elem}), (("face", face), set(face_elements(mesh, face)))):
         for j in range(5):
             got = element_layers(mesh, seed, j)
             assert got.dtype.kind == "i"

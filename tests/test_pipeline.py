@@ -36,6 +36,7 @@ from lsdfem.pipeline import (
     solve_lsd,
     solve_upscaled,
 )
+from lsdfem.presets import coefficient_field
 from lsdfem.traces import boundary_functional, build_trace_space, element_functionals
 
 
@@ -568,17 +569,22 @@ def test_reduction_error_bound(asm_mixed):
 
 
 def test_weighted_norm_duality(asm_mixed):
-    # ||g||_{rho} equals ||f||_{1/rho} with f = rho g, via cellwise quadrature.
-    g = sample_load(asm_mixed.part, smooth_g)
-    norm_g = load_norm(asm_mixed.caches, g)
+    # ||g||_{rho} equals ||f||_{1/rho} with f = rho g, via cellwise quadrature,
+    # for a weight rho that varies from cell to cell.
+    part = asm_mixed.part
+    field = coefficient_field(part, "checkerboard", {"contrast": 1e3, "cells": 4})
+    rho = make_weight("a_plus", field)
+    caches = assemble_all(field, rho, part)
+    g = sample_load(part, smooth_g)
+    norm_g = load_norm(caches, g)
     total = 0.0
-    for cache in asm_mixed.caches:
+    for cache in caches:
         geom = cache.geom
-        gv = g[cache.elem]
+        gv, rv = g[cache.elem], rho[cache.elem]
         for c, cell in enumerate(geom.cells):
             mids = np.array([0.5 * (gv[cell[i]] + gv[cell[(i + 1) % 3]]) for i in range(3)])
-            f_mid = cache.rho[c] * mids
-            total += geom.cell_areas[c] / 3.0 * float((f_mid**2 / cache.rho[c]).sum())
+            f_mid = rv[c] * mids
+            total += geom.cell_areas[c] / 3.0 * float((f_mid**2 / rv[c]).sum())
     assert norm_g**2 == pytest.approx(total, rel=1e-12)
 
 

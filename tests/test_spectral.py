@@ -1,20 +1,17 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import face_split, make_assembly
+from conftest import face_elements, face_split, make_assembly
+from lsdfem.localop import edge_blocks
 from lsdfem.spectral import (
     NotSPDError,
     all_element_spectra,
     all_face_spectra,
-    element_spectrum,
-    face_spectrum,
     gensym_eig,
     project_rhs,
-    spectrum_dump,
 )
 
 
@@ -102,12 +99,14 @@ def test_face_pencil_not_spd_names_face(asm_mixed):
     flux_energy = asm_mixed.caches.flux_energy.copy()
     flux_energy[elem] -= s * np.outer(w, w)
     caches = dataclasses.replace(asm_mixed.caches, flux_energy=flux_energy)
-    with pytest.raises(NotSPDError, match=rf"soft-extension energy of face {face}\)"):
-        face_spectrum(space, caches, face, alpha_stab=2.0)
     with pytest.raises(NotSPDError, match="soft-extension energy of face") as err:
         all_face_spectra(space, caches, alpha_stab=2.0)
     named = int(str(err.value).rsplit("face ", 1)[1].rstrip(")"))
     assert named in mesh.element_faces[elem]
+    # The named face's summed soft-extension energy is indefinite indeed.
+    t_hat = edge_blocks(space, caches.flux_energy, caches.elem)[3]
+    t_sum = sum(t_hat[e, list(mesh.element_faces[e]).index(named)] for e in face_elements(mesh, named))
+    assert np.linalg.eigvalsh(t_sum).min() < 0.0
 
 
 def test_complementary_block_not_spd_names_element_and_face(asm_mixed):
@@ -118,7 +117,7 @@ def test_complementary_block_not_spd_names_element_and_face(asm_mixed):
     flux_energy[elem] *= -1.0
     caches = dataclasses.replace(asm_mixed.caches, flux_energy=flux_energy)
     with pytest.raises(AssertionError, match=rf"element {elem}, face {face}: complementary block not SPD"):
-        face_spectrum(asm_mixed.space, caches, face, alpha_stab=2.0)
+        all_face_spectra(asm_mixed.space, caches, alpha_stab=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +129,9 @@ def asm_channel():
 
 def test_face_spectrum_empty_when_single_subface():
     asm = make_assembly(2, 2, 0)
-    spec = face_spectrum(asm.space, asm.caches, 0, alpha_stab=4.0)
-    assert spec.empty
-    assert spec.n_delta == 0 and spec.n_pi == 0
+    for spec in all_face_spectra(asm.space, asm.caches, alpha_stab=4.0):
+        assert spec.empty
+        assert spec.n_delta == 0 and spec.n_pi == 0
 
 
 def test_face_spectrum_pi_empty_when_threshold_above_max(asm_smooth_4):
@@ -176,7 +175,7 @@ def test_channel_face_has_large_eigenvalue(asm_channel):
     m = asm_channel.space.zero_mean.shape[1]
     t_sum = np.zeros((m, m))
     that_sum = np.zeros((m, m))
-    for e in asm_channel.mesh.face_elements(f):
+    for e in face_elements(asm_channel.mesh, f):
         t_ff, t_ffc, t_fcfc, _ = face_split(asm_channel, e, f)
         t_sum += t_ff
         # Explicit constrained minimization, not the cached Schur path:
@@ -193,38 +192,37 @@ def test_face_eigvectors_orthonormal_in_schur_energy(asm_mixed):
         if s.empty:
             continue
         that = np.zeros((s.vectors.shape[0],) * 2)
-        for e in asm_mixed.mesh.face_elements(s.face):
+        for e in face_elements(asm_mixed.mesh, s.face):
             that += face_split(asm_mixed, e, s.face)[3]
         gram = s.vectors.T @ that @ s.vectors
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
 
 def test_split_monotone_in_threshold(asm_mixed):
-    f = next(
-        f for f in range(asm_mixed.mesh.n_faces)
-        if not face_spectrum(asm_mixed.space, asm_mixed.caches, f, 1.0).empty
-    )
+    def face_spectrum(f, alpha):
+        return all_face_spectra(asm_mixed.space, asm_mixed.caches, alpha)[f]
+
+    f = next(f for f in range(asm_mixed.mesh.n_faces) if not face_spectrum(f, 1.0).empty)
     sizes = []
     for alpha in (1.0, 2.0, 5.0, 50.0, 1e9):
-        s = face_spectrum(asm_mixed.space, asm_mixed.caches, f, alpha)
+        s = face_spectrum(f, alpha)
         sizes.append(s.n_pi)
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     # Ties go to the retained block: threshold exactly at an eigenvalue.
-    s0 = face_spectrum(asm_mixed.space, asm_mixed.caches, f, 1.0)
+    s0 = face_spectrum(f, 1.0)
     alpha_t = float(s0.alphas[-1])
-    s_tie = face_spectrum(asm_mixed.space, asm_mixed.caches, f, alpha_t)
+    s_tie = face_spectrum(f, alpha_t)
     assert s_tie.n_pi >= 1
 
 
 def test_element_spectrum_basics(asm_mixed):
-    cache = asm_mixed.caches[4]
-    spec = element_spectrum(cache, h_target=0.5)
+    spec = all_element_spectra(asm_mixed.caches, h_target=0.5)[4]
     assert spec.sigma[0] == pytest.approx(0.0, abs=1e-9)
     v0 = spec.vectors[:, 0]
     assert np.abs(v0 - v0[0]).max() < 1e-8 * abs(v0[0])
     assert np.all(np.diff(spec.sigma) >= -1e-9)
     # h_target huge: only the constant survives.
-    spec_inf = element_spectrum(cache, h_target=1e9)
+    spec_inf = all_element_spectra(asm_mixed.caches, h_target=1e9)[4]
     assert spec_inf.j_count == 1
     assert spec.j_count >= 1
 
@@ -236,9 +234,6 @@ def test_element_spectra_stack_and_views(asm_mixed):
     assert len(spectra) == asm_mixed.mesh.n_elements
     for t, spec in enumerate(spectra):
         assert spec.elem == t and np.shares_memory(spec.vectors, spectra.vectors)
-        single = element_spectrum(asm_mixed.caches[t], h_target=0.5)
-        assert np.allclose(single.sigma, spec.sigma, rtol=1e-10, atol=1e-10)
-        assert single.j_count == spec.j_count
         first_dropped = spec.sigma[spec.j_count] if spec.j_count < len(spec.sigma) else np.inf
         assert spec.sigma_next == first_dropped == spectra.sigma_next[t]
     all_kept = all_element_spectra(asm_mixed.caches, h_target=1e-9)
@@ -330,7 +325,6 @@ def test_stacked_views(asm_mixed, family):
         assert_view_of(view, stack, i)
     if family == "face_spectra":
         assert [v.face for v in views] == list(range(n))
-        json.dumps(spectrum_dump(stack))
     elif family != "partition":
         assert [v.elem for v in views] == list(range(n))
     else:
@@ -342,7 +336,7 @@ def test_element_sigma2_against_dense_oracle():
     # one element against an independent dense eigensolve.
     asm = make_assembly(1, 1, 2)
     cache = asm.caches[0]
-    spec = element_spectrum(cache, h_target=1.0)
+    spec = all_element_spectra(asm.caches, h_target=1.0)[0]
     minv_k = np.linalg.solve(cache.mass, cache.stiffness)
     eigs = np.sort(np.real(np.linalg.eigvals(minv_k)))
     assert spec.sigma[1] == pytest.approx(eigs[1], rel=1e-8)
@@ -350,7 +344,7 @@ def test_element_sigma2_against_dense_oracle():
 
 def test_element_eigvector_double_orthogonality(asm_mixed):
     cache = asm_mixed.caches[1]
-    spec = element_spectrum(cache, h_target=0.5)
+    spec = all_element_spectra(asm_mixed.caches, h_target=0.5)[1]
     v = gensym_eig(cache.stiffness, cache.mass)[1]   # every mode, not just the kept ones
     gram_m = v.T @ cache.mass @ v
     assert np.abs(gram_m - np.eye(len(gram_m))).max() < 1e-9
@@ -384,8 +378,8 @@ def test_project_rhs_identities(asm_mixed):
 def test_sampled_poincare_inequality(asm_mixed):
     rng = np.random.default_rng(31)
     sampled = 0
-    for cache in list(asm_mixed.caches)[:6]:
-        spec = element_spectrum(cache, h_target=0.5)
+    spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
+    for cache, spec in list(zip(asm_mixed.caches, spectra))[:6]:
         j = spec.j_count
         tail = gensym_eig(cache.stiffness, cache.mass)[1][:, j:]   # the dropped modes
         if tail.shape[1] == 0:
@@ -397,15 +391,6 @@ def test_sampled_poincare_inequality(asm_mixed):
             energy = v @ (cache.stiffness @ v)
             assert mass <= energy / spec.sigma[j] * (1 + 1e-10)
     assert sampled
-
-
-def test_spectrum_dump(tmp_path, asm_smooth_4):
-    spectra = all_face_spectra(asm_smooth_4.space, asm_smooth_4.caches, alpha_stab=4.0)
-    path = str(tmp_path / "spec.json")
-    payload = spectrum_dump(spectra, path)
-    back = json.load(open(path))
-    assert back == payload
-    assert len(back["faces"]) == asm_smooth_4.mesh.n_faces
 
 
 def test_projection_idempotent_and_doubly_orthogonal(asm_mixed):

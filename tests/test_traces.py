@@ -5,16 +5,44 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from conftest import face_rows, lambda0_basis, pairing_bruteforce, random_tilde_f
+from conftest import face_elements, face_rows, lambda0_basis, pairing_bruteforce, random_tilde_f
 from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.traces import (
+    boundary_functional,
     build_trace_space,
-    decompose,
-    pairing,
     solve_V0_pairing,
     zero_mean_basis,
 )
+
+
+def pairing(space, mu, v):
+    """The broken duality pairing (mu, v) summed over element boundaries.
+
+    ``v`` is a piecewise constant ``(ne,)`` or a broken P1 nodal field ``(ne, nn)``.
+    """
+    if np.ndim(v) == 1:
+        return float(v @ (space.pair_v0 @ mu))
+    return float(mu @ boundary_functional(space, v))
+
+
+def face_integrals(space, values):
+    """Integral of the stored values over each coarse face."""
+    weighted = values * space.part.fine_measures
+    return weighted.reshape(space.n_coarse_faces, -1).sum(axis=1)
+
+
+def decompose(space, mu):
+    """Split mu into (jump part, face-constant part, zero-face-average part).
+
+    The jump part matches mu against all piecewise constants, the
+    face-constant part is the facewise average of the remainder, and what
+    is left has zero mean on every coarse face.
+    """
+    mu0 = space.jump_basis @ solve_V0_pairing(space, space.pair_v0 @ mu, transpose=True)
+    r = mu - mu0
+    mu_t0 = np.repeat(face_integrals(space, r) / space.mesh.face_measures, space.part.faces_per_coarse)
+    return mu0, mu_t0, r - mu_t0
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +65,7 @@ def test_side_views_are_negatives(space):
     for f in range(mesh.n_faces):
         if mesh.face_boundary[f]:
             continue
-        left, right = mesh.face_elements(f)
+        left, right = face_elements(mesh, f)
         rl = face_rows(space.part, left)[f]
         rr = face_rows(space.part, right)[f]
         sl = space.part[left].side_values(mu)[rl]
@@ -57,7 +85,7 @@ def test_lambda0_explicit_values(space):
         for f in range(mesh.n_faces):
             if mesh.face_boundary[f]:
                 continue
-            a, b = mesh.face_elements(f)
+            a, b = face_elements(mesh, f)
             if i in (a, b):
                 other = b if i == a else a
                 mate = space.part[other].side_values(lam)[face_rows(space.part, other)[f]]
@@ -134,7 +162,7 @@ def test_decompose_reconstructs_and_orthogonality(space):
         r = space.pair_v0 @ part_vec
         assert np.abs(r).max() < 1e-12
     # Face averages of the fine remainder vanish.
-    assert np.abs(space.face_integrals(mtf)).max() < 1e-12
+    assert np.abs(face_integrals(space, mtf)).max() < 1e-12
     # The face-constant part is constant per coarse face.
     nfs = space.part.faces_per_coarse
     per_face = mt0.reshape(space.n_coarse_faces, nfs)
@@ -214,10 +242,12 @@ def test_pairing_matrix_diagonally_dominant_and_irreducible(space):
 def test_membership_tests(space):
     rng = np.random.default_rng(21)
     tf = random_tilde_f(space, rng)
-    assert space.is_tilde(tf)
-    assert np.abs(space.face_integrals(tf)).max() <= 1e-10 * max(np.abs(tf).max(), 1.0)
+    scale = max(np.abs(tf).max(), 1.0)
+    # The tilde space: (mu, 1_tau) = 0 for every element.
+    assert np.abs(space.pair_v0 @ tf).max() <= 1e-10 * scale
+    assert np.abs(face_integrals(space, tf)).max() <= 1e-10 * scale
     lam = lambda0_basis(space)[0]
-    assert not space.is_tilde(lam)
+    assert np.abs(space.pair_v0 @ lam).max() > 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
 def test_serialization_roundtrip(tmp_path, space):
