@@ -58,21 +58,22 @@ class Raster:
         return self.values.ndim == 3
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
+        """Values of the cells holding ``points``: ``(n,)`` scalars or ``(n, 2, 2)`` tensors."""
         x0, y0, x1, y1 = self.domain
         ix = np.clip(((points[:, 0] - x0) / (x1 - x0) * self.nx).astype(int), 0, self.nx - 1)
         iy = np.clip(((points[:, 1] - y0) / (y1 - y0) * self.ny).astype(int), 0, self.ny - 1)
-        return self.values[iy, ix]
+        values = self.values[iy, ix]
+        return values[:, [0, 1, 1, 2]].reshape(-1, 2, 2) if self.is_tensor else values
 
 
-def _sample(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray], shape: tuple) -> np.ndarray:
-    """``fn`` called once on every interior cell centroid; ``(ne, nc) + shape``."""
+def _sample(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray], shapes: tuple) -> np.ndarray:
+    """``fn`` called once on all interior cell centroids; ``(ne, nc) + shape`` for a shape in ``shapes``."""
     points = part.cell_centroids.reshape(-1, 2)
     values = np.asarray(fn(points), dtype=float)
-    if values.shape != (len(points),) + shape:
-        raise CoefficientError(
-            f"cell function must return {len(points)} values of shape {shape}, got {values.shape}"
-        )
-    return values.reshape(part.cell_centroids.shape[:2] + shape)
+    if values.shape[:1] != (len(points),) or values.shape[1:] not in shapes:
+        raise CoefficientError(f"cell function must return {len(points)} values of shape "
+                               f"{' or '.join(map(str, shapes))}, got {values.shape}")
+    return values.reshape(part.cell_centroids.shape[:2] + values.shape[1:])
 
 
 def _first(bad: np.ndarray) -> int:
@@ -96,45 +97,17 @@ class CoefficientField:
         return emin.min(axis=1), emax.max(axis=1)
 
     @classmethod
-    def from_tensor_function(
-        cls, part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]
+    def sample(
+        cls, part: FinePartition, source: Callable[[np.ndarray], np.ndarray] | Raster
     ) -> "CoefficientField":
-        """Sample ``fn(points) -> (n, 2, 2)`` at interior cell centroids."""
-        return cls._finalize(part, _sample(part, fn, (2, 2)))
+        """Sample a callable or a raster at the interior cell centroids.
 
-    @classmethod
-    def from_scalar_function(
-        cls, part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]
-    ) -> "CoefficientField":
-        """Sample a scalar field a(x) and use a*I on each cell."""
-
-        def tensor(points: np.ndarray) -> np.ndarray:
-            a = np.asarray(fn(points), dtype=float)
-            out = np.zeros((len(points), 2, 2))
-            out[:, 0, 0] = a
-            out[:, 1, 1] = a
-            return out
-
-        return cls.from_tensor_function(part, tensor)
-
-    @classmethod
-    def from_raster(cls, part: FinePartition, raster: Raster) -> "CoefficientField":
-        if raster.is_tensor:
-
-            def tensor(points: np.ndarray) -> np.ndarray:
-                v = raster.lookup(points)
-                out = np.empty((len(points), 2, 2))
-                out[:, 0, 0] = v[:, 0]
-                out[:, 0, 1] = v[:, 1]
-                out[:, 1, 0] = v[:, 1]
-                out[:, 1, 1] = v[:, 2]
-                return out
-
-            return cls.from_tensor_function(part, tensor)
-        return cls.from_scalar_function(part, raster.lookup)
-
-    @classmethod
-    def _finalize(cls, part: FinePartition, tensors: np.ndarray) -> "CoefficientField":
+        ``(n,)`` scalars a become ``a I``; ``(n, 2, 2)`` tensors are kept.
+        """
+        tensors = _sample(part, source.lookup if isinstance(source, Raster) else source, ((), (2, 2)))
+        if tensors.ndim == 2:
+            scalars, tensors = tensors, np.zeros(tensors.shape + (2, 2))
+            tensors[..., 0, 0] = tensors[..., 1, 1] = scalars
         elem = _first(~np.isclose(tensors[..., 0, 1], tensors[..., 1, 0], rtol=1e-12, atol=1e-14))
         if elem >= 0:
             raise CoefficientError(f"non-symmetric tensor in element {elem}")
@@ -172,7 +145,7 @@ def make_weight(
     elif custom is None:
         raise CoefficientError("custom weight requires a raster or callable")
     else:
-        values = _sample(part, custom.lookup if isinstance(custom, Raster) else custom, ())
+        values = _sample(part, custom.lookup if isinstance(custom, Raster) else custom, ((),))
     bad = _first(~((values > 0.0) & np.isfinite(values)))
     if bad >= 0:
         raise CoefficientError(f"nonpositive weight value in element {bad}")
@@ -249,12 +222,18 @@ def load_raster(path: str, domain: Sequence[float] = (0.0, 0.0, 1.0, 1.0)) -> Ra
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        nx, ny = int(payload["nx"]), int(payload["ny"])
-        tensor = bool(payload["tensor"])
-        values = np.array(payload["values"], dtype=float)
-        shape = (ny, nx, 3) if tensor else (ny, nx)
-        dom = tuple(payload.get("domain", domain))
-        return Raster(nx, ny, values.reshape(shape), dom)  # type: ignore[arg-type]
+        if not isinstance(payload, dict):
+            raise CoefficientError(f"raster {path} must hold a JSON object")
+        try:
+            nx, ny = int(payload[key := "nx"]), int(payload[key := "ny"])
+            tensor = bool(payload[key := "tensor"])
+            values = np.array(payload[key := "values"], dtype=float).reshape((ny, nx, 3) if tensor else (ny, nx))
+            dom = tuple(payload.get(key := "domain", domain))
+        except KeyError:
+            raise CoefficientError(f"raster {path} has no {key!r} field") from None
+        except (TypeError, ValueError) as exc:
+            raise CoefficientError(f"raster {path} has a bad {key!r} field: {exc}") from None
+        return Raster(nx, ny, values, dom)  # type: ignore[arg-type]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3:

@@ -34,7 +34,6 @@ from .spectral import FaceSpectrum
 from .traces import TraceSpace
 
 __all__ = [
-    "FaceBasis",
     "PatchProblem",
     "PatchProjector",
     "RingProfile",
@@ -82,30 +81,14 @@ def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
     return scatter_blocks(signed, ids, ids, (space.n_fine,) * 2)
 
 
-@dataclass
-class FaceBasis:
-    """Basis of a face-spanned multiplier subspace, face by face.
-
-    Face f's columns are ``col_offsets[f]:col_offsets[f + 1]``; they are
-    supported on the face's own fine faces.
-    """
-
-    label: str
-    col_offsets: np.ndarray         # (NF + 1,)
-    matrix: sp.csc_matrix           # (n_fine, M) stored values of the columns
-
-    @property
-    def dim(self) -> int:
-        return int(self.col_offsets[-1])
-
-
-def _face_basis(label: str, space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> FaceBasis:
+def _face_basis(space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> sp.csc_matrix:
     """Basis whose face-f columns are the ``keep[f]`` columns of ``zero_mean @ vectors[f]``.
 
     ``vectors`` is ``(NF, m, m)`` in zero-mean coordinates and ``keep`` an
     ``(NF, m)`` mask.  Face f's fine faces are the contiguous stored rows
     ``f nfs ... (f + 1) nfs - 1``, so the CSC arrays are written directly;
-    zero values are not stored.
+    zero values are not stored.  The columns come face by face, and no
+    column is zero, so a column's face is its first stored row ``// nfs``.
     """
     stored = space.zero_mean @ vectors                       # (NF, nfs, m)
     nf, nfs, m = stored.shape
@@ -115,23 +98,23 @@ def _face_basis(label: str, space: TraceSpace, vectors: np.ndarray, keep: np.nda
     indptr = np.arange(data.shape[0] + 1, dtype=np.int32) * nfs
     matrix = sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(space.n_fine, data.shape[0]))
     matrix.eliminate_zeros()
-    return FaceBasis(label, np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), matrix)
+    return matrix
 
 
-def plain_basis(space: TraceSpace) -> FaceBasis:
+def plain_basis(space: TraceSpace) -> sp.csc_matrix:
     """Zero-average-per-face subspace (the full fine remainder block)."""
     nf, m = space.n_coarse_faces, space.zero_mean.shape[1]
-    return _face_basis("plain", space, np.broadcast_to(np.eye(m), (nf, m, m)), np.ones((nf, m), bool))
+    return _face_basis(space, np.broadcast_to(np.eye(m), (nf, m, m)), np.ones((nf, m), bool))
 
 
-def delta_basis(space: TraceSpace, spectra: FaceSpectrum) -> FaceBasis:
+def delta_basis(space: TraceSpace, spectra: FaceSpectrum) -> sp.csc_matrix:
     """Localizable block of the face spectra, per face."""
-    return _face_basis("delta", space, spectra.vectors, _delta_mask(spectra))
+    return _face_basis(space, spectra.vectors, _delta_mask(spectra))
 
 
-def pi_basis(space: TraceSpace, spectra: FaceSpectrum) -> FaceBasis:
+def pi_basis(space: TraceSpace, spectra: FaceSpectrum) -> sp.csc_matrix:
     """Retained block of the face spectra, per face."""
-    return _face_basis("pi", space, spectra.vectors, ~_delta_mask(spectra))
+    return _face_basis(space, spectra.vectors, ~_delta_mask(spectra))
 
 
 def _delta_mask(spectra: FaceSpectrum) -> np.ndarray:
@@ -178,31 +161,32 @@ class PatchProjector:
     built on first use by one pass over all seeds, which reads the basis
     Gram only through ``sparse_gram`` (symmetrized ``W^T S W``, CSR with
     sorted indices).  Every application lifts basis coefficients to stored
-    values with ``basis.matrix``.
+    values with ``basis``, a face basis of :func:`plain_basis`,
+    :func:`delta_basis` or :func:`pi_basis`.
     """
 
-    def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: FaceBasis):
+    def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: sp.csc_matrix):
         self.space = space
         self.energy = energy
         self.basis = basis
-        gram = basis.matrix.T @ (energy @ basis.matrix)
+        m, nf, nfs = basis.shape[1], space.n_coarse_faces, space.part.faces_per_coarse
+        gram = basis.T @ (energy @ basis)
         self.sparse_gram = sp.csr_matrix(0.5 * (gram + gram.T))
         self.sparse_gram.sum_duplicates()
         # Seed right-hand sides, one column block per seed: W^T S on a face's
         # fine faces, W^T on an element's boundary rows in the order of the
         # element functionals (traces.element_functionals).
-        flux_rhs = (basis.matrix.T @ energy).tocsc()
+        flux_rhs = (basis.T @ energy).tocsc()
         flux_rhs.sum_duplicates()
-        load_rhs = basis.matrix.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
+        load_rhs = basis.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         load_rhs.sum_duplicates()
-        nfs = space.part.faces_per_coarse
-        self._rhs_columns = {"face": (nfs, *_padded_rows(flux_rhs.T, basis.dim)),
-                             "element": (3 * nfs, *_padded_rows(load_rhs.T, basis.dim))}
-        self._col_face = np.repeat(np.arange(space.n_coarse_faces), np.diff(basis.col_offsets))
+        self._rhs_columns = {"face": (nfs, *_padded_rows(flux_rhs.T, m)),
+                             "element": (3 * nfs, *_padded_rows(load_rhs.T, m))}
+        self._col_face = basis.indices[basis.indptr[:-1]] // nfs
         # The incident elements of each face, the left one twice on the domain boundary.
         self._face_right = np.where(space.mesh.face_right >= 0, space.mesh.face_right, space.mesh.face_left)
         self._face_columns = sp.csr_matrix(
-            (np.ones(basis.dim), np.arange(basis.dim), basis.col_offsets), (space.n_coarse_faces, basis.dim)
+            (np.ones(m), np.arange(m), np.searchsorted(self._col_face, np.arange(nf + 1))), (nf, m)
         )
         self._responses: dict[int, tuple[sp.csc_matrix, sp.csc_matrix]] = {}
 
@@ -214,17 +198,17 @@ class PatchProjector:
     @cached_property
     def _gram_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded rows of ``sparse_gram`` (:func:`_padded_rows`), built by the first patch pass."""
-        return _padded_rows(self.sparse_gram, self.basis.dim)
+        return _padded_rows(self.sparse_gram, self.basis.shape[1])
 
     # -- global (reference) solves ------------------------------------------------
 
     @cached_property
     def _global_factor(self) -> spla.SuperLU:
-        return spd_factor(self.sparse_gram, f"global {self.basis.label} energy Gram matrix")
+        return spd_factor(self.sparse_gram, f"global energy Gram matrix ({self.basis.shape[1]} columns)")
 
     def project_functional(self, r: np.ndarray) -> np.ndarray:
         """Global solve: subspace element whose flux energy matches ``r``."""
-        return self.basis.matrix @ self._global_factor.solve(self.basis.matrix.T @ r)
+        return self.basis @ self._global_factor.solve(self.basis.T @ r)
 
     # -- patch problems -------------------------------------------------------------
 
@@ -257,7 +241,7 @@ class PatchProjector:
         position-map rows (basis column -> patch position, -1 outside); both are allocated once, so
         a Gram is valid until the next chunk.
         """
-        m, (gram_cols, gram_vals) = self.basis.dim, self._gram_rows
+        m, (gram_cols, gram_vals) = self.basis.shape[1], self._gram_rows
         width, rhs_cols, rhs_vals = self._rhs_columns[kind]
         indptr = columns.indptr.astype(np.int64)
         dims, starts = np.diff(indptr), indptr[:-1]
@@ -333,7 +317,7 @@ class PatchProjector:
             for rhs, x in zip(saturated, np.hsplit(solved, len(saturated))):
                 rhs[...] = x
         repeated = columns[np.repeat(seeds, width)]
-        return sp.csc_matrix((data, repeated.indices, repeated.indptr), (self.basis.dim, seeds.size * width))
+        return sp.csc_matrix((data, repeated.indices, repeated.indptr), (self.basis.shape[1], seeds.size * width))
 
     # -- localized operator applications --------------------------------------------
 
@@ -348,7 +332,7 @@ class PatchProjector:
 
     def apply_PjT_columns(self, columns: np.ndarray | sp.spmatrix, j: int) -> np.ndarray | sp.spmatrix:
         """Vectorized :meth:`apply_PjT` over columns; sparse columns stay sparse."""
-        return self.basis.matrix @ (self.responses(j)[0] @ columns)
+        return self.basis @ (self.responses(j)[0] @ columns)
 
     def apply_Pj(self, functionals: np.ndarray, j: int) -> np.ndarray:
         """Element-seeded localization of a broken function.
@@ -359,7 +343,7 @@ class PatchProjector:
         localize the load potential; the global projection is
         ``project_functional(space.sum_element_rows(functionals))``.
         """
-        return self.basis.matrix @ (self.responses(j)[1] @ functionals.ravel())
+        return self.basis @ (self.responses(j)[1] @ functionals.ravel())
 
 
 # ---------------------------------------------------------------------------

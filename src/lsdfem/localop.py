@@ -53,15 +53,14 @@ class ElementCache(Stacked):
     """Assembled matrices of every coarse element, stacked along a leading axis.
 
     ``caches[t]`` is element t's view: the same fields without the leading
-    axis, ``elem`` an int and ``geom`` the partition's view ``part[t]``;
-    iteration yields the views in element order.  On the stack, ``geom``
-    is the :class:`FinePartition`.
+    axis and ``geom`` the partition's view ``part[t]``; iteration yields the
+    views in element order.  On the stack, ``geom`` is the
+    :class:`FinePartition`.
     """
 
-    STACKED = ("elem", "geom", "tensors", "stiffness", "mass", "mean_vector",
+    STACKED = ("tensors", "geom", "stiffness", "mass", "mean_vector",
                "flux_potentials", "flux_energy", "_inverse")
 
-    elem: np.ndarray | int                  # (ne,) element ids
     geom: FinePartition
     tensors: np.ndarray          # (ne, nc, 2, 2)
     stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
@@ -202,9 +201,7 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
     trace = part.trace_matrix
     potentials = saddle_solve(stiffness, mean_vector, inverse, trace.swapaxes(-1, -2))
     flux_energy = _sym(trace @ potentials)   # static condensation B[a, b] = (mu_a, T mu_b)
-    return ElementCache(
-        np.arange(ne), part, tensors, stiffness, mass, mean_vector, potentials, flux_energy, inverse
-    )
+    return ElementCache(part, tensors, stiffness, mass, mean_vector, potentials, flux_energy, inverse)
 
 
 def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
@@ -266,14 +263,16 @@ def solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def edge_blocks(space: TraceSpace, flux_energy: np.ndarray, elems: np.ndarray) -> tuple:
+def edge_blocks(space: TraceSpace, flux_energy: np.ndarray) -> tuple:
     """Face blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of every local edge of a stack of elements.
 
-    ``flux_energy`` is ``(n, 3 nfs, 3 nfs)`` for the elements ``elems``; local
-    edge ``e`` owns rows ``e nfs ... (e + 1) nfs - 1``.  The energy is
-    projected once into the zero-mean face bases, then ordered per local
-    edge as (edge, the other two in local order); each block has leading
-    axes (element, local edge), and ``t_hat`` is the Schur complement.
+    ``flux_energy`` is ``(n, 3 nfs, 3 nfs)``; local edge ``e`` owns rows
+    ``e nfs ... (e + 1) nfs - 1``.  An error names a failing block by its
+    stack position, the element id when the stack is every element's.
+    The energy is projected once into the zero-mean face bases, then
+    ordered per local edge as (edge, the other two in local order); each
+    block has leading axes (element, local edge), and ``t_hat`` is the
+    Schur complement.
     """
     z = space.zero_mean
     n, m = flux_energy.shape[0], z.shape[1]
@@ -285,7 +284,7 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray, elems: np.ndarray) -
     chol, item, pivot = batched_cholesky(t_fcfc)
     if chol is None:
         t, e = divmod(item, 3)
-        raise AssertionError(f"element {elems[t]}, face {space.mesh.element_faces[elems[t], e]}: "
+        raise AssertionError(f"element {t}, face {space.mesh.element_faces[t, e]}: "
                              f"complementary block not SPD (Cholesky failed at pivot {pivot})")
     w = solve_lower(chol, t_ffc.swapaxes(-1, -2))
     return _sym(t_ff), t_ffc, t_fcfc, _sym(t_ff - w.swapaxes(-1, -2) @ w)

@@ -2,8 +2,9 @@
 
 The coarse mesh is a 2D triangulation whose edges are called *faces*
 throughout (the data model is dimension-generic even though only d=2 is
-implemented).  Every face carries a fixed unit normal; the element the
-normal points out of is the face's *left* element.  All skeleton
+implemented).  Every face carries a fixed unit normal, its stored
+tangent ``b - a`` turned by -90 degrees; the element the normal points
+out of is the face's *left* element.  All skeleton
 quantities (multipliers, trace integrals) are stored relative to that
 orientation, and per-element views apply the sign ``+1`` for the left
 element and ``-1`` for the right one.
@@ -60,7 +61,7 @@ class Stacked:
 
     ``STACKED`` names the fields that carry the item axis.  ``x[i]`` is
     item i's view: the same dataclass with each stacked field indexed
-    (numpy integer ids become ints) and every other field shared.
+    (numpy integers become ints) and every other field shared.
     Iteration yields the views in stack order.
     """
 
@@ -89,11 +90,9 @@ class CoarseMesh:
     faces: np.ndarray             # (nf, 2) vertex ids, left element sees a->b ccw
     face_left: np.ndarray         # (nf,) element id whose outward normal is n_F
     face_right: np.ndarray        # (nf,) element id or -1 on the boundary
-    face_normals: np.ndarray      # (nf, 2) unit normals
     face_boundary: np.ndarray     # (nf,) bool
     element_faces: np.ndarray     # (ne, 3) face id per local edge (0-1, 1-2, 2-0)
     element_face_signs: np.ndarray  # (ne, 3) +1 if element is the left element
-    areas: np.ndarray             # (ne,)
     centroids: np.ndarray         # (ne, 2)
     face_measures: np.ndarray     # (nf,)
     diameters: np.ndarray         # (ne,) element diameters
@@ -163,7 +162,6 @@ def build_mesh(
             f"{shape_regularity_bound:.3g}"
         )
     elements[signed < 0.0] = elements[signed < 0.0][:, [0, 2, 1]]
-    areas = np.abs(signed)
 
     # Local edges (0-1, 1-2, 2-0) of every element, ccw, in element order.
     # Faces are numbered in order of first appearance and oriented as first
@@ -188,8 +186,6 @@ def build_mesh(
     face_measures = np.linalg.norm(tangents, axis=1)
     if np.any(face_measures == 0.0):
         raise MeshError("zero-length face")
-    # Rotate the tangent by -90 degrees: outward from the left element.
-    face_normals = np.column_stack((tangents[:, 1], -tangents[:, 0])) / face_measures[:, None]
 
     element_face_signs = np.where(face_left[element_faces] == np.arange(ne)[:, None], 1, -1)
 
@@ -216,11 +212,9 @@ def build_mesh(
         faces=faces,
         face_left=face_left,
         face_right=face_right,
-        face_normals=face_normals,
         face_boundary=face_boundary,
         element_faces=element_faces,
         element_face_signs=element_face_signs,
-        areas=areas,
         centroids=centroids,
         face_measures=face_measures,
         diameters=diameters,
@@ -277,8 +271,10 @@ def layer_sets(mesh: CoarseMesh, kind: str, seeds: np.ndarray, j: int) -> sp.csr
     ``kind`` is ``"element"`` or ``"face"``.  T_0 is empty,
     T_1("element", K) = {K}, T_1("face", F) = the incident element(s), and
     T_{j+1} adds every element whose closure touches T_j (vertex
-    neighbors included): the first-layer rows times the adjacency,
-    ``j - 1`` times.  Row indices are sorted.
+    neighbors included): the first-layer rows times the adjacency, at
+    most ``j - 1`` times.  The adjacency holds its diagonal, so layers
+    only grow, and the products stop at the first that adds no element.
+    Row indices are sorted.
     """
     if j < 0:
         raise ValueError("layer count j must be >= 0")
@@ -293,8 +289,11 @@ def layer_sets(mesh: CoarseMesh, kind: str, seeds: np.ndarray, j: int) -> sp.csr
     rows, cols = np.nonzero(first >= 0)    # face_right is -1 on the domain boundary
     layers = sp.csr_matrix((np.ones(rows.size), (rows, first[rows, cols])), (seeds.size, mesh.n_elements))
     for _ in range(j - 1):
+        nnz = layers.nnz
         layers = layers @ mesh.adjacency
         layers.data[:] = 1.0
+        if layers.nnz == nnz:
+            break
     layers.sort_indices()
     return layers
 
@@ -363,7 +362,6 @@ class FinePartition(Stacked):
     interior_level: int
     faces_per_coarse: int         # 2**face_level
     fine_measures: np.ndarray     # (n_fine,)
-    fine_endpoints: np.ndarray    # (n_fine, 2, 2)
     nodes: np.ndarray             # (ne, nn, 2)
     cells: np.ndarray             # (nc, 3) lattice connectivity shared by every element
     cell_areas: np.ndarray        # (ne, nc)
@@ -383,11 +381,6 @@ class FinePartition(Stacked):
     def n_nodes(self) -> int:
         """Interior lattice nodes per element."""
         return self.nodes.shape[-2]
-
-    @property
-    def n_boundary_faces(self) -> int:
-        """Fine sub-faces on one element's boundary."""
-        return self.boundary_face_ids.shape[-1]
 
     @property
     def n_fine_faces(self) -> int:
@@ -475,10 +468,6 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
     nfs = 2 ** level
     ne = mesh.n_elements
     fine_measures = np.repeat(mesh.face_measures / nfs, nfs)
-    p = mesh.vertices[mesh.faces[:, 0]][:, None, :]
-    q = mesh.vertices[mesh.faces[:, 1]][:, None, :]
-    pts = p + np.linspace(0.0, 1.0, nfs + 1)[None, :, None] * (q - p)
-    endpoints = np.stack((pts[:, :-1], pts[:, 1:]), axis=2).reshape(-1, 2, 2)
 
     bary, cells, index = _lattice(interior_level)
     n = 2 ** interior_level
@@ -516,7 +505,6 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         interior_level=interior_level,
         faces_per_coarse=nfs,
         fine_measures=fine_measures,
-        fine_endpoints=endpoints,
         nodes=nodes,
         cells=cells,
         cell_areas=cell_areas,

@@ -273,7 +273,7 @@ class Assembly:
             coarse_face = np.repeat(np.arange(self.space.n_coarse_faces), self.space.part.faces_per_coarse)
             blocks = [sp.csr_matrix(self.space.face_constant_coeffs)[coarse_face]]
             if variant != "plain":
-                blocks.append(pi_basis(self.space, self.face_spectra(alpha_stab)).matrix)
+                blocks.append(pi_basis(self.space, self.face_spectra(alpha_stab)))
             return sp.hstack(blocks, format="csc")
 
         return self._memo("coarse_basis", _variant_key(variant, alpha_stab), build)
@@ -545,7 +545,7 @@ def solve_global(
     ``span(B)`` (the coarse basis), so that scheme is the flux-energy Galerkin solve
     ``V^T S V c = -V^T (S lam0 + r_ttg)`` on ``V = [W B]``, factored once per basis.
     """
-    w = assembly.projector(variant, alpha_stab).basis.matrix
+    w = assembly.projector(variant, alpha_stab).basis
     b = assembly.coarse_basis(variant, alpha_stab)
     v = sp.hstack([w, b], format="csc")
 

@@ -162,16 +162,12 @@ def coefficient_field(
     params: dict | None = None,
     raster_file: str | None = None,
 ) -> CoefficientField:
-    """Scalar preset (or raster file) sampled on the fine interior cells."""
+    """Preset (or raster file) sampled on the fine interior cells."""
     if raster_file is not None:
         x0, y0 = part.mesh.vertices.min(axis=0)
         x1, y1 = part.mesh.vertices.max(axis=0)
-        raster = load_raster(raster_file, (x0, y0, x1, y1))
-        return CoefficientField.from_raster(part, raster)
-    fn = coefficient_function(name, params)
-    if name == "anisotropic":
-        return CoefficientField.from_tensor_function(part, fn)
-    return CoefficientField.from_scalar_function(part, fn)
+        return CoefficientField.sample(part, load_raster(raster_file, (x0, y0, x1, y1)))
+    return CoefficientField.sample(part, coefficient_function(name, params))
 
 
 def make_raster(

@@ -85,19 +85,18 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FaceSpectrum(Stacked):
     """Eigenpairs of the face pencils and their threshold split, stacked.
 
-    The fields carry a leading face axis; ``spectra[i]`` is the i-th face's
-    view (``face`` and ``n_delta`` ints) and iteration yields the views in
-    stack order.  ``vectors`` are expressed in the zero-average basis of
-    each face and are orthonormal with respect to the summed Schur energy.
+    The fields carry a leading face axis; ``spectra[f]`` is face f's view
+    (``n_delta`` an int) and iteration yields the views in face order.
+    ``vectors`` are expressed in the zero-average basis of each face and
+    are orthonormal with respect to the summed Schur energy.
     Modes with eigenvalue >= the threshold go to the retained (``pi``)
     block, the rest form the localizable (``delta``) block; ties retain.
     Eigenvalues ascend, so a face's delta modes are its first ``n_delta``
     columns.
     """
 
-    STACKED = ("face", "alphas", "vectors", "n_delta")
+    STACKED = ("alphas", "vectors", "n_delta")
 
-    face: np.ndarray | int      # (nf,) coarse face ids
     alphas: np.ndarray          # (nf, m) ascending
     vectors: np.ndarray         # (nf, m, m) columns in zero-mean coordinates
     n_delta: np.ndarray | int   # (nf,)
@@ -124,14 +123,14 @@ def all_face_spectra(space: TraceSpace, caches: ElementCache, alpha_stab: float)
         raise ValueError("alpha_stab must be >= 1")
     mesh = space.mesh
     m = space.zero_mean.shape[1]
-    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy, caches.elem)
+    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy)
     sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
     np.add.at(sums, mesh.element_faces, np.stack((t_ff, t_hat), axis=2))
     try:
         alphas, vectors = gensym_eig(sums[:, 0], sums[:, 1])
     except NotSPDError as exc:
         raise NotSPDError(exc.pivot, f"soft-extension energy of face {exc.item}") from exc
-    return FaceSpectrum(np.arange(mesh.n_faces), alphas, vectors, (alphas < alpha_stab).sum(axis=1))
+    return FaceSpectrum(alphas, vectors, (alphas < alpha_stab).sum(axis=1))
 
 
 @dataclass
@@ -139,7 +138,7 @@ class ElementSpectrum(Stacked):
     """Neumann pencils of every element and the load-space cut, stacked.
 
     The fields carry a leading element axis; ``spectra[t]`` is element t's
-    view (``elem`` and ``j_count`` ints) and iteration yields the views in
+    view (``j_count`` an int) and iteration yields the views in
     element order.  ``sigma`` holds every eigenvalue, ``sigma[..., 0]``
     zero with the constant eigenfunction.  ``j_count`` is the smallest J
     (at least 1, so constants always survive) with
@@ -149,9 +148,8 @@ class ElementSpectrum(Stacked):
     them, up to the stack's largest ``j_count``, are zero.
     """
 
-    STACKED = ("elem", "sigma", "vectors", "j_count")
+    STACKED = ("sigma", "vectors", "j_count")
 
-    elem: np.ndarray | int
     sigma: np.ndarray            # (ne, nn) ascending
     vectors: np.ndarray          # (ne, nn, j_max) kept eigenvectors as columns, zero-padded
     j_count: np.ndarray | int    # (ne,)
@@ -175,27 +173,27 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     """
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
-    elems, stiffness, mass = caches.elem, caches.stiffness, caches.mass
-    nn = stiffness.shape[-1]
-    sigma = np.empty((len(elems), nn))
-    for t in range(len(elems)):
+    stiffness, mass = caches.stiffness, caches.mass
+    ne, nn = stiffness.shape[:2]
+    sigma = np.empty((ne, nn))
+    for t in range(ne):
         # Symmetric matrices: the transposes are copy-free Fortran-ordered views.
         sigma[t], _, info = lapack.dsygvd(stiffness[t].T, mass[t].T, jobz="N")
         if info > nn:
-            raise NotSPDError(info - nn - 1, f"weighted mass of element {elems[t]}", t)
+            raise NotSPDError(info - nn - 1, f"weighted mass of element {t}", t)
         if info:
-            raise np.linalg.LinAlgError(f"eigenvalues of element {elems[t]} did not converge")
+            raise np.linalg.LinAlgError(f"eigenvalues of element {t} did not converge")
     sigma = np.maximum(sigma, 0.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
     j_max = int(j_count.max(initial=0))
-    vectors = np.zeros((len(elems), nn, j_max))
+    vectors = np.zeros((ne, nn, j_max))
     one = j_count == 1
     vectors[one, :, 0] = 1.0 / np.sqrt(mass[one].sum(axis=(1, 2)))[:, None]
     many = ~one
     kept = gensym_eig(stiffness[many], mass[many])[1][..., :j_max]
     vectors[many] = kept * (np.arange(j_max) < j_count[many, None])[:, None, :]
-    return ElementSpectrum(elems, sigma, vectors, j_count)
+    return ElementSpectrum(sigma, vectors, j_count)
 
 
 def project_rhs(

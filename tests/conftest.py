@@ -30,7 +30,7 @@ def random_tilde_f(space, rng):
 
 def constant_field(part, value=1.0):
     """The coefficient ``value * I`` on every fine cell."""
-    return CoefficientField.from_scalar_function(part, lambda pts: np.full(len(pts), float(value)))
+    return CoefficientField.sample(part, lambda pts: np.full(len(pts), float(value)))
 
 
 def face_elements(mesh, face):
@@ -61,7 +61,7 @@ def make_assembly(nx, ny, face_level, coefficient="constant", params=None, rho="
 def face_split(asm, elem, face):
     """Blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of element ``elem``'s flux energy split by its face ``face``."""
     e = list(asm.mesh.element_faces[elem]).index(face)
-    blocks = edge_blocks(asm.space, asm.caches.flux_energy[[elem]], np.array([elem]))
+    blocks = edge_blocks(asm.space, asm.caches.flux_energy[[elem]])
     return tuple(blk[0, e] for blk in blocks)
 
 
@@ -111,6 +111,13 @@ def eval_p1(geom, values, point):
     raise ValueError("point outside element")
 
 
+def fine_endpoints(part, fine):
+    """End points ``(a, b)`` of fine sub-face ``fine``, along the stored orientation of its coarse face."""
+    nfs, k = part.faces_per_coarse, fine % part.faces_per_coarse
+    p, q = part.mesh.vertices[part.mesh.faces[fine // nfs]]
+    return p + np.linspace(0.0, 1.0, nfs + 1)[k : k + 2, None] * (q - p)
+
+
 def pairing_bruteforce(space, mu, v_broken, n_quad=64):
     """Quadrature oracle for the boundary pairing.
 
@@ -128,7 +135,7 @@ def pairing_bruteforce(space, mu, v_broken, n_quad=64):
             sign = int(mesh.element_face_signs[elem, local])
             for k in range(part.faces_per_coarse):
                 fine = fid * part.faces_per_coarse + k
-                a, b = part.fine_endpoints[fine]
+                a, b = fine_endpoints(part, fine)
                 side_value = sign * mu[fine]
                 ts = np.linspace(0.0, 1.0, n_quad + 1)
                 pts = a[None, :] + ts[:, None] * (b - a)[None, :]

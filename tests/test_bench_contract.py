@@ -100,7 +100,6 @@ def test_op_and_gate_reads(asm_const):
     split = np.split(u, np.cumsum(counts)[:-1])
     assert np.array_equal(np.stack(split), u.reshape(part.nodes.shape[:2]))
     views = list(asm.caches)
-    assert [c.elem for c in views] == list(range(asm.mesh.n_elements))
     for t, c in enumerate(views):
         assert np.array_equal(c.stiffness, asm.caches.stiffness[t])
     rng = np.random.default_rng(5)

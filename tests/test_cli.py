@@ -48,9 +48,18 @@ def test_non_integer_layer_count_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config,stage",
-    [({"mesh_file": "no-such-mesh.txt"}, "mesh"), ({"coefficient": "bogus"}, "coefficients")],
+    [
+        ({"mesh_file": "no-such-mesh.txt"}, "mesh"),
+        ({"coefficient": "bogus"}, "coefficients"),
+        ({"raster": {"nx": 2, "ny": 2, "values": [1.0, 2.0, 3.0, 4.0]}}, "coefficients"),  # no "tensor"
+        ({"raster": [2, 2, 0, 1.0, 2.0, 3.0, 4.0]}, "coefficients"),                        # not an object
+    ],
 )
 def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage):
+    if "raster" in config:   # a JSON raster file with this payload
+        raster = tmp_path / "raster.json"
+        raster.write_text(json.dumps(config["raster"]))
+        config = {"coefficient_file": str(raster)}
     path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], **config}})
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"config error [{stage}]" in capsys.readouterr().err
@@ -244,7 +253,7 @@ def test_anisotropic_raster_matches_preset():
     raster = presets.make_raster("anisotropic", {"ratio": 3.0}, nx=8, ny=8)
     assert raster.is_tensor
     direct = presets.coefficient_field(part, "anisotropic", {"ratio": 3.0})
-    assert np.array_equal(CoefficientField.from_raster(part, raster).tensors, direct.tensors)
+    assert np.array_equal(CoefficientField.sample(part, raster).tensors, direct.tensors)
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_two_value_contrast(part):
     def fn(points):
         return np.where(points[:, 0] + points[:, 1] < 0.995, 1.0, 1e6)
 
-    field = CoefficientField.from_scalar_function(part, fn)
+    field = CoefficientField.sample(part, fn)
     stats = local_bounds(field)
     assert stats.kappa == pytest.approx(1e6)
 
@@ -43,7 +45,7 @@ def test_anisotropic_bounds(part):
         out[:, 1, 1] = 4.0
         return out
 
-    field = CoefficientField.from_tensor_function(part, tensor)
+    field = CoefficientField.sample(part, tensor)
     stats = local_bounds(field)
     assert np.allclose(stats.a_min_local, 1.0)
     assert np.allclose(stats.a_max_local, 4.0)
@@ -53,8 +55,8 @@ def test_scaling_property(part):
     def fn(points):
         return 1.0 + points[:, 0]
 
-    base = local_bounds(CoefficientField.from_scalar_function(part, fn))
-    scaled = local_bounds(CoefficientField.from_scalar_function(part, lambda points: 3.5 * fn(points)))
+    base = local_bounds(CoefficientField.sample(part, fn))
+    scaled = local_bounds(CoefficientField.sample(part, lambda points: 3.5 * fn(points)))
     assert np.allclose(scaled.a_min_local, 3.5 * base.a_min_local, rtol=1e-14)
     assert np.allclose(scaled.a_max_local, 3.5 * base.a_max_local, rtol=1e-14)
     assert np.allclose(scaled.kappa_local, base.kappa_local, rtol=1e-14)
@@ -68,7 +70,21 @@ def test_spd_validation(part):
         return out
 
     with pytest.raises(CoefficientError):
-        CoefficientField.from_tensor_function(part, bad)
+        CoefficientField.sample(part, bad)
+
+
+def test_sample_reads_value_shapes(part):
+    # Scalars a become a I with exact zeros off the diagonal, tensors are
+    # kept, and any other per-point shape is rejected.
+    field = CoefficientField.sample(part, lambda p: 1.0 + p[:, 0])
+    a = 1.0 + part.cell_centroids[..., 0]
+    assert np.array_equal(field.tensors[..., 0, 0], a) and np.array_equal(field.tensors[..., 1, 1], a)
+    assert not field.tensors[..., 0, 1].any() and not field.tensors[..., 1, 0].any()
+    tensor = CoefficientField.sample(part, lambda p: np.broadcast_to([[2.0, 0.5], [0.5, 3.0]], (len(p), 2, 2)))
+    assert np.array_equal(tensor.tensors, np.broadcast_to([[2.0, 0.5], [0.5, 3.0]], tensor.tensors.shape))
+    for shape in ((3,), (1,), (2, 3)):
+        with pytest.raises(CoefficientError, match="values of shape"):
+            CoefficientField.sample(part, lambda p, shape=shape: np.ones((len(p),) + shape))
 
 
 def test_weight_tags(part):
@@ -78,11 +94,11 @@ def test_weight_tags(part):
         out[:, 1, 1] = 4.0
         return out
 
-    field = CoefficientField.from_tensor_function(part, tensor)
+    field = CoefficientField.sample(part, tensor)
     assert all(np.allclose(v, 1.0) for v in make_weight("one", field))
     assert all(np.allclose(v, 4.0) for v in make_weight("a_plus", field))
     assert all(np.allclose(v, 1.0) for v in make_weight("a_minus", field))
-    scalar = CoefficientField.from_scalar_function(part, lambda p: 2.0 + 6.0 * (p[:, 0] > 0.5))
+    scalar = CoefficientField.sample(part, lambda p: 2.0 + 6.0 * (p[:, 0] > 0.5))
     w = make_weight("amin", scalar)
     assert all(np.allclose(v, 2.0) for v in w)
     with pytest.raises(CoefficientError):
@@ -106,7 +122,7 @@ def quad_points(geom):
 def test_weighted_norm_consistency(part):
     # Quadrature oracle: integral of rho*g^2 equals integral of (sqrt(rho)*g)^2
     # and of f^2/rho with f = rho*g, evaluated by exact midpoint quadrature.
-    field = CoefficientField.from_scalar_function(part, lambda p: 1.0 + p[:, 1])
+    field = CoefficientField.sample(part, lambda p: 1.0 + p[:, 1])
     weight = make_weight("a_plus", field)
     rng = np.random.default_rng(3)
     total_a = total_b = 0.0
@@ -132,7 +148,7 @@ def test_raster_roundtrip(tmp_path, part):
         back = load_raster(path)
         assert back.nx == 4 and back.ny == 3
         assert np.array_equal(back.values, values)
-    field = CoefficientField.from_raster(part, raster)
+    field = CoefficientField.sample(part, raster)
     stats = local_bounds(field)
     assert stats.kappa <= 12.0
 
@@ -146,7 +162,26 @@ def test_tensor_raster(tmp_path, part):
     save_raster(raster, path)
     back = load_raster(path)
     assert back.is_tensor
-    field = CoefficientField.from_raster(part, back)
+    points = np.array([[0.25, 0.25], [0.75, 0.75]])
+    assert np.array_equal(back.lookup(points), np.broadcast_to([[2.0, 0.0], [0.0, 3.0]], (2, 2, 2)))
+    field = CoefficientField.sample(part, back)
     stats = local_bounds(field)
     assert np.allclose(stats.a_min_local, 2.0)
     assert np.allclose(stats.a_max_local, 3.0)
+
+
+@pytest.mark.parametrize(
+    "payload,named",
+    [
+        ([4, 3, 0], "must hold a JSON object"),
+        ({"nx": 4, "ny": 3, "values": [1.0] * 12}, "no 'tensor' field"),
+        ({"nx": 4, "tensor": False, "values": [1.0] * 12}, "no 'ny' field"),
+        ({"nx": "four", "ny": 3, "tensor": False, "values": [1.0] * 12}, "bad 'nx' field"),
+        ({"nx": 4, "ny": 3, "tensor": True, "values": [1.0] * 12}, "bad 'values' field"),
+    ],
+)
+def test_json_raster_names_missing_or_bad_field(tmp_path, payload, named):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoefficientError, match=named):
+        load_raster(str(path))

@@ -29,15 +29,20 @@ def patch_solve(problem, rhs):
     return problem.factor.solve(rhs)
 
 
+def column_faces(basis, nfs):
+    """Coarse face of each face-basis column: its first stored row's (test_basis_dimensions checks it)."""
+    return basis.indices[basis.indptr[:-1]] // nfs
+
+
 def solve_patch(proj, problem, rhs_reduced):
     """Galerkin solve on the patch subspace for a functional tested against the full basis.
 
     Only the patch entries of ``rhs_reduced`` participate; the stored
     values vanish outside the patch faces by construction.
     """
-    coeffs = np.zeros(proj.basis.dim)
+    coeffs = np.zeros(proj.basis.shape[1])
     coeffs[problem.dof_indices] = patch_solve(problem, rhs_reduced[problem.dof_indices])
-    return proj.basis.matrix @ coeffs
+    return proj.basis @ coeffs
 
 
 def test_energy_matrix_matches_elementwise_forms(asm_mixed):
@@ -69,8 +74,9 @@ def block_diag_bases(space, spectra):
 @settings(max_examples=20, deadline=None)
 @given(mesh=meshes(), face_level=st.integers(1, 2), alpha_stab=st.floats(1.0, 1e3))
 def test_basis_dimensions(mesh, face_level, alpha_stab):
-    # The one-pass bases equal the per-face reference, every column lives on
-    # its own face's fine faces, and delta and pi split the plain basis.
+    # The one-pass bases equal the per-face reference, every column is
+    # non-zero and lives on its own face's fine faces, so its first stored
+    # row names its face, and delta and pi split the plain basis.
     asm = assembly_on(mesh, face_level)
     space, nfs = asm.space, asm.part.faces_per_coarse
     spectra = asm.face_spectra(alpha_stab)
@@ -81,15 +87,16 @@ def test_basis_dimensions(mesh, face_level, alpha_stab):
     }
     for label, (offsets, matrix) in block_diag_bases(space, spectra).items():
         basis = bases[label]
-        assert np.array_equal(basis.col_offsets, offsets)
-        got, ref = basis.matrix.toarray(), matrix.toarray()
+        got, ref = basis.toarray(), matrix.toarray()
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
-        rows, cols = basis.matrix.nonzero()
-        col_face = np.repeat(np.arange(mesh.n_faces), np.diff(basis.col_offsets))
+        assert np.all(np.diff(basis.indptr) > 0)
+        col_face = np.repeat(np.arange(mesh.n_faces), np.diff(offsets))
+        assert np.array_equal(column_faces(basis, nfs), col_face)
+        rows, cols = basis.nonzero()
         assert np.array_equal(rows // nfs, col_face[cols])
-    assert bases["plain"].dim == space.dim_tilde_f
-    assert bases["delta"].dim + bases["pi"].dim == bases["plain"].dim
+    assert bases["plain"].shape[1] == space.dim_tilde_f
+    assert bases["delta"].shape[1] + bases["pi"].shape[1] == bases["plain"].shape[1]
 
 
 def test_project_zero_functional(asm_mixed):
@@ -124,11 +131,11 @@ def test_delta_equals_plain_when_no_retained_modes(asm_smooth_4):
 def test_patch_zero_rhs_and_support(asm_mixed):
     proj = asm_mixed.projector("plain", 4.0)
     problem = proj.patch_problem(("element", 5), 1)
-    out = solve_patch(proj, problem, np.zeros(proj.basis.dim))
+    out = solve_patch(proj, problem, np.zeros(proj.basis.shape[1]))
     assert np.abs(out).max() == 0.0
     # Support: structural zero outside the patch faces.
     rng = np.random.default_rng(9)
-    rhs = rng.standard_normal(proj.basis.dim)
+    rhs = rng.standard_normal(proj.basis.shape[1])
     out = solve_patch(proj, problem, rhs)
     nfs = asm_mixed.part.faces_per_coarse
     active = set(problem.active_faces.tolist())
@@ -168,7 +175,7 @@ def test_patch_galerkin_optimality(asm_mixed):
     lam_f = random_tilde_f(asm_mixed.space, rng)
     on_face = np.arange(asm_mixed.space.n_fine) // asm_mixed.part.faces_per_coarse == 9
     lamF = np.where(on_face, lam_f, 0.0)
-    rhs = proj.basis.matrix.T @ (asm_mixed.energy @ lamF)
+    rhs = proj.basis.T @ (asm_mixed.energy @ lamF)
     sol = solve_patch(proj, problem, rhs)
     target = proj.project_functional(asm_mixed.energy @ lamF)  # global reference
 
@@ -178,7 +185,7 @@ def test_patch_galerkin_optimality(asm_mixed):
 
     best = err_energy(sol)
     for _ in range(6):
-        cand = proj.basis.matrix[:, problem.dof_indices] @ rng.standard_normal(problem.dim)
+        cand = proj.basis[:, problem.dof_indices] @ rng.standard_normal(problem.dim)
         assert err_energy(cand) >= best - 1e-12 * max(best, 1.0)
 
 
@@ -194,13 +201,13 @@ def response_matrix_reference(proj, kind, j):
     """Per-seed loop: one layer set, active-face mask, Gram gather, Cholesky factor and solve per seed."""
     space, mesh = proj.space, proj.space.mesh
     if kind == "face":
-        n_seeds, rhs = mesh.n_faces, (proj.basis.matrix.T @ proj.energy).toarray()
+        n_seeds, rhs = mesh.n_faces, (proj.basis.T @ proj.energy).toarray()
         firsts = [set(face_elements(mesh, f)) for f in range(n_seeds)]
     else:
-        n_seeds, rhs = mesh.n_elements, proj.basis.matrix.T.toarray()[:, space.part.boundary_face_ids.ravel()]
+        n_seeds, rhs = mesh.n_elements, proj.basis.T.toarray()[:, space.part.boundary_face_ids.ravel()]
         firsts = [{e} for e in range(n_seeds)]
     width = rhs.shape[1] // n_seeds
-    col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
+    col_face = column_faces(proj.basis, space.part.faces_per_coarse)
     dims, rows, data = [], [], []
     for s in range(n_seeds):
         inside = np.zeros(mesh.n_elements + 1, dtype=bool)
@@ -213,7 +220,7 @@ def response_matrix_reference(proj, kind, j):
         rows.append(np.tile(dofs, width))
         data.append(scipy.linalg.cho_solve(factor, rhs[dofs, s * width : (s + 1) * width]).T.ravel())
     indptr = np.concatenate(([0], np.cumsum(np.repeat(dims, width))))
-    return sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), (proj.basis.dim, rhs.shape[1]))
+    return sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), (proj.basis.shape[1], rhs.shape[1]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -255,9 +262,9 @@ def test_response_blocks_are_patch_solves(mesh, face_level, variant, data):
         np.add.at(r, rows, x)
         block = element_r[:, seed[1] * rows.size : (seed[1] + 1) * rows.size].toarray()
     problem = proj.patch_problem(seed, j)
-    expected = solve_patch(proj, problem, proj.basis.matrix.T @ r)
-    assert np.abs(proj.basis.matrix @ (block @ x) - expected).max() <= 1e-12 * np.abs(expected).max()
-    col_face = np.repeat(np.arange(mesh.n_faces), np.diff(proj.basis.col_offsets))
+    expected = solve_patch(proj, problem, proj.basis.T @ r)
+    assert np.abs(proj.basis @ (block @ x) - expected).max() <= 1e-12 * np.abs(expected).max()
+    col_face = column_faces(proj.basis, part.faces_per_coarse)
     assert not block[~np.isin(col_face, problem.active_faces)].any()
 
     lam = rng.standard_normal(space.n_fine)
@@ -283,9 +290,9 @@ def test_patch_grams_gathered_from_sparse_gram(mesh, face_level, variant, chunk_
     # column-major within a seed.
     asm = assembly_on(mesh, face_level)
     proj = asm.projector(variant, 4.0)
-    m = proj.basis.dim
-    dense_rhs = {"face": (proj.basis.matrix.T @ proj.energy).toarray(),
-                 "element": proj.basis.matrix.T.toarray()[:, asm.part.boundary_face_ids.ravel()]}
+    m = proj.basis.shape[1]
+    dense_rhs = {"face": (proj.basis.T @ proj.energy).toarray(),
+                 "element": proj.basis.T.toarray()[:, asm.part.boundary_face_ids.ravel()]}
     with mock.patch.object(localize, "PATCH_CHUNK_BYTES", chunk_bytes):
         for j in (1, 2, 3):
             for kind, rhs in dense_rhs.items():
@@ -319,8 +326,8 @@ def test_responses_equal_per_seed_patch_problems(asm_mixed, chunk_bytes, monkeyp
     space, mesh = asm_mixed.space, asm_mixed.mesh
     basis = asm_mixed.projector("delta", 4.0).basis
     proj = PatchProjector(space, asm_mixed.energy, basis)
-    dense_rhs = {"face": (basis.matrix.T @ asm_mixed.energy).toarray(),
-                 "element": basis.matrix.T.toarray()[:, space.part.boundary_face_ids.ravel()]}
+    dense_rhs = {"face": (basis.T @ asm_mixed.energy).toarray(),
+                 "element": basis.T.toarray()[:, space.part.boundary_face_ids.ravel()]}
     jstar = saturation_radius(mesh)
     for j in (1, 2, 3, jstar):
         for got, (kind, rhs) in zip(proj.responses(j), dense_rhs.items()):
@@ -330,7 +337,7 @@ def test_responses_equal_per_seed_patch_problems(asm_mixed, chunk_bytes, monkeyp
             for s in range(n_seeds):
                 problem = proj.patch_problem((kind, s), j)
                 if j == jstar:
-                    assert problem.dim == basis.dim
+                    assert problem.dim == basis.shape[1]
                 indices.append(np.tile(problem.dof_indices, width))
                 dims.append(problem.dim)
                 if problem.dim:
@@ -419,8 +426,8 @@ def test_invariance_on_fine_block(asm_mixed, variant):
     if variant == "plain":
         lam = random_tilde_f(asm_mixed.space, rng)
     else:
-        coeffs = rng.standard_normal(proj.basis.dim)
-        lam = proj.basis.matrix @ coeffs
+        coeffs = rng.standard_normal(proj.basis.shape[1])
+        lam = proj.basis @ coeffs
     for j in (1, 2, 3):
         out = proj.apply_PjT(lam, j)
         err = np.abs(out - lam).max()

@@ -57,7 +57,7 @@ def test_flux_energy_against_energy_form_oracle(asm_mixed):
     saddle[:nn, :nn] = cache.stiffness
     saddle[:nn, nn] = cache.mean_vector
     saddle[nn, :nn] = cache.mean_vector
-    n_bf = geom.n_boundary_faces
+    n_bf = geom.boundary_face_ids.size
     sols = []
     for k in range(n_bf):
         rhs = np.zeros(nn + 1)
@@ -73,10 +73,10 @@ def test_flux_energy_against_energy_form_oracle(asm_mixed):
 
 def test_apply_T_zero_and_zero_average(asm_mixed):
     cache = asm_mixed.caches[0]
-    out = apply_T(cache, np.zeros(cache.geom.n_boundary_faces))
+    out = apply_T(cache, np.zeros(cache.geom.boundary_face_ids.size))
     assert np.abs(out).max() == 0.0
     rng = np.random.default_rng(1)
-    side = rng.standard_normal(cache.geom.n_boundary_faces)
+    side = rng.standard_normal(cache.geom.boundary_face_ids.size)
     sol = apply_T(cache, side)
     avg = cache.mean_vector @ sol
     assert abs(avg) < 1e-12 * max(np.abs(sol).max(), 1.0)
@@ -89,7 +89,7 @@ def test_apply_T_scaling_in_coefficient():
     c1 = assemble_all(ident, w1, part)[0]
     c7 = assemble_all(scaled, make_weight("one", scaled), part)[0]
     rng = np.random.default_rng(4)
-    side = rng.standard_normal(c1.geom.n_boundary_faces)
+    side = rng.standard_normal(c1.geom.boundary_face_ids.size)
     u1 = apply_T(c1, side)
     u7 = apply_T(c7, side)
     assert np.allclose(u7, u1 / 7.0, rtol=1e-12, atol=1e-14)
@@ -97,9 +97,9 @@ def test_apply_T_scaling_in_coefficient():
 
 def test_apply_T_energy_identity(asm_mixed):
     # (mu, T mu) over the boundary equals the interior energy of T mu.
-    for cache in list(asm_mixed.caches)[:4]:
-        rng = np.random.default_rng(cache.elem)
-        side = rng.standard_normal(cache.geom.n_boundary_faces)
+    for t, cache in enumerate(list(asm_mixed.caches)[:4]):
+        rng = np.random.default_rng(t)
+        side = rng.standard_normal(cache.geom.boundary_face_ids.size)
         sol = apply_T(cache, side)
         boundary = side @ (cache.geom.trace_matrix @ sol)
         interior = sol @ (cache.stiffness @ sol)
@@ -127,9 +127,9 @@ def test_apply_Ttilde_eigenfunction_identity(asm_mixed):
 
 def test_adjoint_identity(asm_mixed):
     # (mu, Ttilde g) over the boundary = (rho g, T mu) over the element.
-    for cache in list(asm_mixed.caches)[:6]:
-        rng = np.random.default_rng(100 + cache.elem)
-        side = rng.standard_normal(cache.geom.n_boundary_faces)
+    for t, cache in enumerate(list(asm_mixed.caches)[:6]):
+        rng = np.random.default_rng(100 + t)
+        side = rng.standard_normal(cache.geom.boundary_face_ids.size)
         g = rng.standard_normal(cache.geom.n_nodes)
         left = side @ (cache.geom.trace_matrix @ apply_Ttilde(cache, g))
         right = g @ (cache.mass @ apply_T(cache, side))
@@ -179,17 +179,17 @@ def test_face_blocks_schur_matches_min_oracle(asm_mixed):
 
 def test_energy_sandwich_with_identity_twin(asm_mixed):
     # 1/a_max^tau * identity energy <= energy <= 1/a_min^tau * identity energy.
-    for cache in list(asm_mixed.caches)[:8]:
+    for t, cache in enumerate(list(asm_mixed.caches)[:8]):
         b = cache.flux_energy
         b_id = identity_flux_energy(cache)
-        rng = np.random.default_rng(cache.elem + 50)
+        rng = np.random.default_rng(t + 50)
         for _ in range(5):
             mu = rng.standard_normal(b.shape[0])
             e = mu @ (b @ mu)
             e_id = mu @ (b_id @ mu)
             slack = 1e-11 * max(e, e_id)
-            assert e >= e_id / asm_mixed.stats.a_max_local[cache.elem] - slack
-            assert e <= e_id / asm_mixed.stats.a_min_local[cache.elem] + slack
+            assert e >= e_id / asm_mixed.stats.a_max_local[t] - slack
+            assert e <= e_id / asm_mixed.stats.a_min_local[t] + slack
 
 
 def test_flux_energy_positive_on_zero_average(asm_mixed):
@@ -207,8 +207,8 @@ def test_static_condensation_consistency(asm_mixed):
     # an explicit local solve.
     cache = asm_mixed.caches[11]
     rng = np.random.default_rng(23)
-    mu = rng.standard_normal(cache.geom.n_boundary_faces)
-    nu = rng.standard_normal(cache.geom.n_boundary_faces)
+    mu = rng.standard_normal(cache.geom.boundary_face_ids.size)
+    nu = rng.standard_normal(cache.geom.boundary_face_ids.size)
     via_cache = mu @ (cache.flux_energy @ nu)
     via_solve = mu @ (cache.geom.trace_matrix @ apply_T(cache, nu))
     assert via_cache == pytest.approx(via_solve, rel=1e-11)
@@ -355,7 +355,7 @@ def raster_fields(draw):
 def test_batched_kernels_match_reference(mesh, face_level, field):
     raster, rho_choice = field
     part = refine_faces(mesh, face_level)
-    coeff = CoefficientField.from_raster(part, raster)
+    coeff = CoefficientField.sample(part, raster)
     weight = make_weight(rho_choice, coeff)
     caches = assemble_all(coeff, weight, part)
     space = build_trace_space(part)
@@ -399,13 +399,13 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
     assert solve_lsd(asm, g, 1).diagnostics["equilibrium_rel_max"] <= 1e-10
 
     spectra = all_face_spectra(space, caches, alpha_stab=2.0)
-    for s in spectra:
+    for f, s in enumerate(spectra):
         assert s.alphas.shape == (space.zero_mean.shape[1],)
         if s.empty:
             continue
         # Eigenvalue floor: the full energy dominates the soft-extension energy.
         assert s.alphas.min() >= 1.0 - 1e-10
-        ref = reference_face_alphas(space, [c.flux_energy for c in caches], s.face)
+        ref = reference_face_alphas(space, [c.flux_energy for c in caches], f)
         assert np.allclose(s.alphas, ref, rtol=1e-10, atol=0.0)
         assert s.n_delta == int(np.sum(ref < 2.0))
 

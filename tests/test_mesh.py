@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_elements
+from conftest import face_elements, fine_endpoints
 from lsdfem.mesh import (
     MeshError,
+    _triangle_quality,
     build_mesh,
     build_structured_mesh,
     element_layers,
+    layer_sets,
     load_mesh,
     refine_faces,
     saturation_depth,
@@ -39,7 +43,7 @@ def test_face_orientation_and_signs():
     for f in range(mesh.n_faces):
         a, b = mesh.faces[f]
         tangent = mesh.vertices[b] - mesh.vertices[a]
-        n = mesh.face_normals[f]
+        n = np.array([tangent[1], -tangent[0]]) / np.linalg.norm(tangent)   # tangent turned by -90 degrees
         assert abs(np.dot(tangent, n)) < 1e-14
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
         left = mesh.face_left[f]
@@ -175,6 +179,35 @@ def test_structured_saturation_radius(n):
     assert saturation_radius(build_structured_mesh(n, n)) == 2 * n
 
 
+class CountingProducts:
+    """Stands in for the adjacency: counts the ``layers @ adjacency`` products, failing past ``limit``."""
+
+    def __init__(self, matrix, limit):
+        self.matrix, self.limit, self.products = matrix, limit, 0
+
+    def __rmatmul__(self, other):
+        self.products += 1
+        assert self.products <= self.limit, "layer products went on past saturation"
+        return other @ self.matrix
+
+
+def test_layer_sets_stop_once_saturated():
+    # The layers only grow, so the adjacency products stop at the first that
+    # adds no element: any j past the saturation radius gives the same sets
+    # and costs at most one product more than reaching them.
+    mesh = build_structured_mesh(4, 4)
+    jstar = saturation_radius(mesh)
+    for kind, n in (("element", mesh.n_elements), ("face", mesh.n_faces)):
+        seeds = np.arange(n)
+        want = layer_sets(mesh, kind, seeds, jstar)
+        assert want.nnz == n * mesh.n_elements
+        counted = dataclasses.replace(mesh, adjacency=CountingProducts(mesh.adjacency, jstar))
+        got = layer_sets(counted, kind, seeds, 10**6)
+        assert 0 < counted.adjacency.products <= jstar
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_connectivity_is_through_faces():
     # Two triangles sharing only a vertex are closure- but not face-connected.
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -207,9 +240,8 @@ def test_boundary_triangulation_matches_subfaces_level3():
     part = refine_faces(mesh, 3)
     # Nodes carrying trace weight for a sub-face must lie on its segment.
     for geom in part.geometry:
-        for row in range(geom.n_boundary_faces):
-            fine = geom.boundary_face_ids[row]
-            a, b = part.fine_endpoints[fine]
+        for row, fine in enumerate(geom.boundary_face_ids):
+            a, b = fine_endpoints(part, fine)
             t = b - a
             length = np.linalg.norm(t)
             support = np.nonzero(geom.trace_matrix[row])[0]
@@ -322,7 +354,8 @@ def mesh_loop_reference(vertices, elements, bound=20.0):
 
 def assert_matches_loop_reference(mesh, vertices, elements):
     for name, want in mesh_loop_reference(vertices, elements).items():
-        got = getattr(mesh, name)
+        # The areas are the signed areas of the reoriented elements.
+        got = _triangle_quality(mesh.vertices[mesh.elements])[0] if name == "areas" else getattr(mesh, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 

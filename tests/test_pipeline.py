@@ -103,11 +103,14 @@ def test_solve_lambda0(asm_const):
     g1 = [np.ones(geo.n_nodes) for geo in asm_const.part.geometry]
     lam = solve_lambda0(asm_const, g1)
     space = asm_const.space
-    coeffs = np.linalg.solve(space.pairing_matrix.T, -asm_const.mesh.areas)
+    p = asm_const.mesh.vertices[asm_const.mesh.elements]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
+    coeffs = np.linalg.solve(space.pairing_matrix.T, -areas)
     oracle = space.jump_basis @ coeffs
     assert np.allclose(lam, oracle, rtol=1e-12, atol=1e-14)
     # compatibility: the pairing against constants reproduces the data.
-    residual = space.pair_v0 @ lam + asm_const.mesh.areas
+    residual = space.pair_v0 @ lam + areas
     assert np.abs(residual).max() < 1e-12
 
 
@@ -192,7 +195,7 @@ def test_recover_delta_zero_and_membership(asm_mixed):
     # With data, the output lies in the span of the localizable block.
     g = sample_load(asm_mixed.part, smooth_g)
     sol = solve_lsd(asm_mixed, g, 2, "delta", 4.0)
-    basis = proj.basis.matrix.toarray()
+    basis = proj.basis.toarray()
     coeffs, *_ = np.linalg.lstsq(basis, sol.lam_delta, rcond=None)
     recon = basis @ coeffs
     assert np.allclose(recon, sol.lam_delta, atol=1e-9 * max(np.abs(sol.lam_delta).max(), 1e-30))
@@ -204,8 +207,7 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
     # The potential parts have zero weighted average per element.
     from lsdfem.pipeline import compute_ttilde
 
-    for cache in asm_mixed.caches:
-        t = cache.elem
+    for t, cache in enumerate(asm_mixed.caches):
         tilde = sol.u_broken[t] - sol.u0[t]
         avg = cache.mean_vector @ tilde
         assert abs(avg) < 1e-10 * max(np.abs(tilde).max(), 1.0)
@@ -381,8 +383,7 @@ def test_four_step_reproduces_monolithic(asm_mixed, mesh_fn, tmp_path):
     ref = broken_energy(asm.caches, u_ref) ** 0.5
     assert energy_error(asm.caches, u_ref, sol.u_broken) <= 1e-10 * ref
     # u0 agrees with the weighted average of the monolithic solution.
-    for cache in asm.caches:
-        t = cache.elem
+    for t, cache in enumerate(asm.caches):
         mean = (cache.mean_vector @ u_ref[t]) / cache.mean_vector.sum()
         assert sol.u0[t] == pytest.approx(mean, rel=1e-8, abs=1e-10)
 
@@ -401,7 +402,7 @@ def test_whole_solve_matches_references(mesh, face_level, field, variant):
     # balance.  Both differences are rounding that grows with the contrast.
     raster, rho = field
     part = refine_faces(mesh, face_level)
-    coeff = CoefficientField.from_raster(part, raster)
+    coeff = CoefficientField.sample(part, raster)
     caches = assemble_all(coeff, make_weight(rho, coeff), part)
     space = build_trace_space(part)
     stats = local_bounds(coeff)
@@ -459,7 +460,7 @@ def dense_upscaled_reference(asm, variant, j):
     space = asm.space
     basis = np.repeat(space.face_constant_coeffs, space.part.faces_per_coarse, axis=0)
     if variant == "delta":
-        basis = np.hstack([basis, pi_basis(space, asm.face_spectra(4.0)).matrix.toarray()])
+        basis = np.hstack([basis, pi_basis(space, asm.face_spectra(4.0)).toarray()])
     psi = basis - asm.projector(variant, 4.0).apply_PjT_columns(basis, j)
     gram = psi.T @ (asm.energy @ psi)
     return basis, psi, 0.5 * (gram + gram.T)
@@ -507,7 +508,7 @@ def test_global_solve_is_the_staged_global_solve(variant):
     x = np.linalg.solve(gram, rhs)
     lam_coarse = basis @ x
     lam_delta = -(flux0 + lam_coarse - psi @ x + q)
-    w = proj.basis.matrix.toarray()
+    w = proj.basis.toarray()
     for got, want, span in ((sol.lam_coarse, lam_coarse, basis), (sol.lam_delta, lam_delta, w)):
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-10 * scale
@@ -578,9 +579,9 @@ def test_weighted_norm_duality(asm_mixed):
     g = sample_load(part, smooth_g)
     norm_g = load_norm(caches, g)
     total = 0.0
-    for cache in caches:
+    for t, cache in enumerate(caches):
         geom = cache.geom
-        gv, rv = g[cache.elem], rho[cache.elem]
+        gv, rv = g[t], rho[t]
         for c, cell in enumerate(geom.cells):
             mids = np.array([0.5 * (gv[cell[i]] + gv[cell[(i + 1) % 3]]) for i in range(3)])
             f_mid = rv[c] * mids

@@ -104,7 +104,7 @@ def test_face_pencil_not_spd_names_face(asm_mixed):
     named = int(str(err.value).rsplit("face ", 1)[1].rstrip(")"))
     assert named in mesh.element_faces[elem]
     # The named face's summed soft-extension energy is indefinite indeed.
-    t_hat = edge_blocks(space, caches.flux_energy, caches.elem)[3]
+    t_hat = edge_blocks(space, caches.flux_energy)[3]
     t_sum = sum(t_hat[e, list(mesh.element_faces[e]).index(named)] for e in face_elements(mesh, named))
     assert np.linalg.eigvalsh(t_sum).min() < 0.0
 
@@ -170,8 +170,8 @@ def test_channel_face_has_large_eigenvalue(asm_channel):
     assert alpha_max > 1e3
     # Dense oracle: the top eigenpair's Rayleigh quotient using blocks
     # recomputed through the constrained-minimum form.
-    worst = max((s for s in spectra if not s.empty), key=lambda s: s.alphas.max())
-    f = worst.face
+    f = max((f for f, s in enumerate(spectra) if not s.empty), key=lambda f: spectra[f].alphas.max())
+    worst = spectra[f]
     m = asm_channel.space.zero_mean.shape[1]
     t_sum = np.zeros((m, m))
     that_sum = np.zeros((m, m))
@@ -188,12 +188,12 @@ def test_channel_face_has_large_eigenvalue(asm_channel):
 
 def test_face_eigvectors_orthonormal_in_schur_energy(asm_mixed):
     spectra = all_face_spectra(asm_mixed.space, asm_mixed.caches, alpha_stab=4.0)
-    for s in list(spectra)[:8]:
+    for f, s in enumerate(list(spectra)[:8]):
         if s.empty:
             continue
         that = np.zeros((s.vectors.shape[0],) * 2)
-        for e in face_elements(asm_mixed.mesh, s.face):
-            that += face_split(asm_mixed, e, s.face)[3]
+        for e in face_elements(asm_mixed.mesh, f):
+            that += face_split(asm_mixed, e, f)[3]
         gram = s.vectors.T @ that @ s.vectors
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
@@ -233,7 +233,7 @@ def test_element_spectra_stack_and_views(asm_mixed):
     spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     assert len(spectra) == asm_mixed.mesh.n_elements
     for t, spec in enumerate(spectra):
-        assert spec.elem == t and np.shares_memory(spec.vectors, spectra.vectors)
+        assert np.shares_memory(spec.vectors, spectra.vectors)
         first_dropped = spec.sigma[spec.j_count] if spec.j_count < len(spec.sigma) else np.inf
         assert spec.sigma_next == first_dropped == spectra.sigma_next[t]
     all_kept = all_element_spectra(asm_mixed.caches, h_target=1e-9)
@@ -305,7 +305,7 @@ def assert_view_of(view, stack, i):
             assert got is whole, f.name
             assert np.shape(whole)[:1] != (len(stack),), f"{f.name} has an item axis"
         elif isinstance(whole, np.ndarray) and whole.ndim == 1 and whole.dtype.kind == "i":
-            assert type(got) is int and got == whole[i], f.name   # ids become ints
+            assert type(got) is int and got == whole[i], f.name   # counts become ints
         elif isinstance(whole, np.ndarray):
             assert np.array_equal(got, whole[i]), f.name
             if got.ndim:
@@ -323,11 +323,7 @@ def test_stacked_views(asm_mixed, family):
     assert len(views) == n
     for i, view in enumerate(views):
         assert_view_of(view, stack, i)
-    if family == "face_spectra":
-        assert [v.face for v in views] == list(range(n))
-    elif family != "partition":
-        assert [v.elem for v in views] == list(range(n))
-    else:
+    if family == "partition":
         assert [v.n_nodes for v in views] == [stack.n_nodes] * n
 
 
@@ -356,7 +352,7 @@ def test_element_eigvector_double_orthogonality(asm_mixed):
 def test_project_rhs_identities(asm_mixed):
     spectra = all_element_spectra(asm_mixed.caches, h_target=0.5)
     # Piecewise constant load is reproduced exactly.
-    g_const = [np.full(c.geom.n_nodes, 2.0 + c.elem) for c in asm_mixed.caches]
+    g_const = [np.full(c.geom.n_nodes, 2.0 + t) for t, c in enumerate(asm_mixed.caches)]
     proj, rem, load = project_rhs(spectra, asm_mixed.caches, g_const)
     for p, g in zip(proj, g_const):
         assert np.allclose(p, g, rtol=1e-10, atol=1e-10)
