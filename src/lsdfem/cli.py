@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import presets
+from .coeff import _POSITIVE, _POSITIVE_INT, _is_integer
 from .localize import ring_energies
 from .pipeline import (
     Assembly,
     PipelineError,
     SolverConfig,
-    _is_finite_number,
-    _is_integer,
     build_assembly,
     broken_energy,
     conforming_solve,
@@ -40,8 +39,6 @@ from .traces import boundary_functional
 
 EXPERIMENT_KINDS = ("solve", "decay", "j_sweep", "contrast_sweep", "h_convergence", "rhs_reduction")
 ENV_PREFIX = "LSDFEM_"
-_POSITIVE_INT = ("integers >= 1", lambda v: _is_integer(v) and v >= 1)
-_POSITIVE = ("finite and > 0", lambda v: _is_finite_number(v) and v > 0)
 # Sweep lists the runners read: key -> (requirement, check of one value).
 SWEEP_RULES = {"j": _POSITIVE_INT, "nx": _POSITIVE_INT, "contrasts": _POSITIVE, "h_target": _POSITIVE}
 
@@ -84,7 +81,7 @@ class ExperimentSpec:
         for key, (rule, ok) in SWEEP_RULES.items():
             values = sweep.get(key, [])
             if not isinstance(values, list) or not all(map(ok, values)):
-                raise ValueError(f"sweep.{key} must be a list of values {rule}, got {values!r}")
+                raise ValueError(f"sweep.{key} must be a list, each value {rule}, got {values!r}")
         seed = data.get("seed", 0)
         if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -104,22 +101,22 @@ def _write_csv(path: str, columns: dict) -> None:
             writer.writerows(rows)
 
 
-def _columns(rows: list[dict]) -> dict:
-    """The columns of a list of rows that share their keys."""
-    return {key: [row[key] for row in rows] for key in (rows[0] if rows else ())}
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-def _center_element(assembly: Assembly) -> int:
-    mesh = assembly.mesh
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    center = 0.5 * (lo + hi)
-    return int(np.argmin(np.linalg.norm(mesh.centroids - center, axis=1)))
+def _write_study(spec: ExperimentSpec, rows: list[dict], payload: dict) -> dict:
+    """Write ``<kind>.csv`` from rows that share their keys and ``<kind>.json`` from ``payload``; return it."""
+    path = os.path.join(spec.out_dir, spec.kind)
+    _write_csv(path + ".csv", {key: [row[key] for row in rows] for key in (rows[0] if rows else ())})
+    _write_json(path + ".json", payload)
+    return payload
+
+
+def _nearest_element(assembly: Assembly, point) -> int:
+    """The element whose centroid is nearest ``point``."""
+    return int(np.argmin(np.linalg.norm(assembly.mesh.centroids - point, axis=1)))
 
 
 def _seed_element(spec: ExperimentSpec, assembly: Assembly, default: int) -> int:
@@ -182,7 +179,9 @@ def run_solve(spec: ExperimentSpec) -> dict:
 def run_decay(spec: ExperimentSpec) -> dict:
     cfg = spec.config
     assembly = build_assembly(cfg)
-    elem = _seed_element(spec, assembly, _center_element(assembly))
+    vertices = assembly.mesh.vertices
+    center = 0.5 * (vertices.min(axis=0) + vertices.max(axis=0))
+    elem = _seed_element(spec, assembly, _nearest_element(assembly, center))
     rng = np.random.default_rng(spec.seed) if spec.sweep.get("random_probe") else None
     rows = []
     summary = {}
@@ -206,10 +205,7 @@ def run_decay(spec: ExperimentSpec) -> dict:
             "worst_step": profile.worst_step,
             "total": profile.total,
         }
-    _write_csv(os.path.join(spec.out_dir, "decay.csv"), _columns(rows))
-    payload = {"config_hash": cfg.digest(), "seed_element": elem, "fit": summary}
-    _write_json(os.path.join(spec.out_dir, "decay.json"), payload)
-    return payload
+    return _write_study(spec, rows, {"config_hash": cfg.digest(), "seed_element": elem, "fit": summary})
 
 
 def run_j_sweep(spec: ExperimentSpec) -> dict:
@@ -233,10 +229,7 @@ def run_j_sweep(spec: ExperimentSpec) -> dict:
                 "config_hash": cfg.digest(),
             }
         )
-    _write_csv(os.path.join(spec.out_dir, "j_sweep.csv"), _columns(rows))
-    payload = {"rows": rows, "config_hash": cfg.digest()}
-    _write_json(os.path.join(spec.out_dir, "j_sweep.json"), payload)
-    return payload
+    return _write_study(spec, rows, {"rows": rows, "config_hash": cfg.digest()})
 
 
 def run_contrast_sweep(spec: ExperimentSpec) -> dict:
@@ -252,7 +245,10 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
             }
         )
         assembly = build_assembly(sub)
-        elem = _seed_element(spec, assembly, _channel_seed(assembly, sub))
+        # Default seed: the element inside the channel nearest the domain's left edge.
+        center = float(sub.coefficient_params.get("center", presets.COEFFICIENT_PRESETS["channel"][1]["center"]))
+        left = assembly.mesh.vertices[:, 0].min()
+        elem = _seed_element(spec, assembly, _nearest_element(assembly, (left, center)))
         for variant in ("plain", "delta"):
             profile = _seed_profile(assembly, variant, cfg.alpha_stab, elem, None)
             rows.append(
@@ -267,18 +263,7 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
                     "config_hash": sub.digest(),
                 }
             )
-    _write_csv(os.path.join(spec.out_dir, "contrast_sweep.csv"), _columns(rows))
-    payload = {"rows": rows}
-    _write_json(os.path.join(spec.out_dir, "contrast_sweep.json"), payload)
-    return payload
-
-
-def _channel_seed(assembly: Assembly, cfg: SolverConfig) -> int:
-    """Element inside the channel nearest the domain's left edge."""
-    center = float(cfg.coefficient_params.get("center", presets.COEFFICIENT_PRESETS["channel"][1]["center"]))
-    lo = assembly.mesh.vertices.min(axis=0)
-    target = np.array([lo[0], center])
-    return int(np.argmin(np.linalg.norm(assembly.mesh.centroids - target, axis=1)))
+    return _write_study(spec, rows, {"rows": rows})
 
 
 def run_h_convergence(spec: ExperimentSpec) -> dict:
@@ -310,10 +295,7 @@ def run_h_convergence(spec: ExperimentSpec) -> dict:
             }
         )
         prev = (h_coarse, err)
-    _write_csv(os.path.join(spec.out_dir, "h_convergence.csv"), _columns(rows))
-    payload = {"rows": rows}
-    _write_json(os.path.join(spec.out_dir, "h_convergence.json"), payload)
-    return payload
+    return _write_study(spec, rows, {"rows": rows})
 
 
 def run_rhs_reduction(spec: ExperimentSpec) -> dict:
@@ -344,10 +326,7 @@ def run_rhs_reduction(spec: ExperimentSpec) -> dict:
                 "config_hash": cfg.digest(),
             }
         )
-    _write_csv(os.path.join(spec.out_dir, "rhs_reduction.csv"), _columns(rows))
-    payload = {"rows": rows}
-    _write_json(os.path.join(spec.out_dir, "rhs_reduction.json"), payload)
-    return payload
+    return _write_study(spec, rows, {"rows": rows})
 
 
 RUNNERS = {

@@ -27,11 +27,32 @@ __all__ = [
     "save_raster",
 ]
 
-WEIGHT_CHOICES = ("one", "amin", "a_minus", "a_plus", "amax", "custom")
+WEIGHT_CHOICES = ("one", "amin", "a_minus", "a_plus", "amax")
 
 
 class CoefficientError(ValueError):
     """Invalid coefficient or weight data."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.number))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+# Value rules shared by the config, sweep and raster checks: (requirement, check of one value).
+_POSITIVE_INT = ("an integer >= 1", lambda v: _is_integer(v) and v >= 1)
+_POSITIVE = ("a finite number > 0", lambda v: _is_finite_number(v) and v > 0)
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_DOMAIN = ("4 finite numbers (x0, y0, x1, y1) with x1 > x0 and y1 > y0",
+           lambda v: isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_finite_number, v))
+           and v[2] > v[0] and v[3] > v[1])
 
 
 def _sym_eig_bounds(tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +87,6 @@ class Raster:
         return values[:, [0, 1, 1, 2]].reshape(-1, 2, 2) if self.is_tensor else values
 
 
-def _sample(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray], shapes: tuple) -> np.ndarray:
-    """``fn`` called once on all interior cell centroids; ``(ne, nc) + shape`` for a shape in ``shapes``."""
-    points = part.cell_centroids.reshape(-1, 2)
-    values = np.asarray(fn(points), dtype=float)
-    if values.shape[:1] != (len(points),) or values.shape[1:] not in shapes:
-        raise CoefficientError(f"cell function must return {len(points)} values of shape "
-                               f"{' or '.join(map(str, shapes))}, got {values.shape}")
-    return values.reshape(part.cell_centroids.shape[:2] + values.shape[1:])
-
-
 def _first(bad: np.ndarray) -> int:
     """First element whose cells are flagged in ``bad`` (ne, nc), or -1."""
     rows = bad.any(axis=1)
@@ -104,7 +115,12 @@ class CoefficientField:
 
         ``(n,)`` scalars a become ``a I``; ``(n, 2, 2)`` tensors are kept.
         """
-        tensors = _sample(part, source.lookup if isinstance(source, Raster) else source, ((), (2, 2)))
+        points = part.cell_centroids.reshape(-1, 2)
+        values = np.asarray((source.lookup if isinstance(source, Raster) else source)(points), dtype=float)
+        if values.shape[:1] != (len(points),) or values.shape[1:] not in ((), (2, 2)):
+            raise CoefficientError(f"cell function must return {len(points)} values of shape () or (2, 2), "
+                                   f"got {values.shape}")
+        tensors = values.reshape(part.cell_centroids.shape[:2] + values.shape[1:])
         if tensors.ndim == 2:
             scalars, tensors = tensors, np.zeros(tensors.shape + (2, 2))
             tensors[..., 0, 0] = tensors[..., 1, 1] = scalars
@@ -118,34 +134,25 @@ class CoefficientField:
         return cls(part, tensors, float(emin.min()), float(emax.max()))
 
 
-def make_weight(
-    choice: str,
-    field: CoefficientField,
-    custom: Callable[[np.ndarray], np.ndarray] | Raster | None = None,
-) -> np.ndarray:
+def make_weight(choice: str, field: CoefficientField) -> np.ndarray:
     """The weight rho > 0 of one supported choice, per fine interior cell ``(ne, nc)``.
 
     ``one`` is the unit weight, ``amin``/``amax`` the global coefficient
-    bounds, ``a_minus``/``a_plus`` the cellwise smallest/largest tensor
-    eigenvalue, and ``custom`` samples a user raster or callable.
+    bounds, and ``a_minus``/``a_plus`` the cellwise smallest/largest tensor
+    eigenvalue.
     """
     if choice not in WEIGHT_CHOICES:
         raise CoefficientError(f"unknown weight choice {choice!r}")
-    part = field.part
-    shape = part.cell_areas.shape
+    shape = field.part.cell_areas.shape
     if choice == "one":
         values = np.ones(shape)
     elif choice == "amin":
         values = np.full(shape, field.a_min)
     elif choice == "amax":
         values = np.full(shape, field.a_max)
-    elif choice in ("a_minus", "a_plus"):
+    else:
         lo, hi = _sym_eig_bounds(np.asarray(field.tensors))
         values = lo if choice == "a_minus" else hi
-    elif custom is None:
-        raise CoefficientError("custom weight requires a raster or callable")
-    else:
-        values = _sample(part, custom.lookup if isinstance(custom, Raster) else custom, ((),))
     bad = _first(~((values > 0.0) & np.isfinite(values)))
     if bad >= 0:
         raise CoefficientError(f"nonpositive weight value in element {bad}")
@@ -218,32 +225,39 @@ def save_raster(raster: Raster, path: str) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+# Raster header fields: name -> (requirement, check of the value).
+_RASTER_RULES = {"nx": _POSITIVE_INT, "ny": _POSITIVE_INT, "tensor": _BOOL, "domain": _DOMAIN}
+
+
 def load_raster(path: str, domain: Sequence[float] = (0.0, 0.0, 1.0, 1.0)) -> Raster:
+    """Read a text or ``.json`` raster; ``domain`` applies unless the JSON gives its own."""
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise CoefficientError(f"raster {path} must hold a JSON object")
-        try:
-            nx, ny = int(payload[key := "nx"]), int(payload[key := "ny"])
-            tensor = bool(payload[key := "tensor"])
-            values = np.array(payload[key := "values"], dtype=float).reshape((ny, nx, 3) if tensor else (ny, nx))
-            dom = tuple(payload.get(key := "domain", domain))
-        except KeyError:
-            raise CoefficientError(f"raster {path} has no {key!r} field") from None
-        except (TypeError, ValueError) as exc:
-            raise CoefficientError(f"raster {path} has a bad {key!r} field: {exc}") from None
-        return Raster(nx, ny, values, dom)  # type: ignore[arg-type]
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise CoefficientError(f"bad raster header in {path}")
-        nx, ny, flag = int(header[0]), int(header[1]), int(header[2])
-        values = np.loadtxt(fh, ndmin=2)
-    if flag not in (0, 1):
-        raise CoefficientError("raster flag must be 0 (scalar) or 1 (tensor)")
-    if flag == 1:
-        values = values.reshape(ny, nx, 3)
+        for key in ("nx", "ny", "tensor", "values"):
+            if key not in payload:
+                raise CoefficientError(f"raster {path} has no {key!r} field")
+        header = {key: payload[key] for key in ("nx", "ny", "tensor")}
+        header["domain"], values = payload.get("domain", domain), payload["values"]
     else:
-        values = values.reshape(ny, nx)
-    return Raster(nx, ny, values, tuple(domain))  # type: ignore[arg-type]
+        with open(path, "r", encoding="utf-8") as fh:
+            line, values = fh.readline(), fh.read().split()
+        try:
+            nx, ny, flag = map(int, line.split())
+        except ValueError:
+            raise CoefficientError(f"bad raster header {line.strip()!r} in {path}: "
+                                   "expected integers 'nx ny flag'") from None
+        if flag not in (0, 1):
+            raise CoefficientError("raster flag must be 0 (scalar) or 1 (tensor)")
+        header = {"nx": nx, "ny": ny, "tensor": flag == 1, "domain": domain}
+    for key, (rule, ok) in _RASTER_RULES.items():
+        if not ok(header[key]):
+            raise CoefficientError(f"raster {path} has a bad {key!r} field: must be {rule}, got {header[key]!r}")
+    nx, ny = header["nx"], header["ny"]
+    try:
+        values = np.array(values, dtype=float).reshape((ny, nx, 3) if header["tensor"] else (ny, nx))
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"raster {path} has a bad 'values' field: {exc}") from None
+    return Raster(nx, ny, values, tuple(header["domain"]))  # type: ignore[arg-type]

@@ -361,7 +361,6 @@ class RingProfile:
     energies of rings >= 1, ignoring rings below 1e-14 of the total.
     """
 
-    seed: tuple[str, int]
     energies: np.ndarray
     ratio: float
     total: float
@@ -377,28 +376,23 @@ class RingProfile:
             return 0.0
         return float(self.energies[after_ring + 1 :].sum() / self.total)
 
-    def step_ratios(self, threshold: float = 1e-13) -> np.ndarray:
-        """Consecutive ring ratios e_{r+1}/e_r over significant rings (r >= 1)."""
-        out = []
-        for r in range(1, len(self.energies) - 1):
-            a, b = self.energies[r], self.energies[r + 1]
-            if a > threshold * self.total and b > threshold * self.total:
-                out.append(b / a)
-        return np.array(out)
-
     @property
     def worst_step(self) -> float:
-        """Largest per-ring decay factor: flat plateaus report ~1 even when a
-        least-squares line through the profile would hide them."""
-        steps = self.step_ratios()
-        return float(steps.max()) if steps.size else 0.0
+        """Largest consecutive ring ratio e_{r+1}/e_r over rings r >= 1 above 1e-13 of the total.
+
+        Flat plateaus report ~1 even when a least-squares line through the
+        profile would hide them.
+        """
+        e, cut = self.energies, 1e-13 * self.total
+        steps = [e[r + 1] / e[r] for r in range(1, len(e) - 1) if e[r] > cut and e[r + 1] > cut]
+        return float(max(steps, default=0.0))
 
 
-def _fit_ratio(energies: np.ndarray, total: float, start: int = 1) -> float:
+def _fit_ratio(energies: np.ndarray, total: float) -> float:
     keep = [
         (r, e)
         for r, e in enumerate(energies)
-        if r >= start and e > 1e-14 * total and e > 0.0
+        if r >= 1 and e > 1e-14 * total and e > 0.0
     ]
     if len(keep) < 2:
         return 0.0
@@ -418,4 +412,4 @@ def ring_energies(
     per_element = quadratic_forms(caches.flux_energy, caches.geom.side_values(mu))
     total = float(per_element.sum())
     energies = np.bincount(layer_distances(mesh, seed), weights=per_element)
-    return RingProfile(seed, energies, _fit_ratio(energies, total), total)
+    return RingProfile(energies, _fit_ratio(energies, total), total)

@@ -32,6 +32,7 @@ from .traces import TraceSpace
 __all__ = [
     "ElementCache",
     "LocalAssemblyError",
+    "NotSPDError",
     "assemble_all",
     "apply_T",
     "edge_blocks",
@@ -46,6 +47,21 @@ __all__ = [
 
 class LocalAssemblyError(RuntimeError):
     """Element-level assembly or factorization failure."""
+
+
+class NotSPDError(ValueError):
+    """A matrix that must be positive definite is not.
+
+    ``item`` is the failing matrix's index in a stacked call.
+    """
+
+    def __init__(self, pivot: int, context: str = "", item: int | None = None):
+        self.pivot = pivot
+        self.item = item
+        msg = f"matrix is not SPD: Cholesky failed at pivot {pivot}"
+        if context:
+            msg += f" ({context})"
+        super().__init__(msg)
 
 
 @dataclass
@@ -234,19 +250,20 @@ def load_functionals(cache: ElementCache, load: np.ndarray) -> np.ndarray:
     return (load[..., None, :] @ cache.flux_potentials)[..., 0, :]
 
 
-def batched_cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int, int]:
+def batched_cholesky(mats: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a stack ``(..., n, n)`` of symmetric matrices.
 
-    Returns ``(factors, -1, -1)``, or ``(None, item, pivot)`` for the first
-    matrix of the flattened stack that is not positive definite.
+    Raises :class:`NotSPDError` with the failing pivot index (and, for a
+    stack, the first failing item of the flattened stack) when a matrix is
+    not positive definite.
     """
     try:
-        return np.linalg.cholesky(mats), -1, -1
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         for item, mat in enumerate(mats.reshape((-1,) + mats.shape[-2:])):
             info = lapack.dpotrf(mat, lower=1)[1]
             if info != 0:
-                return None, item, int(info) - 1
+                raise NotSPDError(int(info) - 1, "" if mats.ndim == 2 else f"item {item}", item) from None
         raise
 
 
@@ -281,11 +298,12 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray) -> tuple:
     perm = [bz[:, o][:, :, :, o].reshape(n, 3 * m, 3 * m) for o in ([0, 1, 2], [1, 0, 2], [2, 0, 1])]
     blocks = np.stack(perm, axis=1)
     t_ff, t_ffc, t_fcfc = blocks[..., :m, :m], blocks[..., :m, m:], blocks[..., m:, m:]
-    chol, item, pivot = batched_cholesky(t_fcfc)
-    if chol is None:
-        t, e = divmod(item, 3)
+    try:
+        chol = batched_cholesky(t_fcfc)
+    except NotSPDError as exc:
+        t, e = divmod(exc.item, 3)
         raise AssertionError(f"element {t}, face {space.mesh.element_faces[t, e]}: "
-                             f"complementary block not SPD (Cholesky failed at pivot {pivot})")
+                             f"complementary block not SPD (Cholesky failed at pivot {exc.pivot})") from None
     w = solve_lower(chol, t_ffc.swapaxes(-1, -2))
     return _sym(t_ff), t_ffc, t_fcfc, _sym(t_ff - w.swapaxes(-1, -2) @ w)
 

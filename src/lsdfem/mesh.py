@@ -148,6 +148,9 @@ def build_mesh(
         raise MeshError("elements must be an (ne, 3) array")
     if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
         raise MeshError("element vertex index out of range")
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise MeshError(f"vertex {bad[0]} has a non-finite coordinate {vertices[bad[0]].tolist()}")
 
     ne = elements.shape[0]
     signed, ratio = _triangle_quality(vertices[elements])
@@ -190,13 +193,7 @@ def build_mesh(
     element_face_signs = np.where(face_left[element_faces] == np.arange(ne)[:, None], 1, -1)
 
     centroids = vertices[elements].mean(axis=1)
-    edge_l = np.stack(
-        [
-            np.linalg.norm(vertices[elements[:, i]] - vertices[elements[:, (i + 1) % 3]], axis=1)
-            for i in range(3)
-        ]
-    )
-    diameters = edge_l.max(axis=0)
+    diameters = face_measures[element_faces].max(axis=1)
 
     # Closure adjacency I I^T from the element-vertex incidence I.
     incidence = sp.csr_matrix(
@@ -602,6 +599,8 @@ def load_mesh(path: str, shape_regularity_bound: float = DEFAULT_SHAPE_REGULARIT
 
     def take(n: int) -> list[str]:
         nonlocal pos
+        if n < 0:
+            raise MeshError(f"mesh file {path} has a negative vertex or element count")
         if pos + n > len(tokens):
             raise MeshError(f"mesh file {path} truncated")
         out = tokens[pos : pos + n]

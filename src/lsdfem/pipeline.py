@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -25,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from . import presets
 from .coeff import ContrastStats, WEIGHT_CHOICES, local_bounds, make_weight
+from .coeff import _BOOL, _DOMAIN, _POSITIVE, _POSITIVE_INT, _is_finite_number, _is_integer   # value rules
 from .localize import (
     PatchProjector,
     build_flux_energy,
@@ -95,27 +95,22 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, (int, float, np.number))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-# Config fields checked by type alone: (names, requirement, check of one value).
+# Each config field's requirement: (names, requirement, check of one value).
+# j, alpha_stab, h_target and c_j key cached stage products, so each must be
+# a real value that equals itself.
 _FIELD_RULES = (
-    (("domain",), "4 finite numbers (x0, y0, x1, y1)",
-     lambda v: isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_finite_number, v))),
-    (("coefficient", "rho", "variant", "rhs"), "a name string", lambda v: isinstance(v, str)),
+    (("nx", "ny", "j"), *_POSITIVE_INT),
+    (("face_level",), "an integer >= 0", lambda v: _is_integer(v) and v >= 0),
+    (("domain",), *_DOMAIN),
+    (("coefficient", "rhs"), "a name string", lambda v: isinstance(v, str)),
+    (("rho",), f"one of {', '.join(WEIGHT_CHOICES)}", lambda v: v in WEIGHT_CHOICES),
+    (("variant",), "plain or delta", lambda v: v in ("plain", "delta")),
     (("coefficient_params", "rhs_params"), "an object", lambda v: isinstance(v, dict)),
     (("mesh_file", "coefficient_file"), "null or a path string", lambda v: v is None or isinstance(v, str)),
-    (("rhs_reduction", "compare_exact", "compare_conforming"), "true or false", lambda v: isinstance(v, bool)),
-    (("equilibrium_tol",), "finite and > 0", lambda v: _is_finite_number(v) and v > 0.0),
+    (("rhs_reduction", "compare_exact", "compare_conforming"), *_BOOL),
+    (("alpha_stab",), "a finite number >= 1", lambda v: _is_finite_number(v) and v >= 1.0),
+    (("c_j", "equilibrium_tol"), *_POSITIVE),
+    (("h_target",), "null or a finite number > 0", lambda v: v is None or (_is_finite_number(v) and v > 0.0)),
 )
 
 
@@ -146,39 +141,16 @@ class SolverConfig:
     equilibrium_tol: float = EQUILIBRIUM_TOL
 
     def validate(self) -> None:
-        # j, alpha_stab, h_target and c_j key cached stage products, so each
-        # must be a real value that equals itself.
-        for name, low in (("nx", 1), ("ny", 1), ("face_level", 0), ("j", 1)):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for names, rule, ok in _FIELD_RULES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.interior_level is not None and not (
             _is_integer(self.interior_level) and self.interior_level > self.face_level
         ):
             raise ValueError(
                 f"interior_level must be None or an integer > face_level, got {self.interior_level!r}"
             )
-        for name in ("alpha_stab", "c_j", "h_target"):
-            value = getattr(self, name)
-            if not (_is_finite_number(value) or (name == "h_target" and value is None)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for names, rule, ok in _FIELD_RULES:
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if self.alpha_stab < 1.0:
-            raise ValueError("alpha_stab must be >= 1")
-        if self.h_target is not None and self.h_target <= 0.0:
-            raise ValueError("h_target must be positive")
-        if self.variant not in ("plain", "delta"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.rho == "custom":
-            raise ValueError(
-                "rho 'custom' needs a raster or callable, which only the library's "
-                "make_weight accepts; a config cannot supply one"
-            )
-        if self.rho not in WEIGHT_CHOICES:
-            raise ValueError(f"unknown rho {self.rho!r}")
         try:
             presets.load_function(self.rhs, self.rhs_params)
         except (TypeError, ValueError) as exc:

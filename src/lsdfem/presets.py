@@ -196,11 +196,6 @@ def _g_smooth(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def _g_constant(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    value = float(params["value"])
-    return lambda points: np.full(len(points), value)
-
-
 def _g_linear(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     ax = float(params["ax"])
     ay = float(params["ay"])
@@ -218,7 +213,7 @@ def _g_bump(params: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 LOAD_PRESETS = {
     "smooth": (_g_smooth, {}),
-    "constant": (_g_constant, {"value": 1.0}),
+    "constant": (_constant, {"value": 1.0}),
     "linear": (_g_linear, {"ax": 1.0, "ay": 0.0}),
     "bump": (_g_bump, {"cx": 0.5, "cy": 0.5, "width": 0.15}),
 }

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .localop import ElementCache, batched_cholesky, edge_blocks, solve_lower
+from .localop import ElementCache, NotSPDError, batched_cholesky, edge_blocks, solve_lower
 from .mesh import Stacked
 from .traces import TraceSpace
 
@@ -43,21 +43,6 @@ __all__ = [
 ]
 
 
-class NotSPDError(ValueError):
-    """The mass-side matrix of an eigenproblem is not positive definite.
-
-    ``item`` is the failing matrix's index in a stacked call.
-    """
-
-    def __init__(self, pivot: int, context: str = "", item: int | None = None):
-        self.pivot = pivot
-        self.item = item
-        msg = f"matrix is not SPD: Cholesky failed at pivot {pivot}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
-
-
 def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full spectra of the symmetric-definite pencils (a, b).
 
@@ -70,9 +55,7 @@ def gensym_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c, item, pivot = batched_cholesky(b)
-    if c is None:
-        raise NotSPDError(pivot, "" if b.ndim == 2 else f"item {item}", item)
+    c = batched_cholesky(b)
     # One triangular inverse per pencil, then C = L^{-1} A L^{-T} and V = L^{-T} Y
     # as batched products.
     li = solve_lower(c, np.eye(c.shape[-1]))

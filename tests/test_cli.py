@@ -46,23 +46,54 @@ def test_non_integer_layer_count_exits_2(tmp_path, capsys):
     assert "j must be an integer" in capsys.readouterr().err
 
 
+RASTER = {"nx": 2, "ny": 2, "tensor": False, "values": [1.0, 2.0, 3.0, 4.0]}
+SQUARE = "4\n0 0\n{}\n1 1\n0 1\n2\n0 1 2\n0 2 3\n"   # unit square, second vertex left open
+
+
 @pytest.mark.parametrize(
-    "config,stage",
+    "config,stage,named",
     [
-        ({"mesh_file": "no-such-mesh.txt"}, "mesh"),
-        ({"coefficient": "bogus"}, "coefficients"),
-        ({"raster": {"nx": 2, "ny": 2, "values": [1.0, 2.0, 3.0, 4.0]}}, "coefficients"),  # no "tensor"
-        ({"raster": [2, 2, 0, 1.0, 2.0, 3.0, 4.0]}, "coefficients"),                        # not an object
+        ({"mesh_file": "no-such-mesh.txt"}, "mesh", "no-such-mesh.txt"),
+        ({"coefficient": "bogus"}, "coefficients", "'bogus'"),
+        ({"raster": {"nx": 2, "ny": 2, "values": [1.0, 2.0, 3.0, 4.0]}}, "coefficients", "'tensor'"),
+        ({"raster": [2, 2, 0, 1.0, 2.0, 3.0, 4.0]}, "coefficients", "JSON object"),
+        ({"raster": {**RASTER, "domain": [0, 0, 0, 1]}}, "coefficients", "'domain'"),   # zero width
+        ({"raster": {**RASTER, "domain": [1, 0, 0, 1]}}, "coefficients", "'domain'"),   # reversed
+        ({"raster": {**RASTER, "domain": [0, 0, 1]}}, "coefficients", "'domain'"),
+        ({"raster": {**RASTER, "domain": [0, 0, "1", 1]}}, "coefficients", "'domain'"),
+        ({"raster": {**RASTER, "nx": 0, "values": []}}, "coefficients", "'nx'"),
+        ({"raster": {**RASTER, "nx": -2}}, "coefficients", "'nx'"),
+        ({"raster": {**RASTER, "tensor": 0}}, "coefficients", "'tensor'"),
+        ({"raster_text": "0 0 0\n"}, "coefficients", "'nx'"),
+        ({"mesh_text": "-1\n0 0\n1\n0 1 2\n"}, "mesh", "negative vertex or element count"),
+        ({"mesh_text": SQUARE.format("nan 0")}, "mesh", "vertex 1 has a non-finite coordinate"),
+        ({"mesh_text": SQUARE.format("1 inf")}, "mesh", "vertex 1 has a non-finite coordinate"),
+    ],
+    ids=[
+        "config0-mesh", "config1-coefficients", "config2-coefficients", "config3-coefficients",
+        "raster-domain-zero-width", "raster-domain-reversed", "raster-domain-too-short",
+        "raster-domain-string", "raster-nx-zero", "raster-nx-negative", "raster-tensor-not-a-bool",
+        "text-raster-zero-header", "mesh-negative-count", "mesh-nan-vertex", "mesh-inf-vertex",
     ],
 )
-def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage):
-    if "raster" in config:   # a JSON raster file with this payload
+def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage, named):
+    # "raster" is a JSON raster payload, "raster_text" a text raster, "mesh_text" a mesh file.
+    if "raster" in config:
         raster = tmp_path / "raster.json"
         raster.write_text(json.dumps(config["raster"]))
         config = {"coefficient_file": str(raster)}
+    elif "raster_text" in config:
+        raster = tmp_path / "raster.txt"
+        raster.write_text(config["raster_text"])
+        config = {"coefficient_file": str(raster)}
+    elif "mesh_text" in config:
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(config["mesh_text"])
+        config = {"mesh_file": str(mesh)}
     path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], **config}})
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert f"config error [{stage}]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error [{stage}]" in err and named in err
 
 
 @pytest.mark.parametrize(
@@ -95,6 +126,8 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         ({**BASE, "config": {**BASE["config"], "rhs_params": [1]}}, "rhs_params"),
         ({**BASE, "config": {**BASE["config"], "equilibrium_tol": "x"}}, "equilibrium_tol"),
         ({**BASE, "config": {**BASE["config"], "equilibrium_tol": 0}}, "equilibrium_tol"),
+        ({**BASE, "config": {**BASE["config"], "c_j": 0, "rhs_reduction": True}}, "c_j must be a finite number > 0"),
+        ({**BASE, "config": {**BASE["config"], "c_j": -1.0}}, "c_j must be a finite number > 0"),
         ({**BASE, "config": {**BASE["config"], "compare_exact": "yes"}}, "compare_exact"),
         ({**BASE, "config": {**BASE["config"], "compare_conforming": 1}}, "compare_conforming"),
         ({**BASE, "config": {**BASE["config"], "rhs_reduction": None}}, "rhs_reduction"),
@@ -113,7 +146,7 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
         "unknown-top-level-key", "unknown-sweep-key", "random-probe-not-a-bool", "not-an-object",
         "config-not-an-object", "domain-not-a-list", "domain-too-short", "out-not-a-string",
         "coefficient-params-not-an-object", "rhs-params-not-an-object", "equilibrium-tol-not-a-number",
-        "equilibrium-tol-zero", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",
+        "equilibrium-tol-zero", "c-j-zero-with-rhs-reduction", "c-j-negative", "compare-exact-not-a-bool", "compare-conforming-not-a-bool",
         "rhs-reduction-not-a-bool", "mesh-file-not-a-string", "coefficient-file-not-a-string",
         "rhs-not-a-string", "rhs-params-wrong-type", "rhs-params-unknown-key", "coefficient-params-unknown-key",
     ],

@@ -103,8 +103,6 @@ def test_weight_tags(part):
     assert all(np.allclose(v, 2.0) for v in w)
     with pytest.raises(CoefficientError):
         make_weight("bogus", field)
-    with pytest.raises(CoefficientError):
-        make_weight("custom", field, custom=lambda p: np.zeros(len(p)))
 
 
 def quad_points(geom):
@@ -153,6 +151,13 @@ def test_raster_roundtrip(tmp_path, part):
     assert stats.kappa <= 12.0
 
 
+def test_text_raster_reads_values_exactly(tmp_path):
+    values = np.random.default_rng(4).uniform(1e-3, 1e3, (3, 5))
+    path = str(tmp_path / "r.txt")
+    save_raster(Raster(5, 3, values), path)
+    assert load_raster(path).values.tobytes() == values.tobytes()
+
+
 def test_tensor_raster(tmp_path, part):
     values = np.zeros((2, 2, 3))
     values[..., 0] = 2.0
@@ -178,6 +183,15 @@ def test_tensor_raster(tmp_path, part):
         ({"nx": 4, "tensor": False, "values": [1.0] * 12}, "no 'ny' field"),
         ({"nx": "four", "ny": 3, "tensor": False, "values": [1.0] * 12}, "bad 'nx' field"),
         ({"nx": 4, "ny": 3, "tensor": True, "values": [1.0] * 12}, "bad 'values' field"),
+        ({"nx": 0, "ny": 3, "tensor": False, "values": []}, "bad 'nx' field: must be an integer >= 1"),
+        ({"nx": 4, "ny": -2, "tensor": False, "values": [1.0] * 12}, "bad 'ny' field"),
+        ({"nx": 4.0, "ny": 3, "tensor": False, "values": [1.0] * 12}, "bad 'nx' field"),
+        ({"nx": 4, "ny": 3, "tensor": "no", "values": [1.0] * 12}, "bad 'tensor' field"),
+        ({"nx": 4, "ny": 3, "tensor": False, "values": [1.0] * 12, "domain": [0, 0, 0, 1]}, "bad 'domain' field"),
+        ({"nx": 4, "ny": 3, "tensor": False, "values": [1.0] * 12, "domain": [1, 0, 0, 1]}, "bad 'domain' field"),
+        ({"nx": 4, "ny": 3, "tensor": False, "values": [1.0] * 12, "domain": [0, 1, 1, 1]}, "bad 'domain' field"),
+        ({"nx": 4, "ny": 3, "tensor": False, "values": [1.0] * 12, "domain": [0, 0, 1]}, "bad 'domain' field"),
+        ({"nx": 4, "ny": 3, "tensor": False, "values": [1.0] * 12, "domain": "0011"}, "bad 'domain' field"),
     ],
 )
 def test_json_raster_names_missing_or_bad_field(tmp_path, payload, named):

@@ -76,7 +76,7 @@ def test_config_validation_and_digest():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()
-    with pytest.raises(ValueError, match="raster or callable"):
+    with pytest.raises(ValueError, match="rho must be one of one, amin, a_minus, a_plus, amax, got 'custom'"):
         SolverConfig(rho="custom").validate()
     SolverConfig(j=np.int64(3), h_target=0.25).validate()
     SolverConfig(nx=np.int64(2), interior_level=3, rho="a_plus").validate()

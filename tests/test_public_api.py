@@ -2,10 +2,12 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import lsdfem
+from lsdfem.pipeline import SolverConfig
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lsdfem.__path__))
 
@@ -23,3 +25,12 @@ def test_package_all_resolves():
     exec("from lsdfem import *", namespace)
     assert [name for name in lsdfem.__all__ if name not in namespace] == []
     assert len(set(lsdfem.__all__)) == len(lsdfem.__all__)
+
+
+def test_readme_config_table_names_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration reference", 1)[1].split("\n\n")[1]
+    named = []
+    for row in table.splitlines()[2:]:   # past the header and its rule
+        named += [key.strip(" `") for key in row.split("|")[1].split(",")]
+    assert sorted(named) == sorted(SolverConfig.__dataclass_fields__)
