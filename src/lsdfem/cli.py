@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,12 +237,8 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
     contrasts = [float(c) for c in spec.sweep.get("contrasts", [1e2, 1e4, 1e6])]
     rows = []
     for contrast in contrasts:
-        sub = SolverConfig.from_dict(
-            {
-                **cfg.to_dict(),
-                "coefficient": "channel",
-                "coefficient_params": {**cfg.coefficient_params, "contrast": contrast},
-            }
+        sub = replace(
+            cfg, coefficient="channel", coefficient_params={**cfg.coefficient_params, "contrast": contrast}
         )
         assembly = build_assembly(sub)
         # Default seed: the element inside the channel nearest the domain's left edge.
@@ -272,7 +268,7 @@ def run_h_convergence(spec: ExperimentSpec) -> dict:
     rows = []
     prev = None
     for n in sizes:
-        sub = SolverConfig.from_dict({**cfg.to_dict(), "nx": n, "ny": n})
+        sub = replace(cfg, nx=n, ny=n)
         assembly = build_assembly(sub)
         g = sample_load(assembly.part, presets.load_function(sub.rhs, sub.rhs_params))
         sol = solve_lsd(assembly, g, sub.j, sub.variant, sub.alpha_stab)

@@ -74,6 +74,11 @@ class Raster:
     values: np.ndarray                 # (ny, nx) or (ny, nx, 3) = (a11, a12, a22)
     domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
 
+    def __post_init__(self) -> None:
+        rule, ok = _DOMAIN
+        if not ok(self.domain):
+            raise CoefficientError(f"raster has a bad 'domain' field: must be {rule}, got {self.domain!r}")
+
     @property
     def is_tensor(self) -> bool:
         return self.values.ndim == 3
@@ -99,13 +104,8 @@ class CoefficientField:
 
     part: FinePartition
     tensors: np.ndarray                # (ne, nc, 2, 2)
-    a_min: float
-    a_max: float
-
-    def element_eigen_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest and largest tensor eigenvalue on each element, for all elements at once."""
-        emin, emax = _sym_eig_bounds(np.asarray(self.tensors))
-        return emin.min(axis=1), emax.max(axis=1)
+    eig_min: np.ndarray                # (ne, nc) smallest tensor eigenvalue per cell
+    eig_max: np.ndarray                # (ne, nc) largest tensor eigenvalue per cell
 
     @classmethod
     def sample(
@@ -131,7 +131,7 @@ class CoefficientField:
         elem = _first(~(emin > 0.0))
         if elem >= 0:
             raise CoefficientError(f"non-SPD tensor in element {elem}")
-        return cls(part, tensors, float(emin.min()), float(emax.max()))
+        return cls(part, tensors, emin, emax)
 
 
 def make_weight(choice: str, field: CoefficientField) -> np.ndarray:
@@ -147,12 +147,11 @@ def make_weight(choice: str, field: CoefficientField) -> np.ndarray:
     if choice == "one":
         values = np.ones(shape)
     elif choice == "amin":
-        values = np.full(shape, field.a_min)
+        values = np.full(shape, field.eig_min.min())
     elif choice == "amax":
-        values = np.full(shape, field.a_max)
+        values = np.full(shape, field.eig_max.max())
     else:
-        lo, hi = _sym_eig_bounds(np.asarray(field.tensors))
-        values = lo if choice == "a_minus" else hi
+        values = field.eig_min if choice == "a_minus" else field.eig_max
     bad = _first(~((values > 0.0) & np.isfinite(values)))
     if bad >= 0:
         raise CoefficientError(f"nonpositive weight value in element {bad}")
@@ -185,7 +184,7 @@ class ContrastStats:
 def local_bounds(field: CoefficientField) -> ContrastStats:
     """Per-element eigenvalue bounds, contrasts, and beta = 1 + log(H/h)."""
     part = field.part
-    lo, hi = field.element_eigen_bounds()
+    lo, hi = field.eig_min.min(axis=1), field.eig_max.max(axis=1)
     kappa_local = hi / lo
     big_h = part.mesh.coarse_size
     small_h = part.fine_size

@@ -49,7 +49,7 @@ __all__ = [
 
 # Right isoceles triangles from grid cells have ratio 1 + sqrt(2); leave
 # generous headroom for loaded meshes.
-DEFAULT_SHAPE_REGULARITY_BOUND = 20.0
+SHAPE_REGULARITY_BOUND = 20.0
 
 
 class MeshError(ValueError):
@@ -128,11 +128,7 @@ def _triangle_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return signed, circum / inrad
 
 
-def build_mesh(
-    vertices: np.ndarray,
-    elements: np.ndarray,
-    shape_regularity_bound: float = DEFAULT_SHAPE_REGULARITY_BOUND,
-) -> CoarseMesh:
+def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     """Build a validated :class:`CoarseMesh` from raw arrays.
 
     Elements are reoriented counterclockwise if needed.  Raises
@@ -155,14 +151,14 @@ def build_mesh(
     ne = elements.shape[0]
     signed, ratio = _triangle_quality(vertices[elements])
     degenerate = signed == 0.0
-    bad = np.flatnonzero(degenerate | (ratio > shape_regularity_bound))
+    bad = np.flatnonzero(degenerate | (ratio > SHAPE_REGULARITY_BOUND))
     if bad.size:
         t = bad[0]
         if degenerate[t]:
             raise MeshError(f"element {t} is degenerate")
         raise MeshError(
             f"element {t} violates shape regularity: ratio {ratio[t]:.3g} > "
-            f"{shape_regularity_bound:.3g}"
+            f"{SHAPE_REGULARITY_BOUND:.3g}"
         )
     elements[signed < 0.0] = elements[signed < 0.0][:, [0, 2, 1]]
 
@@ -399,9 +395,10 @@ class FinePartition(Stacked):
 def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barycentric lattice of a uniformly refined reference triangle.
 
-    Returns (bary, cells, index) where bary is (nn, 2) with the (i, j)
+    Returns (bary, cells, edges) where bary is (nn, 2) with the (i, j)
     lattice coordinates scaled by 1/n, cells the (nc, 3) connectivity, and
-    index the (n+1, n+1) lookup from lattice coordinates to node id.
+    edges the (3, n+1) node ids along the local edges v0->v1, v1->v2 and
+    v2->v0, each ordered from its first vertex; ``edges[:, 0]`` are the vertices.
     """
     n = 2 ** level
     index = -np.ones((n + 1, n + 1), dtype=int)
@@ -418,29 +415,22 @@ def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             cells.append((index[i, j], index[i + 1, j], index[i, j + 1]))
             if i + j < n - 1:
                 cells.append((index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]))
-    return np.array(coords), np.array(cells, dtype=int), index
+    m = np.arange(n + 1)
+    edges = np.stack([index[m, 0], index[n - m, m], index[0, n - m]])
+    return np.array(coords), np.array(cells, dtype=int), edges
 
 
-def _edge_lattice_nodes(index: np.ndarray, local_edge: int, n: int) -> np.ndarray:
-    """Node ids along a local edge, ordered from its first local vertex."""
-    if local_edge == 0:    # v0 -> v1
-        return np.array([index[m, 0] for m in range(n + 1)])
-    if local_edge == 1:    # v1 -> v2
-        return np.array([index[n - m, m] for m in range(n + 1)])
-    return np.array([index[0, n - m] for m in range(n + 1)])  # v2 -> v0
-
-
-def _trace_patterns(index: np.ndarray, n: int, nfs: int) -> np.ndarray:
+def _trace_patterns(edges: np.ndarray, nn: int, nfs: int) -> np.ndarray:
     """Reference trace rows (3, 2, nfs, nn): local edge, aligned with its face?, sub-face, node.
 
     Each boundary segment adds 1/2 to its two end nodes in the row of the
     sub-face (counted along the stored face) holding its midpoint; scaled
     by the segment length this integrates P1 traces exactly.
     """
+    n = edges.shape[1] - 1
     s_mid = (np.arange(n) + 0.5) / n
-    patterns = np.zeros((3, 2, nfs, int(index.max()) + 1))
-    for e in range(3):
-        edge_nodes = _edge_lattice_nodes(index, e, n)
+    patterns = np.zeros((3, 2, nfs, nn))
+    for e, edge_nodes in enumerate(edges):
         for aligned, tpar in enumerate((1.0 - s_mid, s_mid)):
             k_sub = np.minimum((tpar * nfs).astype(int), nfs - 1)
             np.add.at(patterns[e, aligned], (k_sub, edge_nodes[:-1]), 0.5)
@@ -466,7 +456,7 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
     ne = mesh.n_elements
     fine_measures = np.repeat(mesh.face_measures / nfs, nfs)
 
-    bary, cells, index = _lattice(interior_level)
+    bary, cells, edges = _lattice(interior_level)
     n = 2 ** interior_level
 
     # Stacked affine images of the lattice: nodes (ne, nn, 2), cell corners (ne, nc, 3, 2).
@@ -488,7 +478,7 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
 
     # Trace rows: local edge e of element t is aligned with its coarse face
     # when it starts at the face's first stored vertex.
-    patterns = _trace_patterns(index, n, nfs)
+    patterns = _trace_patterns(edges, len(bary), nfs)
     ef = mesh.element_faces
     aligned = mesh.elements == mesh.faces[ef, 0]
     trace = patterns[np.arange(3), aligned.astype(int)] * (mesh.face_measures[ef] / n)[:, :, None, None]
@@ -539,11 +529,7 @@ class UnionMesh:
     nodes: np.ndarray
     node_maps: np.ndarray          # (ne, nn): local node id -> union node id
     boundary: np.ndarray           # union node ids on the domain boundary
-
-    @property
-    def free(self) -> np.ndarray:
-        """Union node ids off the domain boundary."""
-        return np.setdiff1d(np.arange(self.nodes.shape[0]), self.boundary)
+    free: np.ndarray               # union node ids off the domain boundary
 
 
 def build_union_mesh(part: FinePartition) -> UnionMesh:
@@ -555,22 +541,23 @@ def build_union_mesh(part: FinePartition) -> UnionMesh:
     mesh = part.mesh
     n = 2 ** part.interior_level
     nv, nf, ne = mesh.n_vertices, mesh.n_faces, mesh.n_elements
-    _, _, index = _lattice(part.interior_level)
+    _, _, edges = _lattice(part.interior_level)
     nodes = part.nodes
     m = np.arange(1, n)   # positions of the lattice nodes inside a face
     codes = nv + nf * (n - 1) + np.arange(nodes.shape[0] * nodes.shape[1]).reshape(nodes.shape[:2])
-    codes[:, index[[0, n, 0], [0, 0, n]]] = mesh.elements
+    codes[:, edges[:, 0]] = mesh.elements
     for e in range(3):
         fid = mesh.element_faces[:, e, None]
         pos = np.where(mesh.elements[:, e, None] == mesh.faces[fid, 0], m, n - m)
-        codes[:, _edge_lattice_nodes(index, e, n)[1:-1]] = nv + fid * (n - 1) + pos - 1
+        codes[:, edges[e, 1:-1]] = nv + fid * (n - 1) + pos - 1
     keys, node_maps = np.unique(codes, return_inverse=True)
     node_maps = node_maps.reshape(codes.shape)
     coords = np.empty((keys.size, 2))
     coords[node_maps] = nodes
     fb = np.flatnonzero(mesh.face_boundary)
     on_boundary = np.concatenate([mesh.faces[fb].ravel(), (nv + fb[:, None] * (n - 1) + m - 1).ravel()])
-    return UnionMesh(coords, node_maps, np.searchsorted(keys, np.unique(on_boundary)))
+    boundary = np.searchsorted(keys, np.unique(on_boundary))
+    return UnionMesh(coords, node_maps, boundary, np.setdiff1d(np.arange(keys.size), boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +579,7 @@ def save_mesh(mesh: CoarseMesh, path: str) -> None:
             fh.write(f"{a} {b} {c}\n")
 
 
-def load_mesh(path: str, shape_regularity_bound: float = DEFAULT_SHAPE_REGULARITY_BOUND) -> CoarseMesh:
+def load_mesh(path: str) -> CoarseMesh:
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     pos = 0
@@ -613,4 +600,4 @@ def load_mesh(path: str, shape_regularity_bound: float = DEFAULT_SHAPE_REGULARIT
     elems = np.array([int(x) for x in take(3 * ne)], dtype=int).reshape(ne, 3)
     if pos != len(tokens):
         raise MeshError(f"mesh file {path} has trailing data")
-    return build_mesh(verts, elems, shape_regularity_bound)
+    return build_mesh(verts, elems)

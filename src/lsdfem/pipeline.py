@@ -12,6 +12,7 @@ Every solution path uses direct factorizations only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -95,6 +96,20 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
+@contextlib.contextmanager
+def _stage(name: str, timings: dict | None = None):
+    """Tag a failure inside the block as stage ``name``; on success record its wall time in ``timings``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+    if timings is not None:
+        timings[name] = time.perf_counter() - t0
+
+
 # Each config field's requirement: (names, requirement, check of one value).
 # j, alpha_stab, h_target and c_j key cached stage products, so each must be
 # a real value that equals itself.
@@ -114,9 +129,9 @@ _FIELD_RULES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Everything a run needs; serializable and hashable for reports."""
+    """Everything a run needs, checked when made and read-only after; ``digest`` hashes it for reports."""
 
     nx: int = 4
     ny: int = 4
@@ -139,6 +154,9 @@ class SolverConfig:
     compare_exact: bool = False
     compare_conforming: bool = False
     equilibrium_tol: float = EQUILIBRIUM_TOL
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for names, rule, ok in _FIELD_RULES:
@@ -172,9 +190,7 @@ class SolverConfig:
         kwargs = dict(data)
         if isinstance(kwargs.get("domain"), list):
             kwargs["domain"] = tuple(kwargs["domain"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -197,6 +213,8 @@ class Solution:
 
 def _variant_key(variant: str, alpha_stab: float) -> tuple[str, float]:
     """Cache key of a variant: ``alpha_stab`` only matters for ``delta``."""
+    if variant not in ("plain", "delta"):
+        raise ValueError(f"variant must be plain or delta, got {variant!r}")
     return (variant, alpha_stab if variant == "delta" else 0.0)
 
 
@@ -283,32 +301,23 @@ class Assembly:
 def build_assembly(cfg: SolverConfig) -> Assembly:
     """Stages mesh -> coefficients -> element caches -> trace space."""
     t0 = time.perf_counter()
-    cfg.validate()
-    try:
+    with _stage("mesh"):
         if cfg.mesh_file:
             mesh = load_mesh(cfg.mesh_file)
         else:
             mesh = build_structured_mesh(cfg.nx, cfg.ny, cfg.domain)
         part = refine_faces(mesh, cfg.face_level, cfg.interior_level)
-    except Exception as exc:
-        raise PipelineError("mesh", exc) from exc
-    try:
+    with _stage("coefficients"):
         field_a = presets.coefficient_field(
             part, cfg.coefficient, cfg.coefficient_params, cfg.coefficient_file
         )
         rho = make_weight(cfg.rho, field_a)
         stats = local_bounds(field_a)
-    except Exception as exc:
-        raise PipelineError("coefficients", exc) from exc
-    try:
+    with _stage("element_caches"):
         caches = assemble_all(field_a, rho, part)
-    except Exception as exc:
-        raise PipelineError("element_caches", exc) from exc
-    try:
+    with _stage("trace_space"):
         space = build_trace_space(part)
         energy = build_flux_energy(space, caches)
-    except Exception as exc:
-        raise PipelineError("trace_space", exc) from exc
     return Assembly(mesh, part, caches, space, energy, stats, time.perf_counter() - t0)
 
 
@@ -696,37 +705,16 @@ def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.
 
 def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[Solution, dict]:
     """Run every stage and emit a JSON-able report of all diagnostics."""
-    cfg.validate()
     if assembly is None:
         assembly = build_assembly(cfg)
     timings = {"assembly": assembly.build_s}
-
-    def timed(stage: str, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            out = fn(*args, **kwargs)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(stage, exc) from exc
-        timings[stage] = time.perf_counter() - t0
-        return out
-
-    g = timed("rhs", sample_load, assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
-
-    solution = timed(
-        "solve",
-        solve_lsd,
-        assembly,
-        g,
-        cfg.j,
-        cfg.variant,
-        cfg.alpha_stab,
-        cfg.rhs_reduction,
-        cfg.h_target,
-        cfg.c_j,
-        cfg.equilibrium_tol,
-    )
+    with _stage("rhs", timings):
+        g = sample_load(assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
+    with _stage("solve", timings):
+        solution = solve_lsd(
+            assembly, g, cfg.j, cfg.variant, cfg.alpha_stab, cfg.rhs_reduction,
+            cfg.h_target, cfg.c_j, cfg.equilibrium_tol,
+        )
 
     report: dict = {
         "config": cfg.to_dict(),
@@ -758,7 +746,8 @@ def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[
     report["j_guidance"] = j_guidance(alpha_eff)
 
     if cfg.compare_exact:
-        u_ref, lam_ref = timed("oracle_exact", exact_hybrid_solve, assembly, g)
+        with _stage("oracle_exact", timings):
+            u_ref, _ = exact_hybrid_solve(assembly, g)
         err = energy_error(assembly.caches, u_ref, solution.u_broken)
         ref = broken_energy(assembly.caches, u_ref) ** 0.5
         report["oracle_exact"] = {
@@ -767,13 +756,16 @@ def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[
             "relative": err / ref if ref > 0 else 0.0,
         }
     if cfg.compare_conforming:
-        _, u_conf = timed("oracle_conforming", conforming_solve, assembly, g)
+        with _stage("oracle_conforming", timings):
+            _, u_conf = conforming_solve(assembly, g)
         err = energy_error(assembly.caches, u_conf, solution.u_broken)
         gn = solution.diagnostics["load_norm"]
+        with _stage("poincare", timings):
+            poincare = poincare_estimate(assembly)
         report["oracle_conforming"] = {
             "energy_error": err,
             "error_per_load": err / gn if gn > 0 else 0.0,
-            "global_poincare_estimate": timed("poincare", poincare_estimate, assembly),
+            "global_poincare_estimate": poincare,
         }
     report["timings"] = timings
     return solution, report

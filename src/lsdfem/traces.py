@@ -22,6 +22,7 @@ hole, which only a mesh with holes computes, as a small null space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -47,10 +48,8 @@ class TraceSpace:
     part: FinePartition
     pair_v0: sp.csr_matrix          # (N, n_fine): (mu, 1_tau) weights, rows per element
     jump_basis: sp.csr_matrix       # (n_fine, N): stored lambda0_i columns
-    pairing_matrix: np.ndarray      # (N, N): entry [i, j] = (lambda0_i, 1_tau_j)
     zero_mean: np.ndarray           # (nfs, nfs - 1): per-face zero-average basis
     face_constant_coeffs: np.ndarray  # (NF, NF - N): hat-function curls, then one field per hole
-    _lu: spla.SuperLU | None = None
 
     @property
     def n_fine(self) -> int:
@@ -79,13 +78,17 @@ class TraceSpace:
             raise ValueError("trace vector has wrong length")
         return values
 
+    @cached_property
+    def pairing_matrix(self) -> np.ndarray:
+        """Dense ``(N, N)`` constant pairing, entry ``[i, j] = (lambda0_i, 1_tau_j)``; built on first read."""
+        return (self.pair_v0 @ self.jump_basis).toarray().T
+
+    @cached_property
     def factorization(self) -> spla.SuperLU:
-        if self._lu is None:
-            try:
-                self._lu = spla.splu((self.pair_v0 @ self.jump_basis).T.tocsc())
-            except RuntimeError as exc:  # pragma: no cover - cannot occur on valid meshes
-                raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
-        return self._lu
+        try:
+            return spla.splu((self.pair_v0 @ self.jump_basis).T.tocsc())
+        except RuntimeError as exc:  # pragma: no cover - cannot occur on valid meshes
+            raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
 
     def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stored values from per-element boundary-row values ``(ne, n_bf)``, summed per fine face."""
@@ -123,8 +126,6 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     pair_v0 = sp.csr_matrix((signs * part.fine_measures[ids], (elems, ids)), shape=(n, n_fine))
     jump_basis = sp.csr_matrix((signs, (ids, elems)), shape=(n_fine, n))
 
-    pairing_matrix = (pair_v0 @ jump_basis).toarray().T  # [i, j] = (lambda0_i, 1_tau_j)
-
     zm = zero_mean_basis(np.full(nfs, 1.0))  # equal sub-face measures per face
 
     # Face-constant block: coefficients c with sum_F sign(tau,F) c_F |F| = 0
@@ -151,7 +152,6 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
         part=part,
         pair_v0=pair_v0,
         jump_basis=jump_basis,
-        pairing_matrix=pairing_matrix,
         zero_mean=zm,
         face_constant_coeffs=face_constant_coeffs,
     )
@@ -187,7 +187,7 @@ def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray, transpose: bool = False
     solve).  The matrix is irreducibly diagonally dominant, hence
     nonsingular, on any valid mesh.
     """
-    lu = space.factorization()
+    lu = space.factorization
     rhs = np.asarray(rhs, dtype=float)
     x = lu.solve(rhs, trans="T" if transpose else "N")
     if not np.all(np.isfinite(x)):

@@ -14,6 +14,7 @@ from lsdfem.coeff import (
     save_raster,
 )
 from lsdfem.mesh import build_structured_mesh, refine_faces
+from lsdfem.presets import make_raster
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,16 @@ def test_raster_roundtrip(tmp_path, part):
     field = CoefficientField.sample(part, raster)
     stats = local_bounds(field)
     assert stats.kappa <= 12.0
+
+
+@pytest.mark.parametrize("domain", [(1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)], ids=["reversed", "zero-width"])
+def test_raster_checks_its_domain_where_made(part, domain):
+    # Unchecked, a reversed domain samples a mirrored field and a zero-width
+    # one samples through a division by zero, both without error.
+    with pytest.raises(CoefficientError, match="'domain'"):
+        CoefficientField.sample(part, Raster(4, 4, np.ones((4, 4)), domain))
+    with pytest.raises(CoefficientError, match="'domain'"):
+        make_raster("constant", nx=4, ny=4, domain=domain)
 
 
 def test_text_raster_reads_values_exactly(tmp_path):

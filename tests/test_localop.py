@@ -16,7 +16,7 @@ from lsdfem.localop import (
 )
 from lsdfem.coeff import _sym_eig_bounds, local_bounds
 from lsdfem.localize import build_flux_energy
-from lsdfem.mesh import _edge_lattice_nodes, _lattice, build_structured_mesh, refine_faces
+from lsdfem.mesh import _lattice, build_structured_mesh, refine_faces
 from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.spectral import all_element_spectra, all_face_spectra
 from lsdfem.traces import build_trace_space
@@ -238,7 +238,7 @@ def test_zero_tensor_names_its_element():
     ident = constant_field(part)
     tensors = [t.copy() for t in ident.tensors]
     tensors[5][:] = 0.0
-    broken = CoefficientField(part, tensors, ident.a_min, ident.a_max)
+    broken = CoefficientField(part, tensors, ident.eig_min, ident.eig_max)
     with pytest.raises(LocalAssemblyError, match=r"element 5: "):
         assemble_all(broken, make_weight("one", ident), part)
 
@@ -256,13 +256,13 @@ def reference_trace(part, t):
     mesh = part.mesh
     nfs = part.faces_per_coarse
     n = 2 ** part.interior_level
-    _, _, index = _lattice(part.interior_level)
-    trace = np.zeros((3 * nfs, index.max() + 1))
+    bary, _, edges = _lattice(part.interior_level)
+    trace = np.zeros((3 * nfs, len(bary)))
     verts = mesh.elements[t]
     for e in range(3):
         fid = int(mesh.element_faces[t, e])
         aligned = (verts[e], verts[(e + 1) % 3]) == tuple(mesh.faces[fid])
-        nodes = _edge_lattice_nodes(index, e, n)
+        nodes = edges[e]
         seg = mesh.face_measures[fid] / n
         for m in range(n):
             s_mid = (m + 0.5) / n

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ from conftest import make_assembly
 from test_localize import assembly_on
 from test_localop import raster_fields
 from test_mesh import grid_mesh, meshes
-from lsdfem.coeff import CoefficientField, local_bounds, make_weight
+from lsdfem import coeff
+from lsdfem.coeff import WEIGHT_CHOICES, CoefficientField, local_bounds, make_weight
 from lsdfem.localize import build_flux_energy, pi_basis
 from lsdfem.localop import assemble_all, broken_energy
 from lsdfem import pipeline
@@ -86,6 +88,33 @@ def test_config_validation_and_digest():
         SolverConfig.from_dict({"threads": 2})
     round_trip = SolverConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
+
+
+def test_config_is_checked_when_made_and_read_only():
+    cfg = SolverConfig(nx=2, ny=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.j = 3
+    with pytest.raises(ValueError, match="j must be an integer >= 1"):
+        dataclasses.replace(cfg, j=0)
+    assert dataclasses.replace(cfg, nx=3).digest() == SolverConfig(nx=3, ny=2).digest()
+
+
+@pytest.mark.parametrize("rho", WEIGHT_CHOICES)
+def test_coefficient_eigenvalues_taken_once_per_assembly(monkeypatch, rho):
+    calls = []
+    bounds = coeff._sym_eig_bounds
+    monkeypatch.setattr(coeff, "_sym_eig_bounds", lambda tensors: calls.append(1) or bounds(tensors))
+    build_assembly(SolverConfig(nx=2, ny=2, coefficient="anisotropic", rho=rho))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("j", [2, None])
+def test_unknown_variant_is_rejected(asm_const, j):
+    # Run as delta, an unknown variant would be cached under a key without
+    # alpha_stab, and a later solve at another alpha_stab would reuse its basis.
+    g = np.ones(asm_const.part.nodes.shape[:2])
+    with pytest.raises(ValueError, match="variant must be plain or delta, got 'Delta'"):
+        solve_lsd(asm_const, g, j, "Delta", 1.5)
 
 
 def test_pipeline_error_carries_stage():

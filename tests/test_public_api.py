@@ -1,5 +1,6 @@
 """Star imports of the package and of each module: a stale ``__all__`` entry fails here."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -34,3 +35,27 @@ def test_readme_config_table_names_every_config_field():
     for row in table.splitlines()[2:]:   # past the header and its rule
         named += [key.strip(" `") for key in row.split("|")[1].split(",")]
     assert sorted(named) == sorted(SolverConfig.__dataclass_fields__)
+
+
+def test_every_private_helper_is_referenced():
+    # A single-underscore name defined at module or class level that no code
+    # in the package reads (as a name, an attribute or an import) is dead.
+    defined, used = set(), set()
+    for path in sorted(Path(lsdfem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for node in (stmt for body in bodies for stmt in body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - used) == []

@@ -5,9 +5,10 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from conftest import face_elements, face_rows, lambda0_basis, pairing_bruteforce, random_tilde_f
+from conftest import face_elements, face_rows, lambda0_basis, make_assembly, pairing_bruteforce, random_tilde_f
 from test_mesh import meshes
 from lsdfem.mesh import build_structured_mesh, refine_faces
+from lsdfem.pipeline import solve_lsd
 from lsdfem.traces import (
     boundary_functional,
     build_trace_space,
@@ -90,6 +91,17 @@ def test_lambda0_explicit_values(space):
                 other = b if i == a else a
                 mate = space.part[other].side_values(lam)[face_rows(space.part, other)[f]]
                 assert np.allclose(mate, -1.0)
+
+
+def test_pairing_matrix_is_built_only_when_read():
+    asm = make_assembly(2, 2, 1)
+    space = asm.space
+    assert "pairing_matrix" not in vars(space)
+    solve_lsd(asm, np.ones(asm.part.nodes.shape[:2]), 2)
+    assert "pairing_matrix" not in vars(space)
+    dense = space.pairing_matrix
+    assert np.array_equal(dense, (space.pair_v0 @ space.jump_basis).toarray().T)
+    assert space.pairing_matrix is dense
 
 
 def test_lambda0_pairing_matrix_entries(space):
