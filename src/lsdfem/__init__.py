@@ -20,7 +20,6 @@ from .mesh import (
     load_mesh,
     refine_faces,
     save_mesh,
-    saturation_depth,
     saturation_radius,
 )
 from .pipeline import (
@@ -45,7 +44,6 @@ __all__ = [
     "build_structured_mesh",
     "refine_faces",
     "element_layers",
-    "saturation_depth",
     "saturation_radius",
     "load_mesh",
     "save_mesh",

@@ -24,6 +24,7 @@ from .pipeline import (
     Assembly,
     PipelineError,
     SolverConfig,
+    _stage,
     build_assembly,
     broken_energy,
     conforming_solve,
@@ -398,17 +399,16 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        RUNNERS[spec.kind](spec)
-    except SpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, PipelineError) as exc:
-        stage = getattr(exc, "stage", "numerical-check")
-        # Unreadable or invalid mesh and coefficient inputs are config errors.
-        if stage in ("mesh", "coefficients") and isinstance(exc.cause, (OSError, ValueError)):
-            print(f"config error [{stage}]: {exc}", file=sys.stderr)
+        with _stage(spec.kind):
+            RUNNERS[spec.kind](spec)
+    except PipelineError as exc:
+        # A bad seed element and unreadable or invalid mesh and coefficient inputs are config errors.
+        if isinstance(exc.cause, SpecError) or (
+            exc.stage in ("mesh", "coefficients") and isinstance(exc.cause, (OSError, ValueError))
+        ):
+            print(f"config error [{exc.stage}]: {exc}", file=sys.stderr)
             return 2
-        print(f"numerical assertion failed [{stage}]: {exc}", file=sys.stderr)
+        print(f"numerical assertion failed [{exc.stage}]: {exc}", file=sys.stderr)
         return 3
     return 0
 

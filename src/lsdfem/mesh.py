@@ -41,7 +41,6 @@ __all__ = [
     "element_layers",
     "layer_sets",
     "layer_distances",
-    "saturation_depth",
     "saturation_radius",
     "load_mesh",
     "save_mesh",
@@ -304,11 +303,6 @@ def layer_distances(mesh: CoarseMesh, seed: tuple[str, int]) -> np.ndarray:
     if not np.isfinite(dist).all():
         raise MeshError("layer growth stalled; mesh not connected?")
     return dist.astype(int)
-
-
-def saturation_depth(mesh: CoarseMesh, seed: tuple[str, int]) -> int:
-    """Smallest j with T_j(seed) = the whole mesh."""
-    return 1 + int(layer_distances(mesh, seed).max())
 
 
 def saturation_radius(mesh: CoarseMesh) -> int:

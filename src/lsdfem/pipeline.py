@@ -17,6 +17,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -261,7 +262,7 @@ class Assembly:
         """Stored basis of the upscaled block: face constants, expanded to fine faces, plus retained modes."""
         def build():
             coarse_face = np.repeat(np.arange(self.space.n_coarse_faces), self.space.part.faces_per_coarse)
-            blocks = [sp.csr_matrix(self.space.face_constant_coeffs)[coarse_face]]
+            blocks = [self.space.face_constant[coarse_face]]
             if variant != "plain":
                 blocks.append(pi_basis(self.space, self.face_spectra(alpha_stab)))
             return sp.hstack(blocks, format="csc")
@@ -274,17 +275,14 @@ class Assembly:
         Kept per ``(variant, alpha_stab, j)`` for the life of the assembly, so
         every later solve with the same key pays only its per-load patch
         passes.  Each column of ``psi = basis - P_j^T basis`` lives on a
-        patch, so ``psi`` and its Gram are sparse products; ``psi`` is then
-        stored dense, ``n_fine x M`` doubles (``perfbench``'s tracer reads its
-        ``nbytes``).
+        patch, so ``psi`` is stored as the sparse CSC product and its Gram is
+        a sparse product too.
         """
         def build():
             basis = self.coarse_basis(variant, alpha_stab)
             psi = basis - self.projector(variant, alpha_stab).apply_PjT_columns(basis, j)
             gram = psi.T @ (self.energy @ psi)
             factor = spd_factor(0.5 * (gram + gram.T), f"upscaled Gram matrix (j={j})")
-            psi = psi.toarray()
-            psi.flags.writeable = False
             return UpscaledOperator(basis, psi, factor)
 
         return self._memo("upscaled_operator", (*_variant_key(variant, alpha_stab), j), build)
@@ -362,8 +360,13 @@ class UpscaledOperator:
     """Load-independent part of the upscaled problem for one basis and j."""
 
     basis: sp.csc_matrix       # (n_fine, M) stored basis columns
-    multiscale: np.ndarray     # (n_fine, M) psi = basis - P_j^T basis
+    psi: sp.csc_matrix         # (n_fine, M) multiscale basis, basis - P_j^T basis
     factor: spla.SuperLU       # SPD-checked factor of the Gram psi^T S psi
+
+    @cached_property
+    def multiscale(self) -> np.ndarray:
+        """Dense view of ``psi``, built on first read: only perfbench's tracer reads it."""
+        return self.psi.toarray()
 
 
 @dataclass
@@ -412,7 +415,7 @@ def assemble_upscaled(
     q = projector.apply_Pj(ttg_functionals, j)
     flux0 = projector.apply_PjT(lam0, j)
     work = r_ttg - s_mat @ q + s_mat @ (lam0 - flux0)
-    rhs = -(operator.multiscale.T @ work)
+    rhs = -(operator.psi.T @ work)
     return UpscaledSystem(operator, rhs, flux0, q)
 
 
@@ -429,7 +432,7 @@ def recover_delta(lam_coarse: np.ndarray, system: UpscaledSystem) -> np.ndarray:
     supplies the load's patch passes, and ``P_j^T lam_coarse`` follows by
     linearity as ``lam_coarse - psi x``, so no patch pass runs here.
     """
-    coarse_part = lam_coarse - system.multiscale @ system.coefficients
+    coarse_part = lam_coarse - system.operator.psi @ system.coefficients
     flux_part = system.flux0_localized + coarse_part
     return -(flux_part + system.load_localized)
 

@@ -88,10 +88,6 @@ class FaceSpectrum(Stacked):
     def n_pi(self) -> np.ndarray | int:
         return self.alphas.shape[-1] - self.n_delta
 
-    @property
-    def empty(self) -> bool:
-        return self.alphas.shape[-1] == 0
-
 
 def all_face_spectra(space: TraceSpace, caches: ElementCache, alpha_stab: float) -> FaceSpectrum:
     """Solve every face pencil: full energy against soft-extension energy, as one stack.

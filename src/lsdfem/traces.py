@@ -49,7 +49,7 @@ class TraceSpace:
     pair_v0: sp.csr_matrix          # (N, n_fine): (mu, 1_tau) weights, rows per element
     jump_basis: sp.csr_matrix       # (n_fine, N): stored lambda0_i columns
     zero_mean: np.ndarray           # (nfs, nfs - 1): per-face zero-average basis
-    face_constant_coeffs: np.ndarray  # (NF, NF - N): hat-function curls, then one field per hole
+    face_constant: sp.csr_matrix    # (NF, NF - N): hat-function curls, then one field per hole
 
     @property
     def n_fine(self) -> int:
@@ -65,7 +65,7 @@ class TraceSpace:
 
     @property
     def dim_tilde0(self) -> int:
-        return self.face_constant_coeffs.shape[1]
+        return self.face_constant.shape[1]
 
     @property
     def dim_tilde_f(self) -> int:
@@ -77,6 +77,11 @@ class TraceSpace:
         if values.shape != (self.n_fine,):
             raise ValueError("trace vector has wrong length")
         return values
+
+    @cached_property
+    def face_constant_coeffs(self) -> np.ndarray:
+        """Dense view of ``face_constant``, built on first read: only perfbench's tracer reads it."""
+        return self.face_constant.toarray()
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
@@ -133,17 +138,16 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     # delta_{v=b} - delta_{v=a} through F = (a, b); all but one are independent.
     used = np.unique(mesh.faces)
     a, b = np.searchsorted(used, mesh.faces).T
-    curls = np.zeros((nf, used.size))
-    curls[np.arange(nf), b] = 1.0 / mesh.face_measures
-    curls[np.arange(nf), a] = -1.0 / mesh.face_measures
-    face_constant_coeffs = curls[:, 1:]
-    if nf - n > used.size - 1:  # each hole adds a field that no curl spans
+    inv = 1.0 / mesh.face_measures
+    rows, cols = np.tile(np.arange(nf), 2), np.concatenate([b, a])
+    face_constant = sp.csr_matrix((np.concatenate([inv, -inv]), (rows, cols)), (nf, used.size))[:, 1:]
+    if nf - n > used.size - 1:  # each hole adds a field that no curl spans; only these columns are dense
         constraint = pair_v0 @ sp.kron(sp.identity(nf), np.ones((nfs, 1)))
-        holes = scipy.linalg.null_space(np.vstack([constraint.toarray(), face_constant_coeffs.T]))
-        face_constant_coeffs = np.hstack([face_constant_coeffs, holes])
-    if face_constant_coeffs.shape[1] != nf - n:
+        holes = scipy.linalg.null_space(np.vstack([constraint.toarray(), face_constant.T.toarray()]))
+        face_constant = sp.hstack([face_constant, sp.csr_matrix(holes)], format="csr")
+    if face_constant.shape[1] != nf - n:
         raise AssertionError(
-            f"face-constant basis has {face_constant_coeffs.shape[1]} columns, "
+            f"face-constant basis has {face_constant.shape[1]} columns, "
             f"expected NF - NE = {nf - n}"
         )
 
@@ -153,7 +157,7 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
         pair_v0=pair_v0,
         jump_basis=jump_basis,
         zero_mean=zm,
-        face_constant_coeffs=face_constant_coeffs,
+        face_constant=face_constant,
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from lsdfem.coeff import CoefficientField, make_weight
 from lsdfem.localop import assemble_all, edge_blocks
 from lsdfem.localize import build_flux_energy
-from lsdfem.mesh import build_structured_mesh, refine_faces
+from lsdfem.mesh import build_structured_mesh, layer_distances, refine_faces
 from lsdfem.pipeline import Assembly, SolverConfig, build_assembly
 from lsdfem.traces import build_trace_space
 
@@ -26,6 +26,11 @@ def random_tilde_f(space, rng):
     if nfs > 1:
         out = (rng.standard_normal((space.n_coarse_faces, nfs - 1)) @ space.zero_mean.T).ravel()
     return out
+
+
+def saturation_depth(mesh, seed):
+    """Smallest j with T_j(seed) = the whole mesh."""
+    return 1 + int(layer_distances(mesh, seed).max())
 
 
 def constant_field(part, value=1.0):

@@ -183,6 +183,24 @@ def test_non_spd_upscaled_gram_exits_3(tmp_path, capsys, monkeypatch):
     assert "upscaled Gram matrix (j=1) is not SPD" in err
 
 
+@pytest.mark.parametrize("kind", cli.EXPERIMENT_KINDS)
+def test_numerical_failure_names_the_experiment(tmp_path, capsys, monkeypatch, kind):
+    # A checkerboard at contrast 1e12 makes a face block or the global energy
+    # Gram fail its SPD check in every study but rhs_reduction, whose exact
+    # hybrid solve stays regular there, so its failure is injected.
+    if kind == "rhs_reduction":
+        def singular(*args):
+            raise AssertionError("hybrid saddle system is singular")
+        monkeypatch.setattr(cli, "exact_hybrid_solve", singular)
+    config = {
+        "nx": 4, "ny": 4, "face_level": 2, "variant": "delta",
+        "coefficient": "checkerboard", "coefficient_params": {"contrast": 1e12},
+    }
+    spec = {"experiment": kind, "config": config, "sweep": {"contrasts": [1e12], "nx": [4]}}
+    assert cli.main(["--config", write_spec(tmp_path, spec), "--out", str(tmp_path / "o")]) == 3
+    assert f"numerical assertion failed [{kind}]" in capsys.readouterr().err
+
+
 def test_solve_writes_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_spec(tmp_path, BASE)

@@ -8,14 +8,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_elements, make_assembly, random_tilde_f
+from conftest import face_elements, make_assembly, random_tilde_f, saturation_depth
 from lsdfem.coeff import local_bounds, make_weight
 from lsdfem import localize
 from lsdfem.localize import (
     PatchProjector, build_flux_energy, delta_basis, pi_basis, plain_basis, ring_energies,
 )
 from lsdfem.localop import apply_T, assemble_all
-from lsdfem.mesh import element_layers, refine_faces, saturation_depth, saturation_radius
+from lsdfem.mesh import element_layers, refine_faces, saturation_radius
 from lsdfem.pipeline import Assembly, sample_load, solve_lsd
 from lsdfem.presets import coefficient_field
 from lsdfem.traces import boundary_functional, build_trace_space, element_functionals

@@ -401,7 +401,7 @@ def test_batched_kernels_match_reference(mesh, face_level, field):
     spectra = all_face_spectra(space, caches, alpha_stab=2.0)
     for f, s in enumerate(spectra):
         assert s.alphas.shape == (space.zero_mean.shape[1],)
-        if s.empty:
+        if s.alphas.shape[-1] == 0:
             continue
         # Eigenvalue floor: the full energy dominates the soft-extension energy.
         assert s.alphas.min() >= 1.0 - 1e-10

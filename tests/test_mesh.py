@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_elements, fine_endpoints
+from conftest import face_elements, fine_endpoints, saturation_depth
 from lsdfem.mesh import (
     MeshError,
     _triangle_quality,
@@ -15,7 +15,6 @@ from lsdfem.mesh import (
     layer_sets,
     load_mesh,
     refine_faces,
-    saturation_depth,
     saturation_radius,
     save_mesh,
 )

@@ -504,8 +504,9 @@ def dense_upscaled_reference(asm, variant, j):
 )
 def test_sparse_upscaled_build_matches_dense(mesh, face_level, variant, j):
     # The coarse basis is the dense one stored as CSC without zeros, the
-    # multiscale basis, built by sparse products, matches the dense formula
-    # and is stored dense, and the factor is one of the dense Gram.
+    # multiscale basis, built by sparse products, is stored as CSC and matches
+    # the dense formula, its dense view is that matrix, and the factor is one
+    # of the dense Gram.
     asm = assembly_on(mesh, face_level)
     basis_ref, psi_ref, gram_ref = dense_upscaled_reference(asm, variant, j)
     basis = asm.coarse_basis(variant, 4.0)
@@ -513,9 +514,28 @@ def test_sparse_upscaled_build_matches_dense(mesh, face_level, variant, j):
     assert np.array_equal(basis.toarray(), basis_ref)
     assert np.all(basis.data != 0.0)
     operator = asm.upscaled_operator(variant, 4.0, j)
-    for got, ref in ((operator.multiscale, psi_ref), (factored_matrix(operator.factor), gram_ref)):
-        assert type(got) is np.ndarray
+    assert sp.issparse(operator.psi) and operator.psi.format == "csc"
+    for got, ref in ((operator.psi.toarray(), psi_ref), (factored_matrix(operator.factor), gram_ref)):
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert type(operator.multiscale) is np.ndarray
+    assert np.array_equal(operator.multiscale, operator.psi.toarray())
+
+
+def test_untraced_run_builds_no_dense_global_view():
+    # Every global operator is stored sparse: a solve with its report and both
+    # oracles, then a j=None solve, build none of the dense views that only
+    # perfbench's tracer reads.
+    cfg = SolverConfig(
+        nx=4, ny=4, face_level=2, coefficient="channel", variant="delta", j=2,
+        compare_exact=True, compare_conforming=True,
+    )
+    asm = build_assembly(cfg)
+    full_pipeline(cfg, assembly=asm)
+    solve_lsd(asm, sample_load(asm.part, lambda p: p[:, 0] * p[:, 1]), None, "delta", cfg.alpha_stab)
+    owners = {stage: product for (stage, _), product in asm._stages.items()}
+    views = {"multiscale", "face_constant_coeffs", "pairing_matrix", "gram"}
+    for owner in (asm.space, owners["projector"], owners["upscaled_operator"]):
+        assert not views & set(vars(owner)), type(owner).__name__
 
 
 @pytest.mark.parametrize("variant", ["plain", "delta"])

@@ -214,6 +214,8 @@ def test_tilde0_basis_satisfies_constraints(mesh):
     space = build_trace_space(refine_faces(mesh, 1))
     coeffs = space.face_constant_coeffs
     assert coeffs.shape == (mesh.n_faces, mesh.n_faces - mesh.n_elements)
+    assert sp.issparse(space.face_constant)
+    assert np.array_equal(space.face_constant.toarray(), coeffs)
     stored = np.repeat(coeffs, space.part.faces_per_coarse, axis=0)
     assert stored.shape[1] == space.dim_tilde0
     assert np.abs(space.pair_v0 @ stored).max() < 1e-12
