@@ -24,6 +24,7 @@ from .pipeline import (
     Assembly,
     PipelineError,
     SolverConfig,
+    _configured_solve,
     _stage,
     build_assembly,
     broken_energy,
@@ -33,7 +34,6 @@ from .pipeline import (
     full_pipeline,
     load_norm,
     sample_load,
-    solve_lsd,
 )
 from .spectral import project_rhs
 from .traces import boundary_functional
@@ -213,12 +213,12 @@ def run_j_sweep(spec: ExperimentSpec) -> dict:
     cfg = spec.config
     assembly = build_assembly(cfg)
     g = sample_load(assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
-    reference = solve_lsd(assembly, g, None, cfg.variant, cfg.alpha_stab)
+    reference = _configured_solve(assembly, cfg, g, None)
     ref_energy = broken_energy(assembly.caches, reference.u_broken) ** 0.5
     js = [int(j) for j in spec.sweep.get("j", [1, 2, 3])]
     rows = []
     for j in js:
-        sol = solve_lsd(assembly, g, j, cfg.variant, cfg.alpha_stab)
+        sol = _configured_solve(assembly, cfg, g, j)
         err = energy_error(assembly.caches, reference.u_broken, sol.u_broken)
         rows.append(
             {
@@ -272,7 +272,7 @@ def run_h_convergence(spec: ExperimentSpec) -> dict:
         sub = replace(cfg, nx=n, ny=n)
         assembly = build_assembly(sub)
         g = sample_load(assembly.part, presets.load_function(sub.rhs, sub.rhs_params))
-        sol = solve_lsd(assembly, g, sub.j, sub.variant, sub.alpha_stab)
+        sol = _configured_solve(assembly, sub, g, sub.j)
         _, u_conf = conforming_solve(assembly, g)
         err = energy_error(assembly.caches, u_conf, sol.u_broken)
         gn = load_norm(assembly.caches, g)

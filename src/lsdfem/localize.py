@@ -52,16 +52,17 @@ PATCH_CHUNK_BYTES = 1 << 20
 
 
 def spd_factor(matrix: sp.spmatrix, what: str) -> spla.SuperLU:
-    """Sparse ``P A P^T = L D L^T`` factor of a symmetric matrix that must be positive definite.
+    """Sparse ``P A P^T = L D L^T`` factor of ``A = (matrix + matrix^T) / 2``, which must be positive definite.
 
+    A Gram ``X^T S X`` is passed as assembled, symmetric only to rounding.
     The symmetric ordering and the diagonal-only pivoting make the LU factor
     an ``L D L^T`` one, so ``A`` is SPD exactly when no pivot left the
     diagonal and every pivot is positive; otherwise an ``AssertionError``
     names ``what``.
     """
     try:
-        lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = spla.splu(sp.csc_matrix(0.5 * (matrix + matrix.T)), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise AssertionError(f"{what} is not SPD: {exc}") from exc
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
@@ -389,25 +390,12 @@ class RingProfile:
 
 
 def _fit_ratio(energies: np.ndarray, total: float) -> float:
-    keep = [
-        (r, e)
-        for r, e in enumerate(energies)
-        if r >= 1 and e > 1e-14 * total and e > 0.0
-    ]
-    if len(keep) < 2:
-        return 0.0
-    idx = np.array([r for r, _ in keep], dtype=float)
-    log_e = np.log([e for _, e in keep])
-    slope = np.polyfit(idx, log_e, 1)[0]
-    return float(np.exp(slope))
+    rings = np.flatnonzero((energies > 1e-14 * total) & (energies > 0.0))
+    rings = rings[rings >= 1]
+    return float(np.exp(np.polyfit(rings, np.log(energies[rings]), 1)[0])) if rings.size >= 2 else 0.0
 
 
-def ring_energies(
-    mesh: CoarseMesh,
-    caches: ElementCache,
-    mu: np.ndarray,
-    seed: tuple[str, int],
-) -> RingProfile:
+def ring_energies(mesh: CoarseMesh, caches: ElementCache, mu: np.ndarray, seed: tuple[str, int]) -> RingProfile:
     """Broken energy of the potential of ``mu`` (stored values) split by layer rings."""
     per_element = quadratic_forms(caches.flux_energy, caches.geom.side_values(mu))
     total = float(per_element.sum())

@@ -310,17 +310,25 @@ def saturation_radius(mesh: CoarseMesh) -> int:
 
     Equals one plus the diameter of the closure-adjacency graph; face
     seeds saturate no later than their incident elements, so the maximum
-    over element seeds covers them.  The all-pairs distances are taken in
-    row chunks of at most about 32 MB.
+    over element seeds covers them.  The exact iFUB sweep finds the
+    diameter: two breadth-first searches give a centre ``u``, then the
+    eccentricities of ``u``'s levels, deepest first and in row chunks of at
+    most about 32 MB, until they reach ``2 i``, which bounds every pair left.
     """
-    ne = mesh.n_elements
-    chunk = max(1, (32 << 20) // (8 * ne))
-    diameter = 0.0
-    for first in range(0, ne, chunk):
-        dist = csgraph.shortest_path(
-            mesh.adjacency, unweighted=True, indices=np.arange(first, min(first + chunk, ne))
-        )
-        diameter = max(diameter, float(dist.max()))
+    def distances(sources) -> np.ndarray:
+        return csgraph.shortest_path(mesh.adjacency, unweighted=True, indices=sources)
+
+    d_a = distances(int(np.argmax(distances(0))))
+    d_b = distances(int(np.argmax(d_a)))
+    level = distances(int(np.argmin(np.maximum(d_a, d_b))))
+    diameter = d_a.max()
+    chunk = max(1, (32 << 20) // (8 * mesh.n_elements))
+    for i in range(int(level.max()), 0, -1):
+        if diameter >= 2 * i:
+            break
+        ids = np.flatnonzero(level == i)
+        for first in range(0, ids.size, chunk):
+            diameter = max(diameter, distances(ids[first:first + chunk]).max())
     return 1 + int(diameter)
 
 

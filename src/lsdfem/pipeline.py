@@ -281,8 +281,7 @@ class Assembly:
         def build():
             basis = self.coarse_basis(variant, alpha_stab)
             psi = basis - self.projector(variant, alpha_stab).apply_PjT_columns(basis, j)
-            gram = psi.T @ (self.energy @ psi)
-            factor = spd_factor(0.5 * (gram + gram.T), f"upscaled Gram matrix (j={j})")
+            factor = spd_factor(psi.T @ (self.energy @ psi), f"upscaled Gram matrix (j={j})")
             return UpscaledOperator(basis, psi, factor)
 
         return self._memo("upscaled_operator", (*_variant_key(variant, alpha_stab), j), build)
@@ -293,6 +292,8 @@ class Assembly:
     def union_stiffness(self) -> tuple[sp.csc_matrix, spla.SuperLU]:
         """Stiffness on the free union-mesh nodes and its sparse LU, shared by both union-mesh computations."""
         k_ff = self._memo("union_stiffness", None, lambda: _union_free_matrix(self, self.caches.stiffness))
+        # SPD, but not for spd_factor: on one core its MMD ordering took 10.8 s on this matrix at nx=16
+        # (16129 unknowns), where splu's default COLAMD ordering took 0.053 s.
         return k_ff, self._memo("union_lu", None, lambda: spla.splu(k_ff))
 
 
@@ -346,7 +347,7 @@ def energy_error(caches: ElementCache, u: np.ndarray, v: np.ndarray) -> float:
 def solve_lambda0(assembly: Assembly, g: np.ndarray) -> np.ndarray:
     """Jump-basis coefficients from the constant pairing against the load."""
     rhs = -np.einsum("ei,ei->e", assembly.caches.mean_vector, np.asarray(g, dtype=float))
-    return assembly.space.jump_basis @ solve_V0_pairing(assembly.space, rhs, transpose=True)
+    return assembly.space.jump_basis @ solve_V0_pairing(assembly.space, rhs)
 
 
 def compute_ttilde(assembly: Assembly, g: np.ndarray) -> np.ndarray:
@@ -438,10 +439,10 @@ def recover_delta(lam_coarse: np.ndarray, system: UpscaledSystem) -> np.ndarray:
 
 
 def solve_u0(assembly: Assembly, lam_total: np.ndarray, r_ttg: np.ndarray) -> np.ndarray:
-    """Constant part of every element ``(ne,)``, from the transposed constant-pairing system."""
+    """Constant part of every element ``(ne,)``, from the constant-pairing system."""
     space = assembly.space
     rhs = -(space.jump_basis.T @ (assembly.energy @ lam_total + r_ttg))
-    return solve_V0_pairing(space, np.asarray(rhs).ravel(), transpose=False)
+    return solve_V0_pairing(space, np.asarray(rhs).ravel())
 
 
 def reconstruct(
@@ -534,8 +535,7 @@ def solve_global(
     v = sp.hstack([w, b], format="csc")
 
     def build():
-        gram = v.T @ (assembly.energy @ v)
-        return spd_factor(0.5 * (gram + gram.T), f"global {variant} tilde-space Gram matrix")
+        return spd_factor(v.T @ (assembly.energy @ v), f"global {variant} tilde-space Gram matrix")
 
     factor = assembly._memo("global_factor", _variant_key(variant, alpha_stab), build)
     c = factor.solve(-(v.T @ (assembly.energy @ lam0 + r_ttg)))
@@ -607,6 +607,12 @@ def solve_lsd(
     return solution
 
 
+def _configured_solve(assembly: Assembly, cfg: SolverConfig, g: np.ndarray, j: int | None) -> Solution:
+    """:func:`solve_lsd` with every solve setting of ``cfg`` except the layer count ``j``."""
+    return solve_lsd(assembly, g, j, cfg.variant, cfg.alpha_stab, cfg.rhs_reduction, cfg.h_target, cfg.c_j,
+                     cfg.equilibrium_tol)
+
+
 # ---------------------------------------------------------------------------
 # Oracles.
 # ---------------------------------------------------------------------------
@@ -634,7 +640,7 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, n
     load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
     rhs = np.concatenate([load.ravel(), np.zeros(nl)])
     try:
-        lu = spla.splu(mat)
+        lu = spla.splu(mat)     # the saddle is indefinite, so not spd_factor: LU with partial pivoting
     except RuntimeError as exc:
         raise AssertionError(f"hybrid saddle system is singular: {exc}") from exc
     sol = lu.solve(rhs)
@@ -714,10 +720,7 @@ def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[
     with _stage("rhs", timings):
         g = sample_load(assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
     with _stage("solve", timings):
-        solution = solve_lsd(
-            assembly, g, cfg.j, cfg.variant, cfg.alpha_stab, cfg.rhs_reduction,
-            cfg.h_target, cfg.c_j, cfg.equilibrium_tol,
-        )
+        solution = _configured_solve(assembly, cfg, g, cfg.j)
 
     report: dict = {
         "config": cfg.to_dict(),

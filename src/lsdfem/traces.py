@@ -46,8 +46,8 @@ class TraceSpace:
 
     mesh: CoarseMesh
     part: FinePartition
-    pair_v0: sp.csr_matrix          # (N, n_fine): (mu, 1_tau) weights, rows per element
-    jump_basis: sp.csr_matrix       # (n_fine, N): stored lambda0_i columns
+    pair_v0: sp.csr_matrix          # (N, n_fine): J^T W, the (mu, 1_tau) weights, rows per element
+    jump_basis: sp.csr_matrix       # (n_fine, N): J, the stored lambda0_i columns
     zero_mean: np.ndarray           # (nfs, nfs - 1): per-face zero-average basis
     face_constant: sp.csr_matrix    # (NF, NF - N): hat-function curls, then one field per hole
 
@@ -86,14 +86,14 @@ class TraceSpace:
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
         """Dense ``(N, N)`` constant pairing, entry ``[i, j] = (lambda0_i, 1_tau_j)``; built on first read."""
-        return (self.pair_v0 @ self.jump_basis).toarray().T
+        return (self.pair_v0 @ self.jump_basis).toarray()
 
     @cached_property
     def factorization(self) -> spla.SuperLU:
-        try:
-            return spla.splu((self.pair_v0 @ self.jump_basis).T.tocsc())
-        except RuntimeError as exc:  # pragma: no cover - cannot occur on valid meshes
-            raise AssertionError(f"constant-pairing matrix is singular: {exc}") from exc
+        """SPD-checked sparse factor of the constant pairing ``J^T W J`` (:func:`solve_V0_pairing`)."""
+        from .localize import spd_factor    # localize imports this module
+
+        return spd_factor(self.pair_v0 @ self.jump_basis, "constant-pairing matrix")
 
     def sum_element_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stored values from per-element boundary-row values ``(ne, n_bf)``, summed per fine face."""
@@ -128,8 +128,8 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
 
     elems = np.repeat(np.arange(n), 3 * nfs)
     ids, signs = part.boundary_face_ids.ravel(), part.boundary_signs.ravel()
-    pair_v0 = sp.csr_matrix((signs * part.fine_measures[ids], (elems, ids)), shape=(n, n_fine))
     jump_basis = sp.csr_matrix((signs, (ids, elems)), shape=(n_fine, n))
+    pair_v0 = (jump_basis.T @ sp.diags(part.fine_measures)).tocsr()
 
     zm = zero_mean_basis(np.full(nfs, 1.0))  # equal sub-face measures per face
 
@@ -182,18 +182,17 @@ def boundary_functional(space: TraceSpace, v: np.ndarray) -> np.ndarray:
     return space.sum_element_rows(element_functionals(space, v))
 
 
-def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve the N x N system with entries (lambda0_i, 1_tau_j).
+def solve_V0_pairing(space: TraceSpace, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``sum_j x_j (lambda0_i, 1_tau_j) = rhs_i``, the N x N constant pairing.
 
-    ``transpose=False`` solves sum_j x_j (lambda0_i, 1_tau_j) = rhs_i (the
-    constant-part recovery); ``transpose=True`` solves the transposed
-    system sum_i x_i (lambda0_i, 1_tau_j) = rhs_j (the jump-coefficient
-    solve).  The matrix is irreducibly diagonally dominant, hence
-    nonsingular, on any valid mesh.
+    Both elimination steps solve with it: the jump coefficients and the
+    constant part.  The matrix is ``J^T W J`` (``J`` the jump basis, ``W``
+    the fine-face measures): the face-weighted graph Laplacian of the
+    elements plus each element's domain-boundary measure on the diagonal,
+    symmetric and irreducibly diagonally dominant, hence SPD on any valid
+    mesh, so one :func:`localize.spd_factor` serves both steps.
     """
-    lu = space.factorization
-    rhs = np.asarray(rhs, dtype=float)
-    x = lu.solve(rhs, trans="T" if transpose else "N")
+    x = space.factorization.solve(np.asarray(rhs, dtype=float))
     if not np.all(np.isfinite(x)):
         raise AssertionError("constant-pairing solve produced non-finite values")
     return x

@@ -246,6 +246,20 @@ def test_j_sweep_error_nonincreasing(tmp_path):
     assert errs[-1] <= 1e-9
 
 
+@pytest.mark.parametrize("kind, sweep", [("j_sweep", {"j": [1]}), ("h_convergence", {"nx": [4]})])
+def test_studies_run_the_configured_solve(tmp_path, kind, sweep):
+    # The load reduction and its h_target and c_j reach the studies' solves.
+    config = {"nx": 4, "ny": 4, "face_level": 2, "coefficient": "channel", "variant": "delta",
+              "rhs": "bump", "h_target": 0.5, "c_j": 0.5, "j": 1}
+    errors = []
+    for reduction in (False, True):
+        out = tmp_path / f"reduction-{reduction}"
+        spec = {"experiment": kind, "config": {**config, "rhs_reduction": reduction}, "sweep": sweep}
+        assert cli.main(["--config", write_spec(tmp_path, spec), "--out", str(out)]) == 0
+        errors.append(json.loads((out / f"{kind}.json").read_text())["rows"][0]["energy_error"])
+    assert errors[0] != errors[1]
+
+
 def test_reproducibility_bitwise(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

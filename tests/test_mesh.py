@@ -1,7 +1,11 @@
 import dataclasses
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +180,31 @@ def test_layer_graph_matches_references(mesh, data):
 @pytest.mark.parametrize("n", [4, 16])
 def test_structured_saturation_radius(n):
     assert saturation_radius(build_structured_mesh(n, n)) == 2 * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_saturation_radius_is_exact_on_graphs(data):
+    # Closure graphs of grid meshes rarely defeat the two-sweep lower bound
+    # alone, so random connected graphs (a random tree plus extra edges)
+    # exercise the level search that makes the sweep exact.
+    n = data.draw(st.integers(1, 30))
+    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    rows, cols = zip(*[(i + 1, p) for i, p in enumerate(parents)], *extra, (0, 0))
+    edges = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), (n, n))
+    adjacency = ((edges + edges.T + sp.identity(n)) > 0).astype(float).tocsr()
+    graph = SimpleNamespace(adjacency=adjacency, n_elements=n)
+    assert saturation_radius(graph) == 1 + int(csgraph.shortest_path(adjacency, unweighted=True).max())
+
+
+def test_saturation_radius_needs_no_all_pairs_search():
+    # A few breadth-first searches, not one per element: at 8192 elements the
+    # all-pairs search took about 9 s.
+    mesh = build_structured_mesh(64, 64)
+    t0 = time.perf_counter()
+    assert saturation_radius(mesh) == 128
+    assert time.perf_counter() - t0 < 0.1
 
 
 class CountingProducts:

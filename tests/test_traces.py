@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import face_elements, face_rows, lambda0_basis, make_assembly, pairing_bruteforce, random_tilde_f
 from test_mesh import meshes
+from lsdfem.localize import spd_factor
 from lsdfem.mesh import build_structured_mesh, refine_faces
 from lsdfem.pipeline import solve_lsd
 from lsdfem.traces import (
@@ -40,7 +41,7 @@ def decompose(space, mu):
     face-constant part is the facewise average of the remainder, and what
     is left has zero mean on every coarse face.
     """
-    mu0 = space.jump_basis @ solve_V0_pairing(space, space.pair_v0 @ mu, transpose=True)
+    mu0 = space.jump_basis @ solve_V0_pairing(space, space.pair_v0 @ mu)
     r = mu - mu0
     mu_t0 = np.repeat(face_integrals(space, r) / space.mesh.face_measures, space.part.faces_per_coarse)
     return mu0, mu_t0, r - mu_t0
@@ -227,6 +228,19 @@ def test_tilde0_basis_satisfies_constraints(mesh):
     assert np.abs(outside).max() < 1e-12 * np.abs(coeffs).max()
 
 
+@settings(max_examples=20, deadline=None)
+@given(mesh=meshes(), level=st.integers(0, 3))
+def test_constant_pairing_is_exactly_symmetric_and_spd(mesh, level):
+    # Both elimination steps solve with one SPD factor of P = J^T W J, which
+    # relies on P being exactly symmetric, holed meshes included.
+    space = build_trace_space(refine_faces(mesh, level))
+    jw = space.jump_basis.toarray().T * space.part.fine_measures
+    assert np.array_equal(space.pair_v0.toarray(), jw)
+    p = space.pair_v0 @ space.jump_basis
+    assert np.array_equal(p.toarray(), p.T.toarray())
+    spd_factor(p, "constant-pairing matrix")
+
+
 def test_solve_v0_pairing_against_dense_oracle(space):
     rng = np.random.default_rng(13)
     rhs = rng.standard_normal(space.n_elements)
@@ -234,7 +248,7 @@ def test_solve_v0_pairing_against_dense_oracle(space):
     got = solve_V0_pairing(space, rhs)
     assert np.allclose(got, dense, rtol=1e-12, atol=1e-13)
     dense_t = np.linalg.solve(space.pairing_matrix.T, rhs)
-    got_t = solve_V0_pairing(space, rhs, transpose=True)
+    got_t = solve_V0_pairing(space, rhs)
     assert np.allclose(got_t, dense_t, rtol=1e-12, atol=1e-13)
     assert np.abs(solve_V0_pairing(space, np.zeros(space.n_elements))).max() == 0.0
 
