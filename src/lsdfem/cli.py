@@ -45,7 +45,7 @@ SWEEP_RULES = {"j": _POSITIVE_INT, "nx": _POSITIVE_INT, "contrasts": _POSITIVE, 
 
 
 class SpecError(ValueError):
-    """An experiment spec value that can only be checked once the mesh is built."""
+    """An experiment spec value that only a runner can check: against the built mesh, or the kind it runs."""
 
 
 @dataclass
@@ -235,6 +235,8 @@ def run_j_sweep(spec: ExperimentSpec) -> dict:
 
 def run_contrast_sweep(spec: ExperimentSpec) -> dict:
     cfg = spec.config
+    if cfg.coefficient_file is not None:
+        raise SpecError("contrast_sweep samples the channel preset at each contrast; drop config.coefficient_file")
     contrasts = [float(c) for c in spec.sweep.get("contrasts", [1e2, 1e4, 1e6])]
     rows = []
     for contrast in contrasts:
@@ -265,6 +267,8 @@ def run_contrast_sweep(spec: ExperimentSpec) -> dict:
 
 def run_h_convergence(spec: ExperimentSpec) -> dict:
     cfg = spec.config
+    if cfg.mesh_file:
+        raise SpecError("h_convergence builds a structured mesh for each sweep.nx; drop config.mesh_file")
     sizes = [int(n) for n in spec.sweep.get("nx", [2, 4, 8])]
     rows = []
     prev = None

@@ -171,14 +171,14 @@ class PatchProjector:
         self.energy = energy
         self.basis = basis
         m, nf, nfs = basis.shape[1], space.n_coarse_faces, space.part.faces_per_coarse
-        gram = basis.T @ (energy @ basis)
-        self.sparse_gram = sp.csr_matrix(0.5 * (gram + gram.T))
-        self.sparse_gram.sum_duplicates()
         # Seed right-hand sides, one column block per seed: W^T S on a face's
         # fine faces, W^T on an element's boundary rows in the order of the
         # element functionals (traces.element_functionals).
         flux_rhs = (basis.T @ energy).tocsc()
         flux_rhs.sum_duplicates()
+        gram = flux_rhs @ basis
+        self.sparse_gram = sp.csr_matrix(0.5 * (gram + gram.T))
+        self.sparse_gram.sum_duplicates()
         load_rhs = basis.T.tocsc()[:, space.part.boundary_face_ids.ravel()]
         load_rhs.sum_duplicates()
         self._rhs_columns = {"face": (nfs, *_padded_rows(flux_rhs.T, m)),

@@ -315,5 +315,9 @@ def quadratic_forms(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def broken_energy(caches: ElementCache, values: np.ndarray) -> float:
-    """Squared A-weighted broken seminorm of a broken nodal field ``(ne, nn)``."""
-    return float(quadratic_forms(caches.stiffness, values).sum())
+    """Squared A-weighted broken seminorm of a broken nodal field ``(ne, nn)``.
+
+    Each element's mean is removed first: the stiffness annihilates constants
+    only to rounding, which a per-element constant would otherwise amplify.
+    """
+    return float(quadratic_forms(caches.stiffness, values - values.mean(axis=-1, keepdims=True)).sum())

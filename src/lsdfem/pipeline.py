@@ -415,7 +415,7 @@ def assemble_upscaled(
     s_mat = assembly.energy
     q = projector.apply_Pj(ttg_functionals, j)
     flux0 = projector.apply_PjT(lam0, j)
-    work = r_ttg - s_mat @ q + s_mat @ (lam0 - flux0)
+    work = r_ttg + s_mat @ (lam0 - flux0 - q)
     rhs = -(operator.psi.T @ work)
     return UpscaledSystem(operator, rhs, flux0, q)
 
@@ -476,25 +476,22 @@ def reconstruct(
     side = part.side_values(lam_total)
     traction = (side[:, None, :] @ part.trace_matrix)[:, 0]
     tilde = local_solve(caches, traction + load)
-    u_broken = u0[:, None] + tilde
     # Cellwise gradient: per component, a three-term sum over the cell vertices.
     vertex = [tilde[:, c] for c in part.cells.T]                                   # 3 x (ne, nc)
     gx, gy = (sum(v * part.grads[:, :, k, d] for k, v in enumerate(vertex)) for d in (0, 1))
     a = caches.tensors
     sigma = np.stack((a[..., 0, 0] * gx + a[..., 0, 1] * gy, a[..., 1, 0] * gx + a[..., 1, 1] * gy), axis=-1)
     # One pass over the stiffness, a block of elements at a time so that each
-    # block is read from cache once: K tilde, K u and, for the componentwise
-    # scale, |K| |tilde|.  The residual at a node is compared against the
-    # magnitudes of the flux and load terms that feed it, so the check stays
-    # meaningful at high contrast.
+    # block is read from cache once: K tilde and, for the componentwise scale,
+    # |K| |tilde|.  K annihilates constants, so tilde . K tilde is the energy
+    # of the element potentials without the rounding that u0 would add.  The
+    # residual at a node is compared against the magnitudes of the flux and
+    # load terms that feed it, so the check stays meaningful at high contrast.
     k_tilde, scale = np.empty_like(tilde), np.empty_like(tilde)
-    energy = 0.0
     for lo in range(0, len(tilde), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         k = caches.stiffness[blk]
-        prod = k @ np.stack((tilde[blk], u_broken[blk]), axis=-1)
-        k_tilde[blk] = prod[..., 0]
-        energy += float(np.vdot(u_broken[blk], prod[..., 1]))
+        k_tilde[blk] = (k @ tilde[blk][..., None])[..., 0]
         scale[blk] = (np.abs(k) @ np.abs(tilde[blk])[..., None])[..., 0]
     residual = k_tilde - load - traction
     scale += np.abs(load) + np.abs(traction)
@@ -507,11 +504,11 @@ def reconstruct(
         "equilibrium_tol": equilibrium_tol,
         "equilibrium_ok": bool(eq_rel.max() <= equilibrium_tol) if len(eq_rel) else True,
         "flux_energy_sq": flux_energy_sq,
-        "solution_energy_sq": energy,
+        "solution_energy_sq": float(np.vdot(tilde, k_tilde)),
     }
     return Solution(
         u0=u0,
-        u_broken=u_broken,
+        u_broken=u0[:, None] + tilde,
         lam0=lam0,
         lam_coarse=lam_coarse,
         lam_delta=lam_delta,

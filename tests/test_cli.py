@@ -108,6 +108,23 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
 
 
 @pytest.mark.parametrize(
+    "kind,sweep,field",
+    [("h_convergence", {"nx": [2, 4]}, "mesh_file"), ("contrast_sweep", {"contrasts": [1e2, 1e6]}, "coefficient_file")],
+    ids=["h_convergence-mesh_file", "contrast_sweep-coefficient_file"],
+)
+def test_study_rejects_the_field_that_overrides_its_sweep(tmp_path, capsys, kind, sweep, field):
+    # A mesh file fixes the mesh of every nx, a raster file the coefficient of every contrast.
+    inputs = {"mesh_file": ("mesh.txt", SQUARE.format("1 0")), "coefficient_file": ("raster.json", json.dumps(RASTER))}
+    name, text = inputs[field]
+    (tmp_path / name).write_text(text)
+    path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], field: str(tmp_path / name)}, "sweep": sweep})
+    # --experiment picks the study after the spec file (a solve) is read.
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o"), "--experiment", kind]) == 2
+    err = capsys.readouterr().err
+    assert f"config error [{kind}]" in err and f"config.{field}" in err
+
+
+@pytest.mark.parametrize(
     "spec,named",
     [
         ({**BASE, "experiment": "decay", "sweep": {"seed_element": 999}}, "sweep.seed_element"),

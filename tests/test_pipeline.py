@@ -247,6 +247,23 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
     assert sol.diagnostics["flux_energy_sq"] == pytest.approx(direct, rel=1e-11)
 
 
+def test_energies_ignore_element_constants():
+    # The README CLI example's solve; K annihilates constants only to rounding,
+    # so both energies must not see a per-element shift.
+    cfg = SolverConfig(nx=8, ny=8, face_level=2, coefficient="channel", coefficient_params={"contrast": 1e4},
+                       variant="delta", alpha_stab=10.0, j=2)
+    asm = build_assembly(cfg)
+    g = sample_load(asm.part, smooth_g)
+    sol = solve_lsd(asm, g, 2, "delta", 10.0)
+    shift = np.random.default_rng(0).standard_normal(len(sol.u0))
+    energy = broken_energy(asm.caches, sol.u_broken)
+    assert broken_energy(asm.caches, sol.u_broken + shift[:, None]) == pytest.approx(energy, rel=1e-12)
+    shifted = pipeline.reconstruct(asm, sol.lam0, sol.lam_coarse, sol.lam_delta, sol.u0 + shift, g, None)
+    assert shifted.diagnostics["solution_energy_sq"] == pytest.approx(
+        sol.diagnostics["solution_energy_sq"], rel=1e-12)
+    assert sol.diagnostics["solution_energy_sq"] == pytest.approx(energy, rel=1e-12)
+
+
 def test_warm_solve_kernel_calls_do_not_grow_with_elements(monkeypatch):
     # A warm solve makes exactly one stacked call of the saddle kernel, the
     # reconstruction's, on 8 elements as on 32: the load potentials'
