@@ -83,6 +83,8 @@ class ExperimentSpec:
             values = sweep.get(key, [])
             if not isinstance(values, list) or not all(map(ok, values)):
                 raise ValueError(f"sweep.{key} must be a list, each value {rule}, got {values!r}")
+            if key in sweep and (not values or len(set(values)) < len(values)):
+                raise ValueError(f"sweep.{key} must be non-empty with distinct values, got {values!r}")
         seed = data.get("seed", 0)
         if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -406,9 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         with _stage(spec.kind):
             RUNNERS[spec.kind](spec)
     except PipelineError as exc:
-        # A bad seed element and unreadable or invalid mesh and coefficient inputs are config errors.
-        if isinstance(exc.cause, SpecError) or (
-            exc.stage in ("mesh", "coefficients") and isinstance(exc.cause, (OSError, ValueError))
+        # A bad seed element, a file that cannot be read or written, a bad mesh or coefficient: config errors.
+        if isinstance(exc.cause, (SpecError, OSError)) or (
+            exc.stage in ("mesh", "coefficients") and isinstance(exc.cause, ValueError)
         ):
             print(f"config error [{exc.stage}]: {exc}", file=sys.stderr)
             return 2

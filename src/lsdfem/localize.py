@@ -30,7 +30,6 @@ import scipy.sparse.linalg as spla
 
 from .localop import ElementCache, quadratic_forms, scatter_blocks
 from .mesh import CoarseMesh, layer_distances, layer_sets
-from .spectral import FaceSpectrum
 from .traces import TraceSpace
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "PatchProjector",
     "RingProfile",
     "build_flux_energy",
-    "plain_basis",
-    "delta_basis",
-    "pi_basis",
+    "face_basis",
     "ring_energies",
     "spd_factor",
 ]
@@ -82,7 +79,7 @@ def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
     return scatter_blocks(signed, ids, ids, (space.n_fine,) * 2)
 
 
-def _face_basis(space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> sp.csc_matrix:
+def face_basis(space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> sp.csc_matrix:
     """Basis whose face-f columns are the ``keep[f]`` columns of ``zero_mean @ vectors[f]``.
 
     ``vectors`` is ``(NF, m, m)`` in zero-mean coordinates and ``keep`` an
@@ -100,26 +97,6 @@ def _face_basis(space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> sp.
     matrix = sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(space.n_fine, data.shape[0]))
     matrix.eliminate_zeros()
     return matrix
-
-
-def plain_basis(space: TraceSpace) -> sp.csc_matrix:
-    """Zero-average-per-face subspace (the full fine remainder block)."""
-    nf, m = space.n_coarse_faces, space.zero_mean.shape[1]
-    return _face_basis(space, np.broadcast_to(np.eye(m), (nf, m, m)), np.ones((nf, m), bool))
-
-
-def delta_basis(space: TraceSpace, spectra: FaceSpectrum) -> sp.csc_matrix:
-    """Localizable block of the face spectra, per face."""
-    return _face_basis(space, spectra.vectors, _delta_mask(spectra))
-
-
-def pi_basis(space: TraceSpace, spectra: FaceSpectrum) -> sp.csc_matrix:
-    """Retained block of the face spectra, per face."""
-    return _face_basis(space, spectra.vectors, ~_delta_mask(spectra))
-
-
-def _delta_mask(spectra: FaceSpectrum) -> np.ndarray:
-    return np.arange(spectra.alphas.shape[1]) < spectra.n_delta[:, None]
 
 
 def _padded_rows(matrix: sp.csr_matrix, pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +139,7 @@ class PatchProjector:
     built on first use by one pass over all seeds, which reads the basis
     Gram only through ``sparse_gram`` (symmetrized ``W^T S W``, CSR with
     sorted indices).  Every application lifts basis coefficients to stored
-    values with ``basis``, a face basis of :func:`plain_basis`,
-    :func:`delta_basis` or :func:`pi_basis`.
+    values with ``basis``, a basis built by :func:`face_basis`.
     """
 
     def __init__(self, space: TraceSpace, energy: sp.csr_matrix, basis: sp.csc_matrix):

@@ -30,9 +30,7 @@ from .coeff import _BOOL, _DOMAIN, _POSITIVE, _POSITIVE_INT, _is_finite_number, 
 from .localize import (
     PatchProjector,
     build_flux_energy,
-    delta_basis,
-    pi_basis,
-    plain_basis,
+    face_basis,
     spd_factor,
 )
 from .localop import (
@@ -243,15 +241,21 @@ class Assembly:
             "face_spectra", alpha_stab, lambda: all_face_spectra(self.space, self.caches, alpha_stab)
         )
 
-    def projector(self, variant: str, alpha_stab: float) -> PatchProjector:
-        def build():
-            if variant == "plain":
-                basis = plain_basis(self.space)
-            else:
-                basis = delta_basis(self.space, self.face_spectra(alpha_stab))
-            return PatchProjector(self.space, self.energy, basis)
+    def face_modes(self, variant: str, alpha_stab: float) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-mean face modes ``(NF, m, m)`` and the ``(NF, m)`` mask of those that patch problems localize.
 
-        return self._memo("projector", _variant_key(variant, alpha_stab), build)
+        ``plain`` localizes them all and solves no face pencil; ``delta`` retains those at or above ``alpha_stab``.
+        """
+        nf, m = self.space.n_coarse_faces, self.space.zero_mean.shape[1]
+        if _variant_key(variant, alpha_stab)[0] == "plain":
+            return np.broadcast_to(np.eye(m), (nf, m, m)), np.ones((nf, m), bool)
+        spectra = self.face_spectra(alpha_stab)
+        return spectra.vectors, np.arange(m) < spectra.n_delta[:, None]
+
+    def projector(self, variant: str, alpha_stab: float) -> PatchProjector:
+        return self._memo("projector", _variant_key(variant, alpha_stab), lambda: PatchProjector(
+            self.space, self.energy, face_basis(self.space, *self.face_modes(variant, alpha_stab))
+        ))
 
     def element_spectra(self, h_target: float, c_j: float) -> ElementSpectrum:
         return self._memo(
@@ -262,10 +266,9 @@ class Assembly:
         """Stored basis of the upscaled block: face constants, expanded to fine faces, plus retained modes."""
         def build():
             coarse_face = np.repeat(np.arange(self.space.n_coarse_faces), self.space.part.faces_per_coarse)
-            blocks = [self.space.face_constant[coarse_face]]
-            if variant != "plain":
-                blocks.append(pi_basis(self.space, self.face_spectra(alpha_stab)))
-            return sp.hstack(blocks, format="csc")
+            vectors, localizable = self.face_modes(variant, alpha_stab)
+            retained = face_basis(self.space, vectors, ~localizable)
+            return sp.hstack([self.space.face_constant[coarse_face], retained], format="csc")
 
         return self._memo("coarse_basis", _variant_key(variant, alpha_stab), build)
 

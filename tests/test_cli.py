@@ -98,7 +98,16 @@ def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage, 
 
 @pytest.mark.parametrize(
     "kind,sweep",
-    [("j_sweep", {"j": [0]}), ("h_convergence", {"nx": [0]})],
+    [
+        ("j_sweep", {"j": [0]}),
+        ("h_convergence", {"nx": [0]}),
+        # An empty list runs no case and a repeated value runs one case twice.
+        ("j_sweep", {"j": []}),
+        ("contrast_sweep", {"contrasts": []}),
+        ("rhs_reduction", {"h_target": []}),
+        ("h_convergence", {"nx": [2, 2]}),
+        ("j_sweep", {"j": [2, 2]}),
+    ],
 )
 def test_bad_sweep_value_exits_2(tmp_path, capsys, kind, sweep):
     path = write_spec(tmp_path, {**BASE, "experiment": kind, "sweep": sweep})
@@ -185,6 +194,17 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys, below):
     err = capsys.readouterr().err
     assert f"config error: cannot create output directory {out!r}" in err
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("kind,name", [("solve", "report.json"), ("j_sweep", "j_sweep.csv")])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, kind, name):
+    # An output file that cannot be written is a config error, whichever stage writes it.
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    path = write_spec(tmp_path, {**BASE, "experiment": kind, "sweep": {"j": [1]}})
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error [{kind}]" in err and name in err
 
 
 def test_non_spd_upscaled_gram_exits_3(tmp_path, capsys, monkeypatch):

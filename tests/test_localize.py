@@ -12,7 +12,7 @@ from conftest import face_elements, make_assembly, random_tilde_f, saturation_de
 from lsdfem.coeff import local_bounds, make_weight
 from lsdfem import localize
 from lsdfem.localize import (
-    PatchProjector, build_flux_energy, delta_basis, pi_basis, plain_basis, ring_energies,
+    PatchProjector, build_flux_energy, face_basis, ring_energies,
 )
 from lsdfem.localop import apply_T, assemble_all
 from lsdfem.mesh import element_layers, refine_faces, saturation_radius
@@ -80,10 +80,11 @@ def test_basis_dimensions(mesh, face_level, alpha_stab):
     asm = assembly_on(mesh, face_level)
     space, nfs = asm.space, asm.part.faces_per_coarse
     spectra = asm.face_spectra(alpha_stab)
+    vectors, localizable = asm.face_modes("delta", alpha_stab)
     bases = {
-        "plain": plain_basis(space),
-        "delta": delta_basis(space, spectra),
-        "pi": pi_basis(space, spectra),
+        "plain": face_basis(space, *asm.face_modes("plain", alpha_stab)),
+        "delta": face_basis(space, vectors, localizable),
+        "pi": face_basis(space, vectors, ~localizable),
     }
     for label, (offsets, matrix) in block_diag_bases(space, spectra).items():
         basis = bases[label]

@@ -16,7 +16,7 @@ from test_localop import raster_fields
 from test_mesh import grid_mesh, meshes
 from lsdfem import coeff
 from lsdfem.coeff import WEIGHT_CHOICES, CoefficientField, local_bounds, make_weight
-from lsdfem.localize import build_flux_energy, pi_basis
+from lsdfem.localize import build_flux_energy, face_basis
 from lsdfem.localop import assemble_all, broken_energy
 from lsdfem import pipeline
 from lsdfem.mesh import build_mesh, build_structured_mesh, refine_faces, saturation_radius, save_mesh
@@ -506,7 +506,8 @@ def dense_upscaled_reference(asm, variant, j):
     space = asm.space
     basis = np.repeat(space.face_constant_coeffs, space.part.faces_per_coarse, axis=0)
     if variant == "delta":
-        basis = np.hstack([basis, pi_basis(space, asm.face_spectra(4.0)).toarray()])
+        vectors, localizable = asm.face_modes(variant, 4.0)
+        basis = np.hstack([basis, face_basis(space, vectors, ~localizable).toarray()])
     psi = basis - asm.projector(variant, 4.0).apply_PjT_columns(basis, j)
     gram = psi.T @ (asm.energy @ psi)
     return basis, psi, 0.5 * (gram + gram.T)
@@ -553,6 +554,16 @@ def test_untraced_run_builds_no_dense_global_view():
     views = {"multiscale", "face_constant_coeffs", "pairing_matrix", "gram"}
     for owner in (asm.space, owners["projector"], owners["upscaled_operator"]):
         assert not views & set(vars(owner)), type(owner).__name__
+
+
+def test_plain_solves_no_face_pencil():
+    # plain localizes every zero-average face mode, so neither a localized
+    # nor a j=None solve builds the face spectra.
+    asm = make_assembly(3, 3, 2, "checkerboard", {"contrast": 1e3, "cells": 3})
+    g = sample_load(asm.part, smooth_g)
+    for j in (2, None):
+        solve_lsd(asm, g, j, "plain", 4.0)
+    assert {stage for stage, _ in asm._stages} == {"coarse_basis", "global_factor", "projector", "upscaled_operator"}
 
 
 @pytest.mark.parametrize("variant", ["plain", "delta"])

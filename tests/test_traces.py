@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import face_elements, face_rows, lambda0_basis, make_assembly, pairing_bruteforce, random_tilde_f
 from test_mesh import meshes
 from lsdfem.localize import spd_factor
-from lsdfem.mesh import build_structured_mesh, refine_faces
+from lsdfem.mesh import build_mesh, build_structured_mesh, refine_faces
 from lsdfem.pipeline import solve_lsd
 from lsdfem.traces import (
     boundary_functional,
@@ -226,6 +226,26 @@ def test_tilde0_basis_satisfies_constraints(mesh):
     assert ref.shape == coeffs.shape
     outside = coeffs - ref @ (ref.T @ coeffs)
     assert np.abs(outside).max() < 1e-12 * np.abs(coeffs).max()
+
+
+def test_face_constants_of_two_holes_that_touch_at_a_vertex():
+    # A 6x6 mesh without grid cells (2,2) and (3,3), which share only the
+    # vertex (0.5, 0.5): Euler counts two holes, but their boundary loops
+    # meet there, so the boundary-vertex graph has two components, the
+    # outer loop and one merged hole loop.
+    full = build_structured_mesh(6, 6)
+    cells = np.array([2 * 6 + 2, 3 * 6 + 3])
+    mesh = build_mesh(full.vertices, np.delete(full.elements, np.concatenate([2 * cells, 2 * cells + 1]), axis=0))
+    assert mesh.n_faces - mesh.n_elements - (mesh.n_vertices - 1) == 118 - 68 - 48 == 2
+    a, b = mesh.faces[mesh.face_boundary].T
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(mesh.n_vertices,) * 2)
+    _, labels = csgraph.connected_components(graph, directed=False)
+    assert np.unique(labels[np.concatenate([a, b])]).size == 2
+    # The null-space columns still complete the NF - NE face constants.
+    space = build_trace_space(refine_faces(mesh, 1))
+    coeffs = space.face_constant_coeffs
+    assert coeffs.shape == (118, 50) and np.linalg.matrix_rank(coeffs) == 50
+    assert np.abs(space.pair_v0 @ np.repeat(coeffs, space.part.faces_per_coarse, axis=0)).max() <= 1e-14
 
 
 @settings(max_examples=20, deadline=None)
