@@ -281,15 +281,15 @@ def solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def edge_blocks(space: TraceSpace, flux_energy: np.ndarray) -> tuple:
-    """Face blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of every local edge of a stack of elements.
+    """Face blocks ``(t_ff, t_hat)`` of every local edge of a stack of elements.
 
     ``flux_energy`` is ``(n, 3 nfs, 3 nfs)``; local edge ``e`` owns rows
     ``e nfs ... (e + 1) nfs - 1``.  An error names a failing block by its
     stack position, the element id when the stack is every element's.
     The energy is projected once into the zero-mean face bases, then
     ordered per local edge as (edge, the other two in local order); each
-    block has leading axes (element, local edge), and ``t_hat`` is the
-    Schur complement.
+    block has leading axes (element, local edge).  ``t_ff`` is the edge's
+    own block and ``t_hat`` its Schur complement on the other two edges.
     """
     z = space.zero_mean
     n, m = flux_energy.shape[0], z.shape[1]
@@ -305,7 +305,7 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray) -> tuple:
         raise AssertionError(f"element {t}, face {space.mesh.element_faces[t, e]}: "
                              f"complementary block not SPD (Cholesky failed at pivot {exc.pivot})") from None
     w = solve_lower(chol, t_ffc.swapaxes(-1, -2))
-    return _sym(t_ff), t_ffc, t_fcfc, _sym(t_ff - w.swapaxes(-1, -2) @ w)
+    return _sym(t_ff), _sym(t_ff - w.swapaxes(-1, -2) @ w)
 
 
 def quadratic_forms(mats: np.ndarray, values: np.ndarray) -> np.ndarray:

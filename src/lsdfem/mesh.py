@@ -132,8 +132,9 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
 
     Elements are reoriented counterclockwise if needed.  Raises
     :class:`MeshError` on degenerate elements, shape-regularity
-    violations, or faces shared by more than two elements; the message
-    names the first such element or face.
+    violations, faces shared by more than two elements, or two elements
+    on the same side of a face; the message names the first such element
+    or face.
     """
     vertices = np.asarray(vertices, dtype=float)
     elements = np.asarray(elements, dtype=int).copy()
@@ -177,6 +178,10 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     face_right = np.full(first.size, -1, dtype=int)
     later = np.ones(edge_face.size, dtype=bool)
     later[first] = False
+    same = np.flatnonzero(later & (edges[:, 0] == faces[edge_face, 0]))
+    if same.size:
+        f = edge_face[same[0]]
+        raise MeshError(f"face {f} has elements {face_left[f]} and {same[0] // 3} on the same side: they overlap")
     face_right[edge_face[later]] = np.flatnonzero(later) // 3
     face_boundary = face_right < 0
 

@@ -304,15 +304,10 @@ def build_assembly(cfg: SolverConfig) -> Assembly:
     """Stages mesh -> coefficients -> element caches -> trace space."""
     t0 = time.perf_counter()
     with _stage("mesh"):
-        if cfg.mesh_file:
-            mesh = load_mesh(cfg.mesh_file)
-        else:
-            mesh = build_structured_mesh(cfg.nx, cfg.ny, cfg.domain)
+        mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else build_structured_mesh(cfg.nx, cfg.ny, cfg.domain)
         part = refine_faces(mesh, cfg.face_level, cfg.interior_level)
     with _stage("coefficients"):
-        field_a = presets.coefficient_field(
-            part, cfg.coefficient, cfg.coefficient_params, cfg.coefficient_file
-        )
+        field_a = presets.coefficient_field(part, cfg.coefficient, cfg.coefficient_params, cfg.coefficient_file)
         rho = make_weight(cfg.rho, field_a)
         stats = local_bounds(field_a)
     with _stage("element_caches"):
@@ -424,9 +419,8 @@ def assemble_upscaled(
 
 
 def solve_upscaled(system: UpscaledSystem) -> np.ndarray:
-    x = system.operator.factor.solve(system.rhs)
-    system.coefficients = x
-    return system.basis @ x
+    system.coefficients = system.operator.factor.solve(system.rhs)
+    return system.basis @ system.coefficients
 
 
 def recover_delta(lam_coarse: np.ndarray, system: UpscaledSystem) -> np.ndarray:

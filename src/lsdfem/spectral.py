@@ -102,7 +102,7 @@ def all_face_spectra(space: TraceSpace, caches: ElementCache, alpha_stab: float)
         raise ValueError("alpha_stab must be >= 1")
     mesh = space.mesh
     m = space.zero_mean.shape[1]
-    t_ff, _, _, t_hat = edge_blocks(space, caches.flux_energy)
+    t_ff, t_hat = edge_blocks(space, caches.flux_energy)
     sums = np.zeros((mesh.n_faces, 2, m, m))   # per face: full energy, soft-extension energy
     np.add.at(sums, mesh.element_faces, np.stack((t_ff, t_hat), axis=2))
     try:

@@ -14,9 +14,12 @@ The space splits into three complementary blocks:
 * vectors with zero average on every coarse face (the fine remainder).
 
 The face-constant block (divergence-free face fluxes) is built in closed
-form: by the discrete de Rham sequence it is spanned by the curls of the P1
-hat functions, one per used vertex less one, plus one harmonic field per
-hole, which only a mesh with holes computes, as a small null space.
+form and stored sparse: by the discrete de Rham sequence it is spanned by
+the curls of the P1 hat functions, one per used vertex less one, plus, on a
+mesh with holes, one flux cycle per hole.  The cycles come from a
+tree-cotree split: the faces off a spanning tree of the vertices hold a
+spanning tree of the dual graph (the elements and one exterior node), and
+each face left over closes one cycle of unit flux through that tree.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .mesh import CoarseMesh, FinePartition
 
@@ -49,7 +52,7 @@ class TraceSpace:
     pair_v0: sp.csr_matrix          # (N, n_fine): J^T W, the (mu, 1_tau) weights, rows per element
     jump_basis: sp.csr_matrix       # (n_fine, N): J, the stored lambda0_i columns
     zero_mean: np.ndarray           # (nfs, nfs - 1): per-face zero-average basis
-    face_constant: sp.csr_matrix    # (NF, NF - N): hat-function curls, then one field per hole
+    face_constant: sp.csr_matrix    # (NF, NF - N): hat-function curls, then one flux cycle per hole
 
     @property
     def n_fine(self) -> int:
@@ -120,18 +123,13 @@ def zero_mean_basis(weights: np.ndarray) -> np.ndarray:
 
 def build_trace_space(part: FinePartition) -> TraceSpace:
     """Assemble the index maps, jump basis, and block decompositions."""
-    mesh = part.mesh
-    n = mesh.n_elements
-    nf = mesh.n_faces
-    nfs = part.faces_per_coarse
-    n_fine = part.n_fine_faces
+    mesh, nfs, n_fine = part.mesh, part.faces_per_coarse, part.n_fine_faces
+    n, nf = mesh.n_elements, mesh.n_faces
 
     elems = np.repeat(np.arange(n), 3 * nfs)
     ids, signs = part.boundary_face_ids.ravel(), part.boundary_signs.ravel()
     jump_basis = sp.csr_matrix((signs, (ids, elems)), shape=(n_fine, n))
     pair_v0 = (jump_basis.T @ sp.diags(part.fine_measures)).tocsr()
-
-    zm = zero_mean_basis(np.full(nfs, 1.0))  # equal sub-face measures per face
 
     # Face-constant block: coefficients c with sum_F sign(tau,F) c_F |F| = 0
     # for every element.  The curl of vertex v's hat function has flux
@@ -141,24 +139,42 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     inv = 1.0 / mesh.face_measures
     rows, cols = np.tile(np.arange(nf), 2), np.concatenate([b, a])
     face_constant = sp.csr_matrix((np.concatenate([inv, -inv]), (rows, cols)), (nf, used.size))[:, 1:]
-    if nf - n > used.size - 1:  # each hole adds a field that no curl spans; only these columns are dense
-        constraint = pair_v0 @ sp.kron(sp.identity(nf), np.ones((nfs, 1)))
-        holes = scipy.linalg.null_space(np.vstack([constraint.toarray(), face_constant.T.toarray()]))
-        face_constant = sp.hstack([face_constant, sp.csr_matrix(holes)], format="csr")
+    if nf - n > used.size - 1:  # each hole adds a field that no curl spans
+        cycles = _flux_cycles(mesh, jump_basis[::nfs].T.tocsc(), a, b)  # rows: first sub-face per face
+        face_constant = sp.hstack([face_constant, cycles], format="csr")
     if face_constant.shape[1] != nf - n:
-        raise AssertionError(
-            f"face-constant basis has {face_constant.shape[1]} columns, "
-            f"expected NF - NE = {nf - n}"
-        )
+        raise AssertionError(f"face-constant basis has {face_constant.shape[1]} columns, "
+                             f"expected NF - NE = {nf - n}")
+    return TraceSpace(mesh, part, pair_v0, jump_basis, zero_mean_basis(np.ones(nfs)), face_constant)
 
-    return TraceSpace(
-        mesh=mesh,
-        part=part,
-        pair_v0=pair_v0,
-        jump_basis=jump_basis,
-        zero_mean=zm,
-        face_constant=face_constant,
-    )
+
+def _spanning_tree(ends: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Faces of a spanning tree of the graph whose edge ``faces[k]`` joins ``ends[k]`` (one per node pair)."""
+    ends, n_nodes = np.sort(ends, axis=1), ends.max() + 1
+    _, first = np.unique(ends[:, 0] * n_nodes + ends[:, 1], return_index=True)
+    graph = sp.csr_matrix((faces[first] + 1.0, tuple(ends[first].T)), (n_nodes, n_nodes))  # weights name faces
+    return csgraph.minimum_spanning_tree(graph).data.astype(int) - 1
+
+
+def _flux_cycles(mesh: CoarseMesh, incidence: sp.csc_matrix, a: np.ndarray, b: np.ndarray) -> sp.csr_matrix:
+    """One ``(NF, holes)`` unit-flux cycle per hole, by a tree-cotree split.
+
+    The faces off a spanning tree of the used vertices (face ends ``a, b``)
+    join the elements and one exterior node; each face off a spanning tree
+    of that dual graph closes a cycle: ``1/|F|`` on that face and, on the
+    dual tree, the flux (0 or +-1) that balances every element by the
+    signed element-face ``incidence``.  No cycle touches the vertex tree,
+    on whose faces the curls are independent, so the two sets are too.
+    """
+    n, faces = mesh.n_elements, np.arange(mesh.n_faces)
+    off = np.setdiff1d(faces, _spanning_tree(np.column_stack((a, b)), faces))
+    dual = np.column_stack((mesh.face_left, np.where(mesh.face_boundary, n, mesh.face_right)))
+    tree = _spanning_tree(dual[off], off)
+    cut = np.setdiff1d(off, tree)
+    flux = sp.coo_matrix(spla.spsolve(incidence[:, tree], -incidence[:, cut]).reshape(n, -1))  # 1-D for one hole
+    rows, cols = np.concatenate([tree[flux.row], cut]), np.concatenate([flux.col, np.arange(cut.size)])
+    values = np.concatenate([flux.data, np.ones(cut.size)]) / mesh.face_measures[rows]
+    return sp.csr_matrix((values, (rows, cols)), (faces.size, cut.size))
 
 
 def element_functionals(space: TraceSpace, v: np.ndarray) -> np.ndarray:

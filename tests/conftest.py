@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lsdfem.coeff import CoefficientField, make_weight
 from lsdfem.localop import assemble_all, edge_blocks
@@ -64,10 +65,19 @@ def make_assembly(nx, ny, face_level, coefficient="constant", params=None, rho="
 
 
 def face_split(asm, elem, face):
-    """Blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of element ``elem``'s flux energy split by its face ``face``."""
+    """Blocks ``(t_ff, t_ffc, t_fcfc, t_hat)`` of element ``elem``'s flux energy split by its face ``face``.
+
+    ``t_ff`` and ``t_hat`` come from :func:`edge_blocks`; the coupling and
+    complementary blocks are projected here from the element's flux energy.
+    """
     e = list(asm.mesh.element_faces[elem]).index(face)
-    blocks = edge_blocks(asm.space, asm.caches.flux_energy[[elem]])
-    return tuple(blk[0, e] for blk in blocks)
+    z, nfs = asm.space.zero_mean, asm.space.part.faces_per_coarse
+    rows = np.arange(3 * nfs).reshape(3, nfs)
+    own, other = rows[e], np.delete(rows, e, axis=0).ravel()
+    zc = scipy.linalg.block_diag(z, z)
+    energy = asm.caches.flux_energy[elem]
+    t_ff, t_hat = (blk[0, e] for blk in edge_blocks(asm.space, asm.caches.flux_energy[[elem]]))
+    return t_ff, z.T @ energy[np.ix_(own, other)] @ zc, zc.T @ energy[np.ix_(other, other)] @ zc, t_hat
 
 
 @pytest.fixture(scope="session")

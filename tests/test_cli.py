@@ -48,6 +48,11 @@ def test_non_integer_layer_count_exits_2(tmp_path, capsys):
 
 RASTER = {"nx": 2, "ny": 2, "tensor": False, "values": [1.0, 2.0, 3.0, 4.0]}
 SQUARE = "4\n0 0\n{}\n1 1\n0 1\n2\n0 1 2\n0 2 3\n"   # unit square, second vertex left open
+_GRID = build_structured_mesh(4, 4)
+OVERLAP = "".join(                     # 4x4 grid plus element (0, 1, v) on top of element 0
+    ["26\n", *(f"{x} {y}\n" for x, y in _GRID.vertices), "0.125 0.06\n33\n"]
+    + [f"{a} {b} {c}\n" for a, b, c in [*_GRID.elements, (0, 1, 25)]]
+)
 
 
 @pytest.mark.parametrize(
@@ -68,12 +73,14 @@ SQUARE = "4\n0 0\n{}\n1 1\n0 1\n2\n0 1 2\n0 2 3\n"   # unit square, second verte
         ({"mesh_text": "-1\n0 0\n1\n0 1 2\n"}, "mesh", "negative vertex or element count"),
         ({"mesh_text": SQUARE.format("nan 0")}, "mesh", "vertex 1 has a non-finite coordinate"),
         ({"mesh_text": SQUARE.format("1 inf")}, "mesh", "vertex 1 has a non-finite coordinate"),
+        ({"mesh_text": OVERLAP}, "mesh", "face 0 has elements 0 and 32 on the same side"),
     ],
     ids=[
         "config0-mesh", "config1-coefficients", "config2-coefficients", "config3-coefficients",
         "raster-domain-zero-width", "raster-domain-reversed", "raster-domain-too-short",
         "raster-domain-string", "raster-nx-zero", "raster-nx-negative", "raster-tensor-not-a-bool",
         "text-raster-zero-header", "mesh-negative-count", "mesh-nan-vertex", "mesh-inf-vertex",
+        "mesh-overlapping-elements",
     ],
 )
 def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage, named):

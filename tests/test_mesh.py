@@ -123,6 +123,20 @@ def grid_mesh(nx, ny, rng=None, hole=False):
     return build_mesh(verts, base.elements[keep])
 
 
+def centre_holed_mesh(nx):
+    """``nx x nx`` grid without the elements whose centroid lies within 0.15 of the centre in both coordinates."""
+    grid = build_structured_mesh(nx, nx)
+    inside = (np.abs(grid.centroids - 0.5) < 0.15).all(axis=1)
+    return build_mesh(grid.vertices, grid.elements[~inside])
+
+
+def touching_holes_mesh():
+    """6x6 grid without cells (2,2) and (3,3), which share only the vertex (0.5, 0.5): two holes by Euler."""
+    grid = build_structured_mesh(6, 6)
+    cells = np.array([2 * 6 + 2, 3 * 6 + 3])
+    return build_mesh(grid.vertices, np.delete(grid.elements, np.concatenate([2 * cells, 2 * cells + 1]), axis=0))
+
+
 @st.composite
 def meshes(draw):
     nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -347,7 +361,7 @@ def mesh_loop_reference(vertices, elements, bound=20.0):
         if ratio > bound:
             raise MeshError(f"element {t} violates shape regularity: ratio {ratio:.3g} > {bound:.3g}")
         areas[t] = signed
-    face_of, face_pairs, incident = {}, [], []
+    face_of, face_pairs, incident, same_side = {}, [], [], None
     element_faces = np.empty((ne, 3), dtype=int)
     for t in range(ne):
         v = elements[t]
@@ -361,12 +375,18 @@ def mesh_loop_reference(vertices, elements, bound=20.0):
                 incident.append([t])
             else:
                 incident[fid].append(t)
+                if (a, b) == face_pairs[fid] and same_side is None:
+                    same_side = (fid, t)
             element_faces[t, e] = fid
     face_left = np.full(len(face_pairs), -1, dtype=int)
     face_right = np.full(len(face_pairs), -1, dtype=int)
     for fid, elems in enumerate(incident):
         if len(elems) > 2:
             raise MeshError(f"face {fid} shared by more than two elements")
+    if same_side is not None:
+        fid, t = same_side
+        raise MeshError(f"face {fid} has elements {incident[fid][0]} and {t} on the same side: they overlap")
+    for fid, elems in enumerate(incident):
         face_left[fid] = elems[0]
         if len(elems) == 2:
             face_right[fid] = elems[1]
@@ -432,6 +452,7 @@ def test_mesh_errors_name_the_first_bad_element_or_face():
         [good, flat, sliver, flat],     # degeneracy at element 1
         [[0, 2, 1], flat, sliver],      # a clockwise element is fine
         [[2, 5, 1], good, [0, 6, 1], [1, 0, 5]],   # edge 0-1 shared thrice: face 3
+        [[2, 5, 1], good, [0, 1, 5]],   # elements 1 and 2 both traverse edge 0-1 from 0 to 1: face 3
     ]
     for elements in cases:
         with pytest.raises(MeshError) as want:

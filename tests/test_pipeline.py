@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_assembly
 from test_localize import assembly_on
 from test_localop import raster_fields
-from test_mesh import grid_mesh, meshes
+from test_mesh import centre_holed_mesh, grid_mesh, meshes, touching_holes_mesh
 from lsdfem import coeff
 from lsdfem.coeff import WEIGHT_CHOICES, CoefficientField, local_bounds, make_weight
 from lsdfem.localize import build_flux_energy, face_basis
@@ -408,7 +408,9 @@ def unused_vertex_mesh():
 
 
 @pytest.mark.parametrize(
-    "mesh_fn", [None, holed_mesh, unused_vertex_mesh], ids=["structured", "holed", "unused_vertex"]
+    "mesh_fn",
+    [None, holed_mesh, unused_vertex_mesh, touching_holes_mesh, lambda: centre_holed_mesh(16)],
+    ids=["structured", "holed", "unused_vertex", "touching_holes", "three_holes"],
 )
 def test_four_step_reproduces_monolithic(asm_mixed, mesh_fn, tmp_path):
     asm = asm_mixed

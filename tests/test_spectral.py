@@ -104,7 +104,7 @@ def test_face_pencil_not_spd_names_face(asm_mixed):
     named = int(str(err.value).rsplit("face ", 1)[1].rstrip(")"))
     assert named in mesh.element_faces[elem]
     # The named face's summed soft-extension energy is indefinite indeed.
-    t_hat = edge_blocks(space, caches.flux_energy)[3]
+    t_hat = edge_blocks(space, caches.flux_energy)[1]
     t_sum = sum(t_hat[e, list(mesh.element_faces[e]).index(named)] for e in face_elements(mesh, named))
     assert np.linalg.eigvalsh(t_sum).min() < 0.0
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import face_elements, face_rows, lambda0_basis, make_assembly, pairing_bruteforce, random_tilde_f
-from test_mesh import meshes
+from test_mesh import centre_holed_mesh, meshes
 from lsdfem.localize import spd_factor
 from lsdfem.mesh import build_mesh, build_structured_mesh, refine_faces
 from lsdfem.pipeline import solve_lsd
@@ -241,11 +241,26 @@ def test_face_constants_of_two_holes_that_touch_at_a_vertex():
     graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(mesh.n_vertices,) * 2)
     _, labels = csgraph.connected_components(graph, directed=False)
     assert np.unique(labels[np.concatenate([a, b])]).size == 2
-    # The null-space columns still complete the NF - NE face constants.
+    # The flux cycles still complete the NF - NE face constants.
     space = build_trace_space(refine_faces(mesh, 1))
     coeffs = space.face_constant_coeffs
     assert coeffs.shape == (118, 50) and np.linalg.matrix_rank(coeffs) == 50
     assert np.abs(space.pair_v0 @ np.repeat(coeffs, space.part.faces_per_coarse, axis=0)).max() <= 1e-14
+
+
+def test_flux_cycles_are_sparse_and_divergence_free():
+    # One hole by Euler at nx=32; its column is a cycle through at most
+    # the NE faces of the dual tree plus the face that closes it.
+    mesh = centre_holed_mesh(32)
+    n, nf = mesh.n_elements, mesh.n_faces
+    holes = nf - n - (np.unique(mesh.faces).size - 1)
+    assert holes == 1
+    space = build_trace_space(refine_faces(mesh, 2))
+    coeffs = space.face_constant.tocsc()
+    assert coeffs.shape == (nf, nf - n)
+    stored = coeffs[np.repeat(np.arange(nf), space.part.faces_per_coarse)]
+    assert np.abs(space.pair_v0 @ stored).max() <= 1e-12
+    assert np.diff(coeffs.indptr)[-holes:].max() <= n + 1
 
 
 @settings(max_examples=20, deadline=None)
