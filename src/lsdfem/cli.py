@@ -142,7 +142,7 @@ def _seed_profile(assembly: Assembly, variant: str, alpha_stab: float, elem: int
     r = boundary_functional(assembly.space, v)
     projector = assembly.projector(variant, alpha_stab)
     mu = projector.project_functional(r)
-    return ring_energies(assembly.mesh, assembly.caches, mu, ("element", elem))
+    return ring_energies(assembly.caches, mu, ("element", elem))
 
 
 def run_solve(spec: ExperimentSpec) -> dict:

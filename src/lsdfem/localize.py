@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .localop import ElementCache, quadratic_forms, scatter_blocks
-from .mesh import CoarseMesh, layer_distances, layer_sets
+from .mesh import layer_distances, layer_sets
 from .traces import TraceSpace
 
 __all__ = [
@@ -71,12 +71,10 @@ def build_flux_energy(space: TraceSpace, caches: ElementCache) -> sp.csr_matrix:
     """Global flux-energy matrix in stored coordinates.
 
     ``mu . (S nu)`` equals the energy pairing of the two trace vectors,
-    assembled by scattering each element's flux-energy block with its
-    element-side signs.
+    assembled by scattering each element's flux-energy block.
     """
-    ids, signs = space.part.boundary_face_ids, space.part.boundary_signs
-    signed = (caches.flux_energy * signs[:, None, :]) * signs[:, :, None]
-    return scatter_blocks(signed, ids, ids, (space.n_fine,) * 2)
+    ids = space.part.boundary_face_ids
+    return scatter_blocks(caches.flux_energy, ids, ids, (space.n_fine,) * 2)
 
 
 def face_basis(space: TraceSpace, vectors: np.ndarray, keep: np.ndarray) -> sp.csc_matrix:
@@ -371,9 +369,9 @@ def _fit_ratio(energies: np.ndarray, total: float) -> float:
     return float(np.exp(np.polyfit(rings, np.log(energies[rings]), 1)[0])) if rings.size >= 2 else 0.0
 
 
-def ring_energies(mesh: CoarseMesh, caches: ElementCache, mu: np.ndarray, seed: tuple[str, int]) -> RingProfile:
+def ring_energies(caches: ElementCache, mu: np.ndarray, seed: tuple[str, int]) -> RingProfile:
     """Broken energy of the potential of ``mu`` (stored values) split by layer rings."""
-    per_element = quadratic_forms(caches.flux_energy, caches.geom.side_values(mu))
+    per_element = quadratic_forms(caches.flux_energy, mu[caches.geom.boundary_face_ids])
     total = float(per_element.sum())
-    energies = np.bincount(layer_distances(mesh, seed), weights=per_element)
+    energies = np.bincount(layer_distances(caches.geom.mesh, seed), weights=per_element)
     return RingProfile(energies, _fit_ratio(energies, total), total)

@@ -82,8 +82,8 @@ class ElementCache(Stacked):
     stiffness: np.ndarray        # (ne, nn, nn) A-weighted P1 stiffness
     mass: np.ndarray             # (ne, nn, nn) rho-weighted P1 mass
     mean_vector: np.ndarray      # (ne, nn) integral of rho * phi_i
-    flux_potentials: np.ndarray  # (ne, nn, n_bf) T_e: potentials T mu_b of the fine-face fluxes
-    flux_energy: np.ndarray      # (ne, n_bf, n_bf) pairings (mu_a, T mu_b)
+    flux_potentials: np.ndarray  # (ne, nn, n_bf) T_e: potentials T mu_b of unit stored values on the rows
+    flux_energy: np.ndarray      # (ne, n_bf, n_bf) pairings (mu_a, T mu_b), in stored orientation
     _inverse: np.ndarray = field(repr=False)  # (ne, nn + 1, nn + 1) inverse of the constrained stiffness
 
 
@@ -220,22 +220,23 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
     return ElementCache(part, tensors, stiffness, mass, mean_vector, potentials, flux_energy, inverse)
 
 
-def apply_T(cache: ElementCache, side: np.ndarray) -> np.ndarray:
+def apply_T(cache: ElementCache, values: np.ndarray) -> np.ndarray:
     """Local flux-to-potential solves.
 
-    ``side`` holds the element-side flux value on each fine face of the
-    element boundary, ``(..., n_bf)``.  Each result has zero weighted
+    ``values`` holds the stored flux value of each boundary row of the
+    element, ``mu[boundary_face_ids]``, ``(..., n_bf)``; the signed trace
+    rows give the flux the element sees.  Each result has zero weighted
     average and satisfies the A-weighted variational identity against all
     constrained test functions.
     """
-    nodal = np.einsum("...bn,...b->...n", cache.geom.trace_matrix, side)
+    nodal = np.einsum("...bn,...b->...n", cache.geom.trace_matrix, values)
     return local_solve(cache, nodal)
 
 
 def local_solve(cache: ElementCache, nodal: np.ndarray) -> np.ndarray:
     """Constrained solves for nodal right-hand sides ``(..., nn)``, one per element.
 
-    ``T side + T~ g`` is one such solve of ``trace^T side + M g``.
+    ``T mu + T~ g`` is one such solve of ``trace^T mu[boundary_face_ids] + M g``.
     """
     return saddle_solve(cache.stiffness, cache.mean_vector, cache._inverse, nodal[..., None])[..., 0]
 
@@ -290,6 +291,8 @@ def edge_blocks(space: TraceSpace, flux_energy: np.ndarray) -> tuple:
     ordered per local edge as (edge, the other two in local order); each
     block has leading axes (element, local edge).  ``t_ff`` is the edge's
     own block and ``t_hat`` its Schur complement on the other two edges.
+    Neither changes when an edge's rows all change sign, so both elements
+    of a face give blocks in one orientation.
     """
     z = space.zero_mean
     n, m = flux_energy.shape[0], z.shape[1]

@@ -6,8 +6,8 @@ implemented).  Every face carries a fixed unit normal, its stored
 tangent ``b - a`` turned by -90 degrees; the element the normal points
 out of is the face's *left* element.  All skeleton
 quantities (multipliers, trace integrals) are stored relative to that
-orientation, and per-element views apply the sign ``+1`` for the left
-element and ``-1`` for the right one.
+orientation: each element's trace rows carry its face sign, ``+1`` for the
+left element and ``-1`` for the right one, so no other code applies it.
 
 Layer neighborhoods, their saturation depths and the mesh's saturation
 radius all read one sparse closure-adjacency matrix: two elements are
@@ -351,12 +351,13 @@ class FinePartition(Stacked):
     leading element axis; ``part[t]`` is element t's view.  Row ``r`` of
     ``trace_matrix`` maps interior P1 nodal values to their integral over
     the fine sub-face ``boundary_face_ids[r]`` of the element boundary,
-    exact for P1 traces; rows are ordered by local edge, then by the
-    sub-face index along the stored orientation of the parent coarse face.
+    exact for P1 traces, times the element's face sign (+1 on the left
+    element): the rows pair with stored fine-face values as they are.
+    Rows are ordered by local edge, then by the sub-face index along the
+    stored orientation of the parent coarse face.
     """
 
-    STACKED = ("nodes", "cell_areas", "cell_centroids", "grads", "trace_matrix",
-               "boundary_face_ids", "boundary_signs")
+    STACKED = ("nodes", "cell_areas", "cell_centroids", "grads", "trace_matrix", "boundary_face_ids")
 
     mesh: CoarseMesh
     interior_level: int
@@ -367,9 +368,8 @@ class FinePartition(Stacked):
     cell_areas: np.ndarray        # (ne, nc)
     cell_centroids: np.ndarray    # (ne, nc, 2)
     grads: np.ndarray             # (ne, nc, 3, 2)
-    trace_matrix: np.ndarray      # (ne, n_bf, nn)
+    trace_matrix: np.ndarray      # (ne, n_bf, nn) signed trace integrals
     boundary_face_ids: np.ndarray   # (ne, n_bf)
-    boundary_signs: np.ndarray      # (ne, n_bf)
     boundary_node_mask: np.ndarray  # (nn,) lattice nodes on the element boundary
 
     @property
@@ -390,13 +390,6 @@ class FinePartition(Stacked):
     def fine_size(self) -> float:
         """h: the largest fine sub-face diameter."""
         return float(self.fine_measures.max())
-
-    def side_values(self, stored: np.ndarray) -> np.ndarray:
-        """Element-side view ``sign * stored`` of stored fine-face values, per boundary row.
-
-        ``(ne, n_bf)`` on the stack; one element's ``(n_bf,)`` on a view ``part[t]``.
-        """
-        return self.boundary_signs * stored[self.boundary_face_ids]
 
 
 def _lattice(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -488,10 +481,9 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
     patterns = _trace_patterns(edges, len(bary), nfs)
     ef = mesh.element_faces
     aligned = mesh.elements == mesh.faces[ef, 0]
-    trace = patterns[np.arange(3), aligned.astype(int)] * (mesh.face_measures[ef] / n)[:, :, None, None]
-    trace = trace.reshape(ne, 3 * nfs, -1)
+    scale = mesh.element_face_signs * mesh.face_measures[ef] / n
+    trace = (patterns[np.arange(3), aligned.astype(int)] * scale[:, :, None, None]).reshape(ne, 3 * nfs, -1)
     b_ids = (ef[:, :, None] * nfs + np.arange(nfs)).reshape(ne, 3 * nfs)
-    b_signs = np.repeat(mesh.element_face_signs, nfs, axis=1)
     boundary_mask = patterns.any(axis=(0, 1, 2))
 
     part = FinePartition(
@@ -506,7 +498,6 @@ def refine_faces(mesh: CoarseMesh, level: int, interior_level: int | None = None
         grads=grads,
         trace_matrix=trace,
         boundary_face_ids=b_ids,
-        boundary_signs=b_signs,
         boundary_node_mask=boundary_mask,
     )
     _check_partition(part)
@@ -520,10 +511,11 @@ def _check_partition(part: FinePartition) -> None:
     sums = part.fine_measures.reshape(mesh.n_faces, nfs).sum(axis=1)
     if not np.allclose(sums, mesh.face_measures, rtol=1e-12, atol=0.0):
         raise MeshError("fine sub-face measures do not sum to coarse face measures")
-    # Each trace row integrates the constant 1 to the sub-face measure,
-    # which also certifies that interior boundary edges tile the
-    # sub-faces exactly.
-    expected = part.fine_measures[part.boundary_face_ids]
+    # Each trace row integrates the constant 1 to the element's face sign
+    # times the sub-face measure, which also certifies that interior
+    # boundary edges tile the sub-faces exactly.
+    signs = np.repeat(mesh.element_face_signs, nfs, axis=1)
+    expected = signs * part.fine_measures[part.boundary_face_ids]
     bad = ~np.isclose(part.trace_matrix.sum(axis=2), expected, rtol=1e-12, atol=1e-15).all(axis=1)
     if bad.any():
         raise MeshError(f"boundary triangulation of element {int(np.argmax(bad))} misaligned")

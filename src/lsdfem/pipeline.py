@@ -455,11 +455,11 @@ def reconstruct(
 ) -> Solution:
     """Per-element displacement and flux, with equilibrium diagnostics.
 
-    The element potentials ``T side + T~ g`` come from one stacked local
-    solve of ``trace^T side + M g``, so ``ttg`` is not read: the argument
-    is kept for callers that still pass the load potential.  ``load`` is
-    the element load ``M g`` ``(ne, nn)`` when the caller has it; otherwise
-    it is formed from the nodal load ``g``.
+    The element potentials ``T lam + T~ g`` come from one stacked local
+    solve of ``trace^T lam[boundary_face_ids] + M g``, so ``ttg`` is not
+    read: the argument is kept for callers that still pass the load
+    potential.  ``load`` is the element load ``M g`` ``(ne, nn)`` when the
+    caller has it; otherwise it is formed from the nodal load ``g``.
 
     The flux is checked against the interior load balance on every
     element: the residual at interior nodes is the multiplier of the
@@ -470,8 +470,7 @@ def reconstruct(
     if load is None:
         load = (caches.mass @ np.asarray(g, dtype=float)[..., None])[..., 0]
     lam_total = lam0 + lam_coarse + lam_delta
-    side = part.side_values(lam_total)
-    traction = (side[:, None, :] @ part.trace_matrix)[:, 0]
+    traction = (lam_total[part.boundary_face_ids][:, None, :] @ part.trace_matrix)[:, 0]
     tilde = local_solve(caches, traction + load)
     # Cellwise gradient: per component, a three-term sum over the cell vertices.
     vertex = [tilde[:, c] for c in part.cells.T]                                   # 3 x (ne, nc)
@@ -575,7 +574,7 @@ def solve_lsd(
     # The element load M g is formed once (by project_rhs when reducing); the
     # load potentials' functionals come from the stored flux potentials, and
     # the potentials themselves from the one local solve of reconstruct.
-    ttg_functionals = assembly.part.boundary_signs * load_functionals(assembly.caches, load)
+    ttg_functionals = load_functionals(assembly.caches, load)
     r_ttg = assembly.space.sum_element_rows(ttg_functionals)
 
     lam0 = solve_lambda0(assembly, g_used)
@@ -628,8 +627,7 @@ def exact_hybrid_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, n
     nodes = np.arange(nu).reshape(ne, nn)
     k_mat = scatter_blocks(caches.stiffness, nodes, nodes, (nu, nu))
     # Constraint block: -(mu, u) rows and the symmetric -(lambda, v) columns.
-    signed = -(part.boundary_signs[:, :, None] * part.trace_matrix)
-    cons = scatter_blocks(signed, part.boundary_face_ids, nodes, (nl, nu))
+    cons = scatter_blocks(-part.trace_matrix, part.boundary_face_ids, nodes, (nl, nu))
     mat = sp.bmat([[k_mat, cons.T], [cons, None]], format="csc")
     load = np.einsum("eij,ej->ei", caches.mass, np.asarray(g, dtype=float))
     rhs = np.concatenate([load.ravel(), np.zeros(nl)])

@@ -1,11 +1,11 @@
 """Flux trace vectors and the splitting of the multiplier space.
 
 A trace vector is an ``(n_fine,)`` float array with one stored value per
-oriented fine face; the value an element sees is ``sign * stored``
-(:meth:`FinePartition.side_values`), where the sign is +1 for the left
-element of the face.  Storing a single value per face builds the
-normal-flux compatibility of the trace space into the data structure:
-the two element-side views of a shared face are exact negatives.
+oriented fine face.  Every element block pairs with stored values as they
+are: each element's trace rows carry its face sign, +1 for the left
+element of the face (:class:`FinePartition`).  Storing a single value per
+face builds the normal-flux compatibility of the trace space into the data
+structure: the two elements of a shared face see exact negatives.
 
 The space splits into three complementary blocks:
 
@@ -127,8 +127,8 @@ def build_trace_space(part: FinePartition) -> TraceSpace:
     n, nf = mesh.n_elements, mesh.n_faces
 
     elems = np.repeat(np.arange(n), 3 * nfs)
-    ids, signs = part.boundary_face_ids.ravel(), part.boundary_signs.ravel()
-    jump_basis = sp.csr_matrix((signs, (ids, elems)), shape=(n_fine, n))
+    signs = np.repeat(mesh.element_face_signs, nfs, axis=1).ravel()
+    jump_basis = sp.csr_matrix((signs, (part.boundary_face_ids.ravel(), elems)), shape=(n_fine, n))
     pair_v0 = (jump_basis.T @ sp.diags(part.fine_measures)).tocsr()
 
     # Face-constant block: coefficients c with sum_F sign(tau,F) c_F |F| = 0
@@ -182,11 +182,10 @@ def element_functionals(space: TraceSpace, v: np.ndarray) -> np.ndarray:
 
     ``v`` is a broken nodal field ``(ne, nn)``.  Entry ``[t, b]`` is
     sign(t, F) times the integral of ``v_t`` over the fine face
-    ``part.boundary_face_ids[t, b]``; the result is ``(ne, n_bf)``.
+    ``part.boundary_face_ids[t, b]``, one signed trace row; the result is
+    ``(ne, n_bf)``.
     """
-    part = space.part
-    v = np.asarray(v, dtype=float)
-    return part.boundary_signs * np.einsum("ebn,en->eb", part.trace_matrix, v)
+    return np.einsum("ebn,en->eb", space.part.trace_matrix, np.asarray(v, dtype=float))
 
 
 def boundary_functional(space: TraceSpace, v: np.ndarray) -> np.ndarray:

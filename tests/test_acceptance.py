@@ -90,7 +90,7 @@ def test_criterion_3_exponential_decay():
     center = int(np.argmin(np.linalg.norm(asm.mesh.centroids - 0.5, axis=1)))
     proj = asm.projector("plain", 4.0)
     mu = proj.project_functional(seed_probe(asm, center))
-    prof = ring_energies(asm.mesh, asm.caches, mu, ("element", center))
+    prof = ring_energies(asm.caches, mu, ("element", center))
     floor = 1e-14 * prof.total
     monotone = all(
         prof.energies[r + 1] <= prof.energies[r] * (1 + 1e-12) + floor
@@ -118,7 +118,7 @@ def test_criterion_4_contrast_robustness():
         for variant in ("plain", "delta"):
             proj = asm.projector(variant, 10.0)
             mu = proj.project_functional(probe)
-            prof = ring_energies(asm.mesh, asm.caches, mu, ("element", elem))
+            prof = ring_energies(asm.caches, mu, ("element", elem))
             ratios[(variant, contrast)] = prof.worst_step
     delta_vals = [ratios[("delta", c)] for c in (1e2, 1e4, 1e6)]
     delta_spread = max(delta_vals) / min(delta_vals)
@@ -246,18 +246,21 @@ def test_criterion_9_adjoint_and_sandwich():
     rng = np.random.default_rng(9)
     worst_adj = 0.0
     sandwich_ok = True
+    nfs = asm.part.faces_per_coarse
     for t, cache in enumerate(asm.caches):
         b = cache.flux_energy
         b_id = identity_flux_energy(cache)
+        signs = np.repeat(asm.mesh.element_face_signs[t], nfs)
         for _ in range(20):
-            side = rng.standard_normal(cache.geom.boundary_face_ids.size)
+            # Stored values drawn as the values element t sees, times its face signs.
+            mu = signs * rng.standard_normal(cache.geom.boundary_face_ids.size)
             g = rng.standard_normal(cache.geom.n_nodes)
-            left = side @ (cache.geom.trace_matrix @ apply_Ttilde(cache, g))
-            right = g @ (cache.mass @ apply_T(cache, side))
+            left = mu @ (cache.geom.trace_matrix @ apply_Ttilde(cache, g))
+            right = g @ (cache.mass @ apply_T(cache, mu))
             scale = max(abs(left), abs(right), 1e-30)
             worst_adj = max(worst_adj, abs(left - right) / scale)
-            e = side @ (b @ side)
-            e_id = side @ (b_id @ side)
+            e = mu @ (b @ mu)
+            e_id = mu @ (b_id @ mu)
             a_min, a_max = asm.stats.a_min_local[t], asm.stats.a_max_local[t]
             slack = 1e-11 * max(e, e_id / a_min)
             sandwich_ok = sandwich_ok and (e >= e_id / a_max - slack)

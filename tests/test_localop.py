@@ -252,7 +252,7 @@ def test_zero_tensor_names_its_element():
 
 
 def reference_trace(part, t):
-    """Per-segment trace integration of element ``t``'s boundary."""
+    """Per-segment trace integration of element ``t``'s boundary, negated where ``t`` is the face's right element."""
     mesh = part.mesh
     nfs = part.faces_per_coarse
     n = 2 ** part.interior_level
@@ -263,7 +263,7 @@ def reference_trace(part, t):
         fid = int(mesh.element_faces[t, e])
         aligned = (verts[e], verts[(e + 1) % 3]) == tuple(mesh.faces[fid])
         nodes = edges[e]
-        seg = mesh.face_measures[fid] / n
+        seg = (1.0 if mesh.face_left[fid] == t else -1.0) * mesh.face_measures[fid] / n
         for m in range(n):
             s_mid = (m + 0.5) / n
             k_sub = min(int((s_mid if aligned else 1.0 - s_mid) * nfs), nfs - 1)

@@ -53,7 +53,7 @@ def test_face_orientation_and_signs():
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         # Normal points away from the left element.
         assert np.dot(n, mid - mesh.centroids[left]) > 0
-        # The element-side sign is +1 for the left element and -1 for the right one.
+        # The element face sign is +1 for the left element and -1 for the right one.
         for elem, sign in ((left, 1), (mesh.face_right[f], -1)):
             if elem >= 0:
                 assert mesh.element_face_signs[elem, list(mesh.element_faces[elem]).index(f)] == sign

@@ -242,8 +242,8 @@ def test_solution_invariants_and_energy_identity(asm_mixed):
         assert abs(avg) < 1e-10 * max(np.abs(tilde).max(), 1.0)
     # Energy identity: the flux energy of the multiplier equals the summed
     # per-element pairings.
-    sides = [c.geom.side_values(sol.lam_total) for c in asm_mixed.caches]
-    direct = sum(side @ (c.flux_energy @ side) for c, side in zip(asm_mixed.caches, sides))
+    rows = [sol.lam_total[c.geom.boundary_face_ids] for c in asm_mixed.caches]
+    direct = sum(mu @ (c.flux_energy @ mu) for c, mu in zip(asm_mixed.caches, rows))
     assert sol.diagnostics["flux_energy_sq"] == pytest.approx(direct, rel=1e-11)
 
 
@@ -315,7 +315,7 @@ def _two_solve_reference(asm, g, j, variant, h_target):
     lam_coarse = solve_upscaled(system)
     lam_total = lam0 + lam_coarse + recover_delta(lam_coarse, system)
     u0 = solve_u0(asm, lam_total, r_ttg)
-    return u0[:, None] + apply_T(asm.caches, asm.part.side_values(lam_total)) + ttg, g, funcs
+    return u0[:, None] + apply_T(asm.caches, lam_total[asm.part.boundary_face_ids]) + ttg, g, funcs
 
 
 @pytest.fixture(scope="module", params=[1e2, 1e4, 1e6], ids=["1e2", "1e4", "1e6"])
@@ -327,9 +327,9 @@ def asm_contrast(request):
 @pytest.mark.parametrize("rhs_reduction", [False, True], ids=["full_load", "reduced_load"])
 @pytest.mark.parametrize("variant", ["plain", "delta"])
 def test_one_local_solve_matches_two_solve_reference(asm_contrast, variant, rhs_reduction):
-    # The warm solve's single local solve of trace^T side + M g, and the load
+    # The warm solve's single local solve of trace^T lam + M g, and the load
     # functionals T_e^T (M g) from the stored flux potentials, reproduce the
-    # separate T~g and T(side) solves, with every element in equilibrium.
+    # separate T~g and T(lam) solves, with every element in equilibrium.
     from lsdfem.localop import load_functionals
 
     asm = asm_contrast
@@ -341,7 +341,7 @@ def test_one_local_solve_matches_two_solve_reference(asm_contrast, variant, rhs_
     assert np.abs(sol.u_broken - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert sol.diagnostics["equilibrium_rel_max"] <= 1e-10
     load = (asm.caches.mass @ g_used[..., None])[..., 0]
-    got = asm.part.boundary_signs * load_functionals(asm.caches, load)
+    got = load_functionals(asm.caches, load)
     assert np.abs(got - funcs).max() <= 1e-12 * np.abs(funcs).max()
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import face_elements, face_rows, lambda0_basis, make_assembly, pairing_bruteforce, random_tilde_f
 from test_mesh import centre_holed_mesh, meshes
 from lsdfem.localize import spd_factor
-from lsdfem.mesh import build_mesh, build_structured_mesh, refine_faces
+from lsdfem.mesh import build_mesh, build_structured_mesh, build_union_mesh, refine_faces
 from lsdfem.pipeline import solve_lsd
 from lsdfem.traces import (
     boundary_functional,
     build_trace_space,
+    element_functionals,
     solve_V0_pairing,
     zero_mean_basis,
 )
@@ -60,9 +61,14 @@ def test_dimensions(space):
     assert space.n_elements + space.dim_tilde0 + space.dim_tilde_f == space.n_fine
 
 
-def test_side_views_are_negatives(space):
+def test_signed_trace_rows_cancel_on_interior_faces(space):
+    """A continuous field's two signed trace rows on an interior fine face are exact negatives."""
     rng = np.random.default_rng(0)
-    mu = rng.standard_normal(space.n_fine)
+    union = build_union_mesh(space.part)
+    v = rng.standard_normal(union.nodes.shape[0])[union.node_maps]
+    rows = element_functionals(space, v)
+    total = boundary_functional(space, v)
+    scale = np.abs(rows).max()
     mesh = space.mesh
     for f in range(mesh.n_faces):
         if mesh.face_boundary[f]:
@@ -70,28 +76,18 @@ def test_side_views_are_negatives(space):
         left, right = face_elements(mesh, f)
         rl = face_rows(space.part, left)[f]
         rr = face_rows(space.part, right)[f]
-        sl = space.part[left].side_values(mu)[rl]
         fl = space.part[left].boundary_face_ids[rl]
-        sr = space.part[right].side_values(mu)[rr]
-        fr = space.part[right].boundary_face_ids[rr]
-        assert np.array_equal(fl, fr)  # same global sub-face order from both sides
-        assert np.array_equal(sl, -sr)
+        assert np.array_equal(fl, space.part[right].boundary_face_ids[rr])  # same sub-face order from both sides
+        assert np.abs(rows[left, rl] + rows[right, rr]).max() <= 1e-14 * scale
+        assert np.abs(total[fl]).max() <= 1e-14 * scale
 
 
-def test_lambda0_explicit_values(space):
-    basis = lambda0_basis(space)
-    mesh = space.mesh
-    for i, lam in enumerate(basis):
-        side = space.part[i].side_values(lam)
-        assert np.allclose(side, 1.0)  # +1 seen from the owning element
-        for f in range(mesh.n_faces):
-            if mesh.face_boundary[f]:
-                continue
-            a, b = face_elements(mesh, f)
-            if i in (a, b):
-                other = b if i == a else a
-                mate = space.part[other].side_values(lam)[face_rows(space.part, other)[f]]
-                assert np.allclose(mate, -1.0)
+def test_jump_basis_columns_hold_element_signs(space):
+    nfs = space.part.faces_per_coarse
+    for t, lam in enumerate(lambda0_basis(space)):
+        ids = space.part[t].boundary_face_ids
+        assert np.array_equal(lam[ids], np.repeat(space.mesh.element_face_signs[t], nfs))
+        assert np.count_nonzero(lam) == ids.size
 
 
 def test_pairing_matrix_is_built_only_when_read():
