@@ -7,13 +7,14 @@ are affine images of one reference lattice, so every element quantity is
 one stack with a leading element axis, held by one :class:`ElementCache`:
 the inverses of the saddles, the potentials ``T_e`` of the fine-face flux
 basis functions, and the boundary flux-energy matrix ``B``, the static
-condensation of the interior problem onto that basis, which every
-downstream patch or face computation re-uses instead of re-solving
-interiors.  Every local solve (the condensation, the flux-to-potential map
-``T`` and the load-to-potential map ``T~``) is one stacked product with
-the stored inverses, refined once against the stiffness and the
-constraint row (:func:`saddle_solve`).  The kernels take any leading
-axes, so they run the same code on one element's view ``caches[t]``.
+condensation of the interior problem onto that basis, re-used by every
+patch or face computation.  Elements with bitwise-equal inputs
+(:func:`twins`) share one run of the set-up kernels.  Every local solve
+(the condensation, the flux-to-potential map ``T`` and the
+load-to-potential map ``T~``) is one stacked product with the stored
+inverses, refined once against the stiffness and the constraint row
+(:func:`saddle_solve`).  The kernels take any leading axes, so one
+element's view ``caches[t]`` runs the same code.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "quadratic_forms",
     "saddle_solve",
     "scatter_blocks",
+    "twins",
 ]
 
 
@@ -147,8 +149,8 @@ def _assemble_mass(cell_areas: np.ndarray, rho: np.ndarray, cells: np.ndarray) -
     return _scatter_cells((rho * cell_areas)[:, :, None, None] * _MASS_REF, cells)
 
 
-def _invert_saddles(saddles: np.ndarray) -> np.ndarray:
-    """One stacked inverse of the saddles; a failure names the first failing element.
+def _invert_saddles(saddles: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One stacked inverse of the saddles; a failure names the first failing element by its id in ``ids``.
 
     The inverse of a symmetric matrix is symmetric, so the computed one is
     symmetrized: that drops the antisymmetric part of its rounding error
@@ -157,7 +159,7 @@ def _invert_saddles(saddles: np.ndarray) -> np.ndarray:
     try:
         inverse = _sym(np.linalg.inv(saddles))
     except np.linalg.LinAlgError:
-        for t, saddle in enumerate(saddles):
+        for t, saddle in zip(ids, saddles):
             try:
                 np.linalg.inv(saddle)
             except np.linalg.LinAlgError:
@@ -168,9 +170,30 @@ def _invert_saddles(saddles: np.ndarray) -> np.ndarray:
     finite = np.isfinite(inverse).all(axis=(1, 2))
     if not finite.all():
         raise LocalAssemblyError(
-            f"element {np.argmin(finite)}: constrained system not factorizable (non-finite inverse)"
+            f"element {ids[np.argmin(finite)]}: constrained system not factorizable (non-finite inverse)"
         )
     return inverse
+
+
+def twins(*stacks: np.ndarray) -> np.ndarray:
+    """Per item, the first item bitwise equal to it in every float64 stack: random-projection keys, checked."""
+    n, rng = len(stacks[0]), np.random.default_rng(0)
+    bits = [s.view(np.uint64).reshape(n, s[0].size if n else 0) for s in stacks]   # views where the strides allow
+    key = sum(b @ (rng.integers(0, 2**64, b.shape[1], np.uint64) | 1) for b in bits)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rep, dup = first[inverse], np.delete(np.arange(n), first)
+    bad = np.concatenate([i[np.any([(b[i] != b[rep[i]]).any(axis=1) for b in bits], axis=0)]
+                          for i in np.array_split(dup, dup.size * sum(b.shape[1] for b in bits) // 2**16 + 1)])
+    rep[bad] = bad[twins(*(s[bad] for s in stacks))] if bad.size else bad   # key clashes, sorted out anew
+    return rep
+
+
+def _distinct(*stacks: np.ndarray) -> tuple:
+    """First ids of the twin classes, each item's class, and the stacks there; all items if twins are few."""
+    first, where = np.unique(twins(*stacks), return_inverse=True)
+    if 4 * first.size > where.size:   # the gathers would cost more memory than the runs they save
+        return np.arange(where.size), slice(None), *stacks
+    return first, where, *(s[first] for s in stacks)
 
 
 def saddle_solve(
@@ -198,7 +221,7 @@ def saddle_solve(
 
 
 def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition) -> ElementCache:
-    """Assemble, invert and condense every element as one stack, with the cellwise weight ``rho`` ``(ne, nc)``."""
+    """Assemble, invert and condense one element per twin class, with the cellwise weight ``rho`` ``(ne, nc)``."""
     ne, nc = part.mesh.n_elements, len(part.cells)
     tensors = np.asarray(field_a.tensors, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -206,18 +229,20 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
         raise LocalAssemblyError(
             f"coefficient {tensors.shape} or weight {rho.shape} does not cover the {ne} x {nc} cells"
         )
-    stiffness = _assemble_stiffness(part.grads, part.cell_areas, tensors, part.cells)
-    mass = _assemble_mass(part.cell_areas, rho, part.cells)
+    ids, where, grads, areas, a, rho, trace = _distinct(
+        part.grads, part.cell_areas, tensors, rho, part.trace_matrix)
+    stiffness = _assemble_stiffness(grads, areas, a, part.cells)
+    mass = _assemble_mass(areas, rho, part.cells)
     mean_vector = mass @ np.ones(mass.shape[1])
-    nn = mean_vector.shape[1]
-    saddles = np.zeros((ne, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
+    n, nn = mean_vector.shape
+    saddles = np.zeros((n, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
     saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
-    inverse = _invert_saddles(saddles)
+    inverse = _invert_saddles(saddles, ids)
     del saddles
-    trace = part.trace_matrix
     potentials = saddle_solve(stiffness, mean_vector, inverse, trace.swapaxes(-1, -2))
     flux_energy = _sym(trace @ potentials)   # static condensation B[a, b] = (mu_a, T mu_b)
-    return ElementCache(part, tensors, stiffness, mass, mean_vector, potentials, flux_energy, inverse)
+    stacks = stiffness, mass, mean_vector, potentials, flux_energy, inverse
+    return ElementCache(part, tensors, *(s[where] for s in stacks))
 
 
 def apply_T(cache: ElementCache, values: np.ndarray) -> np.ndarray:

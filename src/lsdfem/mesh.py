@@ -189,6 +189,7 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     face_measures = np.linalg.norm(tangents, axis=1)
     if np.any(face_measures == 0.0):
         raise MeshError("zero-length face")
+    _check_planar(vertices, elements, faces, face_boundary)
 
     element_face_signs = np.where(face_left[element_faces] == np.arange(ne)[:, None], 1, -1)
 
@@ -219,6 +220,42 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     )
     _check_connected(mesh)
     return mesh
+
+
+def _check_planar(vertices: np.ndarray, elements: np.ndarray, faces: np.ndarray, face_boundary: np.ndarray) -> None:
+    """Reject elements that overlap without sharing a face.
+
+    The corner angles around an interior vertex must sum to 2 pi and those
+    around a boundary vertex to at most 2 pi (a slit's tip reaches it), and
+    no two boundary faces may cross; the message names the first offending
+    vertex or pair of boundary faces.
+    """
+    p = vertices[elements]
+    a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    angles = np.arctan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0], (a * b).sum(axis=2))
+    total = np.bincount(elements.ravel(), angles.ravel(), len(vertices))
+    used = np.bincount(elements.ravel(), minlength=len(vertices)) > 0
+    on_boundary = np.zeros(len(vertices), dtype=bool)
+    on_boundary[faces[face_boundary]] = True
+    excess = np.where(on_boundary, total - 2.0 * np.pi, np.abs(total - 2.0 * np.pi))
+    bad = np.flatnonzero(used & (excess > 1e-9 * 2.0 * np.pi))
+    if bad.size:
+        kind = "boundary vertex" if on_boundary[bad[0]] else "interior vertex"
+        raise MeshError(f"{kind} {bad[0]}: its corner angles sum to {total[bad[0]] / np.pi:.6g} pi: elements overlap")
+    ids = np.flatnonzero(face_boundary)
+    s, e = vertices[faces[ids, 0]], vertices[faces[ids, 1]]
+    d = e - s
+
+    def side(i, q):   # sign of each point q against the line of each boundary face i, (len(i), len(q))
+        r = q[None] - s[i, None]
+        return np.sign(d[i, None, 0] * r[..., 1] - d[i, None, 1] * r[..., 0])
+
+    every = np.arange(ids.size)
+    for i in np.array_split(every, ids.size**2 // 2**20 + 1):   # blocks of about 2**20 face pairs
+        cross = (side(i, s) * side(i, e) < 0) & (side(every, s[i]) * side(every, e[i]) < 0).T
+        if cross.any():
+            f, g = np.argwhere(cross)[0]
+            raise MeshError(f"boundary faces {ids[i[f]]} and {ids[g]} cross: elements overlap")
 
 
 def _check_connected(mesh: CoarseMesh) -> None:

@@ -12,8 +12,8 @@ Everything is dense by design: face problems have at most a few dozen
 unknowns and element problems a few hundred at the scales this library
 targets, and robustness beats scalability there.  All faces (and all
 elements) share one pencil size, so each family is kept as one stack
-(the element eigenvalues come from one LAPACK call per element, which
-is faster than the stacked reduction when no eigenvectors are wanted):
+(the element eigenvalues come from one LAPACK call per distinct element,
+which beats the stacked reduction when no eigenvectors are wanted):
 :class:`FaceSpectrum` and :class:`ElementSpectrum` carry
 a leading face or element axis, and indexing either gives one item's
 view (:class:`~lsdfem.mesh.Stacked`).  Empty pencils (a face with a
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .localop import ElementCache, NotSPDError, batched_cholesky, edge_blocks, solve_lower
+from .localop import ElementCache, NotSPDError, _distinct, batched_cholesky, edge_blocks, solve_lower
 from .mesh import Stacked
 from .traces import TraceSpace
 
@@ -144,20 +144,20 @@ class ElementSpectrum(Stacked):
 def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0) -> ElementSpectrum:
     """Neumann pencils of all elements: every eigenvalue, kept modes only.
 
-    The eigenvalues come from one LAPACK ``dsygvd`` per element, without
-    eigenvectors.  An element that keeps one mode keeps the M-normalized
-    constant, which is exact because constants span the kernel of the
-    stiffness; the elements that keep more take their kept columns from
-    one stacked :func:`gensym_eig` of their pencils alone.
+    The eigenvalues come from one LAPACK ``dsygvd`` per distinct pencil
+    (:func:`~lsdfem.localop.twins`), without eigenvectors.  An element that
+    keeps one mode keeps the M-normalized constant, exact because constants
+    span the stiffness kernel; the elements that keep more take their kept
+    columns from one stacked :func:`gensym_eig` of their pencils alone.
     """
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
-    stiffness, mass = caches.stiffness, caches.mass
-    ne, nn = stiffness.shape[:2]
-    sigma = np.empty((ne, nn))
-    for t in range(ne):
+    ids, where, stiffness, mass = _distinct(caches.stiffness, caches.mass)
+    n, nn = stiffness.shape[:2]
+    sigma = np.empty((n, nn))
+    for i, t in enumerate(ids.tolist()):
         # Symmetric matrices: the transposes are copy-free Fortran-ordered views.
-        sigma[t], _, info = lapack.dsygvd(stiffness[t].T, mass[t].T, jobz="N")
+        sigma[i], _, info = lapack.dsygvd(stiffness[i].T, mass[i].T, jobz="N")
         if info > nn:
             raise NotSPDError(info - nn - 1, f"weighted mass of element {t}", t)
         if info:
@@ -166,13 +166,13 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
     j_max = int(j_count.max(initial=0))
-    vectors = np.zeros((ne, nn, j_max))
+    vectors = np.zeros((n, nn, j_max))
     one = j_count == 1
     vectors[one, :, 0] = 1.0 / np.sqrt(mass[one].sum(axis=(1, 2)))[:, None]
     many = ~one
     kept = gensym_eig(stiffness[many], mass[many])[1][..., :j_max]
     vectors[many] = kept * (np.arange(j_max) < j_count[many, None])[:, None, :]
-    return ElementSpectrum(sigma, vectors, j_count)
+    return ElementSpectrum(sigma[where], vectors[where], j_count[where])
 
 
 def project_rhs(

@@ -53,6 +53,10 @@ OVERLAP = "".join(                     # 4x4 grid plus element (0, 1, v) on top 
     ["26\n", *(f"{x} {y}\n" for x, y in _GRID.vertices), "0.125 0.06\n33\n"]
     + [f"{a} {b} {c}\n" for a, b, c in [*_GRID.elements, (0, 1, 25)]]
 )
+ACROSS = "".join(                      # 4x4 grid without cell (1, 1) plus element (6, 7, v) across the hole
+    ["26\n", *(f"{x} {y}\n" for x, y in _GRID.vertices), "0.375 0.6\n31\n"]
+    + [f"{a} {b} {c}\n" for a, b, c in [*np.delete(_GRID.elements, [10, 11], axis=0), (6, 7, 25)]]
+)
 
 
 @pytest.mark.parametrize(
@@ -74,13 +78,14 @@ OVERLAP = "".join(                     # 4x4 grid plus element (0, 1, v) on top 
         ({"mesh_text": SQUARE.format("nan 0")}, "mesh", "vertex 1 has a non-finite coordinate"),
         ({"mesh_text": SQUARE.format("1 inf")}, "mesh", "vertex 1 has a non-finite coordinate"),
         ({"mesh_text": OVERLAP}, "mesh", "face 0 has elements 0 and 32 on the same side"),
+        ({"mesh_text": ACROSS}, "mesh", "boundary faces 32 and 55 cross"),
     ],
     ids=[
         "config0-mesh", "config1-coefficients", "config2-coefficients", "config3-coefficients",
         "raster-domain-zero-width", "raster-domain-reversed", "raster-domain-too-short",
         "raster-domain-string", "raster-nx-zero", "raster-nx-negative", "raster-tensor-not-a-bool",
         "text-raster-zero-header", "mesh-negative-count", "mesh-nan-vertex", "mesh-inf-vertex",
-        "mesh-overlapping-elements",
+        "mesh-overlapping-elements", "mesh-element-across-a-hole",
     ],
 )
 def test_bad_mesh_or_coefficient_input_exits_2(tmp_path, capsys, config, stage, named):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,16 +10,22 @@ from conftest import constant_field, face_elements, face_rows, face_split, make_
 from lsdfem.coeff import CoefficientField, Raster, make_weight
 from lsdfem.localop import (
     LocalAssemblyError,
+    _assemble_mass,
+    _assemble_stiffness,
+    _sym,
     apply_T,
     assemble_all,
     local_solve,
+    saddle_solve,
     scatter_blocks,
+    twins,
 )
 from lsdfem.coeff import _sym_eig_bounds, local_bounds
 from lsdfem.localize import build_flux_energy
-from lsdfem.mesh import _lattice, build_structured_mesh, refine_faces
+from lsdfem import presets
+from lsdfem.mesh import _lattice, build_mesh, build_structured_mesh, load_mesh, refine_faces, save_mesh
 from lsdfem.pipeline import Assembly, sample_load, solve_lsd
-from lsdfem.spectral import all_element_spectra, all_face_spectra
+from lsdfem.spectral import all_element_spectra, all_face_spectra, gensym_eig
 from lsdfem.traces import build_trace_space
 from test_mesh import meshes
 
@@ -241,6 +248,122 @@ def test_zero_tensor_names_its_element():
     broken = CoefficientField(part, tensors, ident.eig_min, ident.eig_max)
     with pytest.raises(LocalAssemblyError, match=r"element 5: "):
         assemble_all(broken, make_weight("one", ident), part)
+
+
+def test_zero_tensors_on_twin_elements_name_the_first():
+    # Elements 13 and 21 of the 4x4 grid are bitwise twins (same geometry and
+    # signed trace rows), and the 32 elements fall into 4 twin classes, so
+    # the saddles are inverted once per class.  Zeroing both tensors keeps
+    # the two twins and makes their class singular: the error names 13.
+    part = refine_faces(build_structured_mesh(4, 4), 1)
+    assert twins(part.grads, part.cell_areas, part.trace_matrix)[[13, 21]].tolist() == [3, 3]
+    ident = constant_field(part)
+    tensors = ident.tensors.copy()
+    tensors[[13, 21]] = 0.0
+    broken = CoefficientField(part, tensors, ident.eig_min, ident.eig_max)
+    with pytest.raises(LocalAssemblyError, match=r"element 13: constrained system is singular"):
+        assemble_all(broken, make_weight("one", ident), part)
+
+
+# -- element twins ---------------------------------------------------------------
+
+
+def twins_reference(*stacks):
+    """First occurrence of each item's bits: ``np.unique`` of the ``uint64`` rows of all stacks side by side."""
+    rows = np.hstack([np.ascontiguousarray(s).reshape(len(s), -1).view(np.uint64) for s in stacks])
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.ravel()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
+def test_twins_match_first_occurrence_of_unique_bits(seed, n):
+    # Planted duplicates: wide items from a pool of four (wide enough to be
+    # confirmed in several blocks), narrow items that differ from each other
+    # only by the sign of a zero or by one ulp.
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((4, 45, 45))[rng.integers(0, 4, n)]
+    narrow = rng.choice(np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0)]), (n, 3))
+    got = twins(wide, narrow)
+    assert got.dtype.kind == "i" and np.array_equal(got, twins_reference(wide, narrow))
+
+
+def test_twins_keep_signed_zeros_and_ulps_apart():
+    x = np.zeros((6, 4))
+    x[:, 0] = 1.0
+    x[1, 1:3] = -0.0    # two sign bits: rows 0 and 1 get one key but differ in their bits
+    x[2, 0] = np.nextafter(1.0, 2.0)
+    x[3], x[4] = x[0], x[1]
+    x[5, 3] = -0.0
+    assert twins(x).tolist() == twins_reference(x).tolist() == [0, 1, 2, 0, 1, 5]
+    assert twins(np.empty((0, 3))).shape == (0,)
+
+
+def assemble_all_reference(field_a, rho, part):
+    """The stacks of :func:`assemble_all` from its kernels on every element: one ``np.linalg.inv`` of all saddles."""
+    stiffness = _assemble_stiffness(part.grads, part.cell_areas, np.asarray(field_a.tensors), part.cells)
+    mass = _assemble_mass(part.cell_areas, rho, part.cells)
+    mean_vector = mass @ np.ones(mass.shape[1])
+    ne, nn = mean_vector.shape
+    saddles = np.zeros((ne, nn + 1, nn + 1))
+    saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
+    inverse = _sym(np.linalg.inv(saddles))
+    potentials = saddle_solve(stiffness, mean_vector, inverse, part.trace_matrix.swapaxes(-1, -2))
+    return {"stiffness": stiffness, "mass": mass, "mean_vector": mean_vector, "flux_potentials": potentials,
+            "flux_energy": _sym(part.trace_matrix @ potentials), "_inverse": inverse}
+
+
+def element_spectra_reference(caches, h_target):
+    """``sigma``, ``vectors`` and ``j_count`` of :func:`all_element_spectra` from one ``dsygvd`` per element."""
+    sigma = np.maximum([lapack.dsygvd(k.T, m.T, jobz="N")[0] for k, m in zip(caches.stiffness, caches.mass)], 0.0)
+    ne, nn = sigma.shape
+    above = sigma[:, 1:] >= 1.0 / h_target**2
+    j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
+    j_max = int(j_count.max())
+    vectors = np.zeros((ne, nn, j_max))
+    one = j_count == 1
+    vectors[one, :, 0] = 1.0 / np.sqrt(caches.mass[one].sum(axis=(1, 2)))[:, None]
+    many = ~one
+    kept = gensym_eig(caches.stiffness[many], caches.mass[many])[1][..., :j_max]
+    vectors[many] = kept * (np.arange(j_max) < j_count[many, None])[:, None, :]
+    return {"sigma": sigma, "vectors": vectors, "j_count": j_count}
+
+
+def sheared_grid_file(path):
+    """A 4x4 grid sheared by x += 0.75 y, written to a mesh file: skewed triangles, two shapes."""
+    grid = build_structured_mesh(4, 4)
+    save_mesh(build_mesh(grid.vertices + grid.vertices[:, 1:] * [0.75, 0.0], grid.elements), path)
+    return path
+
+
+@pytest.mark.parametrize("setup, classes", [
+    ("hairpin", 9),     # the scaled benchmark hairpin at nx=8: many twins
+    ("smooth", 128),    # no twins
+    ("sheared", 4),     # a mesh file with skewed triangles
+])
+def test_twin_kernels_match_every_element_bitwise(tmp_path, setup, classes):
+    h = 1.0 / 8
+    name, params = {
+        "hairpin": ("channel", {"contrast": 1e4, "center": 3.5 * h, "width": 0.224 * h, "spacing": 0.48 * h}),
+        "smooth": ("smooth", {}),
+        "sheared": ("constant", {}),
+    }[setup]
+    mesh = build_structured_mesh(8, 8)
+    if setup == "sheared":
+        mesh = load_mesh(sheared_grid_file(str(tmp_path / "mesh.txt")))
+    part = refine_faces(mesh, 2)
+    field = presets.coefficient_field(part, name, params)
+    rho = make_weight("one", field)
+    caches = assemble_all(field, rho, part)
+    rep = twins(part.grads, part.cell_areas, field.tensors, rho, part.trace_matrix)
+    assert np.unique(rep).size == classes
+    for key, want in assemble_all_reference(field, rho, part).items():
+        assert getattr(caches, key).tobytes() == want.tobytes(), key
+    h_target = mesh.coarse_size
+    spectra = all_element_spectra(caches, h_target)
+    for key, want in element_spectra_reference(caches, h_target).items():
+        got = np.asarray(getattr(spectra, key))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
 
 
 # -- batched kernels against the per-element reference --------------------------

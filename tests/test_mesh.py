@@ -344,6 +344,34 @@ def _triangle_quality_reference(p0, p1, p2):
     return signed, (a * b * c / (4.0 * area)) / (area / s)
 
 
+def planarity_loop_reference(vertices, elements, face_pairs, boundary):
+    """Corner-angle sums vertex by vertex, then every pair of boundary faces for a proper crossing."""
+    total = np.zeros(len(vertices))
+    for tri in elements:
+        for k in range(3):
+            p, q, r = (vertices[tri[(k + m) % 3]] for m in range(3))
+            a, b = q - p, r - p
+            total[tri[k]] += np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
+    on_boundary = {v for fid, pair in enumerate(face_pairs) if boundary[fid] for v in pair}
+    tol = 1e-9 * 2.0 * np.pi
+    for v in sorted(set(np.ravel(elements).tolist())):
+        if total[v] > 2.0 * np.pi + tol if v in on_boundary else abs(total[v] - 2.0 * np.pi) > tol:
+            kind = "boundary vertex" if v in on_boundary else "interior vertex"
+            raise MeshError(f"{kind} {v}: its corner angles sum to {total[v] / np.pi:.6g} pi: elements overlap")
+
+    def side(face, q):
+        s, e = vertices[face_pairs[face][0]], vertices[face_pairs[face][1]]
+        return np.sign((e[0] - s[0]) * (q[1] - s[1]) - (e[1] - s[1]) * (q[0] - s[0]))
+
+    ids = [fid for fid in range(len(face_pairs)) if boundary[fid]]
+    for i, f in enumerate(ids):
+        for g in ids[i + 1:]:
+            fs, fe = (vertices[v] for v in face_pairs[f])
+            gs, ge = (vertices[v] for v in face_pairs[g])
+            if side(f, gs) * side(f, ge) < 0 and side(g, fs) * side(g, fe) < 0:
+                raise MeshError(f"boundary faces {f} and {g} cross: elements overlap")
+
+
 def mesh_loop_reference(vertices, elements, bound=20.0):
     """Orientation, areas and face numbering by the element and face loops."""
     vertices = np.asarray(vertices, dtype=float)
@@ -386,6 +414,7 @@ def mesh_loop_reference(vertices, elements, bound=20.0):
     if same_side is not None:
         fid, t = same_side
         raise MeshError(f"face {fid} has elements {incident[fid][0]} and {t} on the same side: they overlap")
+    planarity_loop_reference(vertices, elements, face_pairs, [len(elems) == 1 for elems in incident])
     for fid, elems in enumerate(incident):
         face_left[fid] = elems[0]
         if len(elems) == 2:
@@ -454,9 +483,41 @@ def test_mesh_errors_name_the_first_bad_element_or_face():
         [[2, 5, 1], good, [0, 6, 1], [1, 0, 5]],   # edge 0-1 shared thrice: face 3
         [[2, 5, 1], good, [0, 1, 5]],   # elements 1 and 2 both traverse edge 0-1 from 0 to 1: face 3
     ]
+    # Overlaps that share no face.  A 4x4 grid without cell (1, 1) plus the
+    # element (6, 7, v) on the hole's bottom face: its faces (7, v) and
+    # (v, 6) reach across the hole's top face.
+    grid = build_structured_mesh(4, 4)
+    holed = np.delete(grid.elements, [10, 11], axis=0)
+    across = (np.vstack([grid.vertices, [0.375, 0.6]]), [*holed, [6, 7, 25]])
+    # A 2x2 grid without cell (1, 1) plus the element (4, 5, x) over cell
+    # (0, 1): the corner angles around boundary vertex 4 sum past 2 pi.
+    small = build_structured_mesh(2, 2)
+    folded = (np.vstack([small.vertices, [0.2, 0.9]]), [*small.elements[:6], [4, 5, 9]])
+    # Eight right triangles around vertex 0 that turn twice, at radius 1 and then 2.
+    ring = [[np.cos(a), np.sin(a)] for a in np.arange(4) * np.pi / 2]
+    twice = (np.array([[0.0, 0.0], *ring, *(2.0 * np.array(ring))]), [[0, k, k % 8 + 1] for k in range(1, 9)])
     for elements in cases:
         with pytest.raises(MeshError) as want:
             mesh_loop_reference(verts, elements)
         with pytest.raises(MeshError) as got:
             build_mesh(verts, np.array(elements))
         assert str(got.value) == str(want.value)
+    named = ["boundary faces 32 and 55 cross", "boundary vertex 4: its corner angles sum to", "interior vertex 0:"]
+    for (vertices, elements), name in zip([across, folded, twice], named):
+        with pytest.raises(MeshError) as want:
+            mesh_loop_reference(vertices, elements)
+        with pytest.raises(MeshError, match=name) as got:
+            build_mesh(vertices, np.array(elements))
+        assert str(got.value) == str(want.value)
+
+
+def test_slit_tip_builds():
+    # A 2x2 grid slit along x = 0.5 from the bottom edge to the centre: the
+    # cells right of the slit take a copy of vertex 1.  The tip (vertex 4)
+    # is a boundary vertex whose corner angles sum to exactly 2 pi, and the
+    # two slit faces lie on one segment without crossing.
+    grid = build_structured_mesh(2, 2)
+    elements = grid.elements.copy()
+    elements[2:4][elements[2:4] == 1] = 9
+    mesh = build_mesh(np.vstack([grid.vertices, grid.vertices[1]]), elements)
+    assert mesh.face_boundary.sum() == 10 and mesh.n_elements == 8
