@@ -176,7 +176,10 @@ def _invert_saddles(saddles: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def twins(*stacks: np.ndarray) -> np.ndarray:
-    """Per item, the first item bitwise equal to it in every float64 stack: random-projection keys, checked."""
+    """Per item, the first item bitwise equal to it in every float64 stack.
+
+    Keys are random odd projections of the ``uint64`` bits, checked in blocks; clashes go to ``np.unique``.
+    """
     n, rng = len(stacks[0]), np.random.default_rng(0)
     bits = [s.view(np.uint64).reshape(n, s[0].size if n else 0) for s in stacks]   # views where the strides allow
     key = sum(b @ (rng.integers(0, 2**64, b.shape[1], np.uint64) | 1) for b in bits)
@@ -184,16 +187,11 @@ def twins(*stacks: np.ndarray) -> np.ndarray:
     rep, dup = first[inverse], np.delete(np.arange(n), first)
     bad = np.concatenate([i[np.any([(b[i] != b[rep[i]]).any(axis=1) for b in bits], axis=0)]
                           for i in np.array_split(dup, dup.size * sum(b.shape[1] for b in bits) // 2**16 + 1)])
-    rep[bad] = bad[twins(*(s[bad] for s in stacks))] if bad.size else bad   # key clashes, sorted out anew
+    rows = np.hstack([b[bad] for b in bits])   # key clashes: an even number of sign flips keeps a key
+    rows = rows.view(f"V{8 * rows.shape[1]}").ravel()   # one byte string per item
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    rep[bad] = bad[first[inverse]]
     return rep
-
-
-def _distinct(*stacks: np.ndarray) -> tuple:
-    """First ids of the twin classes, each item's class, and the stacks there; all items if twins are few."""
-    first, where = np.unique(twins(*stacks), return_inverse=True)
-    if 4 * first.size > where.size:   # the gathers would cost more memory than the runs they save
-        return np.arange(where.size), slice(None), *stacks
-    return first, where, *(s[first] for s in stacks)
 
 
 def saddle_solve(
@@ -229,20 +227,21 @@ def assemble_all(field_a: CoefficientField, rho: np.ndarray, part: FinePartition
         raise LocalAssemblyError(
             f"coefficient {tensors.shape} or weight {rho.shape} does not cover the {ne} x {nc} cells"
         )
-    ids, where, grads, areas, a, rho, trace = _distinct(
-        part.grads, part.cell_areas, tensors, rho, part.trace_matrix)
-    stiffness = _assemble_stiffness(grads, areas, a, part.cells)
-    mass = _assemble_mass(areas, rho, part.cells)
+    ids, where = np.unique(twins(part.grads, part.cell_areas, tensors, rho, part.trace_matrix), return_inverse=True)
+    stiffness = _assemble_stiffness(part.grads[ids], part.cell_areas[ids], tensors[ids], part.cells)
+    mass = _assemble_mass(part.cell_areas[ids], rho[ids], part.cells)
     mean_vector = mass @ np.ones(mass.shape[1])
     n, nn = mean_vector.shape
     saddles = np.zeros((n, nn + 1, nn + 1))   # stiffness bordered by the zero-average constraint
     saddles[:, :nn, :nn], saddles[:, :nn, nn], saddles[:, nn, :nn] = stiffness, mean_vector, mean_vector
     inverse = _invert_saddles(saddles, ids)
     del saddles
+    trace = part.trace_matrix[ids]
     potentials = saddle_solve(stiffness, mean_vector, inverse, trace.swapaxes(-1, -2))
     flux_energy = _sym(trace @ potentials)   # static condensation B[a, b] = (mu_a, T mu_b)
-    stacks = stiffness, mass, mean_vector, potentials, flux_energy, inverse
-    return ElementCache(part, tensors, *(s[where] for s in stacks))
+    stacks = [stiffness, mass, mean_vector, potentials, flux_energy, inverse]
+    del stiffness, mass, mean_vector, potentials, flux_energy, inverse, trace   # freed one by one as gathered
+    return ElementCache(part, tensors, *(stacks.pop(0)[where] for _ in range(6)))
 
 
 def apply_T(cache: ElementCache, values: np.ndarray) -> np.ndarray:

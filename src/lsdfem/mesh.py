@@ -222,7 +222,9 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     return mesh
 
 
-def _check_planar(vertices: np.ndarray, elements: np.ndarray, faces: np.ndarray, face_boundary: np.ndarray) -> None:
+def _check_planar(
+    vertices: np.ndarray, elements: np.ndarray, faces: np.ndarray, face_boundary: np.ndarray
+) -> None:
     """Reject elements that overlap without sharing a face.
 
     The corner angles around an interior vertex must sum to 2 pi and those
@@ -241,21 +243,31 @@ def _check_planar(vertices: np.ndarray, elements: np.ndarray, faces: np.ndarray,
     bad = np.flatnonzero(used & (excess > 1e-9 * 2.0 * np.pi))
     if bad.size:
         kind = "boundary vertex" if on_boundary[bad[0]] else "interior vertex"
-        raise MeshError(f"{kind} {bad[0]}: its corner angles sum to {total[bad[0]] / np.pi:.6g} pi: elements overlap")
+        raise MeshError(
+            f"{kind} {bad[0]}: its corner angles sum to {total[bad[0]] / np.pi:.6g} pi: elements overlap"
+        )
+    # Only faces whose bounding boxes overlap can cross: sort the left ends
+    # along the longer axis, and pair each face with those starting within it.
     ids = np.flatnonzero(face_boundary)
     s, e = vertices[faces[ids, 0]], vertices[faces[ids, 1]]
-    d = e - s
+    lo, hi, d = np.minimum(s, e), np.maximum(s, e), e - s
+    ax = np.argmax(hi.max(axis=0, initial=0.0) - lo.min(axis=0, initial=0.0))
+    order = np.argsort(lo[:, ax], kind="stable")
+    count = np.searchsorted(lo[order, ax], hi[order, ax], side="right") - np.arange(ids.size) - 1
+    f = np.repeat(np.arange(ids.size), count)
+    g = order[f + 1 + np.arange(f.size) - np.repeat(np.cumsum(count) - count, count)]
+    f = order[f]
+    f, g = np.minimum(f, g), np.maximum(f, g)
+    keep = (lo[f, 1 - ax] <= hi[g, 1 - ax]) & (lo[g, 1 - ax] <= hi[f, 1 - ax])
+    f, g = f[keep], g[keep]
 
-    def side(i, q):   # sign of each point q against the line of each boundary face i, (len(i), len(q))
-        r = q[None] - s[i, None]
-        return np.sign(d[i, None, 0] * r[..., 1] - d[i, None, 1] * r[..., 0])
+    def side(i, q):   # sign of each point q against the line of boundary face i
+        return np.sign(d[i, 0] * (q[:, 1] - s[i, 1]) - d[i, 1] * (q[:, 0] - s[i, 0]))
 
-    every = np.arange(ids.size)
-    for i in np.array_split(every, ids.size**2 // 2**20 + 1):   # blocks of about 2**20 face pairs
-        cross = (side(i, s) * side(i, e) < 0) & (side(every, s[i]) * side(every, e[i]) < 0).T
-        if cross.any():
-            f, g = np.argwhere(cross)[0]
-            raise MeshError(f"boundary faces {ids[i[f]]} and {ids[g]} cross: elements overlap")
+    cross = np.flatnonzero((side(f, s[g]) * side(f, e[g]) < 0) & (side(g, s[f]) * side(g, e[f]) < 0))
+    if cross.size:
+        k = cross[np.lexsort((g[cross], f[cross]))[0]]
+        raise MeshError(f"boundary faces {ids[f[k]]} and {ids[g[k]]} cross: elements overlap")
 
 
 def _check_connected(mesh: CoarseMesh) -> None:

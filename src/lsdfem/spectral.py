@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .localop import ElementCache, NotSPDError, _distinct, batched_cholesky, edge_blocks, solve_lower
+from .localop import ElementCache, NotSPDError, batched_cholesky, edge_blocks, solve_lower, twins
 from .mesh import Stacked
 from .traces import TraceSpace
 
@@ -152,12 +152,13 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     """
     if h_target <= 0.0 or c_j <= 0.0:
         raise ValueError("h_target and c_j must be positive")
-    ids, where, stiffness, mass = _distinct(caches.stiffness, caches.mass)
-    n, nn = stiffness.shape[:2]
-    sigma = np.empty((n, nn))
+    stiffness, mass = caches.stiffness, caches.mass
+    ids, where = np.unique(twins(stiffness, mass), return_inverse=True)
+    nn = stiffness.shape[1]
+    sigma = np.empty((ids.size, nn))
     for i, t in enumerate(ids.tolist()):
         # Symmetric matrices: the transposes are copy-free Fortran-ordered views.
-        sigma[i], _, info = lapack.dsygvd(stiffness[i].T, mass[i].T, jobz="N")
+        sigma[i], _, info = lapack.dsygvd(stiffness[t].T, mass[t].T, jobz="N")
         if info > nn:
             raise NotSPDError(info - nn - 1, f"weighted mass of element {t}", t)
         if info:
@@ -166,11 +167,11 @@ def all_element_spectra(caches: ElementCache, h_target: float, c_j: float = 1.0)
     above = sigma[:, 1:] >= 1.0 / (c_j * h_target**2)
     j_count = np.where(above.any(axis=1), above.argmax(axis=1) + 1, nn)
     j_max = int(j_count.max(initial=0))
-    vectors = np.zeros((n, nn, j_max))
+    vectors = np.zeros((ids.size, nn, j_max))
     one = j_count == 1
-    vectors[one, :, 0] = 1.0 / np.sqrt(mass[one].sum(axis=(1, 2)))[:, None]
+    vectors[one, :, 0] = 1.0 / np.sqrt(mass[ids[one]].sum(axis=(1, 2)))[:, None]
     many = ~one
-    kept = gensym_eig(stiffness[many], mass[many])[1][..., :j_max]
+    kept = gensym_eig(stiffness[ids[many]], mass[ids[many]])[1][..., :j_max]
     vectors[many] = kept * (np.arange(j_max) < j_count[many, None])[:, None, :]
     return ElementSpectrum(sigma[where], vectors[where], j_count[where])
 

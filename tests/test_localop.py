@@ -299,6 +299,14 @@ def test_twins_keep_signed_zeros_and_ulps_apart():
     assert twins(np.empty((0, 3))).shape == (0,)
 
 
+def test_twins_settle_many_clashing_sign_patterns():
+    # Every row of 11 signed zeros: the 2048 sign patterns share two keys
+    # (a flipped sign moves a key by 2**63), so nearly every row clashes.
+    rows = np.where((np.arange(2048)[:, None] >> np.arange(11)) & 1, -0.0, 0.0)
+    x = np.concatenate([rows, rows[::3]])
+    assert np.array_equal(twins(x), twins_reference(x))
+
+
 def assemble_all_reference(field_a, rho, part):
     """The stacks of :func:`assemble_all` from its kernels on every element: one ``np.linalg.inv`` of all saddles."""
     stiffness = _assemble_stiffness(part.grads, part.cell_areas, np.asarray(field_a.tensors), part.cells)

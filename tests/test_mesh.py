@@ -511,6 +511,32 @@ def test_mesh_errors_name_the_first_bad_element_or_face():
         assert str(got.value) == str(want.value)
 
 
+def flaps_over_hole(seed):
+    """A jittered 5x4 grid without cell (1, 1), plus elements hinged on the hole's bottom and top faces."""
+    rng = np.random.default_rng(seed)
+    base = grid_mesh(5, 4, rng, hole=True)
+    free = rng.uniform([0.15, 0.3], [0.45, 0.75], (2, 2))   # above the hole's bottom face
+    free[1, 1] -= 0.3                                        # the top flap's below its top face
+    return np.vstack([base.vertices, free]), np.vstack([base.elements, [[7, 8, 30], [14, 13, 31]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flaps_over_a_hole_match_the_loop_reference(seed):
+    # The free vertices are drawn around the hole: the flaps fit inside it,
+    # cross each other or the hole's faces, or fold over a hinge, and
+    # build_mesh names the same first offence as the loops.
+    vertices, elements = flaps_over_hole(seed)
+    try:
+        mesh_loop_reference(vertices, elements)
+    except MeshError as want:
+        with pytest.raises(MeshError) as got:
+            build_mesh(vertices, elements)
+        assert str(got.value) == str(want)
+    else:
+        assert_matches_loop_reference(build_mesh(vertices, elements), vertices, elements)
+
+
 def test_slit_tip_builds():
     # A 2x2 grid slit along x = 0.5 from the bottom edge to the centre: the
     # cells right of the slit take a copy of vertex 1.  The tip (vertex 4)
