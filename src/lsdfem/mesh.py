@@ -94,7 +94,6 @@ class CoarseMesh:
     element_face_signs: np.ndarray  # (ne, 3) +1 if element is the left element
     centroids: np.ndarray         # (ne, 2)
     face_measures: np.ndarray     # (nf,)
-    diameters: np.ndarray         # (ne,) element diameters
     adjacency: sp.csr_matrix = field(repr=False)  # (ne, ne) closure adjacency, diagonal included
 
     @property
@@ -111,8 +110,8 @@ class CoarseMesh:
 
     @property
     def coarse_size(self) -> float:
-        """Mesh size H: the largest element diameter."""
-        return float(self.diameters.max())
+        """Mesh size H: the largest element diameter, i.e. the longest face (every face is an element edge)."""
+        return float(self.face_measures.max())
 
 
 def _triangle_quality(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +193,6 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
     element_face_signs = np.where(face_left[element_faces] == np.arange(ne)[:, None], 1, -1)
 
     centroids = vertices[elements].mean(axis=1)
-    diameters = face_measures[element_faces].max(axis=1)
 
     # Closure adjacency I I^T from the element-vertex incidence I.
     incidence = sp.csr_matrix(
@@ -215,7 +213,6 @@ def build_mesh(vertices: np.ndarray, elements: np.ndarray) -> CoarseMesh:
         element_face_signs=element_face_signs,
         centroids=centroids,
         face_measures=face_measures,
-        diameters=diameters,
         adjacency=adjacency,
     )
     _check_connected(mesh)

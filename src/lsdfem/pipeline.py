@@ -227,7 +227,7 @@ class Assembly:
     space: TraceSpace
     energy: sp.csr_matrix
     stats: ContrastStats
-    build_s: float = 0.0           # wall time of build_assembly
+    timings: dict[str, float] = field(default_factory=dict)   # wall time of each set-up stage
     _stages: dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def _memo(self, stage: str, key, build: Callable[[], object]):
@@ -301,21 +301,21 @@ class Assembly:
 
 
 def build_assembly(cfg: SolverConfig) -> Assembly:
-    """Stages mesh -> coefficients -> element caches -> trace space."""
-    t0 = time.perf_counter()
-    with _stage("mesh"):
+    """Stages mesh -> coefficients -> element caches -> trace space, each timed in ``Assembly.timings``."""
+    timings = {}
+    with _stage("mesh", timings):
         mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else build_structured_mesh(cfg.nx, cfg.ny, cfg.domain)
         part = refine_faces(mesh, cfg.face_level, cfg.interior_level)
-    with _stage("coefficients"):
+    with _stage("coefficients", timings):
         field_a = presets.coefficient_field(part, cfg.coefficient, cfg.coefficient_params, cfg.coefficient_file)
         rho = make_weight(cfg.rho, field_a)
         stats = local_bounds(field_a)
-    with _stage("element_caches"):
+    with _stage("element_caches", timings):
         caches = assemble_all(field_a, rho, part)
-    with _stage("trace_space"):
+    with _stage("trace_space", timings):
         space = build_trace_space(part)
         energy = build_flux_energy(space, caches)
-    return Assembly(mesh, part, caches, space, energy, stats, time.perf_counter() - t0)
+    return Assembly(mesh, part, caches, space, energy, stats, timings)
 
 
 def sample_load(part: FinePartition, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -667,22 +667,6 @@ def poincare_estimate(assembly: Assembly) -> float:
     return float(1.0 / np.sqrt(lam[0]))
 
 
-def j_guidance(alpha_effective: float, dim: int = 2) -> list[dict]:
-    """Heuristic layer counts per target reduction of the truncation error.
-
-    Uses the qualitative per-layer factor q = d^2 a / (1 + d^2 a) with the
-    effective threshold in place of the unquantifiable worst-case product;
-    the absolute constants are unknown, so this is guidance for choosing
-    the layer count, never solver logic.
-    """
-    q = dim**2 * alpha_effective / (1.0 + dim**2 * alpha_effective)
-    out = []
-    for target in (1e-1, 1e-2, 1e-4, 1e-6):
-        j = int(np.ceil(np.log(target) / np.log(q))) if q < 1.0 else None
-        out.append({"target_factor": target, "suggested_j": j})
-    return out
-
-
 def conforming_solve(assembly: Assembly, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conforming P1 solve on the union fine mesh with zero boundary values.
 
@@ -708,7 +692,7 @@ def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[
     """Run every stage and emit a JSON-able report of all diagnostics."""
     if assembly is None:
         assembly = build_assembly(cfg)
-    timings = {"assembly": assembly.build_s}
+    timings = dict(assembly.timings)
     with _stage("rhs", timings):
         g = sample_load(assembly.part, presets.load_function(cfg.rhs, cfg.rhs_params))
     with _stage("solve", timings):
@@ -738,10 +722,6 @@ def full_pipeline(cfg: SolverConfig, assembly: Assembly | None = None) -> tuple[
             "n_pi_total": int(spectra.n_pi.sum()),
             "n_delta_total": int(spectra.n_delta.sum()),
         }
-        alpha_eff = cfg.alpha_stab
-    else:
-        alpha_eff = min(assembly.stats.beta**2 * assembly.stats.kappa, 1e6)
-    report["j_guidance"] = j_guidance(alpha_eff)
 
     if cfg.compare_exact:
         with _stage("oracle_exact", timings):

@@ -255,9 +255,13 @@ def test_criterion_9_adjoint_and_sandwich():
             # Stored values drawn as the values element t sees, times its face signs.
             mu = signs * rng.standard_normal(cache.geom.boundary_face_ids.size)
             g = rng.standard_normal(cache.geom.n_nodes)
-            left = mu @ (cache.geom.trace_matrix @ apply_Ttilde(cache, g))
-            right = g @ (cache.mass @ apply_T(cache, mu))
-            scale = max(abs(left), abs(right), 1e-30)
+            t_g, t_mu = apply_Ttilde(cache, g), apply_T(cache, mu)
+            left = mu @ (cache.geom.trace_matrix @ t_g)
+            right = g @ (cache.mass @ t_mu)
+            # Scaled by the size of the summands, not of the sums: a pairing that
+            # cancels to near zero would turn its rounding into a large relative defect.
+            scale = max(np.abs(mu) @ np.abs(cache.geom.trace_matrix) @ np.abs(t_g),
+                        np.abs(g) @ np.abs(cache.mass) @ np.abs(t_mu), 1e-30)
             worst_adj = max(worst_adj, abs(left - right) / scale)
             e = mu @ (b @ mu)
             e_id = mu @ (b_id @ mu)

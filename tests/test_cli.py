@@ -250,20 +250,36 @@ def test_numerical_failure_names_the_experiment(tmp_path, capsys, monkeypatch, k
     assert f"numerical assertion failed [{kind}]" in capsys.readouterr().err
 
 
-def test_solve_writes_outputs(tmp_path):
+SETUP_STAGES = {"mesh", "coefficients", "element_caches", "trace_space"}
+
+
+def solve_report(tmp_path, **config):
+    """The report of a CLI solve of ``BASE`` with ``config`` on top, and its output directory."""
     out = tmp_path / "out"
-    path = write_spec(tmp_path, BASE)
+    path = write_spec(tmp_path, {**BASE, "config": {**BASE["config"], **config}})
     assert cli.main(["--config", path, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    return json.loads((out / "report.json").read_text()), out
+
+
+def test_solve_writes_outputs(tmp_path):
+    report, out = solve_report(tmp_path)
     assert report["diagnostics"]["equilibrium_rel_max"] <= 1e-10
-    # The set-up is timed when the CLI builds the assembly itself.
-    assert set(report["timings"]) == {"assembly", "rhs", "solve"}
+    # Each set-up stage is timed when the CLI builds the assembly itself.
+    assert set(report["timings"]) == SETUP_STAGES | {"rhs", "solve"}
     assert all(t > 0.0 for t in report["timings"].values())
     assert (out / "multiplier.bin").exists()
     assert (out / "solution_summary.csv").exists()
     assert (out / "solution_nodal.csv").exists()
     rows = (out / "solution_summary.csv").read_text().strip().splitlines()
     assert "config_hash" in rows[0]
+
+
+def test_solve_times_each_oracle(tmp_path):
+    report, _ = solve_report(tmp_path, compare_exact=True, compare_conforming=True)
+    oracles = {"oracle_exact", "oracle_conforming", "poincare"}
+    assert set(report["timings"]) == SETUP_STAGES | {"rhs", "solve"} | oracles
+    assert all(t > 0.0 for t in report["timings"].values())
+    assert {"oracle_exact", "oracle_conforming"} <= set(report)
 
 
 def test_decay_experiment(tmp_path):

@@ -23,5 +23,6 @@ def test_readme_examples_run(tmp_path):
     assert cli.main(["--config", str(spec), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     keys = {"config", "config_hash", "dimensions", "contrast", "diagnostics", "face_spectrum",
-            "j_guidance", "oracle_exact", "oracle_conforming", "timings"}
+            "oracle_exact", "oracle_conforming", "timings"}
     assert keys <= set(report)
+    assert "j_guidance" not in report
